@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends import get_backend
 from repro.core import fidelity_collective, fidelity_individual
 
 from _common import TABLE1_BY_NAME
@@ -27,8 +28,12 @@ def test_contraction_order(benchmark, order_method):
     """Alg II runtime under each contraction-order heuristic."""
     ideal = WORKLOAD.ideal()
     noisy = WORKLOAD.noisy()
+    # a fresh backend per round: every round plans from scratch
     result = benchmark(
-        fidelity_collective, noisy, ideal, order_method=order_method
+        lambda: fidelity_collective(
+            noisy, ideal,
+            backend=get_backend("tdd", order_method=order_method),
+        )
     )
     assert result.fidelity > 0.9
 

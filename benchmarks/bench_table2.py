@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends import get_backend
 from repro.core import fidelity_individual
 from repro.noise import depolarizing, insert_random_noise
 
@@ -20,6 +21,12 @@ from _common import NOISE_P, NOISE_SEED, table2_workloads
 
 CIRCUITS = sorted(table2_workloads())
 NOISE_COUNTS = [1, 2, 3]
+
+
+def _run(noisy, ideal, shared: bool):
+    """Alg I on a fresh TDD backend with or without shared tables."""
+    backend = get_backend("tdd", share_intermediates=shared)
+    return fidelity_individual(noisy, ideal, backend=backend)
 
 
 def _noisy(name: str, k: int):
@@ -38,9 +45,7 @@ def test_alg1_with_computed_table(benchmark, name, k):
     build = table2_workloads()[name]
     ideal = build()
     noisy = _noisy(name, k)
-    result = benchmark(
-        fidelity_individual, noisy, ideal, share_computed_table=True
-    )
+    result = benchmark(_run, noisy, ideal, True)
     assert result.stats.terms_computed == 4**k
 
 
@@ -51,7 +56,5 @@ def test_alg1_without_computed_table(benchmark, name, k):
     build = table2_workloads()[name]
     ideal = build()
     noisy = _noisy(name, k)
-    result = benchmark(
-        fidelity_individual, noisy, ideal, share_computed_table=False
-    )
+    result = benchmark(_run, noisy, ideal, False)
     assert result.stats.terms_computed == 4**k

@@ -19,6 +19,7 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 from _common import NOISE_P, NOISE_SEED, table2_workloads  # noqa: E402
 
+from repro.backends import get_backend  # noqa: E402
 from repro.core import fidelity_individual  # noqa: E402
 from repro.noise import depolarizing, insert_random_noise  # noqa: E402
 
@@ -31,7 +32,8 @@ def measure(build, k, shared):
         seed=NOISE_SEED,
     )
     result = fidelity_individual(
-        noisy, ideal, share_computed_table=shared
+        noisy, ideal,
+        backend=get_backend("tdd", share_intermediates=shared),
     )
     return result.stats.time_seconds
 

@@ -23,9 +23,9 @@ True
 >>> engine.check(request).to_json()  # doctest: +SKIP
 '{"schema_version": "1", "equivalent": true, ...}'
 
-The supported lower layer, for callers already holding circuit
-objects — backend state (TDD computed tables, contraction orders,
-einsum paths) stays warm across pairs:
+The lower layer, for callers already holding circuit objects — one
+session keeps its backend's state (TDD computed tables, cached
+contraction plans) warm across pairs:
 
 >>> from repro import CheckConfig, CheckSession, qft, insert_random_noise
 >>> ideal = qft(5)
@@ -34,13 +34,14 @@ einsum paths) stays warm across pairs:
 >>> [r.verdict for r in session.check_many(pairs)]
 ['EQUIVALENT', 'EQUIVALENT']
 
-Contraction engines are pluggable: ``CheckConfig(backend="tdd")`` (the
-paper's Tensor Decision Diagrams), ``"dense"`` (pairwise tensordot) or
-``"einsum"`` (one ``numpy.einsum`` expression with an optimised path);
-register your own via :func:`repro.backends.register_backend`.  The
-kwargs-style :class:`EquivalenceChecker` front end is deprecated (its
-warning names :class:`Engine`) but fully supported — see
-``docs/api.md`` for the migration table and the wire-schema reference.
+Below the session, the paper's two algorithms
+(:func:`fidelity_individual`, :func:`fidelity_collective`) take a
+``backend``: a registered name (``"tdd"``, the paper's Tensor Decision
+Diagrams; ``"dense"``; ``"einsum"``) or a ready
+:class:`ContractionBackend` carrying its own plan knobs.  Every
+contraction goes through a backend's ``contract_scalar``; register your
+own via :func:`repro.backends.register_backend`.  See ``docs/api.md``
+for the wire-schema reference.
 """
 
 from .api import (
@@ -74,14 +75,11 @@ from .core import (
     CheckError,
     CheckResult,
     CheckSession,
-    EquivalenceChecker,
     FidelityResult,
-    approx_equivalent,
     average_fidelity_from_jamiolkowski,
     fidelity_collective,
     fidelity_individual,
     jamiolkowski_distance,
-    jamiolkowski_fidelity,
     jamiolkowski_fidelity_dense,
 )
 from .gates import Gate
@@ -121,7 +119,6 @@ __all__ = [
     "CircuitSpec",
     "ContractionBackend",
     "Engine",
-    "EquivalenceChecker",
     "FidelityResult",
     "Gate",
     "JobHandle",
@@ -137,7 +134,6 @@ __all__ = [
     "Tdd",
     "TddManager",
     "amplitude_damping",
-    "approx_equivalent",
     "available_backends",
     "average_fidelity_from_jamiolkowski",
     "average_gate_fidelity",
@@ -151,7 +147,6 @@ __all__ = [
     "grover",
     "insert_random_noise",
     "jamiolkowski_distance",
-    "jamiolkowski_fidelity",
     "jamiolkowski_fidelity_dense",
     "mod_mult_7x15",
     "pauli_channel",

@@ -32,10 +32,8 @@ Three call shapes:
 * :meth:`Engine.submit` / :meth:`Engine.result` — fire-and-collect job
   handles over the same pool.
 
-The engine is the documented replacement for the deprecated
-``EquivalenceChecker`` front end; ``CheckSession`` remains the
-supported lower layer for callers who already hold circuit objects and
-want zero request ceremony.
+``CheckSession`` is the supported lower layer for callers who already
+hold circuit objects and want zero request ceremony.
 """
 
 from __future__ import annotations

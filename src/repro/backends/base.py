@@ -26,7 +26,6 @@ import abc
 import math
 import os
 import time
-import warnings
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -109,6 +108,33 @@ def validate_plan_seed(value: int) -> None:
         )
     if value < 0:
         raise ValueError(f"plan_seed must be an integer >= 0, got {value!r}")
+
+
+def validate_plan_knobs(
+    order_method: str,
+    planner: str,
+    max_intermediate_size: Optional[int],
+    slice_batch: Optional[int],
+    plan_budget_seconds: Optional[float],
+    plan_seed: int,
+) -> None:
+    """Validate the plan knobs shared by backends and CheckConfig."""
+    if order_method not in ORDER_HEURISTICS:
+        raise ValueError(
+            f"unknown ordering method {order_method!r}; "
+            f"choose from {sorted(ORDER_HEURISTICS)}"
+        )
+    if planner not in PLANNERS:
+        raise ValueError(
+            f"unknown planner {planner!r}; "
+            f"choose from {sorted(PLANNERS)}"
+        )
+    if max_intermediate_size is not None and max_intermediate_size < 1:
+        raise ValueError("max_intermediate_size must be at least 1")
+    if slice_batch is not None and slice_batch < 1:
+        raise ValueError("slice_batch must be at least 1")
+    validate_plan_budget_seconds(plan_budget_seconds)
+    validate_plan_seed(plan_seed)
 
 
 class ContractionBackend(abc.ABC):
@@ -198,22 +224,10 @@ class ContractionBackend(abc.ABC):
         plan_budget_seconds: Optional[float] = None,
         plan_seed: int = 0,
     ):
-        if order_method not in ORDER_HEURISTICS:
-            raise ValueError(
-                f"unknown ordering method {order_method!r}; "
-                f"choose from {sorted(ORDER_HEURISTICS)}"
-            )
-        if planner not in PLANNERS:
-            raise ValueError(
-                f"unknown planner {planner!r}; "
-                f"choose from {sorted(PLANNERS)}"
-            )
-        if max_intermediate_size is not None and max_intermediate_size < 1:
-            raise ValueError("max_intermediate_size must be at least 1")
-        if slice_batch is not None and slice_batch < 1:
-            raise ValueError("slice_batch must be at least 1")
-        validate_plan_budget_seconds(plan_budget_seconds)
-        validate_plan_seed(plan_seed)
+        validate_plan_knobs(
+            order_method, planner, max_intermediate_size, slice_batch,
+            plan_budget_seconds, plan_seed,
+        )
         self.device = device
         self.slice_batch = slice_batch
         self.order_method = order_method
@@ -352,21 +366,6 @@ class ContractionBackend(abc.ABC):
             return plan
         finally:
             self.planning_seconds_total += time.perf_counter() - started
-
-    def order_for(self, network: TensorNetwork) -> List[str]:
-        """Index elimination order behind the cached plan.
-
-        .. deprecated::
-            Use :meth:`plan_for`; the plan carries the order plus the
-            full pairwise schedule and cost model.
-        """
-        warnings.warn(
-            "ContractionBackend.order_for is deprecated; use plan_for "
-            "(the plan's .order attribute carries the elimination order)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.plan_for(network).order)
 
     def _record_plan(
         self, stats: Optional[ContractionStats], plan: ContractionPlan

@@ -1,11 +1,13 @@
 """:class:`RemoteSliceExecutor` — slice chunks across ``repro worker`` daemons.
 
 The distributed sibling of
-:class:`~repro.parallel.executors.ProcessSliceExecutor`: the same
-chunked dispatch (batch-aligned chunks, payload pickled once and keyed
-by its sha1 digest), the same deterministic chunk-order reduce, but the
-workers are sockets instead of forked processes — so they can live on
-other machines, and so they can *die*.
+:class:`~repro.parallel.executors.ProcessSliceExecutor`: both run on
+:class:`~repro.parallel.executors.ChunkedSliceExecutor`, so the chunked
+dispatch (batch-aligned chunks, payload pickled once and keyed by its
+sha1 digest) and the deterministic chunk-order reduce are one piece of
+code, and this class only adds the transport.  Its workers are sockets
+instead of forked processes — so they can live on other machines, and
+so they can *die*.
 
 The failure model is therefore the core of this class:
 
@@ -32,7 +34,6 @@ bound.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import queue
 import socket
@@ -40,13 +41,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .. import trace as _trace
-from ..parallel.executors import (
-    SliceExecutor,
-    chunk_assignments,
-    fold_measured_stats,
-)
-from ..tensornet.planner import iter_slice_assignments
+from ..parallel.executors import ChunkedSliceExecutor
 from . import metrics as _metrics
 from .protocol import (
     OP_ERR,
@@ -255,7 +250,7 @@ class WorkerClient:
         return f"WorkerClient({self.url!r})"
 
 
-class RemoteSliceExecutor(SliceExecutor):
+class RemoteSliceExecutor(ChunkedSliceExecutor):
     """Dispatch slice chunks to a fleet of ``repro worker`` daemons.
 
     Parameters
@@ -273,6 +268,8 @@ class RemoteSliceExecutor(SliceExecutor):
         on the dispatching backend in-process.  ``False``: raise
         :class:`~repro.api.errors.WorkerLostError` instead.
     """
+
+    dispatch_span = "slices.remote.dispatch"
 
     def __init__(
         self,
@@ -318,23 +315,13 @@ class RemoteSliceExecutor(SliceExecutor):
 
     # --- dispatch ------------------------------------------------------------
 
-    def contract(self, backend, network, plan, stats=None):
-        assignments = list(iter_slice_assignments(plan))
-        if len(assignments) < 2:
-            return backend.contract_scalar(
-                network, stats=stats, plan=plan, assignments=assignments
-            )
-        batch = backend.effective_slice_batch(plan)
-        align = max(1, min(batch, len(assignments) // max(1, self.jobs)))
-        chunks = chunk_assignments(
-            assignments, self.jobs, self.chunk_size, align=align
+    def _run_chunks(
+        self, backend, network, plan, stats, chunks, payload, dispatch_span
+    ):
+        dispatch_span.set(
+            chunks=len(chunks), workers=self.jobs,
+            digest=payload.digest[:12],
         )
-        spec = backend.describe()
-        blob = pickle.dumps((network, plan), pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha1(blob).hexdigest()
-        recorder = _trace.current_recorder()
-        tracing = recorder is not None
-
         pending: "queue.Queue" = queue.Queue()
         for item in enumerate(chunks):
             pending.put(item)
@@ -353,7 +340,8 @@ class RemoteSliceExecutor(SliceExecutor):
                     continue
                 try:
                     value, chunk_stats = client.run_chunk(
-                        spec, digest, blob, chunk, tracing
+                        payload.spec, payload.digest, payload.blob, chunk,
+                        payload.tracing,
                     )
                 except BaseException:
                     # dead or straggling worker: its chunk goes back on
@@ -368,72 +356,50 @@ class RemoteSliceExecutor(SliceExecutor):
                     remaining[0] -= 1
                 _metrics.increment("remote_chunks")
 
-        with _trace.span("slices.remote.dispatch") as dispatch_span:
-            dispatch_span.set(
-                chunks=len(chunks), workers=self.jobs, digest=digest[:12]
+        threads = [
+            threading.Thread(
+                target=dispatch_loop,
+                args=(client,),
+                name=f"repro-remote-{client.url}",
+                daemon=True,
             )
-            threads = [
-                threading.Thread(
-                    target=dispatch_loop,
-                    args=(client,),
-                    name=f"repro-remote-{client.url}",
-                    daemon=True,
-                )
-                for client in self._clients
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            # every thread has returned: either all chunks landed, or
-            # the surviving queue is work the dead pool never finished
-            leftovers = []
-            while True:
-                try:
-                    leftovers.append(pending.get_nowait())
-                except queue.Empty:
-                    break
-            leftovers = [
-                item for item in leftovers if item[0] not in results
-            ]
-            if leftovers and not self.local_fallback:
-                from ..api.errors import WorkerLostError
+            for client in self._clients
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        # every thread has returned: either all chunks landed, or the
+        # surviving queue is work the dead pool never finished
+        leftovers = []
+        while True:
+            try:
+                leftovers.append(pending.get_nowait())
+            except queue.Empty:
+                break
+        leftovers = [item for item in leftovers if item[0] not in results]
+        if leftovers and not self.local_fallback:
+            from ..api.errors import WorkerLostError
 
-                raise WorkerLostError(
-                    f"{len(leftovers)} chunk(s) undispatchable: every "
-                    f"worker in {list(self.addresses)} is lost",
-                    details={"workers": list(self.addresses)},
-                )
-            for index, chunk in leftovers:
-                chunk_stats = type(stats)() if stats is not None else None
-                value = backend.contract_scalar(
-                    network, stats=chunk_stats, plan=plan,
-                    assignments=chunk,
-                )
-                results[index] = (None, value, chunk_stats)
-                _metrics.increment("remote_fallback_chunks")
-            # chunk-index-order reduce: bit-identical however the fleet
-            # scheduled, re-dispatched or dropped the work
-            total = 0j
-            for index in range(len(chunks)):
-                origin, value, chunk_stats = results[index]
-                total += value
-                fold_measured_stats(stats, chunk_stats)
-                if tracing and chunk_stats is not None:
-                    records = (
-                        chunk_stats.extra.pop("trace_spans", None)
-                        if hasattr(chunk_stats, "extra") else None
-                    )
-                    if records:
-                        recorder.fold(
-                            records,
-                            attributes={
-                                "chunk": index,
-                                "worker": origin or "local",
-                            },
-                            align_start_ns=dispatch_span.span.start_ns,
-                        )
-        return total
+            raise WorkerLostError(
+                f"{len(leftovers)} chunk(s) undispatchable: every "
+                f"worker in {list(self.addresses)} is lost",
+                details={"workers": list(self.addresses)},
+            )
+        for index, chunk in leftovers:
+            chunk_stats = type(stats)() if stats is not None else None
+            value = backend.contract_scalar(
+                network, stats=chunk_stats, plan=plan, assignments=chunk,
+            )
+            results[index] = (None, value, chunk_stats)
+            _metrics.increment("remote_fallback_chunks")
+        # chunk-index-order reduce: bit-identical however the fleet
+        # scheduled, re-dispatched or dropped the work
+        for index in range(len(chunks)):
+            origin, value, chunk_stats = results[index]
+            yield value, chunk_stats, {
+                "chunk": index, "worker": origin or "local",
+            }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -2,13 +2,7 @@
 
 from .algorithm1 import enumerate_selections, fidelity_individual
 from .algorithm2 import fidelity_collective
-from .checker import (
-    AUTO_ALG1_MAX_NOISES,
-    EquivalenceChecker,
-    approx_equivalent,
-    jamiolkowski_fidelity,
-)
-from .session import CheckConfig, CheckSession
+from .session import AUTO_ALG1_MAX_NOISES, CheckConfig, CheckSession
 from .jamiolkowski import (
     average_fidelity_from_jamiolkowski,
     fidelity_from_traces,
@@ -51,7 +45,6 @@ __all__ = [
     "CheckError",
     "CheckResult",
     "CheckSession",
-    "EquivalenceChecker",
     "FidelityResult",
     "RunStats",
     "StatsAggregator",
@@ -64,7 +57,6 @@ __all__ = [
     "mixed_unitary_decomposition",
     "alg1_trace_network",
     "alg2_trace_network",
-    "approx_equivalent",
     "average_fidelity_from_jamiolkowski",
     "double_circuit",
     "enumerate_selections",
@@ -72,7 +64,6 @@ __all__ = [
     "fidelity_from_traces",
     "fidelity_individual",
     "jamiolkowski_distance",
-    "jamiolkowski_fidelity",
     "jamiolkowski_fidelity_choi",
     "jamiolkowski_fidelity_dense",
     "jamiolkowski_fidelity_kraus",

@@ -56,14 +56,10 @@ def fidelity_individual(
     ideal: QuantumCircuit,
     epsilon: Optional[float] = None,
     backend: Union[str, ContractionBackend] = "tdd",
-    order_method: str = "tree_decomposition",
-    share_computed_table: bool = True,
     use_local_optimisations: bool = False,
     dominant_first: bool = True,
     max_terms: Optional[int] = None,
     time_budget_seconds: Optional[float] = None,
-    planner: str = "order",
-    max_intermediate_size: Optional[int] = None,
 ) -> FidelityResult:
     """Jamiolkowski fidelity by individual trace terms (Algorithm I).
 
@@ -79,14 +75,11 @@ def fidelity_individual(
         computed anyway).
     backend:
         A registered backend name (``"tdd"``, ``"dense"``, ``"einsum"``,
-        …) or a ready :class:`~repro.backends.ContractionBackend`
-        instance, e.g. the shared engine of a
-        :class:`~repro.core.session.CheckSession`.
-    share_computed_table:
-        Reuse one TDD manager — and hence its computed tables — across all
-        trace terms.  Switch off to reproduce Table II's 'Ori.' column.
-        Only consulted when ``backend`` is a name; an instance keeps its
-        own ``share_intermediates`` setting.
+        …, built with default plan knobs) or a ready
+        :class:`~repro.backends.ContractionBackend` instance, e.g. the
+        shared engine of a :class:`~repro.core.session.CheckSession`.
+        Plan and sharing knobs live on the instance: Table II's 'Ori.'
+        column is ``get_backend("tdd", share_intermediates=False)``.
     use_local_optimisations:
         Apply adjacent-gate cancellation and SWAP elimination to each
         miter (excluded from the paper's headline tables for baseline
@@ -101,23 +94,10 @@ def fidelity_individual(
         Wall-clock budget; enumeration stops once exceeded and the result
         is flagged ``timed_out`` (used by the Table I harness's 'TO'
         rows).
-    planner:
-        Contraction-plan strategy (``"order"`` or ``"greedy"``; see
-        :data:`repro.tensornet.planner.PLANNERS`).  Only consulted when
-        ``backend`` is a name.
-    max_intermediate_size:
-        Slice contraction plans so no intermediate exceeds this many
-        elements.  Only consulted when ``backend`` is a name.
     """
     if epsilon is not None and not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    engine = resolve_backend(
-        backend,
-        order_method=order_method,
-        share_intermediates=share_computed_table,
-        planner=planner,
-        max_intermediate_size=max_intermediate_size,
-    )
+    engine = resolve_backend(backend)
     dim = 2**ideal.num_qubits
     target = None if epsilon is None else (1.0 - epsilon) * dim * dim
 

@@ -12,7 +12,7 @@ one of it — the trade-off the paper demonstrates in Fig. 7.
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
+from typing import Union
 
 from .. import trace as _trace
 from ..backends import ContractionBackend, resolve_backend
@@ -26,26 +26,17 @@ def fidelity_collective(
     noisy: QuantumCircuit,
     ideal: QuantumCircuit,
     backend: Union[str, ContractionBackend] = "tdd",
-    order_method: str = "tree_decomposition",
     use_local_optimisations: bool = False,
-    planner: str = "order",
-    max_intermediate_size: Optional[int] = None,
 ) -> FidelityResult:
     """Jamiolkowski fidelity via one doubled-network contraction.
 
     Parameters mirror :func:`repro.core.algorithm1.fidelity_individual`
     (there is no epsilon: the single contraction is always exact).
-    ``backend`` is a registered name or a ready
-    :class:`~repro.backends.ContractionBackend` instance;
-    ``planner``/``max_intermediate_size`` configure plan construction and
-    slicing when ``backend`` is a name.
+    ``backend`` is a registered name (built with default plan knobs) or a
+    ready :class:`~repro.backends.ContractionBackend` instance carrying
+    its own planner, ordering and slicing configuration.
     """
-    engine = resolve_backend(
-        backend,
-        order_method=order_method,
-        planner=planner,
-        max_intermediate_size=max_intermediate_size,
-    )
+    engine = resolve_backend(backend)
     dim = 2**ideal.num_qubits
     stats = RunStats(
         algorithm="alg2",

@@ -19,14 +19,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
+from ..backends import ContractionBackend, resolve_backend
 from ..circuits import QuantumCircuit
 from ..gates import Gate
 from ..linalg import dagger
-from ..tdd import TddManager, contract_network_scalar, manager_for_network
+from ..tensornet import ContractionStats
 from .miter import alg1_trace_network
 from .stats import RunStats
 
@@ -83,10 +84,13 @@ def fidelity_sampled(
     num_samples: int = 200,
     confidence_level: float = 0.95,
     seed: Optional[int] = None,
-    order_method: str = "tree_decomposition",
+    backend: Union[str, ContractionBackend] = "tdd",
 ) -> SampledFidelityResult:
     """Estimate ``F_J`` by sampling Kraus selections (mixed-unitary noise).
 
+    ``backend`` is a registered backend name (built with defaults) or a
+    ready :class:`~repro.backends.ContractionBackend` instance; every
+    sample's miter shares one structure, so the plan is built once.
     Raises ``ValueError`` if any noise site is not mixed-unitary.
     """
     if num_samples < 1:
@@ -101,14 +105,13 @@ def fidelity_sampled(
             )
         sites.append(pairs)
 
+    engine = resolve_backend(backend)
     rng = np.random.default_rng(seed)
     dim = 2**ideal.num_qubits
-    stats = RunStats(algorithm="alg1_sampled",
+    stats = RunStats(algorithm="alg1_sampled", backend=engine.name,
                      terms_total=noisy.num_kraus_terms)
     start = time.perf_counter()
 
-    manager: Optional[TddManager] = None
-    order = None
     values = []
     for _ in range(num_samples):
         selection = tuple(
@@ -116,10 +119,11 @@ def fidelity_sampled(
             for pairs in sites
         )
         sampled = _plug_unitaries(noisy, sites, selection)
-        network = alg1_trace_network(sampled, ideal)
-        if order is None:
-            manager, order = manager_for_network(network, order_method)
-        trace = contract_network_scalar(network, order=order, manager=manager)
+        cstats = ContractionStats()
+        trace = engine.contract_scalar(
+            alg1_trace_network(sampled, ideal), stats=cstats
+        )
+        stats.max_nodes = max(stats.max_nodes, cstats.max_nodes)
         values.append(min(abs(trace) ** 2 / dim**2, 1.0))
         stats.terms_computed += 1
 

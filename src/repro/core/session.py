@@ -28,14 +28,9 @@ from ..backends import (
     backend_availability,
     resolve_backend,
 )
-from ..backends.base import (
-    validate_plan_budget_seconds,
-    validate_plan_seed,
-)
+from ..backends.base import validate_plan_knobs
 from ..cache import CheckCache
 from ..circuits import QuantumCircuit
-from ..tensornet.ordering import ORDER_HEURISTICS
-from ..tensornet.planner import PLANNERS
 from .. import trace as _trace
 from .algorithm1 import fidelity_individual
 from .algorithm2 import fidelity_collective
@@ -58,10 +53,8 @@ RUN_MODES = ("check", "fidelity")
 class CheckConfig:
     """Frozen configuration of an equivalence-checking run.
 
-    Replaces the loose kwargs previously threaded through
-    ``EquivalenceChecker`` → ``algorithm1``/``algorithm2``.  All values are
-    validated at construction, so typos fail immediately rather than deep
-    inside a contraction loop.
+    All values are validated at construction, so typos fail immediately
+    rather than deep inside a contraction loop.
     """
 
     #: error threshold of the epsilon-equivalence decision
@@ -149,25 +142,10 @@ class CheckConfig:
                 f"ContractionBackend instance, got {type(self.backend)!r}; "
                 f"registered names: {', '.join(available_backends())}"
             )
-        if self.order_method not in ORDER_HEURISTICS:
-            raise ValueError(
-                f"unknown ordering method {self.order_method!r}; "
-                f"choose from {sorted(ORDER_HEURISTICS)}"
-            )
-        if self.planner not in PLANNERS:
-            raise ValueError(
-                f"unknown planner {self.planner!r}; "
-                f"choose from {sorted(PLANNERS)}"
-            )
-        if (
-            self.max_intermediate_size is not None
-            and self.max_intermediate_size < 1
-        ):
-            raise ValueError("max_intermediate_size must be at least 1")
-        if self.slice_batch is not None and self.slice_batch < 1:
-            raise ValueError("slice_batch must be at least 1")
-        validate_plan_budget_seconds(self.plan_budget_seconds)
-        validate_plan_seed(self.plan_seed)
+        validate_plan_knobs(
+            self.order_method, self.planner, self.max_intermediate_size,
+            self.slice_batch, self.plan_budget_seconds, self.plan_seed,
+        )
         if (
             self.device not in (None, "cpu")
             and self.backend_name in ("tdd", "dense", "einsum")
@@ -617,8 +595,6 @@ class CheckSession:
                 ideal,
                 epsilon=epsilon,
                 backend=backend,
-                order_method=cfg.order_method,
-                share_computed_table=cfg.share_computed_table,
                 use_local_optimisations=cfg.use_local_optimisations,
                 dominant_first=cfg.dominant_first,
                 max_terms=cfg.alg1_max_terms,
@@ -629,7 +605,6 @@ class CheckSession:
                 noisy,
                 ideal,
                 backend=backend,
-                order_method=cfg.order_method,
                 use_local_optimisations=cfg.use_local_optimisations,
             )
         else:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Union
 
+from ..backends import ContractionBackend, resolve_backend
 from ..circuits import QuantumCircuit, cancel_adjacent_gates, eliminate_final_swaps
-from ..tdd import contract_network_scalar, manager_for_network
 from ..tensornet import ContractionStats, circuit_to_network, close_trace
 from .stats import RunStats
 
@@ -40,24 +41,26 @@ def check_unitary_equivalence(
     circuit_b: QuantumCircuit,
     atol: float = 1e-9,
     use_local_optimisations: bool = True,
-    order_method: str = "tree_decomposition",
+    backend: Union[str, ContractionBackend] = "tdd",
 ) -> UnitaryCheckResult:
     """Decide whether two noiseless circuits implement the same unitary.
 
     Builds the reversible miter ``B† A``, closes the trace, contracts it
-    with the TDD backend and tests ``|tr| == d``.  Local optimisations
-    (gate cancellation across the miter seam, trailing-SWAP elimination)
-    are on by default — for equal circuits the miter typically cancels to
-    nothing before any contraction happens.
+    on ``backend`` (a registered name or a ready
+    :class:`~repro.backends.ContractionBackend`) and tests ``|tr| == d``.
+    Local optimisations (gate cancellation across the miter seam,
+    trailing-SWAP elimination) are on by default — for equal circuits the
+    miter typically cancels to nothing before any contraction happens.
     """
     if circuit_a.num_qubits != circuit_b.num_qubits:
         raise ValueError("circuits must have the same number of qubits")
     if not (circuit_a.is_unitary_circuit and circuit_b.is_unitary_circuit):
         raise ValueError(
             "exact checking needs noiseless circuits; use "
-            "EquivalenceChecker for noisy ones"
+            "CheckSession or Engine for noisy ones"
         )
-    stats = RunStats(algorithm="unitary_miter")
+    engine = resolve_backend(backend)
+    stats = RunStats(algorithm="unitary_miter", backend=engine.name)
     start = time.perf_counter()
 
     miter = circuit_a.compose(circuit_b.inverse())
@@ -69,10 +72,7 @@ def check_unitary_equivalence(
         circuit_to_network(miter), permutation=permutation
     )
     cstats = ContractionStats()
-    manager, order = manager_for_network(network, order_method)
-    trace = contract_network_scalar(
-        network, order=order, manager=manager, stats=cstats
-    )
+    trace = engine.contract_scalar(network, stats=cstats)
     stats.max_nodes = cstats.max_nodes
     stats.terms_computed = 1
     stats.time_seconds = time.perf_counter() - start

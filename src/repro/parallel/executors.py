@@ -6,6 +6,9 @@ work.  A :class:`SliceExecutor` owns the strategy for running those
 assignments: :class:`SerialExecutor` runs them in-process (the reference
 implementation), :class:`ProcessSliceExecutor` fans chunks of
 assignments out to a worker-process pool and sums the partial scalars.
+Both out-of-process transports (this pool and
+:class:`~repro.cluster.executor.RemoteSliceExecutor`) share one dispatch
+core, :class:`ChunkedSliceExecutor`.
 
 Backends hold an optional executor (the ``executor=`` constructor
 keyword of :class:`~repro.backends.base.ContractionBackend`); whenever a
@@ -28,7 +31,15 @@ import hashlib
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import trace as _trace
 from ..tensornet import ContractionStats, TensorNetwork
@@ -144,7 +155,91 @@ class SerialExecutor(SliceExecutor):
         return total
 
 
-class ProcessSliceExecutor(SliceExecutor):
+class ChunkPayload(NamedTuple):
+    """What every chunk of one dispatched contraction shares.
+
+    ``blob`` is the ``(network, plan)`` pair pickled once per
+    contraction; workers cache its deserialisation by ``digest`` instead
+    of paying the full payload serialisation per chunk.
+    """
+
+    spec: Dict[str, object]
+    digest: str
+    blob: bytes
+    tracing: bool
+
+
+class ChunkedSliceExecutor(SliceExecutor):
+    """The slice-dispatch core shared by the out-of-process transports.
+
+    :meth:`contract` owns everything but the transport: batch-aligned
+    chunking, the once-pickled payload, the dispatch span, and the
+    chunk-order reduce (partial sums, measured stats, worker trace
+    spans).  Subclasses set :attr:`dispatch_span` and implement
+    :meth:`_run_chunks`.
+    """
+
+    #: name of the span wrapping one dispatched contraction
+    dispatch_span: str = "slices.dispatch"
+    jobs: int
+    chunk_size: Optional[int]
+
+    def contract(self, backend, network, plan, stats=None):
+        assignments = list(iter_slice_assignments(plan))
+        if len(assignments) < 2:
+            # Nothing to parallelise: skip the transport (and its pickling).
+            return backend.contract_scalar(
+                network, stats=stats, plan=plan, assignments=assignments
+            )
+        # Align dispatch chunks to the backend's slice batch (whole batch
+        # groups per payload), capped so alignment never starves a worker
+        # of its chunk.
+        batch = backend.effective_slice_batch(plan)
+        align = max(1, min(batch, len(assignments) // self.jobs))
+        chunks = chunk_assignments(
+            assignments, self.jobs, self.chunk_size, align=align
+        )
+        blob = pickle.dumps((network, plan), pickle.HIGHEST_PROTOCOL)
+        recorder = _trace.current_recorder()
+        payload = ChunkPayload(
+            backend.describe(), hashlib.sha1(blob).hexdigest(), blob,
+            recorder is not None,
+        )
+        with _trace.span(self.dispatch_span) as dispatch_span:
+            total = 0j
+            # chunk order: deterministic reduce — and the order worker
+            # span records fold into the parent trace, exactly like the
+            # stats merge.
+            for value, chunk_stats, attributes in self._run_chunks(
+                backend, network, plan, stats, chunks, payload,
+                dispatch_span,
+            ):
+                total += value
+                fold_measured_stats(stats, chunk_stats)
+                records = (
+                    getattr(chunk_stats, "extra", {}).pop("trace_spans", None)
+                    if payload.tracing else None
+                )
+                if records:
+                    # Worker clocks are not ours: re-anchor each chunk's
+                    # spans at the dispatch span's start so they nest
+                    # inside the dispatch window.
+                    recorder.fold(
+                        records,
+                        attributes=attributes,
+                        align_start_ns=dispatch_span.span.start_ns,
+                    )
+        return total
+
+    @abc.abstractmethod
+    def _run_chunks(
+        self, backend, network, plan, stats, chunks, payload, dispatch_span
+    ) -> Iterable[Tuple[complex, Optional[ContractionStats], dict]]:
+        """Execute ``chunks`` → ``(value, chunk_stats, trace attributes)``
+        per chunk, yielded in chunk order."""
+
+
+class ProcessSliceExecutor(ChunkedSliceExecutor):
     """Fan slice chunks out to a ``ProcessPoolExecutor``.
 
     Parameters
@@ -181,57 +276,25 @@ class ProcessSliceExecutor(SliceExecutor):
         return self._pool
 
     def contract(self, backend, network, plan, stats=None):
-        assignments = list(iter_slice_assignments(plan))
-        if len(assignments) < 2 or self.jobs == 1:
-            # Nothing to parallelise: skip the pool (and its pickling).
-            return backend.contract_scalar(
-                network, stats=stats, plan=plan, assignments=assignments
-            )
-        # Align dispatch chunks to the backend's slice batch (whole batch
-        # groups per payload), capped so alignment never starves a worker
-        # of its chunk.
-        batch = backend.effective_slice_batch(plan)
-        align = max(1, min(batch, len(assignments) // self.jobs))
-        chunks = chunk_assignments(
-            assignments, self.jobs, self.chunk_size, align=align
-        )
-        spec = backend.describe()
-        # Every chunk shares one (network, plan): pickle it once here and
-        # let each worker cache its deserialisation by digest, instead of
-        # paying the full payload serialisation per chunk.
-        blob = pickle.dumps((network, plan), pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha1(blob).hexdigest()
+        if self.jobs == 1:
+            return SerialExecutor().contract(backend, network, plan, stats)
+        return super().contract(backend, network, plan, stats)
+
+    def _run_chunks(
+        self, backend, network, plan, stats, chunks, payload, dispatch_span
+    ):
+        dispatch_span.set(chunks=len(chunks), jobs=self.jobs)
         pool = self._ensure_pool()
-        recorder = _trace.current_recorder()
-        tracing = recorder is not None
-        with _trace.span("slices.dispatch") as dispatch_span:
-            dispatch_span.set(chunks=len(chunks), jobs=self.jobs)
-            futures = [
-                pool.submit(
-                    run_slice_chunk_blob, spec, digest, blob, chunk, tracing
-                )
-                for chunk in chunks
-            ]
-            total = 0j
-            # submission order: deterministic reduce — and the order
-            # worker span records fold into the parent trace, exactly
-            # like the stats merge below.
-            for worker_index, future in enumerate(futures):
-                value, chunk_stats = future.result()
-                total += value
-                fold_measured_stats(stats, chunk_stats)
-                if tracing:
-                    records = chunk_stats.extra.pop("trace_spans", None)
-                    if records:
-                        # Worker clocks are not ours: re-anchor each
-                        # chunk's spans at the dispatch span's start so
-                        # they nest inside the dispatch window.
-                        recorder.fold(
-                            records,
-                            attributes={"worker": worker_index},
-                            align_start_ns=dispatch_span.span.start_ns,
-                        )
-        return total
+        futures = [
+            pool.submit(
+                run_slice_chunk_blob, payload.spec, payload.digest,
+                payload.blob, chunk, payload.tracing,
+            )
+            for chunk in chunks
+        ]
+        for worker_index, future in enumerate(futures):
+            value, chunk_stats = future.result()
+            yield value, chunk_stats, {"worker": worker_index}
 
     def close(self) -> None:
         if self._pool is not None:

@@ -1,13 +1,7 @@
 """Tensor Decision Diagrams: canonical DD representation of tensors."""
 
-from .engine import (
-    contract_network,
-    contract_network_scalar,
-    ensure_recursion_limit,
-    manager_for_network,
-)
 from .export import node_count_by_level, to_dot
-from .manager import Tdd, TddManager
+from .manager import Tdd, TddManager, ensure_recursion_limit
 from .node import TERMINAL_VAR, TddNode, count_nodes, round_weight
 
 __all__ = [
@@ -15,11 +9,8 @@ __all__ = [
     "Tdd",
     "TddManager",
     "TddNode",
-    "contract_network",
-    "contract_network_scalar",
     "count_nodes",
     "ensure_recursion_limit",
-    "manager_for_network",
     "node_count_by_level",
     "round_weight",
     "to_dot",

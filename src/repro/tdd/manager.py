@@ -9,6 +9,7 @@ paper's "computed table" optimisation (Sec. IV-C, evaluated in Table II).
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -17,6 +18,20 @@ from ..linalg import COMPLEX
 from .node import TERMINAL_VAR, TddNode, count_nodes, round_weight
 
 Edge = Tuple[complex, TddNode]
+
+#: Contraction recursion is bounded by the number of live variables, which
+#: can exceed CPython's default limit on wide doubled networks.
+_MIN_RECURSION_LIMIT = 100_000
+
+
+def ensure_recursion_limit() -> None:
+    """Raise the interpreter's recursion limit to the contraction floor.
+
+    Called by :meth:`repro.backends.TddBackend.contract_scalar` before
+    every contraction.  Only ever raises the limit, never lowers it.
+    """
+    if sys.getrecursionlimit() < _MIN_RECURSION_LIMIT:
+        sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
 
 
 class TddManager:

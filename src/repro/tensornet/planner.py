@@ -111,7 +111,7 @@ class ContractionPlan:
     dims: Dict[str, int] = field(hash=False)
     steps: Tuple[ContractionStep, ...]
     #: global elimination order behind the plan (feeds the TDD manager's
-    #: variable order and the deprecated ``order_for`` shim)
+    #: variable order)
     order: Tuple[str, ...]
     #: labels fixed-and-summed outside the plan (empty = unsliced)
     slices: Tuple[str, ...] = ()

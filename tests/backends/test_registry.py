@@ -15,7 +15,8 @@ from repro.backends import (
     unregister_backend,
 )
 from repro.core import (
-    EquivalenceChecker,
+    CheckConfig,
+    CheckSession,
     fidelity_collective,
     fidelity_individual,
     jamiolkowski_fidelity_dense,
@@ -95,8 +96,8 @@ class TestCustomBackend:
         try:
             ideal = qft(2)
             noisy = insert_random_noise(ideal, 1, seed=0)
-            out = EquivalenceChecker(
-                epsilon=0.05, backend="counting-dense"
+            out = CheckSession(
+                CheckConfig(epsilon=0.05, backend="counting-dense")
             ).check(ideal, noisy)
             assert out.equivalent
             assert out.backend == "counting-dense"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.circuits import QuantumCircuit
 from repro.core import (
     enumerate_selections,
@@ -72,7 +73,8 @@ class TestAgreement:
         noisy = insert_random_noise(ideal, 2, seed=8)
         ref = jamiolkowski_fidelity_dense(noisy, ideal)
         f2 = fidelity_collective(
-            noisy, ideal, order_method=order_method
+            noisy, ideal,
+            backend=get_backend("tdd", order_method=order_method),
         ).fidelity
         assert np.isclose(f2, ref, atol=1e-8)
 
@@ -119,10 +121,10 @@ class TestAlgorithm1Mechanics:
         ideal = qft(3)
         noisy = insert_random_noise(ideal, 2, seed=1)
         with_table = fidelity_individual(
-            noisy, ideal, share_computed_table=True
+            noisy, ideal, backend=get_backend("tdd", share_intermediates=True)
         )
         without = fidelity_individual(
-            noisy, ideal, share_computed_table=False
+            noisy, ideal, backend=get_backend("tdd", share_intermediates=False)
         )
         assert np.isclose(with_table.fidelity, without.fidelity, atol=1e-9)
 

@@ -13,15 +13,16 @@ certifies equivalence (partial sum 0.9025 > 0.9).
 import numpy as np
 import pytest
 
+from repro.backends import TddBackend
 from repro.core import (
-    EquivalenceChecker,
+    CheckConfig,
+    CheckSession,
     alg2_trace_network,
     fidelity_collective,
     fidelity_individual,
     lower_kraus_selection,
     alg1_trace_network,
 )
-from repro.tdd import contract_network_scalar
 from tests.conftest import make_noisy_qft2
 
 
@@ -33,7 +34,7 @@ class TestExample3:
         for selection in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             lowered = lower_kraus_selection(qft2_noisy, selection)
             net = alg1_trace_network(lowered, qft2_ideal)
-            traces.append(contract_network_scalar(net))
+            traces.append(TddBackend().contract_scalar(net))
         assert np.isclose(traces[0], 4 * p)
         for t in traces[1:]:
             assert np.isclose(t, 0.0, atol=1e-9)
@@ -54,7 +55,7 @@ class TestExample4:
     def test_collective_trace_is_16_p_squared(self, qft2_ideal, qft2_noisy):
         p = 0.9
         net = alg2_trace_network(qft2_noisy, qft2_ideal)
-        value = contract_network_scalar(net)
+        value = TddBackend().contract_scalar(net)
         assert np.isclose(value, 16 * p * p)
 
     def test_fidelity_matches(self, qft2_ideal, qft2_noisy):
@@ -75,12 +76,12 @@ class TestExample5:
 
     def test_checker_accepts(self, qft2_ideal):
         noisy = make_noisy_qft2(0.95)
-        out = EquivalenceChecker(epsilon=0.1).check(qft2_ideal, noisy)
+        out = CheckSession(CheckConfig(epsilon=0.1)).check(qft2_ideal, noisy)
         assert out.equivalent
 
     def test_checker_rejects_large_error(self, qft2_ideal):
         noisy = make_noisy_qft2(0.5)  # F_J = 0.25
-        out = EquivalenceChecker(epsilon=0.1, algorithm="alg2").check(
+        out = CheckSession(CheckConfig(epsilon=0.1, algorithm="alg2")).check(
             qft2_ideal, noisy
         )
         assert not out.equivalent

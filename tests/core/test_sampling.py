@@ -10,6 +10,7 @@ from repro.core import (
     jamiolkowski_fidelity_dense,
     mixed_unitary_decomposition,
 )
+from repro.backends import get_backend
 from repro.library import qft
 from repro.noise import (
     amplitude_damping,
@@ -38,15 +39,40 @@ class TestMixedUnitaryDecomposition:
         assert mixed_unitary_decomposition(amplitude_damping(0.2)) is None
 
 
+BACKENDS = ["tdd", "dense", "einsum"]
+
+
 class TestFidelitySampled:
-    def test_matches_exact_on_small_case(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_exact_on_small_case(self, backend):
         ideal = qft(3)
         noisy = insert_random_noise(
             ideal, 3, channel_factory=lambda: depolarizing(0.95), seed=17
         )
         exact = jamiolkowski_fidelity_dense(noisy, ideal)
-        result = fidelity_sampled(noisy, ideal, num_samples=400, seed=5)
+        result = fidelity_sampled(
+            noisy, ideal, num_samples=400, seed=5, backend=backend
+        )
         assert abs(result.estimate - exact) < result.confidence_radius
+        assert result.stats.backend == backend
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_backends_agree(self, backend):
+        """Same seed, same Kraus draws: every backend sums the same
+        per-sample traces."""
+        ideal = qft(4)
+        noisy = insert_random_noise(ideal, 6, seed=2)
+        reference = fidelity_sampled(noisy, ideal, seed=2).estimate
+        estimate = fidelity_sampled(
+            noisy, ideal, seed=2, backend=get_backend(backend)
+        ).estimate
+        assert abs(estimate - reference) < 1e-9
+
+    def test_tdd_estimate_is_pinned(self):
+        ideal = qft(4)
+        noisy = insert_random_noise(ideal, 6, seed=2)
+        result = fidelity_sampled(noisy, ideal, num_samples=200, seed=2)
+        assert abs(result.estimate - 0.9899999999992936) < 1e-12
 
     def test_confidence_interval_shrinks(self):
         ideal = qft(2)

@@ -5,15 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from repro.backends import DenseBackend
+from repro.backends import DenseBackend, resolve_backend
+from repro.circuits import QuantumCircuit
 from repro.core import (
     CheckConfig,
     CheckSession,
-    EquivalenceChecker,
+    fidelity_individual,
     jamiolkowski_fidelity_dense,
 )
 from repro.library import qft
-from repro.noise import depolarizing, insert_random_noise
+from repro.noise import bit_flip, depolarizing, insert_random_noise
 
 
 def make_pairs(count=3, noises=2):
@@ -53,6 +54,23 @@ class TestCheckConfig:
     def test_validation_at_construction(self, kwargs):
         with pytest.raises((ValueError, TypeError)):
             CheckConfig(**kwargs)
+
+    def test_validation_errors_name_the_choices(self):
+        """Every config validation error lists the valid values."""
+        with pytest.raises(ValueError, match="alg1"):
+            CheckConfig(algorithm="bogus")
+        with pytest.raises(ValueError, match="tdd"):
+            CheckConfig(backend="bogus")
+        with pytest.raises(TypeError, match="tdd"):
+            CheckConfig(backend=42)
+        with pytest.raises(ValueError, match="tree_decomposition"):
+            CheckConfig(order_method="bogus")
+        with pytest.raises(ValueError, match="greedy"):
+            CheckConfig(planner="bogus")
+        with pytest.raises(ValueError, match="tdd"):
+            resolve_backend("bogus")
+        with pytest.raises(TypeError, match="tdd"):
+            resolve_backend(42)
 
     def test_backend_instance_accepted(self):
         config = CheckConfig(backend=DenseBackend())
@@ -110,13 +128,13 @@ class TestCheckSession:
         session = CheckSession(CheckConfig(epsilon=0.01), epsilon=0.2)
         assert session.config.epsilon == 0.2
 
-    def test_check_matches_legacy_checker(self):
+    def test_check_matches_algorithm_layer(self):
         ideal, noisy = make_pairs(1)[0]
-        new = CheckSession(CheckConfig(epsilon=0.05)).check(ideal, noisy)
-        old = EquivalenceChecker(epsilon=0.05).check(ideal, noisy)
-        assert new.equivalent == old.equivalent
-        assert np.isclose(new.fidelity, old.fidelity, atol=1e-12)
-        assert new.algorithm == old.algorithm
+        result = CheckSession(CheckConfig(epsilon=0.05)).check(ideal, noisy)
+        direct = fidelity_individual(noisy, ideal, epsilon=0.05)
+        assert result.algorithm == "alg1"
+        assert result.equivalent == (direct.fidelity > 0.95)
+        assert np.isclose(result.fidelity, direct.fidelity, atol=1e-12)
 
     def test_check_many_streams_results(self):
         pairs = make_pairs(3)
@@ -172,20 +190,76 @@ class TestCheckSession:
             session.check(qft(2), qft(3))
 
 
-class TestLegacyShim:
-    def test_checker_exposes_config(self):
-        checker = EquivalenceChecker(epsilon=0.03, backend="dense")
-        assert checker.epsilon == 0.03
-        assert checker.backend == "dense"
-        assert checker.config.backend == "dense"
+class TestDispatch:
+    def test_auto_prefers_alg1_for_few_noises(self):
+        noisy = insert_random_noise(qft(3), 1, seed=0)
+        assert CheckSession().select_algorithm(noisy) == "alg1"
 
-    def test_typo_backend_fails_at_construction(self):
-        with pytest.raises(ValueError):
-            EquivalenceChecker(backend="tdd2")
+    def test_auto_prefers_alg2_for_many_noises(self):
+        noisy = insert_random_noise(qft(3), 6, seed=0)
+        assert CheckSession().select_algorithm(noisy) == "alg2"
 
-    def test_typo_order_method_fails_at_construction(self):
+    def test_explicit_algorithm_respected(self):
+        noisy = insert_random_noise(qft(3), 1, seed=0)
+        session = CheckSession(CheckConfig(algorithm="alg2"))
+        assert session.select_algorithm(noisy) == "alg2"
+
+
+class TestCheckVerdicts:
+    def test_equivalent_small_noise(self):
+        ideal = qft(3)
+        noisy = insert_random_noise(ideal, 2, seed=1)  # p = 0.999
+        out = CheckSession(CheckConfig(epsilon=0.01)).check(ideal, noisy)
+        assert out.equivalent
+        assert out.fidelity > 0.99
+
+    def test_not_equivalent_heavy_noise(self):
+        ideal = qft(2)
+        noisy = insert_random_noise(
+            ideal, 3, channel_factory=lambda: depolarizing(0.5), seed=1
+        )
+        out = CheckSession(
+            CheckConfig(epsilon=0.01, algorithm="alg2")
+        ).check(ideal, noisy)
+        assert not out.equivalent
+
+    def test_all_algorithms_same_verdict_and_fidelity(self):
+        ideal = qft(2)
+        noisy = insert_random_noise(
+            ideal, 2, channel_factory=lambda: bit_flip(0.9), seed=4
+        )
+        verdicts, fidelities = set(), []
+        for algorithm in ("alg1", "alg2", "dense"):
+            session = CheckSession(
+                CheckConfig(epsilon=0.3, algorithm=algorithm)
+            )
+            verdicts.add(session.check(ideal, noisy).equivalent)
+            fidelities.append(session.fidelity(ideal, noisy))
+        assert len(verdicts) == 1
+        assert max(fidelities) - min(fidelities) < 1e-8
+
+    def test_noisy_ideal_rejected(self):
+        ideal = QuantumCircuit(1)
+        ideal.append(bit_flip(0.9), [0])
         with pytest.raises(ValueError):
-            EquivalenceChecker(order_method="sequental")
+            CheckSession().check(ideal, ideal)
+
+    def test_negative_with_truncation(self):
+        # A non-equivalent instance where alg1 truncates early.
+        ideal = qft(2)
+        noisy = insert_random_noise(
+            ideal, 2, channel_factory=lambda: depolarizing(0.6), seed=2
+        )
+        session = CheckSession(CheckConfig(epsilon=0.001, algorithm="alg1"))
+        assert not session.check(ideal, noisy).equivalent
+
+    def test_result_fields_populated(self):
+        ideal = qft(2)
+        noisy = insert_random_noise(ideal, 1, seed=0)
+        out = CheckSession(CheckConfig(epsilon=0.05)).check(ideal, noisy)
+        assert out.algorithm in ("alg1", "alg2")
+        assert out.epsilon == 0.05
+        assert out.stats.time_seconds >= 0
 
 
 class TestSerialisation:

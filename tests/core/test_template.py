@@ -11,8 +11,7 @@ from repro.core import (
 )
 from repro.library import qft
 from repro.noise import bit_flip, depolarizing, insert_random_noise
-from repro.tdd import contract_network_scalar
-from repro.tensornet import contraction_order
+from repro.backends import TddBackend, get_backend
 
 
 class TestTemplateConstruction:
@@ -52,10 +51,9 @@ class TestTemplateConstruction:
             fresh = alg1_trace_network(
                 lower_kraus_selection(noisy, selection), ideal
             )
-            order = contraction_order(fresh)
             assert np.isclose(
-                contract_network_scalar(from_template),
-                contract_network_scalar(fresh, order=order),
+                TddBackend().contract_scalar(from_template),
+                TddBackend().contract_scalar(fresh),
                 atol=1e-9,
             )
 
@@ -97,7 +95,8 @@ class TestTemplatePathEquivalence:
         noisy = insert_random_noise(ideal, 2, seed=3)
         ref = jamiolkowski_fidelity_dense(noisy, ideal)
         result = fidelity_individual(
-            noisy, ideal, share_computed_table=False
+            noisy, ideal,
+            backend=get_backend("tdd", share_intermediates=False),
         )
         assert np.isclose(result.fidelity, ref, atol=1e-9)
 
@@ -106,5 +105,8 @@ class TestTemplatePathEquivalence:
         ideal = qft(3)
         noisy = insert_random_noise(ideal, 3, seed=1)
         warm = fidelity_individual(noisy, ideal)
-        cold = fidelity_individual(noisy, ideal, share_computed_table=False)
+        cold = fidelity_individual(
+            noisy, ideal,
+            backend=get_backend("tdd", share_intermediates=False),
+        )
         assert warm.stats.time_seconds < cold.stats.time_seconds

@@ -10,12 +10,16 @@ from repro.core import check_unitary_equivalence, unitary_equivalent
 from repro.library import qft
 from repro.noise import bit_flip
 
+BACKENDS = ["tdd", "dense", "einsum"]
+
 
 class TestEquivalentPairs:
-    def test_identical_circuits(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_identical_circuits(self, backend):
         circuit = qft(4)
-        result = check_unitary_equivalence(circuit, circuit)
+        result = check_unitary_equivalence(circuit, circuit, backend=backend)
         assert result.equivalent
+        assert result.stats.backend == backend
         assert np.isclose(result.trace_ratio, 1.0)
         assert np.isclose(result.fidelity, 1.0)
 
@@ -64,13 +68,31 @@ class TestInequivalentPairs:
         assert not result.equivalent
         assert result.fidelity > 0.999  # tiny rotation, tiny infidelity
 
-    def test_fidelity_matches_dense(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("optimise", [True, False])
+    def test_fidelity_matches_dense(self, backend, optimise):
         a = qft(2)
         b = qft(2).t(1)
-        result = check_unitary_equivalence(a, b)
+        result = check_unitary_equivalence(
+            a, b, use_local_optimisations=optimise, backend=backend
+        )
         ua, ub = a.to_matrix(), b.to_matrix()
         expected = abs(np.trace(ua.conj().T @ ub)) ** 2 / 16
         assert np.isclose(result.fidelity, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_backends_agree(self, backend):
+        a = qft(4)
+        b = qft(4).rz(0.3, 2).cx(0, 3)
+        reference = check_unitary_equivalence(
+            a, b, use_local_optimisations=False
+        )
+        result = check_unitary_equivalence(
+            a, b, use_local_optimisations=False, backend=backend
+        )
+        assert abs(result.trace_ratio - reference.trace_ratio) < 1e-9
+        assert abs(result.fidelity - reference.fidelity) < 1e-9
+        assert result.equivalent == reference.equivalent
 
 
 class TestValidation:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro import (
-    EquivalenceChecker,
+    CheckConfig,
+    CheckSession,
     NoiseModel,
-    approx_equivalent,
     bernstein_vazirani,
     depolarizing,
     fidelity_collective,
@@ -52,13 +52,13 @@ class TestCheckerScenarios:
     def test_nisq_grade_noise_accepted(self):
         ideal = bernstein_vazirani(6)
         noisy = insert_random_noise(ideal, 10, seed=3)  # p = 0.999
-        out = EquivalenceChecker(epsilon=0.05).check(ideal, noisy)
+        out = CheckSession(CheckConfig(epsilon=0.05)).check(ideal, noisy)
         assert out.equivalent and out.algorithm == "alg2"
 
     def test_wrong_circuit_rejected(self):
         ideal = qft(3)
         wrong = qft(3).x(0)  # extra X: different unitary
-        out = EquivalenceChecker(epsilon=0.1, algorithm="alg2").check(
+        out = CheckSession(CheckConfig(epsilon=0.1, algorithm="alg2")).check(
             ideal, wrong
         )
         assert not out.equivalent
@@ -70,7 +70,7 @@ class TestCheckerScenarios:
         )
         noisy = model.apply(ideal)
         assert noisy.num_noise_sites > 5
-        out = EquivalenceChecker(epsilon=0.05).check(ideal, noisy)
+        out = CheckSession(CheckConfig(epsilon=0.05)).check(ideal, noisy)
         assert out.equivalent
 
     def test_epsilon_threshold_sharp(self):
@@ -79,10 +79,9 @@ class TestCheckerScenarios:
 
         ideal = qft(2)
         noisy = make_noisy_qft2(0.9)  # F_J = 0.81
-        assert approx_equivalent(ideal, noisy, epsilon=0.20, algorithm="alg2")
-        assert not approx_equivalent(
-            ideal, noisy, epsilon=0.18, algorithm="alg2"
-        )
+        for epsilon, equivalent in ((0.20, True), (0.18, False)):
+            session = CheckSession(epsilon=epsilon, algorithm="alg2")
+            assert session.check(ideal, noisy).equivalent == equivalent
 
     def test_identity_rb_fidelity(self):
         """RB circuits implement the identity; noiseless fidelity is 1."""

@@ -11,7 +11,8 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.core import (
-    EquivalenceChecker,
+    CheckConfig,
+    CheckSession,
     fidelity_collective,
     fidelity_individual,
     jamiolkowski_fidelity_dense,
@@ -96,5 +97,5 @@ class TestArbitraryKrausChannels:
         ideal = ghz(3)
         noisy = ghz(3)
         noisy.append(two_qubit_depolarizing(0.999), [0, 1])
-        out = EquivalenceChecker(epsilon=0.01).check(ideal, noisy)
+        out = CheckSession(CheckConfig(epsilon=0.01)).check(ideal, noisy)
         assert out.equivalent

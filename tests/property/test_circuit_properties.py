@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit, cancel_adjacent_gates
-from repro.tdd import contract_network_scalar
+from repro.backends import TddBackend
 from repro.tensornet import circuit_to_network, circuit_trace, close_trace
 
 GATE_POOL = ["h", "x", "y", "z", "s", "sdg", "t", "tdg"]
@@ -43,7 +43,7 @@ class TestTraceNetworks:
     def test_tdd_trace_matches_dense(self, circuit):
         net = close_trace(circuit_to_network(circuit))
         assert np.isclose(
-            contract_network_scalar(net),
+            TddBackend().contract_scalar(net),
             np.trace(circuit.to_matrix()),
             atol=1e-8,
         )

@@ -1,7 +1,5 @@
 """Unit tests for the contraction-plan IR and planners."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -202,15 +200,10 @@ class TestBackendPlanProtocol:
         backend.reset()
         assert len(backend._plan_cache) == 0
 
-    def test_order_for_is_a_deprecated_shim(self):
+    def test_plan_order_covers_every_index(self):
         backend = get_backend("dense")
         net = qft_network()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            order = backend.order_for(net)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
+        order = backend.plan_for(net).order
         assert sorted(order) == sorted(net.all_indices())
 
 
