@@ -167,3 +167,56 @@ class TestBackendState:
         network = TensorNetwork([Tensor(np.eye(2), ["a", "b"])])
         with pytest.raises(ValueError):
             NumpyEinsumBackend().contract_scalar(network)
+
+
+class TestPlanKnobValidation:
+    """CheckConfig and the backend constructor share one validator, so a
+    bad plan knob fails with the same error text in both places."""
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("order_method", "tree_decompositon"),
+            ("planner", "gredy"),
+            ("max_intermediate_size", 0),
+            ("slice_batch", 0),
+            ("plan_budget_seconds", -1.0),
+            ("plan_seed", -1),
+        ],
+    )
+    def test_config_and_backend_raise_same_error(self, knob, value):
+        with pytest.raises((ValueError, TypeError)) as from_config:
+            CheckConfig(**{knob: value})
+        with pytest.raises((ValueError, TypeError)) as from_backend:
+            get_backend("dense", **{knob: value})
+        assert from_config.type is from_backend.type
+        assert str(from_config.value) == str(from_backend.value)
+        assert knob in str(from_config.value) or repr(value) in str(
+            from_config.value
+        )
+
+
+class TestOneContractionPath:
+    """Scalars are contracted only through ContractionBackend; the
+    second TDD engine and the deprecated front ends are gone."""
+
+    def test_legacy_checker_not_exported(self):
+        import repro
+        import repro.core
+
+        for name in (
+            "EquivalenceChecker", "approx_equivalent", "jamiolkowski_fidelity",
+        ):
+            assert name not in repro.__all__
+            assert not hasattr(repro.core, name)
+
+    def test_tdd_package_has_no_second_engine(self):
+        import repro.tdd
+
+        for name in (
+            "contract_network", "contract_network_scalar",
+            "manager_for_network",
+        ):
+            assert name not in repro.tdd.__all__
+            assert not hasattr(repro.tdd, name)
+        assert not hasattr(ContractionBackend, "order_for")

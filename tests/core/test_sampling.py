@@ -10,7 +10,7 @@ from repro.core import (
     jamiolkowski_fidelity_dense,
     mixed_unitary_decomposition,
 )
-from repro.backends import get_backend
+from repro.backends import NumpyEinsumBackend, get_backend
 from repro.library import qft
 from repro.noise import (
     amplitude_damping,
@@ -98,6 +98,22 @@ class TestFidelitySampled:
         noisy.append(amplitude_damping(0.1), [0])
         with pytest.raises(ValueError):
             fidelity_sampled(noisy, ideal, num_samples=5)
+
+    def test_unknown_backend_lists_choices(self):
+        with pytest.raises(ValueError, match="tdd"):
+            fidelity_sampled(qft(2), qft(2), num_samples=5, backend="bogus")
+
+    def test_samples_share_one_plan(self):
+        """Every sample has the same network structure, so a backend
+        instance plans it once and reuses the plan."""
+        ideal = qft(3)
+        noisy = insert_random_noise(ideal, 3, seed=1)
+        backend = NumpyEinsumBackend()
+        result = fidelity_sampled(
+            noisy, ideal, num_samples=20, seed=0, backend=backend
+        )
+        assert result.stats.terms_computed == 20
+        assert len(backend._plan_cache) == 1
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):

@@ -106,6 +106,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_unitary_equivalence(QuantumCircuit(1), noisy)
 
+    def test_noisy_error_names_the_noisy_front_ends(self):
+        noisy = QuantumCircuit(1)
+        noisy.append(bit_flip(0.9), [0])
+        with pytest.raises(ValueError, match="CheckSession or Engine"):
+            check_unitary_equivalence(noisy, QuantumCircuit(1))
+
+    def test_unknown_backend_lists_choices(self):
+        with pytest.raises(ValueError, match="tdd"):
+            check_unitary_equivalence(qft(2), qft(2), backend="bogus")
+
     def test_without_optimisations(self):
         circuit = qft(3)
         result = check_unitary_equivalence(
