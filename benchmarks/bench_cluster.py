@@ -1,7 +1,7 @@
 """Cost of going remote: cache-tier latency and executor overhead.
 
 Everything here runs on one machine (in-process daemons on loopback via
-:class:`~repro.cluster.threads.ServerThread`), so the numbers measure
+:class:`~repro.daemon.ServerThread`), so the numbers measure
 the *subsystem's* overhead — framing, pickling, socket round-trips,
 dispatch threads — with zero real network latency and zero real extra
 cores.  On a 1-CPU container the remote executor cannot win wall-clock;

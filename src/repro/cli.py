@@ -796,10 +796,24 @@ def cmd_cache(args) -> int:
             remote.close()
 
 
-def cmd_cache_server(args) -> int:
+def _run_daemon(server) -> int:
+    """Serve one daemon in the foreground until SIGTERM/SIGINT."""
     import asyncio
 
-    from .cluster import serve_cache
+    from .daemon import run_until_signalled
+
+    try:
+        asyncio.run(run_until_signalled(server))
+    except KeyboardInterrupt:
+        pass  # SIGINT on platforms without loop signal handlers
+    except OSError as exc:  # port in use, privileged bind, ...
+        print(f"error [serve_failed]: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def cmd_cache_server(args) -> int:
+    from .cluster import CacheServer
 
     if args.memory_entries is not None and args.memory_entries < 1:
         print("--memory-entries must be at least 1", file=sys.stderr)
@@ -807,20 +821,11 @@ def cmd_cache_server(args) -> int:
     kwargs = {"cache_dir": args.cache_dir}
     if args.memory_entries is not None:
         kwargs["memory_entries"] = args.memory_entries
-    try:
-        asyncio.run(serve_cache(host=args.host, port=args.port, **kwargs))
-    except KeyboardInterrupt:
-        pass
-    except OSError as exc:  # port in use, privileged bind, ...
-        print(f"error [serve_failed]: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _run_daemon(CacheServer(host=args.host, port=args.port, **kwargs))
 
 
 def cmd_worker(args) -> int:
-    import asyncio
-
-    from .cluster import EXIT_AFTER_ENV, serve_worker
+    from .cluster import EXIT_AFTER_ENV, WorkerServer
 
     if args.heartbeat_interval is not None and args.heartbeat_interval <= 0:
         print("--heartbeat-interval must be positive", file=sys.stderr)
@@ -831,20 +836,11 @@ def cmd_worker(args) -> int:
         kwargs["heartbeat_interval"] = args.heartbeat_interval
     if fail_after:
         kwargs["fail_after_chunks"] = int(fail_after)
-    try:
-        asyncio.run(serve_worker(host=args.host, port=args.port, **kwargs))
-    except KeyboardInterrupt:
-        pass
-    except OSError as exc:  # port in use, privileged bind, ...
-        print(f"error [serve_failed]: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _run_daemon(WorkerServer(host=args.host, port=args.port, **kwargs))
 
 
 def cmd_serve(args) -> int:
-    import asyncio
-
-    from .service import ServiceConfig, serve as run_service
+    from .service import ReproService, ServiceConfig
 
     try:
         config = ServiceConfig(
@@ -858,16 +854,11 @@ def cmd_serve(args) -> int:
         return 2
     engine = _engine_from(args, jobs=args.jobs)
     try:
-        asyncio.run(run_service(engine, config))
-    except KeyboardInterrupt:
-        # SIGINT between requests on platforms without loop signal
-        # handlers; the engine still closes deterministically
+        return _run_daemon(ReproService(engine, config))
+    finally:
+        # a clean shutdown already closed it (idempotent); an interrupt
+        # or a failed bind must not leak the engine's worker pool
         engine.close()
-    except OSError as exc:  # port in use, privileged bind, ...
-        engine.close()
-        print(f"error [serve_failed]: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 #: One parsed manifest row.  Exactly one of ``error`` (unparseable row),

@@ -16,7 +16,8 @@ back to the local backend), and the ``repro_remote_*`` counters in
 failure matrix.
 """
 
-from .cache_server import CacheServer, serve_cache
+from ..daemon import ServerThread
+from .cache_server import CacheServer
 from .executor import (
     RemoteSliceExecutor,
     WorkerClient,
@@ -31,8 +32,7 @@ from .metrics import (
 )
 from .protocol import MAGIC, MAX_FRAME_BYTES, ProtocolError, parse_address
 from .store import CACHE_URL_ENV, RemoteStore, resolve_cache_url
-from .threads import ServerThread
-from .worker_server import EXIT_AFTER_ENV, WorkerServer, serve_worker
+from .worker_server import EXIT_AFTER_ENV, WorkerServer
 
 __all__ = [
     "CACHE_URL_ENV",
@@ -54,6 +54,4 @@ __all__ = [
     "reset_counters",
     "resolve_cache_url",
     "resolve_workers",
-    "serve_cache",
-    "serve_worker",
 ]

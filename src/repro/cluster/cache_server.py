@@ -16,19 +16,18 @@ other connections.  Keys are validated against the content-addressed
 alphabet before touching the filesystem, so a malicious key cannot
 escape the cache directory.
 
-Lifecycle matches the HTTP service: construction is cheap,
-:meth:`CacheServer.start` binds (``port=0`` picks an ephemeral port,
-announced in the JSON ready line), ``SIGTERM``/``SIGINT`` drain and
-exit.  ``repro cache-server`` is the CLI front end.
+The lifecycle is the one all daemons share (:mod:`repro.daemon`):
+construction is cheap, :meth:`CacheServer.start` binds (``port=0``
+picks an ephemeral port, announced in the JSON ready line),
+``SIGTERM``/``SIGINT`` drain and exit.  ``repro cache-server`` is the
+CLI front end.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import signal
 import string
-import sys
 from typing import Optional
 
 from ..cache.store import (
@@ -51,8 +50,8 @@ from .protocol import (
     OP_PRUNE,
     OP_PUT,
     OP_STATS,
+    FrameServer,
     ProtocolError,
-    read_frame_async,
     unpack_kv,
     write_frame_async,
 )
@@ -79,8 +78,10 @@ def valid_key(key: str) -> bool:
     )
 
 
-class CacheServer:
+class CacheServer(FrameServer):
     """One store, served over asyncio TCP cluster frames."""
+
+    kind = "cache-server"
 
     def __init__(
         self,
@@ -92,113 +93,29 @@ class CacheServer:
         memory_entries: int = DEFAULT_MEMORY_ENTRIES,
         log_stream=None,
     ):
+        super().__init__(host, port, log_stream)
         if store is None:
             store = TieredStore([
                 MemoryStore(max_entries=memory_entries),
                 DiskStore(cache_dir),
             ])
         self.store = store
-        self.host = host
-        self.config_port = port
-        self.log_stream = log_stream if log_stream is not None else sys.stderr
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._port: Optional[int] = None
-        self._shutdown = asyncio.Event()
         #: request counters by operation name (``stats`` reply, logs)
         self.requests = {
             name: 0 for name in ("get", "put", "stats", "prune", "ping",
                                  "errors")
         }
 
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` ephemeral binds)."""
-        if self._port is None:
-            raise RuntimeError("cache server is not started")
-        return self._port
+    def _ready_fields(self) -> dict:
+        return {"directory": self.store.directory}
 
-    def _log(self, record: dict) -> None:
-        print(json.dumps(record), file=self.log_stream, flush=True)
-
-    # --- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.config_port
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
-        self._log({
-            "event": "ready",
-            "kind": "cache-server",
-            "host": self.host,
-            "port": self._port,
-            "directory": self.store.directory,
-        })
-
-    def request_shutdown(self) -> None:
-        """Begin shutdown (idempotent, signal-handler safe)."""
-        if self._loop is None:
-            return
-        self._loop.call_soon_threadsafe(self._shutdown.set)
-
-    async def wait_closed(self) -> None:
-        await self._shutdown.wait()
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
-        self._log({
-            "event": "shutdown",
-            "kind": "cache-server",
-            "requests": dict(self.requests),
-        })
-
-    async def run(self) -> None:
-        """:meth:`start` + serve until :meth:`request_shutdown`."""
-        await self.start()
-        await self.wait_closed()
+    async def _drain(self) -> dict:
+        return {"requests": dict(self.requests)}
 
     # --- request handling ----------------------------------------------------
 
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            while True:
-                try:
-                    op, payload = await read_frame_async(reader)
-                except EOFError:
-                    return
-                except asyncio.CancelledError:
-                    return  # loop teardown with the connection still open
-                except ProtocolError as exc:
-                    # a peer we cannot frame-sync with anymore: tell it
-                    # once (best-effort) and hang up
-                    self.requests["errors"] += 1
-                    try:
-                        await write_frame_async(
-                            writer, OP_ERR, str(exc).encode()
-                        )
-                    except (OSError, ConnectionError):
-                        pass
-                    return
-                try:
-                    await self._dispatch(writer, op, payload)
-                except (OSError, ConnectionError):
-                    return  # peer went away mid-reply
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError, asyncio.CancelledError):
-                # CancelledError: loop teardown cancelled this handler
-                # while the connection was still open — the socket is
-                # closed either way, and re-raising would only print a
-                # traceback mid-shutdown
-                pass
+    def _protocol_error(self) -> None:
+        self.requests["errors"] += 1
 
     async def _dispatch(
         self, writer: asyncio.StreamWriter, op: int, payload: bytes
@@ -267,27 +184,3 @@ class CacheServer:
             writer, OP_ERR,
             f"cache server does not speak opcode {name}".encode(),
         )
-
-
-async def serve_cache(
-    store: Optional[CacheStore] = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    install_signal_handlers: bool = True,
-    **kwargs,
-) -> None:
-    """Run a :class:`CacheServer` until ``SIGTERM``/``SIGINT``.
-
-    The blocking entry point behind ``repro cache-server``.
-    """
-    server = CacheServer(store, host, port, **kwargs)
-    await server.start()
-    if install_signal_handlers:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, server.request_shutdown)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-    await server.wait_closed()

@@ -23,9 +23,11 @@ chunk is re-dispatched); servers answer :data:`OP_ERR` where they still
 can and close the connection otherwise.  Nothing in this module ever
 lets a malformed peer crash the process.
 
-Payload conventions per opcode live with the daemons; this module only
+Payload conventions per opcode live with the daemons; this module
 moves framed bytes, synchronously (blocking sockets, the client side)
-and asynchronously (``asyncio`` streams, the server side).
+and asynchronously (``asyncio`` streams, the server side), and runs the
+one per-connection read-dispatch loop both daemons share
+(:class:`FrameServer`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import asyncio
 import socket
 import struct
 from typing import Optional, Tuple
+
+from ..daemon import Daemon
 
 #: Frame layout version tag; every frame starts with these bytes.
 MAGIC = b"RPCL1"
@@ -257,3 +261,60 @@ async def write_frame_async(
     """Write one frame to an asyncio stream and drain."""
     writer.write(encode_frame(op, payload))
     await writer.drain()
+
+
+class FrameServer(Daemon):
+    """A :class:`~repro.daemon.Daemon` speaking cluster frames.
+
+    Each connection is one loop: read a frame, hand it to
+    :meth:`_dispatch`, repeat until the peer hangs up.  A peer whose
+    bytes cannot be framed gets one best-effort ``ERR`` and is
+    disconnected; the server keeps serving every other connection.
+    """
+
+    async def _dispatch(
+        self, writer: asyncio.StreamWriter, op: int, payload: bytes
+    ) -> None:
+        raise NotImplementedError
+
+    def _protocol_error(self) -> None:
+        """Hook: a peer sent bytes that cannot be framed."""
+
+    async def _handle_connection(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        try:
+            while True:
+                try:
+                    op, payload = await read_frame_async(reader)
+                except EOFError:
+                    return
+                except asyncio.CancelledError:
+                    return  # loop teardown with the connection still open
+                except ProtocolError as exc:
+                    # a peer we cannot frame-sync with anymore: tell it
+                    # once (best-effort) and hang up
+                    self._protocol_error()
+                    try:
+                        await write_frame_async(
+                            writer, OP_ERR, str(exc).encode()
+                        )
+                    except (OSError, ConnectionError):
+                        pass
+                    return
+                try:
+                    await self._dispatch(writer, op, payload)
+                except (OSError, ConnectionError):
+                    return  # peer went away mid-reply
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (OSError, ConnectionError, asyncio.CancelledError):
+                # CancelledError: loop teardown cancelled this handler
+                # while the connection was still open — the socket is
+                # closed either way, and re-raising would only print a
+                # traceback mid-shutdown
+                pass

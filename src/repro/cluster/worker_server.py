@@ -38,11 +38,8 @@ re-dispatch test needs, instead of a timing-dependent kill.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import pickle
-import signal
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional
 
@@ -58,8 +55,8 @@ from .protocol import (
     OP_PING,
     OP_PONG,
     OP_RESULT,
+    FrameServer,
     ProtocolError,
-    read_frame_async,
     unpack_kv,
     write_frame_async,
 )
@@ -73,8 +70,10 @@ DEFAULT_HEARTBEAT_INTERVAL = 0.5
 EXIT_AFTER_ENV = "REPRO_WORKER_EXIT_AFTER"
 
 
-class WorkerServer:
+class WorkerServer(FrameServer):
     """One remote slice worker: warm caches behind an asyncio socket."""
+
+    kind = "worker"
 
     def __init__(
         self,
@@ -87,107 +86,23 @@ class WorkerServer:
     ):
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
-        self.host = host
-        self.config_port = port
+        super().__init__(host, port, log_stream)
         self.heartbeat_interval = heartbeat_interval
         self.fail_after_chunks = fail_after_chunks
-        self.log_stream = log_stream if log_stream is not None else sys.stderr
         #: digest → pickled (network, plan) blob; single entry, like the
         #: process-pool worker's payload cache — one contraction at a time
         self._blobs: Dict[str, bytes] = {}
         self.chunks_done = 0
         self._compute = ThreadPoolExecutor(max_workers=1)
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._port: Optional[int] = None
-        self._shutdown = asyncio.Event()
 
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` ephemeral binds)."""
-        if self._port is None:
-            raise RuntimeError("worker server is not started")
-        return self._port
+    def _ready_fields(self) -> dict:
+        return {"pid": os.getpid()}
 
-    def _log(self, record: dict) -> None:
-        print(json.dumps(record), file=self.log_stream, flush=True)
-
-    # --- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.config_port
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
-        self._log({
-            "event": "ready",
-            "kind": "worker",
-            "host": self.host,
-            "port": self._port,
-            "pid": os.getpid(),
-        })
-
-    def request_shutdown(self) -> None:
-        """Begin shutdown (idempotent, signal-handler safe)."""
-        if self._loop is None:
-            return
-        self._loop.call_soon_threadsafe(self._shutdown.set)
-
-    async def wait_closed(self) -> None:
-        await self._shutdown.wait()
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
+    async def _drain(self) -> dict:
         self._compute.shutdown(wait=False)
-        self._log({
-            "event": "shutdown",
-            "kind": "worker",
-            "chunks": self.chunks_done,
-        })
-
-    async def run(self) -> None:
-        """:meth:`start` + serve until :meth:`request_shutdown`."""
-        await self.start()
-        await self.wait_closed()
+        return {"chunks": self.chunks_done}
 
     # --- request handling ----------------------------------------------------
-
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            while True:
-                try:
-                    op, payload = await read_frame_async(reader)
-                except EOFError:
-                    return
-                except asyncio.CancelledError:
-                    return  # loop teardown with the connection still open
-                except ProtocolError as exc:
-                    try:
-                        await write_frame_async(
-                            writer, OP_ERR, str(exc).encode()
-                        )
-                    except (OSError, ConnectionError):
-                        pass
-                    return
-                try:
-                    await self._dispatch(writer, op, payload)
-                except (OSError, ConnectionError):
-                    return  # dispatcher went away mid-reply
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError, asyncio.CancelledError):
-                # CancelledError: loop teardown cancelled this handler
-                # while the connection was still open — the socket is
-                # closed either way, and re-raising would only print a
-                # traceback mid-shutdown
-                pass
 
     async def _dispatch(
         self, writer: asyncio.StreamWriter, op: int, payload: bytes
@@ -235,11 +150,7 @@ class WorkerServer:
         ):
             # the deterministic mid-batch death the fleet tests script:
             # drop the process on the floor, mid-conversation
-            self._log({
-                "event": "fail-injection-exit",
-                "kind": "worker",
-                "chunks": self.chunks_done,
-            })
+            self._log_event("fail-injection-exit", chunks=self.chunks_done)
             os._exit(17)
         future = asyncio.get_running_loop().run_in_executor(
             self._compute,
@@ -268,26 +179,3 @@ class WorkerServer:
             writer, OP_RESULT,
             pickle.dumps((value, stats), pickle.HIGHEST_PROTOCOL),
         )
-
-
-async def serve_worker(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    install_signal_handlers: bool = True,
-    **kwargs,
-) -> None:
-    """Run a :class:`WorkerServer` until ``SIGTERM``/``SIGINT``.
-
-    The blocking entry point behind ``repro worker``.
-    """
-    server = WorkerServer(host, port, **kwargs)
-    await server.start()
-    if install_signal_handlers:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, server.request_shutdown)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-    await server.wait_closed()

@@ -29,7 +29,6 @@ from .server import (
     ServiceThread,
     http_status_for,
     request_log_fingerprint,
-    serve,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "ServiceThread",
     "http_status_for",
     "request_log_fingerprint",
-    "serve",
 ]

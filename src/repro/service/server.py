@@ -1,7 +1,7 @@
 """The asyncio HTTP service over :class:`~repro.api.engine.Engine`.
 
 One :class:`ReproService` owns one engine and serves the versioned wire
-schema over HTTP/1.1 (stdlib ``asyncio.start_server`` — no framework):
+schema over HTTP/1.1 (stdlib ``asyncio`` streams — no framework):
 
 ========================  ==================================================
 ``POST /v1/check``        one ``CheckRequest`` wire JSON in, one
@@ -49,9 +49,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import signal
-import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -68,6 +65,7 @@ from ..api.errors import (
 from ..api.request import CheckRequest
 from ..api.response import CheckResponse
 from ..core.stats import SCHEMA_VERSION, StatsAggregator
+from ..daemon import Daemon, ServerThread
 from ..trace import tree_phase_seconds
 from .http import (
     LAST_CHUNK,
@@ -188,7 +186,7 @@ def _error_outcome(error: ReproError, **kwargs) -> _Outcome:
     return outcome
 
 
-class ReproService:
+class ReproService(Daemon):
     """One engine, served over asyncio HTTP/1.1.
 
     Construction is cheap; :meth:`start` binds the socket.  The service
@@ -208,9 +206,9 @@ class ReproService:
             config = ServiceConfig(**overrides)
         elif overrides:
             raise ValueError("pass either a ServiceConfig or overrides")
+        super().__init__(config.host, config.port, log_stream)
         self.engine = engine
         self.config = config
-        self.log_stream = log_stream if log_stream is not None else sys.stderr
         #: cumulative per-check RunStats counters, shared with /metrics
         self.stats = StatsAggregator()
         self._executor = ThreadPoolExecutor(
@@ -218,10 +216,6 @@ class ReproService:
             thread_name_prefix="repro-service",
         )
         self._inflight = 0  # touched only on the event loop
-        self._port: Optional[int] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._shutdown = asyncio.Event()
         self._drained = asyncio.Event()
         self._drained.set()  # no work yet
         self._connections: set = set()
@@ -256,47 +250,16 @@ class ReproService:
 
     # --- lifecycle ------------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` ephemeral binds; keeps
-        answering after shutdown so late callers see a refused connect
-        rather than a missing attribute)."""
-        if self._port is None:
-            raise RuntimeError("service is not started")
-        return self._port
-
-    async def start(self) -> None:
-        """Bind and start accepting connections."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
-        self._log({
-            "event": "ready",
-            "host": self.config.host,
-            "port": self.port,
+    def _ready_fields(self) -> dict:
+        return {
             "max_inflight": self.config.max_inflight,
             "request_timeout": self.config.request_timeout,
-        })
+        }
 
-    def request_shutdown(self) -> None:
-        """Begin a graceful shutdown (idempotent, signal-handler safe)."""
-        if self._loop is None:
-            return
-        self._loop.call_soon_threadsafe(self._shutdown.set)
-
-    async def wait_closed(self) -> None:
-        """Block until a requested shutdown fully drains.
-
-        Stops the listener, waits up to ``drain_grace_seconds`` for
-        in-flight requests, closes lingering connections, shuts the
-        thread pool down and closes the engine.
-        """
-        await self._shutdown.wait()
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
+    async def _drain(self) -> dict:
+        """Wait up to ``drain_grace_seconds`` for in-flight requests,
+        close lingering connections, shut the thread pool down and close
+        the engine."""
         try:
             await asyncio.wait_for(
                 self._drained.wait(), self.config.drain_grace_seconds
@@ -310,12 +273,7 @@ class ReproService:
         # guarantees there is none, so this just stops idle threads.
         self._executor.shutdown(wait=drained)
         self.engine.close()
-        self._log({"event": "shutdown", "drained": drained})
-
-    async def run(self) -> None:
-        """:meth:`start` + serve until :meth:`request_shutdown`."""
-        await self.start()
-        await self.wait_closed()
+        return {"drained": drained}
 
     # --- admission + execution ------------------------------------------------
 
@@ -479,12 +437,6 @@ class ReproService:
         }
         record.update(log)
         self._log(record)
-
-    def _log(self, record: dict) -> None:
-        try:
-            print(json.dumps(record), file=self.log_stream, flush=True)
-        except (ValueError, OSError):
-            pass  # closed stream during teardown; logging must not raise
 
     async def _dispatch(self, request: HttpRequest) -> _Outcome:
         route = (request.method, self._route_label(request.path))
@@ -778,46 +730,15 @@ class ReproService:
         )
 
 
-async def serve(
-    engine: Engine,
-    config: Optional[ServiceConfig] = None,
-    *,
-    install_signal_handlers: bool = True,
-    log_stream=None,
-    **overrides,
-) -> None:
-    """Run a :class:`ReproService` until ``SIGTERM``/``SIGINT``.
-
-    The blocking entry point behind ``repro serve``: binds, installs
-    signal handlers (where the platform supports them), serves, drains
-    and closes the engine on the way out.
-    """
-    service = ReproService(
-        engine, config, log_stream=log_stream, **overrides
-    )
-    await service.start()
-    if install_signal_handlers:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum, service.request_shutdown
-                )
-            except (NotImplementedError, RuntimeError):
-                pass  # platforms without signal support
-    await service.wait_closed()
-
-
-class ServiceThread:
+class ServiceThread(ServerThread):
     """A service on a background thread — tests, benchmarks, examples.
 
-    Context manager: entering starts the loop thread and blocks until
-    the socket is bound; exiting triggers a graceful shutdown and
-    joins.  ``port`` resolves ephemeral (``port=0``) binds.
+    :class:`~repro.daemon.ServerThread` over a :class:`ReproService`
+    built from ``engine`` (``port`` defaults to 0, an ephemeral bind);
+    ``base_url`` is the ``http://host:port`` root.
 
     >>> with ServiceThread(Engine()) as handle:       # doctest: +SKIP
-    ...     urllib.request.urlopen(
-    ...         f"http://127.0.0.1:{handle.port}/healthz")
+    ...     urllib.request.urlopen(f"{handle.base_url}/healthz")
     """
 
     def __init__(
@@ -830,61 +751,14 @@ class ServiceThread:
     ):
         if config is None:
             overrides.setdefault("port", 0)
-            config = ServiceConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass either a ServiceConfig or overrides")
-        self.service = ReproService(engine, config, log_stream=log_stream)
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._main, name="repro-service-loop", daemon=True
+        super().__init__(
+            ReproService(engine, config, log_stream=log_stream, **overrides)
         )
 
     @property
-    def port(self) -> int:
-        return self.service.port
-
-    @property
-    def host(self) -> str:
-        return self.service.config.host
+    def service(self) -> ReproService:
+        return self.server
 
     @property
     def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def _main(self) -> None:
-        async def body():
-            try:
-                await self.service.start()
-            except BaseException as exc:
-                self._startup_error = exc
-                self._ready.set()
-                raise
-            self._ready.set()
-            await self.service.wait_closed()
-
-        try:
-            asyncio.run(body())
-        except BaseException:
-            if not self._ready.is_set():
-                self._ready.set()
-
-    def start(self) -> "ServiceThread":
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            raise RuntimeError(
-                "service failed to start"
-            ) from self._startup_error
-        return self
-
-    def stop(self) -> None:
-        if self._thread.is_alive():
-            self.service.request_shutdown()
-            self._thread.join()
-
-    def __enter__(self) -> "ServiceThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return f"http://{self.url}"

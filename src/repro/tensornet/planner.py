@@ -701,10 +701,3 @@ def execute_plan(
             ops.append(merge(a, b, step))
         total += scalar(ops[0])
     return total
-
-
-def _apply_assignment(
-    flat: Sequence[Tensor], assignment: Dict[str, int]
-) -> List[Tensor]:
-    """Fix sliced axes of already-self-traced tensors (dropping them)."""
-    return SliceApplier(flat, list(assignment))(assignment)

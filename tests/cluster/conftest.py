@@ -1,7 +1,7 @@
 """Shared fixtures for the cluster subsystem tests.
 
 Every server here runs *in this process* on a background event loop
-(:class:`~repro.cluster.threads.ServerThread`) — fast, deterministic
+(:class:`~repro.daemon.ServerThread`) — fast, deterministic
 teardown, no subprocess management.  The subprocess-based simulated
 fleet lives in ``test_fleet.py``.
 """

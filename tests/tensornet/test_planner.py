@@ -16,7 +16,7 @@ from repro.tensornet import (
     plan_from_order,
     slice_plan,
 )
-from repro.tensornet.planner import _apply_assignment, iter_slice_assignments
+from repro.tensornet.planner import iter_slice_assignments
 
 
 def qft_network(n=3):
@@ -103,11 +103,12 @@ class TestSlicing:
         )
 
     def test_slice_assignment_drops_fixed_axes(self):
+        from repro.tensornet import SliceApplier
+
         net = qft_network()
         plan = slice_plan(plan_from_order(net), 4)
         assignment = next(iter_slice_assignments(plan))
-        flat = [t.self_trace() for t in net.tensors]
-        for tensor in _apply_assignment(flat, assignment):
+        for tensor in SliceApplier(net.tensors, plan.slices)(assignment):
             assert not set(tensor.indices) & set(plan.slices)
 
 
@@ -263,19 +264,25 @@ class TestSliceHardCap:
 
 
 class TestSliceApplier:
-    def test_precomputed_applier_matches_legacy_helper(self):
+    def test_applier_matches_direct_numpy_indexing(self):
         from repro.tensornet import SliceApplier
 
         net = qft_network()
         plan = slice_plan(plan_from_order(net), 4)
+        assert plan.slices
         applier = SliceApplier(net.tensors, plan.slices)
         flat = [t.self_trace() for t in net.tensors]
         for assignment in iter_slice_assignments(plan):
-            fast = applier(assignment)
-            slow = _apply_assignment(flat, assignment)
-            for a, b in zip(fast, slow):
-                assert a.indices == b.indices
-                assert np.array_equal(a.data, b.data)
+            operands = applier(assignment)
+            assert len(operands) == len(flat)
+            for tensor, base in zip(operands, flat):
+                expected = base.data[tuple(
+                    assignment.get(label, slice(None))
+                    for label in base.indices
+                )]
+                kept = [lab for lab in base.indices if lab not in assignment]
+                assert list(tensor.indices) == kept
+                assert np.array_equal(tensor.data, expected)
 
     def test_empty_assignment_returns_self_traced_operands(self):
         from repro.tensornet import SliceApplier
