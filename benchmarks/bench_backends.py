@@ -35,13 +35,13 @@ over looped, and the einsum speedup is asserted to stay above
 ``MIN_BATCHED_SPEEDUP``.  When torch is installed an ``einsum-torch``
 pair of rows rides along and its fidelity is held to the same 1e-9.
 
-Since the plan-search PR a ``planning`` section races every registered
-planner (greedy, min_fill, and the budgeted anneal / hyper searches) on
-a small and a large alg-2 workload, recording predicted cost, planning
-time and trials per row.  The anytime floor is asserted everywhere, a
-funded one-second search must *strictly* beat both heuristics on the
-large workload, and a warm plan-cache rerun must replay the searched
-plan with zero trials.
+Since the plan-search PR a ``planning`` section races four
+``order_method`` values (greedy, min_fill, and the budgeted anneal /
+hyper searches) on a small and a large alg-2 workload, recording
+predicted cost, planning time and trials per row.  The anytime floor is
+asserted everywhere, a funded one-second search must *strictly* beat
+both heuristics on the large workload, and a warm plan-cache rerun must
+replay the searched plan with zero trials.
 
 Since the typed-API PR an ``engine`` section records the front-door
 overhead: per-check latency of ``Engine.check(request)`` against bare
@@ -456,9 +456,9 @@ def bench_cache(repeats):
 
 
 def bench_planning(repeats):
-    """Plan quality per planner, and the warm-cache search skip.
+    """Plan quality per order method, and the warm-cache search skip.
 
-    Every registered planner races on two alg-2 workloads: the small
+    Four ``order_method`` values race on two alg-2 workloads: the small
     qft3 row and the larger qft4 row (the acceptance workload).  Each
     row records the predicted cost, the peak intermediate, the planning
     wall clock and — for the search planners, funded with
@@ -471,12 +471,7 @@ def bench_planning(repeats):
     * a warm plan-cache rerun replays the searched plan with zero
       trials (the search is paid for exactly once per structure).
     """
-    specs = [
-        ("greedy", {"planner": "greedy"}),
-        ("min_fill", {"planner": "order", "order_method": "min_fill"}),
-        ("anneal", {"planner": "anneal"}),
-        ("hyper", {"planner": "hyper"}),
-    ]
+    names = ("greedy", "min_fill", "anneal", "hyper")
     rows = []
     costs = {}
     for workload, qubits in (("qft3-2noise-alg2", 3),
@@ -484,11 +479,11 @@ def bench_planning(repeats):
         ideal = qft(qubits)
         noisy = insert_random_noise(ideal, 2, seed=0)
         network = algorithm_network(noisy, ideal, "alg2")
-        for name, kwargs in specs:
-            search = kwargs["planner"] in ("anneal", "hyper")
+        for name in names:
+            kwargs = {"order_method": name}
+            search = name in ("anneal", "hyper")
             if search:
-                kwargs = dict(
-                    kwargs,
+                kwargs.update(
                     plan_budget_seconds=PLAN_SEARCH_BUDGET_SECONDS,
                     plan_seed=0,
                 )
@@ -545,7 +540,7 @@ def bench_planning(repeats):
     noisy = insert_random_noise(ideal, 2, seed=0)
     network = algorithm_network(noisy, ideal, "alg2")
     knobs = dict(
-        planner="anneal",
+        order_method="anneal",
         plan_budget_seconds=PLAN_SEARCH_BUDGET_SECONDS,
         plan_seed=0,
     )

@@ -25,7 +25,7 @@ NOISE_COUNTS = [1, 2, 3]
 
 def _run(noisy, ideal, shared: bool):
     """Alg I on a fresh TDD backend with or without shared tables."""
-    backend = get_backend("tdd", share_intermediates=shared)
+    backend = get_backend("tdd", share_computed_table=shared)
     return fidelity_individual(noisy, ideal, backend=backend)
 
 

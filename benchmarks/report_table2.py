@@ -33,7 +33,7 @@ def measure(build, k, shared):
     )
     result = fidelity_individual(
         noisy, ideal,
-        backend=get_backend("tdd", share_intermediates=shared),
+        backend=get_backend("tdd", share_computed_table=shared),
     )
     return result.stats.time_seconds
 

@@ -9,9 +9,9 @@ algorithm layer.
 
 Planning and execution are separate layers: every backend *executes* a
 shared :class:`~repro.tensornet.planner.ContractionPlan` (built once per
-network structure by :meth:`ContractionBackend.plan_for` and cached), so
-the same plan object — same pairwise steps, same predicted cost, same
-slicing — drives the TDD, dense and einsum engines alike.
+network structure by :meth:`ContractionBackend.plan_for` and memoised),
+so the same plan object — same pairwise steps, same predicted cost,
+same slicing — drives the TDD, dense and einsum engines alike.
 
 Backends are *stateful*: an instance may keep contraction plans,
 decision-diagram managers or conversion caches warm across calls.  That is
@@ -26,6 +26,7 @@ import abc
 import math
 import os
 import time
+from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -39,14 +40,17 @@ from typing import (
 )
 
 from .. import trace as _trace
-from ..cache import PlanCache, open_cache
+from ..cache import PlanCache, open_cache, plan_key, structure_fingerprint
 from ..tensornet import ContractionStats, TensorNetwork
-from ..tensornet.ordering import ORDER_HEURISTICS
-from ..tensornet.planner import PLANNERS, ContractionPlan, build_plan
+from ..tensornet.planner import ORDER_METHODS, ContractionPlan, build_plan
 from .xp import AUTO_SLICE_BATCH_BUDGET, namespace_available
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..parallel.executors import SliceExecutor
+
+#: Capacity of a backend's plan memo (plans, not bytes): the one
+#: in-process memo of plan objects, least recently used evicted first.
+DEFAULT_PLAN_MEMO = 256
 
 
 def _coerce_plan_cache(
@@ -99,7 +103,7 @@ def validate_plan_seed(value: int) -> None:
     """Validate a ``plan_seed`` knob (shared with CheckConfig).
 
     Valid values: any integer >= 0 (seeds the per-trial RNG streams of
-    the search planners).
+    the ``anneal``/``hyper`` searches).
     """
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(
@@ -112,22 +116,16 @@ def validate_plan_seed(value: int) -> None:
 
 def validate_plan_knobs(
     order_method: str,
-    planner: str,
     max_intermediate_size: Optional[int],
     slice_batch: Optional[int],
     plan_budget_seconds: Optional[float],
     plan_seed: int,
 ) -> None:
     """Validate the plan knobs shared by backends and CheckConfig."""
-    if order_method not in ORDER_HEURISTICS:
+    if order_method not in ORDER_METHODS:
         raise ValueError(
-            f"unknown ordering method {order_method!r}; "
-            f"choose from {sorted(ORDER_HEURISTICS)}"
-        )
-    if planner not in PLANNERS:
-        raise ValueError(
-            f"unknown planner {planner!r}; "
-            f"choose from {sorted(PLANNERS)}"
+            f"unknown order_method {order_method!r}; "
+            f"choose from {list(ORDER_METHODS)}"
         )
     if max_intermediate_size is not None and max_intermediate_size < 1:
         raise ValueError("max_intermediate_size must be at least 1")
@@ -143,29 +141,27 @@ class ContractionBackend(abc.ABC):
     Parameters
     ----------
     order_method:
-        Named ordering heuristic (see
-        :data:`repro.tensornet.ordering.ORDER_HEURISTICS`) behind the
-        ``"order"`` planner.
-    share_intermediates:
+        How plans are built (see
+        :data:`repro.tensornet.planner.ORDER_METHODS`): an
+        elimination-order heuristic (``"sequential"``, ``"min_fill"``,
+        ``"tree_decomposition"``) whose order induces the pairwise
+        steps, ``"greedy"`` (cost-greedy pairwise planner), or a
+        budgeted search (``"anneal"``/``"hyper"``: randomized restarts
+        under ``plan_budget_seconds``, never worse than the heuristic
+        baseline).
+    share_computed_table:
         Allow the backend to reuse internal *numeric* state — computed
         tables, dense→TDD conversion caches — across calls.  The paper's
         Table II 'Ori.' ablation runs with this off.  Plans are pure
-        structure and stay cached either way.
-    planner:
-        Plan construction strategy: ``"order"`` (derive pairwise steps
-        from the ``order_method`` elimination order), ``"greedy"``
-        (cost-greedy pairwise planner), or one of the budgeted search
-        planners ``"anneal"``/``"hyper"`` (randomized restarts under
-        ``plan_budget_seconds``, never worse than the heuristic
-        baseline).  See :data:`repro.tensornet.planner.PLANNERS`.
+        structure and stay memoised either way.
     plan_budget_seconds:
-        Wall-clock budget for the search planners (ignored by
-        ``order``/``greedy``).  ``None`` (the default) uses
+        Wall-clock budget for the searches (ignored by the heuristic
+        methods).  ``None`` (the default) uses
         :data:`repro.planning.DEFAULT_PLAN_BUDGET_SECONDS`; ``0``
         returns the heuristic baseline without searching.
     plan_seed:
-        Seed for the search planners' randomized trials (ignored by
-        ``order``/``greedy``); identical seeds replay identical trial
+        Seed for the searches' randomized trials (ignored by the
+        heuristic methods); identical seeds replay identical trial
         sequences.
     max_intermediate_size:
         When set, plans are sliced so no intermediate tensor exceeds this
@@ -200,7 +196,7 @@ class ContractionBackend(abc.ABC):
         memory scales as ``N × max_intermediate_size``).  Only array
         backends batch (see :attr:`supports_batched_slices`); the TDD
         engine contracts diagrams per slice and documents the knob as
-        inert, like ``order_method`` under the greedy planner.
+        inert.
     """
 
     #: Registry name of the backend; concrete subclasses must override.
@@ -214,8 +210,7 @@ class ContractionBackend(abc.ABC):
     def __init__(
         self,
         order_method: str = "tree_decomposition",
-        share_intermediates: bool = True,
-        planner: str = "order",
+        share_computed_table: bool = True,
         max_intermediate_size: Optional[int] = None,
         executor: Optional["SliceExecutor"] = None,
         plan_cache: Union[None, PlanCache, str, os.PathLike] = None,
@@ -225,21 +220,20 @@ class ContractionBackend(abc.ABC):
         plan_seed: int = 0,
     ):
         validate_plan_knobs(
-            order_method, planner, max_intermediate_size, slice_batch,
+            order_method, max_intermediate_size, slice_batch,
             plan_budget_seconds, plan_seed,
         )
         self.device = device
         self.slice_batch = slice_batch
         self.order_method = order_method
-        self.share_intermediates = share_intermediates
-        self.planner = planner
+        self.share_computed_table = share_computed_table
         self.max_intermediate_size = max_intermediate_size
         self.plan_budget_seconds = plan_budget_seconds
         self.plan_seed = plan_seed
         self.executor = executor
         self.plan_cache = _coerce_plan_cache(plan_cache)
         #: plan_for calls served without running a planner (any tier:
-        #: the instance's structural map, the shared memory LRU, disk).
+        #: the instance's plan memo, the shared memory LRU, disk).
         #: Only counted while a plan cache is attached, so uncached
         #: runs keep today's all-zero stats.
         self.plan_cache_hits = 0
@@ -252,7 +246,11 @@ class ContractionBackend(abc.ABC):
         #: cumulative search trials run by fresh plan builds; cache hits
         #: add nothing (the whole point of persisting searched plans).
         self.plan_trials_total = 0
-        self._plan_cache: Dict[tuple, ContractionPlan] = {}
+        #: structure -> plan, least recently used first (at most
+        #: DEFAULT_PLAN_MEMO entries)
+        self._plan_cache: "OrderedDict[tuple, ContractionPlan]" = (
+            OrderedDict()
+        )
 
     @abc.abstractmethod
     def contract_scalar(
@@ -296,14 +294,15 @@ class ContractionBackend(abc.ABC):
         """
 
     def plan_for(self, network: TensorNetwork) -> ContractionPlan:
-        """The contraction plan for ``network``, cached per structure.
+        """The contraction plan for ``network``, memoised per structure.
 
         Algorithm I contracts thousands of structurally identical
         networks; the (possibly expensive) planning pass — ordering
         heuristic, pairwise simulation, slicing — runs once per
-        structure+shape and the resulting plan is replayed.
+        structure+shape and the resulting plan is replayed.  The memo
+        keeps the :data:`DEFAULT_PLAN_MEMO` most recently used plans.
 
-        With a :attr:`plan_cache` attached the lookup additionally
+        With a :attr:`plan_cache` attached a memo miss additionally
         consults the shared content-addressed cache, so the planning
         pass runs once per structure *per fleet* rather than per
         backend instance, and feeds fresh plans back for every other
@@ -311,34 +310,36 @@ class ContractionBackend(abc.ABC):
         """
         started = time.perf_counter()
         try:
-            key = (
+            memo_key = (
                 network.structure_key(),
                 tuple(t.data.shape for t in network.tensors),
             )
-            plan = self._plan_cache.get(key)
+            plan = self._plan_cache.get(memo_key)
             if plan is not None:
+                self._plan_cache.move_to_end(memo_key)
                 if self.plan_cache is not None:
                     self.plan_cache_hits += 1
                 return plan
             if self.plan_cache is not None:
+                store_key = plan_key(
+                    structure_fingerprint(network),
+                    self.order_method,
+                    self.max_intermediate_size,
+                    self.plan_budget_seconds,
+                    self.plan_seed,
+                )
                 with _trace.span("plan.cache.get") as lookup_span:
-                    plan = self.plan_cache.get(
-                        network,
-                        planner=self.planner,
-                        order_method=self.order_method,
-                        max_intermediate_size=self.max_intermediate_size,
-                        plan_budget_seconds=self.plan_budget_seconds,
-                        plan_seed=self.plan_seed,
-                    )
+                    plan = self.plan_cache.get(store_key)
                     lookup_span.set(hit=plan is not None)
                 if plan is not None:
                     self.plan_cache_hits += 1
-                    self._plan_cache[key] = plan
+                    self._memoise(memo_key, plan)
                     return plan
-            with _trace.span("plan.build", planner=self.planner) as build_span:
+            with _trace.span(
+                "plan.build", order_method=self.order_method
+            ) as build_span:
                 plan = build_plan(
                     network,
-                    planner=self.planner,
                     order_method=self.order_method,
                     max_intermediate_size=self.max_intermediate_size,
                     plan_budget_seconds=self.plan_budget_seconds,
@@ -350,22 +351,20 @@ class ContractionBackend(abc.ABC):
             report = getattr(plan, "search_report", None)
             if report is not None:
                 self.plan_trials_total += report.trials
-            self._plan_cache[key] = plan
+            self._memoise(memo_key, plan)
             if self.plan_cache is not None:
                 self.plan_cache_misses += 1
                 with _trace.span("plan.cache.put"):
-                    self.plan_cache.put(
-                        network,
-                        plan,
-                        planner=self.planner,
-                        order_method=self.order_method,
-                        max_intermediate_size=self.max_intermediate_size,
-                        plan_budget_seconds=self.plan_budget_seconds,
-                        plan_seed=self.plan_seed,
-                    )
+                    self.plan_cache.put(store_key, plan)
             return plan
         finally:
             self.planning_seconds_total += time.perf_counter() - started
+
+    def _memoise(self, key: tuple, plan: ContractionPlan) -> None:
+        """Remember ``plan``, evicting the least recently used past the cap."""
+        self._plan_cache[key] = plan
+        if len(self._plan_cache) > DEFAULT_PLAN_MEMO:
+            self._plan_cache.popitem(last=False)
 
     def _record_plan(
         self, stats: Optional[ContractionStats], plan: ContractionPlan
@@ -474,8 +473,7 @@ class ContractionBackend(abc.ABC):
         return {
             "name": self.name,
             "order_method": self.order_method,
-            "share_intermediates": self.share_intermediates,
-            "planner": self.planner,
+            "share_computed_table": self.share_computed_table,
             "max_intermediate_size": self.max_intermediate_size,
             "plan_budget_seconds": self.plan_budget_seconds,
             "plan_seed": self.plan_seed,
@@ -486,13 +484,12 @@ class ContractionBackend(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"{type(self).__name__}(order_method={self.order_method!r}, "
-            f"planner={self.planner!r})"
+            f"{type(self).__name__}(order_method={self.order_method!r})"
         )
 
 
 #: Factories must accept the protocol keywords ``order_method``,
-#: ``share_intermediates``, ``planner``, ``max_intermediate_size``,
+#: ``share_computed_table``, ``max_intermediate_size``,
 #: ``executor``, ``plan_cache``, ``device``, ``slice_batch``,
 #: ``plan_budget_seconds`` and ``plan_seed`` (extra keywords are
 #: backend-specific).

@@ -26,27 +26,16 @@ from .base import ContractionBackend
 class TddBackend(ContractionBackend):
     """Contraction on Tensor Decision Diagrams.
 
-    With ``share_intermediates`` (the default) one manager — and hence one
-    set of computed tables — serves every contraction; switching it off
-    reproduces the paper's Table II 'Ori.' column by giving each
+    With ``share_computed_table`` (the default) one manager — and hence
+    one set of computed tables — serves every contraction; switching it
+    off reproduces the paper's Table II 'Ori.' column by giving each
     contraction a cold manager.
     """
 
     name = "tdd"
 
-    def __init__(
-        self,
-        order_method: str = "tree_decomposition",
-        share_intermediates: bool = True,
-        planner: str = "order",
-        max_intermediate_size: Optional[int] = None,
-        executor=None,
-        plan_cache=None,
-        device: Optional[str] = None,
-        slice_batch: Optional[int] = None,
-        plan_budget_seconds: Optional[float] = None,
-        plan_seed: int = 0,
-    ):
+    def __init__(self, **options):
+        device = options.get("device")
         if device not in (None, "cpu"):
             raise ValueError(
                 f"the tdd backend runs on the host CPU only, got "
@@ -55,13 +44,8 @@ class TddBackend(ContractionBackend):
             )
         # slice_batch is accepted-but-inert: decision diagrams contract
         # one index-fixed subnetwork at a time (supports_batched_slices
-        # stays False), mirroring how order_method rides along unused
-        # under the greedy planner.
-        super().__init__(
-            order_method, share_intermediates, planner,
-            max_intermediate_size, executor, plan_cache,
-            device, slice_batch, plan_budget_seconds, plan_seed,
-        )
+        # stays False).
+        super().__init__(**options)
         self._manager: Optional[TddManager] = None
         #: id(tensor) -> (tensor, Tdd); entries survive only for tensors
         #: the caller declared shareable (Algorithm I template slots).
@@ -85,7 +69,7 @@ class TddBackend(ContractionBackend):
         dispatched = self._dispatch_slices(network, plan, stats, assignments)
         if dispatched is not None:
             return dispatched
-        if self.share_intermediates:
+        if self.share_computed_table:
             if self._manager is None:
                 self._manager = TddManager(list(plan.order))
             self._manager.extend_order(network.all_indices())
@@ -100,7 +84,7 @@ class TddBackend(ContractionBackend):
         # assignment would silently violate — sliced runs always convert.
         cache = None
         if (
-            self.share_intermediates
+            self.share_computed_table
             and cacheable_tensor_ids is not None
             and not plan.slices
         ):

@@ -41,7 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: the whole cache at key-derivation level (old entries are never read
 #: and eventually fall to ``prune``).  v2: plans gained the
 #: ``search_report`` provenance field and plan keys the search knobs.
-CACHE_VERSION = 2
+#: v3: the ``planner`` knob folded into ``order_method``, so plans
+#: record the ``order_method`` value as their ``planner`` provenance.
+CACHE_VERSION = 3
 
 
 def _new_hash(kind: str) -> "hashlib._Hash":
@@ -134,7 +136,6 @@ def config_fingerprint(config) -> str:
 
 def plan_key(
     structure_fp: str,
-    planner: str,
     order_method: str,
     max_intermediate_size,
     plan_budget_seconds=None,
@@ -143,22 +144,17 @@ def plan_key(
     """Store key of a contraction plan.
 
     A plan is a pure function of the network structure and the planning
-    knobs that its planner actually consults, so inert knobs are
-    normalised out of the key: the greedy and search planners never use
-    the order heuristic (greedy plans built under different heuristics
-    are shared), and only the search planners fold in the budget and
-    seed — a zero-budget search stores its baseline under a different
-    key than a funded one, so it can never mask the searched plan.
+    knobs its ``order_method`` actually consults: only the searches
+    (``anneal``/``hyper``) fold in the budget and seed — a zero-budget
+    search stores its baseline under a different key than a funded one,
+    so it can never mask the searched plan — while the heuristic
+    methods ignore both, so those inert knobs stay out of their keys.
     """
-    from ..tensornet.planner import SEARCH_PLANNERS
+    from ..planning import SEARCHERS
 
     digest = _new_hash("plan")
-    digest.update(planner.encode())
-    digest.update(
-        order_method.encode() if planner == "order" else b"-"
-    )
-    digest.update(str(max_intermediate_size).encode())
-    if planner in SEARCH_PLANNERS:
+    digest.update(f"{order_method}:{max_intermediate_size}:".encode())
+    if order_method in SEARCHERS:
         digest.update(
             f"budget={plan_budget_seconds!r}:seed={plan_seed!r}".encode()
         )

@@ -1,20 +1,21 @@
 """The plan cache: contraction plans keyed by network structure.
 
 A :class:`PlanCache` adapts a byte :class:`~repro.cache.store.CacheStore`
-to :class:`~repro.tensornet.planner.ContractionPlan` objects.  Keys are
-``(structure fingerprint, planner, order_method, max_intermediate_size,
-plan_budget_seconds, plan_seed)`` — see
-:func:`repro.cache.fingerprint.plan_key` — so every process that ever
-met a structurally identical network shares the (possibly expensive)
+to :class:`~repro.tensornet.planner.ContractionPlan` objects under keys
+computed once by :func:`repro.cache.fingerprint.plan_key` from
+``(structure fingerprint, order_method, max_intermediate_size,
+plan_budget_seconds, plan_seed)``, so every process that ever met a
+structurally identical network shares the (possibly expensive)
 min-fill / tree-decomposition / budgeted-search planning pass through
 the disk tier; searched plans carry their
 :class:`~repro.planning.PlanSearchReport` into the cache, so a warm
 replica knows how its plan was found without ever re-searching.
 
-On top of the store the adapter keeps a small object-level LRU memo:
-store tiers hold pickled bytes, and Algorithm I resolves the same plan
-once per trace term, so hot plans must be object hits, not repeated
-deserialisations.
+The adapter keeps no decoded-object memo of its own: each backend's
+plan memo (an LRU capped at
+:data:`repro.backends.base.DEFAULT_PLAN_MEMO` plans) answers hot plans
+as object hits, so the store is only consulted on the first use of a
+structure per backend.
 
 Robustness: a stored payload that fails to unpickle — version skew,
 torn write that slipped past the frame check — reads as a miss, never
@@ -24,32 +25,19 @@ an exception.
 from __future__ import annotations
 
 import pickle
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional
 
-from .fingerprint import plan_key, structure_fingerprint
 from .store import CacheStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..tensornet import TensorNetwork
     from ..tensornet.planner import ContractionPlan
-
-#: Decoded-plan memo capacity (plans, not bytes).
-DEFAULT_PLAN_MEMO = 256
 
 
 class PlanCache:
     """Content-addressed cache of :class:`ContractionPlan` objects."""
 
-    def __init__(self, store: CacheStore, max_memo: int = DEFAULT_PLAN_MEMO):
-        if max_memo < 1:
-            raise ValueError("max_memo must be at least 1")
+    def __init__(self, store: CacheStore):
         self.store = store
-        self.max_memo = max_memo
-        self._memo: "OrderedDict[str, ContractionPlan]" = OrderedDict()
-        #: adapter-level lookup counters (object memo + store combined)
-        self.hits = 0
-        self.misses = 0
         #: remote tier address this cache was opened with (set by
         #: :meth:`repro.cache.CheckCache.open`); travels in backend
         #: specs so worker processes rebuild the same tier chain
@@ -72,120 +60,16 @@ class PlanCache:
             return self.directory
         return (self.directory, self.cache_url)
 
-    def key_for(
-        self,
-        network: "TensorNetwork",
-        *,
-        planner: str,
-        order_method: str,
-        max_intermediate_size: Optional[int],
-        plan_budget_seconds=None,
-        plan_seed: int = 0,
-    ) -> str:
-        """The store key for ``network`` under the given planning knobs."""
-        return plan_key(
-            structure_fingerprint(network),
-            planner,
-            order_method,
-            max_intermediate_size,
-            plan_budget_seconds=plan_budget_seconds,
-            plan_seed=plan_seed,
-        )
-
-    def get(
-        self,
-        network: "TensorNetwork",
-        *,
-        planner: str,
-        order_method: str,
-        max_intermediate_size: Optional[int],
-        plan_budget_seconds=None,
-        plan_seed: int = 0,
-    ) -> Optional["ContractionPlan"]:
-        """The cached plan for ``network``, or ``None`` on a miss."""
-        key = self.key_for(
-            network,
-            planner=planner,
-            order_method=order_method,
-            max_intermediate_size=max_intermediate_size,
-            plan_budget_seconds=plan_budget_seconds,
-            plan_seed=plan_seed,
-        )
-        plan = self._memo.get(key)
-        if plan is not None:
-            self._memo.move_to_end(key)
-            self.hits += 1
-            return plan
+    def get(self, key: str) -> Optional["ContractionPlan"]:
+        """The plan stored under ``key``, or ``None`` on a miss."""
         payload = self.store.get(key)
-        if payload is not None:
-            try:
-                plan = pickle.loads(payload)
-            except Exception:
-                plan = None
-        if plan is None:
-            self.misses += 1
+        if payload is None:
             return None
-        self._remember(key, plan)
-        self.hits += 1
-        return plan
+        try:
+            return pickle.loads(payload)
+        except Exception:
+            return None
 
-    def get_or_build(
-        self,
-        network: "TensorNetwork",
-        builder,
-        *,
-        planner: str,
-        order_method: str,
-        max_intermediate_size: Optional[int],
-        plan_budget_seconds=None,
-        plan_seed: int = 0,
-    ):
-        """The cached plan, or ``builder()``'s plan stored and returned.
-
-        Returns ``(plan, state)`` with ``state`` one of ``"hit"`` /
-        ``"miss"`` — the one place that pairs a lookup with the
-        fill-on-miss store, so callers (the CLI's ``plan`` command)
-        cannot drift from the key protocol.
-        """
-        knobs = dict(
-            planner=planner,
-            order_method=order_method,
-            max_intermediate_size=max_intermediate_size,
-            plan_budget_seconds=plan_budget_seconds,
-            plan_seed=plan_seed,
-        )
-        plan = self.get(network, **knobs)
-        if plan is not None:
-            return plan, "hit"
-        plan = builder()
-        self.put(network, plan, **knobs)
-        return plan, "miss"
-
-    def put(
-        self,
-        network: "TensorNetwork",
-        plan: "ContractionPlan",
-        *,
-        planner: str,
-        order_method: str,
-        max_intermediate_size: Optional[int],
-        plan_budget_seconds=None,
-        plan_seed: int = 0,
-    ) -> None:
-        """Store a freshly built plan under its structure key."""
-        key = self.key_for(
-            network,
-            planner=planner,
-            order_method=order_method,
-            max_intermediate_size=max_intermediate_size,
-            plan_budget_seconds=plan_budget_seconds,
-            plan_seed=plan_seed,
-        )
+    def put(self, key: str, plan: "ContractionPlan") -> None:
+        """Store a freshly built plan under ``key``."""
         self.store.put(key, pickle.dumps(plan, pickle.HIGHEST_PROTOCOL))
-        self._remember(key, plan)
-
-    def _remember(self, key: str, plan: "ContractionPlan") -> None:
-        self._memo[key] = plan
-        self._memo.move_to_end(key)
-        while len(self._memo) > self.max_memo:
-            self._memo.popitem(last=False)

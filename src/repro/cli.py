@@ -81,11 +81,16 @@ from .api import (
     ReproError,
 )
 from .backends import available_backends, backend_availability
-from .cache import CheckCache, DiskStore, count_by_kind
+from .cache import (
+    CheckCache,
+    DiskStore,
+    count_by_kind,
+    plan_key,
+    structure_fingerprint,
+)
 from .circuits import qasm
 from .core import StatsAggregator
-from .tensornet.ordering import ORDER_HEURISTICS
-from .tensornet.planner import PLANNERS, build_plan
+from .tensornet.planner import ORDER_METHODS, build_plan
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument(
         "--compare", action="store_true",
-        help="race every registered planner on the network and print a "
-        "cost/time table instead of one plan report (ignores --cache)",
+        help="race every --order-method value on the network and print "
+        "a cost/time table instead of one plan report (ignores --cache)",
     )
 
     serve = sub.add_parser(
@@ -343,12 +348,10 @@ def _add_engine_args(
         )
     sub.add_argument(
         "--order-method", default="tree_decomposition",
-        choices=sorted(ORDER_HEURISTICS),
-        help="index elimination order heuristic",
-    )
-    sub.add_argument(
-        "--planner", default="order", choices=sorted(PLANNERS),
-        help="contraction-plan strategy",
+        choices=ORDER_METHODS,
+        help="how contraction plans are built: an elimination-order "
+        "heuristic, cost-greedy merging, or a budgeted search "
+        "(anneal/hyper)",
     )
     sub.add_argument(
         "--max-intermediate", type=int, default=None, metavar="SIZE",
@@ -356,14 +359,15 @@ def _add_engine_args(
     )
     sub.add_argument(
         "--plan-budget", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget of the search planners (anneal/hyper); "
-        "0 returns their heuristic baseline, default is the search "
-        "default budget; ignored by order/greedy",
+        help="wall-clock budget of the anneal/hyper searches; 0 returns "
+        "their heuristic baseline, default is the search default "
+        "budget; ignored by the other order methods",
     )
     sub.add_argument(
         "--plan-seed", type=int, default=None, metavar="N",
-        help="seed of the search planners' randomized trials (fixed "
-        "seed = reproducible searched plans; ignored by order/greedy)",
+        help="seed of the anneal/hyper searches' randomized trials "
+        "(fixed seed = reproducible searched plans; ignored by the "
+        "other order methods)",
     )
     if include_backend:
         sub.add_argument(
@@ -438,7 +442,6 @@ def _config_overrides(args) -> dict:
     """The CLI engine flags as CheckConfig overrides for a request."""
     overrides = {
         "order_method": args.order_method,
-        "planner": args.planner,
         "max_intermediate_size": args.max_intermediate,
     }
     if getattr(args, "algorithm", None) is not None:
@@ -558,41 +561,32 @@ def cmd_plan(args) -> int:
     if args.compare:
         return _cmd_plan_compare(args, network, plan_seed)
 
-    def build():
-        return build_plan(
-            network,
-            planner=args.planner,
-            order_method=args.order_method,
-            max_intermediate_size=args.max_intermediate,
-            plan_budget_seconds=args.plan_budget,
-            plan_seed=plan_seed,
-        )
-
-    cache_state = None
+    plan = plans = key = cache_state = None
     if args.cache:
-        plan, cache_state = CheckCache.open(args.cache_dir).plans.get_or_build(
+        plans = CheckCache.open(args.cache_dir).plans
+        key = plan_key(
+            structure_fingerprint(network), args.order_method,
+            args.max_intermediate, args.plan_budget, plan_seed,
+        )
+        plan = plans.get(key)
+        cache_state = "miss" if plan is None else "hit"
+    if plan is None:
+        plan = build_plan(
             network,
-            build,
-            planner=args.planner,
             order_method=args.order_method,
             max_intermediate_size=args.max_intermediate,
             plan_budget_seconds=args.plan_budget,
             plan_seed=plan_seed,
         )
-    else:
-        plan = build()
-    # The greedy planner never consults the order heuristic.
-    order_method = args.order_method if args.planner == "order" else None
+        if plans is not None:
+            plans.put(key, plan)
     if args.json:
         record = plan.to_dict()
         record["algorithm"] = args.algorithm
-        record["order_method"] = order_method
         record["plan_cache"] = cache_state
         print(json.dumps(record))
         return 0
     print(f"algorithm        : {args.algorithm}")
-    if order_method is not None:
-        print(f"order method     : {order_method}")
     if cache_state is not None:
         print(f"plan cache       : {cache_state}")
     print(plan.report(max_steps=args.max_steps))
@@ -600,27 +594,28 @@ def cmd_plan(args) -> int:
 
 
 def _cmd_plan_compare(args, network, plan_seed: int) -> int:
-    """Race every registered planner on one network (``plan --compare``).
+    """Race every ``order_method`` value on one network (``plan --compare``).
 
-    Search planners run under ``--plan-budget``/``--plan-seed``; the
-    heuristic planners plan as usual.  The cheapest plan is starred.
+    The searches run under ``--plan-budget``/``--plan-seed``; the
+    heuristic methods plan as usual.  The cheapest plan is starred.
     Every row carries a span trace of its planning run (``trace`` in the
-    JSON form, a summary section in the report) — the search planners'
+    JSON form, a summary section in the report) — the searches'
     ``plan.search`` spans show where the budget went.
     """
     from .trace import TraceRecorder, recording, span as trace_span, span_tree
 
     rows = []
     traces = []
-    for planner in PLANNERS:
+    for order_method in ORDER_METHODS:
         recorder = TraceRecorder()
         started = time.perf_counter()
         with recording(recorder):
-            with trace_span("plan.build", planner=planner) as build_span:
+            with trace_span(
+                "plan.build", order_method=order_method
+            ) as build_span:
                 plan = build_plan(
                     network,
-                    planner=planner,
-                    order_method=args.order_method,
+                    order_method=order_method,
                     max_intermediate_size=args.max_intermediate,
                     plan_budget_seconds=args.plan_budget,
                     plan_seed=plan_seed,
@@ -631,10 +626,7 @@ def _cmd_plan_compare(args, network, plan_seed: int) -> int:
         seconds = time.perf_counter() - started
         report = plan.search_report
         rows.append({
-            "planner": planner,
-            "order_method": (
-                args.order_method if planner == "order" else None
-            ),
+            "order_method": order_method,
             "total_cost": plan.total_cost(),
             "peak_intermediate_size": plan.peak_size(),
             "num_slices": plan.num_slices(),
@@ -647,18 +639,18 @@ def _cmd_plan_compare(args, network, plan_seed: int) -> int:
     for row in rows:
         row["best"] = row["total_cost"] == best_cost
     if args.json:
-        print(json.dumps({"algorithm": args.algorithm, "planners": rows}))
+        print(json.dumps({"algorithm": args.algorithm, "plans": rows}))
         return 0
     print(f"algorithm        : {args.algorithm}")
     print(
-        f"{'planner':<10} {'cost':>14} {'peak':>10} {'slices':>7} "
+        f"{'order_method':<20} {'cost':>14} {'peak':>10} {'slices':>7} "
         f"{'time_s':>8} {'trials':>7}"
     )
     for row in rows:
-        name = row["planner"] + ("*" if row["best"] else "")
+        name = row["order_method"] + ("*" if row["best"] else "")
         trials = "-" if row["trials"] is None else str(row["trials"])
         print(
-            f"{name:<10} {row['total_cost']:>14} "
+            f"{name:<20} {row['total_cost']:>14} "
             f"{row['peak_intermediate_size']:>10} "
             f"{row['num_slices']:>7} {row['plan_seconds']:>8.3f} "
             f"{trials:>7}"
@@ -673,13 +665,13 @@ def _cmd_plan_compare(args, network, plan_seed: int) -> int:
             attrs = ", ".join(
                 f"{key}={value}"
                 for key, value in span.attributes.items()
-                if key != "planner"
+                if key != "order_method"
             )
             note = f" ({attrs})" if attrs else ""
             parts.append(
                 f"{span.name} {span.duration_ns / 1e6:.1f}ms{note}"
             )
-        print(f"  {row['planner']:<10} {'; '.join(parts)}")
+        print(f"  {row['order_method']:<20} {'; '.join(parts)}")
     return 0
 
 

@@ -79,7 +79,7 @@ def fidelity_individual(
         :class:`~repro.backends.ContractionBackend` instance, e.g. the
         shared engine of a :class:`~repro.core.session.CheckSession`.
         Plan and sharing knobs live on the instance: Table II's 'Ori.'
-        column is ``get_backend("tdd", share_intermediates=False)``.
+        column is ``get_backend("tdd", share_computed_table=False)``.
     use_local_optimisations:
         Apply adjacent-gate cancellation and SWAP elimination to each
         miter (excluded from the paper's headline tables for baseline

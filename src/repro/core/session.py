@@ -63,11 +63,11 @@ class CheckConfig:
     algorithm: str = "auto"
     #: registered backend name, or a ready ContractionBackend instance
     backend: Union[str, ContractionBackend] = "tdd"
-    #: index elimination order heuristic
+    #: how contraction plans are built: an elimination-order heuristic
+    #: ('sequential', 'min_fill', 'tree_decomposition'), the cost-greedy
+    #: 'greedy', or a budgeted search ('anneal'/'hyper', see
+    #: repro.planning)
     order_method: str = "tree_decomposition"
-    #: contraction-plan strategy: 'order', 'greedy', or a budgeted
-    #: search planner ('anneal'/'hyper', see repro.planning)
-    planner: str = "order"
     #: slice plans so no intermediate exceeds this many elements
     max_intermediate_size: Optional[int] = None
     #: adjacent-gate cancellation + trailing-SWAP elimination per miter
@@ -105,11 +105,11 @@ class CheckConfig:
     #: slices contracted per batched kernel sweep (None = auto-size
     #: against the memory budget, 1 = per-slice reference loop)
     slice_batch: Optional[int] = None
-    #: wall-clock budget for the search planners (None = their default;
-    #: 0 = heuristic baseline only; ignored by 'order'/'greedy')
+    #: wall-clock budget for the 'anneal'/'hyper' searches (None = their
+    #: default; 0 = heuristic baseline only; ignored by the heuristics)
     plan_budget_seconds: Optional[float] = None
-    #: seed of the search planners' randomized trials (ignored by
-    #: 'order'/'greedy'); fixed seed = reproducible searched plans
+    #: seed of the searches' randomized trials (ignored by the
+    #: heuristics); fixed seed = reproducible searched plans
     plan_seed: int = 0
     #: record a span trace of the run and attach it to the result
     #: (``CheckResult.trace``); see repro.trace / docs/observability.md
@@ -143,7 +143,7 @@ class CheckConfig:
                 f"registered names: {', '.join(available_backends())}"
             )
         validate_plan_knobs(
-            self.order_method, self.planner, self.max_intermediate_size,
+            self.order_method, self.max_intermediate_size,
             self.slice_batch, self.plan_budget_seconds, self.plan_seed,
         )
         if (
@@ -168,7 +168,7 @@ class CheckConfig:
             }
             for knob in (
                 "order_method",
-                "planner",
+                "share_computed_table",
                 "max_intermediate_size",
                 "device",
                 "slice_batch",
@@ -295,8 +295,7 @@ class CheckSession:
             self._backend = resolve_backend(
                 self.config.backend,
                 order_method=self.config.order_method,
-                share_intermediates=self.config.share_computed_table,
-                planner=self.config.planner,
+                share_computed_table=self.config.share_computed_table,
                 max_intermediate_size=self.config.max_intermediate_size,
                 executor=self._executor,
                 plan_cache=plan_cache,

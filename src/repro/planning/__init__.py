@@ -13,37 +13,37 @@ replicas.
 
 Two strategies ship behind the one protocol:
 
-* :class:`~repro.planning.anneal.AnnealSearcher` (``planner="anneal"``)
+* :class:`~repro.planning.anneal.AnnealSearcher` (``order_method="anneal"``)
   — annealed random-greedy restarts: each trial rebuilds the plan with
   temperature-weighted cost-greedy pair choices, resampling temperature
   and cost model per restart;
-* :class:`~repro.planning.hyper.HyperSearcher` (``planner="hyper"``) —
+* :class:`~repro.planning.hyper.HyperSearcher` (``order_method="hyper"``) —
   recursive hypergraph bisection: Kernighan–Lin-style balanced min-cut
   over the index graph, leaf communities contracted greedily, partitions
   stitched bottom-up.
 
-Both are registered in :data:`SEARCHERS` and reachable end-to-end
-through the existing ``planner=`` knob (``CheckConfig``, backends, the
-wire schema, the CLI).
+Both are listed in :data:`SEARCHERS` and reachable end-to-end through
+the ``order_method=`` knob (``CheckConfig``, backends, the wire schema,
+the CLI).
 """
 
 from .driver import (
     DEFAULT_PLAN_BUDGET_SECONDS,
-    SEARCHERS,
     PlanSearcher,
     PlanSearchReport,
-    register_searcher,
     search_plan,
 )
 from .anneal import AnnealSearcher
 from .hyper import HyperSearcher
+
+#: The search strategies behind ``order_method="anneal"``/``"hyper"``.
+SEARCHERS = {"anneal": AnnealSearcher, "hyper": HyperSearcher}
 
 __all__ = [
     "DEFAULT_PLAN_BUDGET_SECONDS",
     "SEARCHERS",
     "PlanSearcher",
     "PlanSearchReport",
-    "register_searcher",
     "search_plan",
     "AnnealSearcher",
     "HyperSearcher",

@@ -1,4 +1,4 @@
-"""Annealed random-greedy restarts (``planner="anneal"``).
+"""Annealed random-greedy restarts (``order_method="anneal"``).
 
 Each trial rebuilds a full pairwise contraction from scratch, choosing
 among the *connected* candidate pairs with Boltzmann weights over a
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .driver import MergePairs, PlanSearcher, merge_cost, register_searcher
+from .driver import MergePairs, PlanSearcher, merge_cost
 
 #: Per-restart temperature is drawn log-uniformly from this range (log10).
 TEMPERATURE_LOG10_RANGE = (-2.0, 1.0)
@@ -32,11 +32,8 @@ TEMPERATURE_LOG10_RANGE = (-2.0, 1.0)
 ALPHA_CHOICES = (0.0, 0.5, 1.0)
 
 
-@register_searcher
 class AnnealSearcher(PlanSearcher):
     """Temperature-weighted cost-greedy restarts over connected pairs."""
-
-    name = "anneal"
 
     def __init__(self, inputs, dims):
         super().__init__(inputs, dims)

@@ -27,14 +27,13 @@ import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import trace as _trace
 from ..tensornet.network import TensorNetwork
 from ..tensornet.planner import (
-    SEARCH_PLANNERS,
     ContractionPlan,
     ContractionStep,
     _make_step,
@@ -44,7 +43,7 @@ from ..tensornet.planner import (
     slice_plan,
 )
 
-#: Wall-clock budget used when a search planner is selected but neither
+#: Wall-clock budget used when a search is selected but neither
 #: ``budget_seconds`` nor ``trials`` is given.  One second buys hundreds
 #: of restarts on library-sized networks and amortises across the fleet
 #: through the plan cache.
@@ -66,8 +65,8 @@ class PlanSearchReport:
     ``trajectory`` holds one ``(trial, cost)`` entry per strict
     improvement over the baseline, in discovery order; an empty
     trajectory means the heuristic baseline was never beaten and the
-    returned plan *is* the baseline (re-labelled with the search
-    planner's name).
+    returned plan *is* the baseline (re-labelled with the search's
+    ``order_method`` value).
     """
 
     planner: str
@@ -100,10 +99,6 @@ class PlanSearcher(ABC):
     structure they like, and must implement :meth:`trial`.
     """
 
-    #: registry key; must appear in
-    #: :data:`repro.tensornet.planner.SEARCH_PLANNERS`
-    name: str = ""
-
     def __init__(
         self,
         inputs: Sequence[Tuple[str, ...]],
@@ -123,24 +118,6 @@ class PlanSearcher(ABC):
         aborted early because its running cost already reached
         ``best_cost`` (pruning keeps hopeless restarts cheap).
         """
-
-
-#: Registered searcher strategies, keyed by planner name.
-SEARCHERS: Dict[str, Type[PlanSearcher]] = {}
-
-
-def register_searcher(cls: Type[PlanSearcher]) -> Type[PlanSearcher]:
-    """Class decorator adding a strategy to :data:`SEARCHERS`."""
-    if not cls.name:
-        raise ValueError(f"searcher {cls!r} must set a non-empty name")
-    if cls.name not in SEARCH_PLANNERS:
-        raise ValueError(
-            f"searcher name {cls.name!r} is not a registered search "
-            f"planner; add it to SEARCH_PLANNERS "
-            f"({sorted(SEARCH_PLANNERS)})"
-        )
-    SEARCHERS[cls.name] = cls
-    return cls
 
 
 def _steps_from_pairs(
@@ -199,7 +176,7 @@ def _baseline_plans(
 
 def search_plan(
     network: TensorNetwork,
-    planner: str,
+    order_method: str,
     *,
     budget_seconds: Optional[float] = None,
     seed: int = 0,
@@ -208,14 +185,14 @@ def search_plan(
     max_slices: Optional[int] = None,
     clock: Callable[[], float] = time.perf_counter,
 ) -> ContractionPlan:
-    """Budgeted anytime plan search (the ``anneal``/``hyper`` planners).
+    """Budgeted anytime plan search (``order_method="anneal"``/``"hyper"``).
 
     Computes the greedy and min_fill baselines, then runs randomized
     trials of the named strategy until the wall-clock ``budget_seconds``
     is spent — or, when ``trials`` is given, for exactly that many
     trials regardless of the clock (the deterministic mode: identical
-    ``(network, planner, seed, trials)`` inputs yield identical plans on
-    any machine).  With neither given the budget defaults to
+    ``(network, order_method, seed, trials)`` inputs yield identical
+    plans on any machine).  With neither given the budget defaults to
     :data:`DEFAULT_PLAN_BUDGET_SECONDS`; ``budget_seconds=0`` runs no
     trials and returns the best baseline unchanged (anytime floor).
 
@@ -228,9 +205,11 @@ def search_plan(
     (after the search — searchers optimise the unsliced contraction,
     matching :func:`~repro.tensornet.planner.build_plan` semantics).
     """
-    if planner not in SEARCHERS:
+    from . import SEARCHERS
+
+    if order_method not in SEARCHERS:
         raise ValueError(
-            f"unknown search planner {planner!r}; choose from "
+            f"unknown search order_method {order_method!r}; choose from "
             f"{sorted(SEARCHERS)}"
         )
     if budget_seconds is not None and (
@@ -254,7 +233,7 @@ def search_plan(
     if trials is None and budget_seconds is None:
         budget_seconds = DEFAULT_PLAN_BUDGET_SECONDS
 
-    with _trace.span("plan.search", planner=planner) as search_span:
+    with _trace.span("plan.search", order_method=order_method) as search_span:
         start = clock()
         baselines = _baseline_plans(network)
         base_name, base_plan = min(
@@ -264,7 +243,7 @@ def search_plan(
             ),
         )
         inputs, dims = _plan_inputs(network)
-        searcher = SEARCHERS[planner](inputs, dims)
+        searcher = SEARCHERS[order_method](inputs, dims)
 
         best_cost = base_plan.total_cost()
         best_pairs: Optional[MergePairs] = None
@@ -306,7 +285,7 @@ def search_plan(
         search_span.set(trials=trial, best_cost=best_cost)
 
     if best_pairs is None:
-        plan = replace(base_plan, planner=planner)
+        plan = replace(base_plan, planner=order_method)
     else:
         steps = _steps_from_pairs(inputs, dims, best_pairs)
         order: List[str] = []
@@ -316,10 +295,10 @@ def search_plan(
         remaining = [i for i in network.all_indices() if i not in seen]
         plan = ContractionPlan(
             inputs=inputs, dims=dims, steps=tuple(steps),
-            order=tuple(order + remaining), planner=planner,
+            order=tuple(order + remaining), planner=order_method,
         )
     report = PlanSearchReport(
-        planner=planner,
+        planner=order_method,
         seed=seed,
         budget_seconds=budget_seconds,
         trials=trial,

@@ -1,4 +1,4 @@
-"""Recursive hypergraph bisection (``planner="hyper"``).
+"""Recursive hypergraph bisection (``order_method="hyper"``).
 
 Views the network as a graph whose vertices are tensors and whose edges
 are shared index labels weighted ``log2(dim)`` (after self-tracing, a
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .driver import MergePairs, PlanSearcher, merge_cost, register_searcher
+from .driver import MergePairs, PlanSearcher, merge_cost
 
 #: Per-trial leaf community size is drawn uniformly from this range
 #: (inclusive low, exclusive high).
@@ -39,11 +39,8 @@ class _Pruned(Exception):
     """Raised inside a trial once its cost reaches the best so far."""
 
 
-@register_searcher
 class HyperSearcher(PlanSearcher):
     """Balanced min-cut bisection, leaves contracted greedily."""
-
-    name = "hyper"
 
     def __init__(self, inputs, dims):
         super().__init__(inputs, dims)

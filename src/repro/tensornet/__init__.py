@@ -9,7 +9,7 @@ from .circuit_tn import (
 )
 from .network import ContractionStats, TensorNetwork
 from .planner import (
-    PLANNERS,
+    ORDER_METHODS,
     SLICE_HARD_LIMIT,
     BatchedSliceApplier,
     ContractionPlan,
@@ -34,7 +34,7 @@ from .tensor import Tensor, gate_tensor, identity_tensor, scalar_tensor
 
 __all__ = [
     "ORDER_HEURISTICS",
-    "PLANNERS",
+    "ORDER_METHODS",
     "SLICE_HARD_LIMIT",
     "BatchedSliceApplier",
     "CircuitNetwork",

@@ -10,7 +10,8 @@ dense and einsum engines contract ndarrays along it — so planning cost is
 paid once per network structure and plan quality is measurable before any
 numerics run.
 
-Three planners produce plans:
+The ``order_method`` plan knob picks one of six plan builders (see
+:data:`ORDER_METHODS`), all dispatched by :func:`build_plan`:
 
 * :func:`plan_from_order` — wraps the elimination-order heuristics of
   :mod:`repro.tensornet.ordering` (``sequential``, ``min_fill``,
@@ -19,13 +20,14 @@ Three planners produce plans:
 * :func:`greedy_plan` — a cost-greedy pairwise planner that repeatedly
   merges the connected pair with the smallest output tensor;
 * :func:`repro.planning.search_plan` — budgeted anytime search
-  (``anneal``/``hyper``, see :data:`SEARCH_PLANNERS`) that spends a
-  wall-clock budget on randomized restarts and never returns a plan
-  worse than the greedy/min_fill baseline;
-* :func:`slice_plan` — rewrites any plan into a sum over index-fixed
-  subplans so that no intermediate exceeds a ``max_intermediate_size``
-  bound (memory-bounded contraction, the standard slicing trick of
-  large-scale tensor-network simulators).
+  (``anneal``/``hyper``) that spends a wall-clock budget on randomized
+  restarts and never returns a plan worse than the greedy/min_fill
+  baseline.
+
+:func:`slice_plan` then rewrites any plan into a sum over index-fixed
+subplans so that no intermediate exceeds a ``max_intermediate_size``
+bound (memory-bounded contraction, the standard slicing trick of
+large-scale tensor-network simulators).
 
 Step positions follow the ``np.einsum_path`` convention: each step names
 two positions in the *current* operand list; both operands are removed
@@ -43,23 +45,20 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .network import TensorNetwork
-from .ordering import contraction_order
+from .ordering import ORDER_HEURISTICS, contraction_order
 from .tensor import Tensor
 
-#: Planner values served by the budgeted anytime search driver of
-#: :mod:`repro.planning` — ``"anneal"`` (annealed random-greedy
-#: restarts) and ``"hyper"`` (recursive hypergraph bisection).  Both
-#: start from the greedy/min_fill baseline, so a zero budget degrades to
-#: heuristic quality; their plans carry a
+#: Values of the ``order_method`` plan knob (backends, ``CheckConfig``,
+#: the wire config and the CLI), one per plan builder: the three
+#: elimination-order heuristics of :mod:`repro.tensornet.ordering`,
+#: ``"greedy"`` (smallest merged tensor first), and the budgeted anytime
+#: searches ``"anneal"``/``"hyper"`` of :mod:`repro.planning`, which
+#: trade ``plan_budget_seconds`` for cheaper plans and carry a
 #: :class:`~repro.planning.PlanSearchReport` in ``search_report``.
-SEARCH_PLANNERS = ("anneal", "hyper")
-
-#: Registry of planner strategies understood by :func:`build_plan` (and by
-#: the ``planner=`` knob of backends, ``CheckConfig`` and the CLI).
-#: ``"order"`` derives the pairwise sequence from an elimination-order
-#: heuristic; ``"greedy"`` picks pairs by smallest merged tensor; the
-#: :data:`SEARCH_PLANNERS` trade a time budget for cheaper plans.
-PLANNERS = ("order", "greedy") + SEARCH_PLANNERS
+ORDER_METHODS = (
+    "sequential", "min_fill", "tree_decomposition", "greedy", "anneal",
+    "hyper",
+)
 
 #: :func:`slice_plan` warns when a bound implies more subplan executions
 #: than this — each slice multiplies runtime, and a very tight bound can
@@ -115,11 +114,12 @@ class ContractionPlan:
     order: Tuple[str, ...]
     #: labels fixed-and-summed outside the plan (empty = unsliced)
     slices: Tuple[str, ...] = ()
-    #: name of the planner that produced the plan
-    planner: str = "order"
+    #: the ``order_method`` value that produced the plan
+    #: (``"explicit"`` for a caller-supplied elimination order)
+    planner: str = "tree_decomposition"
     #: search provenance (a :class:`repro.planning.PlanSearchReport`)
     #: when the plan came from a budgeted search; ``None`` for the
-    #: heuristic planners.  Provenance, not structure: excluded from
+    #: heuristic methods.  Provenance, not structure: excluded from
     #: equality and from :meth:`digest`, but pickled with the plan so
     #: plan-cache hits still report how the plan was found.
     search_report: Optional[object] = field(
@@ -217,7 +217,7 @@ class ContractionPlan:
     def report(self, max_steps: Optional[int] = None) -> str:
         """Human-readable step/cost report (the ``repro plan`` output)."""
         lines = [
-            f"planner          : {self.planner}",
+            f"order method     : {self.planner}",
             f"inputs           : {len(self.inputs)} tensors, "
             f"{len(self.all_labels())} indices",
             f"steps            : {len(self.steps)}",
@@ -350,15 +350,15 @@ def plan_from_order(
     """
     inputs, dims = _plan_inputs(network)
     if order is None:
-        order = contraction_order(network, method)
+        order, planner = contraction_order(network, method), method
     else:
-        order = list(order)
+        order, planner = list(order), "explicit"
     seen = set(order)
     full = list(order) + [i for i in network.all_indices() if i not in seen]
     steps = _steps_from_order(inputs, dims, full)
     return ContractionPlan(
         inputs=inputs, dims=dims, steps=tuple(steps),
-        order=tuple(full), planner="order",
+        order=tuple(full), planner=planner,
     )
 
 
@@ -406,7 +406,6 @@ def greedy_plan(network: TensorNetwork) -> ContractionPlan:
 
 def build_plan(
     network: TensorNetwork,
-    planner: str = "order",
     order_method: str = "tree_decomposition",
     max_intermediate_size: Optional[int] = None,
     max_slices: Optional[int] = None,
@@ -414,34 +413,35 @@ def build_plan(
     plan_seed: int = 0,
     plan_trials: Optional[int] = None,
 ) -> ContractionPlan:
-    """One-stop plan construction: pick a planner, optionally slice.
+    """One-stop plan construction: pick a plan builder, optionally slice.
 
-    The search planners (:data:`SEARCH_PLANNERS`) additionally honour
-    ``plan_budget_seconds`` (wall-clock search budget; ``None`` means
-    the default budget, ``0`` means baseline only), ``plan_seed``
-    (deterministic trial seeding) and ``plan_trials`` (exact trial
-    count, overriding the clock — the fully deterministic mode); the
-    heuristic planners ignore all three.
+    ``order_method`` is one of :data:`ORDER_METHODS`.  The searches
+    (``anneal``/``hyper``) additionally honour ``plan_budget_seconds``
+    (wall-clock search budget; ``None`` means the default budget, ``0``
+    means baseline only), ``plan_seed`` (deterministic trial seeding)
+    and ``plan_trials`` (exact trial count, overriding the clock — the
+    fully deterministic mode); the heuristic methods ignore all three.
     """
-    if planner in SEARCH_PLANNERS:
+    if order_method not in ORDER_METHODS:
+        raise ValueError(
+            f"unknown order_method {order_method!r}; "
+            f"choose from {list(ORDER_METHODS)}"
+        )
+    if order_method in ORDER_HEURISTICS:
+        plan = plan_from_order(network, method=order_method)
+    elif order_method == "greedy":
+        plan = greedy_plan(network)
+    else:
         from ..planning import search_plan
 
         return search_plan(
             network,
-            planner,
+            order_method,
             budget_seconds=plan_budget_seconds,
             seed=plan_seed,
             trials=plan_trials,
             max_intermediate_size=max_intermediate_size,
             max_slices=max_slices,
-        )
-    if planner == "order":
-        plan = plan_from_order(network, method=order_method)
-    elif planner == "greedy":
-        plan = greedy_plan(network)
-    else:
-        raise ValueError(
-            f"unknown planner {planner!r}; choose from {sorted(PLANNERS)}"
         )
     if max_intermediate_size is not None:
         plan = slice_plan(plan, max_intermediate_size, max_slices=max_slices)

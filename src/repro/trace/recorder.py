@@ -4,7 +4,7 @@ A :class:`Span` is one timed region — name, category, monotonic
 start/end nanoseconds, free-form attributes and a parent id.  Code
 creates spans through the module-level :func:`span` context manager::
 
-    with trace.span("plan.search", planner="anneal") as sp:
+    with trace.span("plan.search", order_method="anneal") as sp:
         ...
         sp.set(trials=ran, best_cost=best)
 

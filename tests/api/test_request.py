@@ -199,8 +199,19 @@ class TestCheckRequest:
     def test_unknown_config_override_lists_valid_fields(self):
         with pytest.raises(InvalidRequestError) as err:
             self.request(config={"bogus_knob": 1})
-        for name in ("backend", "algorithm", "planner"):
+        for name in ("backend", "algorithm", "order_method"):
             assert name in str(err.value)
+
+    def test_removed_planner_override_is_invalid_request(self):
+        # ``planner`` was folded into ``order_method``; the typed error's
+        # valid-override list points at the surviving knob
+        wire = self.request().to_dict()
+        wire["config"] = {"planner": "greedy"}
+        with pytest.raises(InvalidRequestError) as err:
+            CheckRequest.from_dict(json.loads(json.dumps(wire)))
+        assert err.value.code == "invalid_request"
+        assert "order_method" in err.value.details["valid"]
+        assert "planner" not in err.value.details["valid"]
 
     def test_config_override_fields_track_check_config(self):
         import dataclasses
@@ -212,10 +223,10 @@ class TestCheckRequest:
 
     def test_resolve_config_applies_overrides(self):
         config = self.request(
-            config={"backend": "einsum", "planner": "greedy"}
+            config={"backend": "einsum", "order_method": "greedy"}
         ).resolve_config()
         assert config.backend == "einsum"
-        assert config.planner == "greedy"
+        assert config.order_method == "greedy"
         assert config.epsilon == 0.05
 
     def test_resolve_config_bad_value_is_typed(self):

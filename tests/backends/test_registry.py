@@ -14,6 +14,7 @@ from repro.backends import (
     resolve_backend,
     unregister_backend,
 )
+from repro.backends.base import DEFAULT_PLAN_MEMO
 from repro.core import (
     CheckConfig,
     CheckSession,
@@ -169,6 +170,53 @@ class TestBackendState:
             NumpyEinsumBackend().contract_scalar(network)
 
 
+def ring(i):
+    """A closed two-tensor network whose structure is unique to ``i``."""
+    from repro.tensornet import Tensor, TensorNetwork
+
+    a, b = f"a{i}", f"b{i}"
+    return TensorNetwork([
+        Tensor(np.eye(2), [a, b]), Tensor(np.eye(2), [b, a]),
+    ])
+
+
+class TestPlanMemoBound:
+    """The backend plan memo is an LRU capped at DEFAULT_PLAN_MEMO."""
+
+    def test_distinct_structures_never_exceed_the_cap(self):
+        assert DEFAULT_PLAN_MEMO == 256
+        backend = get_backend("dense")
+        for i in range(DEFAULT_PLAN_MEMO + 1):
+            backend.plan_for(ring(i))
+        assert len(backend._plan_cache) == DEFAULT_PLAN_MEMO
+        # the least recently used structure (the first) was evicted
+        assert ring(0).structure_key() not in {
+            key[0] for key in backend._plan_cache
+        }
+        assert ring(1).structure_key() in {
+            key[0] for key in backend._plan_cache
+        }
+
+    def test_a_hit_refreshes_its_entry(self, monkeypatch):
+        import repro.backends.base as base
+
+        backend = get_backend("einsum")
+        for i in range(DEFAULT_PLAN_MEMO):
+            backend.plan_for(ring(i))
+        first = backend.plan_for(ring(0))  # hit: now most recently used
+        backend.plan_for(ring(DEFAULT_PLAN_MEMO))  # evicts ring(1)
+        builds = []
+        original = base.build_plan
+        monkeypatch.setattr(
+            base, "build_plan",
+            lambda *a, **k: builds.append(1) or original(*a, **k),
+        )
+        assert backend.plan_for(ring(0)) is first
+        assert builds == []
+        backend.plan_for(ring(1))
+        assert builds == [1]
+
+
 class TestPlanKnobValidation:
     """CheckConfig and the backend constructor share one validator, so a
     bad plan knob fails with the same error text in both places."""
@@ -177,7 +225,7 @@ class TestPlanKnobValidation:
         "knob, value",
         [
             ("order_method", "tree_decompositon"),
-            ("planner", "gredy"),
+            ("order_method", "gredy"),
             ("max_intermediate_size", 0),
             ("slice_batch", 0),
             ("plan_budget_seconds", -1.0),

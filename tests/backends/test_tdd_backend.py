@@ -68,7 +68,7 @@ class TestManagerReuse:
 
     def test_unshared_mode_keeps_no_manager(self):
         net = close_trace(circuit_to_network(qft(3)))
-        backend = TddBackend(share_intermediates=False)
+        backend = TddBackend(share_computed_table=False)
         backend.contract_scalar(net)
         assert backend.manager is None
 
@@ -77,3 +77,27 @@ class TestManagerReuse:
         stats = ContractionStats()
         TddBackend().contract_scalar(net, stats=stats)
         assert stats.max_nodes >= 2
+
+
+class TestConstruction:
+    def test_non_default_spec_survives_the_registry_roundtrip(self, tmp_path):
+        """TddBackend forwards its options by keyword, so every knob of a
+        non-default describe() spec lands back on the same parameter."""
+        from repro.backends import get_backend
+
+        spec = TddBackend(
+            order_method="hyper",
+            share_computed_table=False,
+            max_intermediate_size=32,
+            plan_cache=str(tmp_path),
+            device="cpu",
+            slice_batch=3,
+            plan_budget_seconds=0.5,
+            plan_seed=11,
+        ).describe()
+        options = {k: v for k, v in spec.items() if k != "name"}
+        assert get_backend(spec["name"], **options).describe() == spec
+
+    def test_accelerator_device_rejected(self):
+        with pytest.raises(ValueError, match="host CPU"):
+            TddBackend(device="cuda")

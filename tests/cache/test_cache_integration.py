@@ -111,7 +111,7 @@ class TestPlanCacheThroughBackends:
         network = alg2_trace_network(noisy, ideal)
         get_backend("dense", plan_cache=tmp_path).plan_for(network)
         other = get_backend(
-            "dense", planner="greedy", plan_cache=tmp_path
+            "dense", order_method="greedy", plan_cache=tmp_path
         )
         other.plan_for(network)
         assert other.plan_cache_hits == 0  # greedy key is its own

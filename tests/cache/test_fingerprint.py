@@ -9,6 +9,7 @@ from repro.core import CheckConfig
 from repro.core.miter import alg2_trace_network
 from repro.library import qft
 from repro.noise import bit_flip, depolarizing, insert_random_noise
+from repro.tensornet.planner import ORDER_METHODS
 
 
 def noisy_pair(angle=0.3, p=0.99):
@@ -113,7 +114,7 @@ class TestVersionSalt:
             fp.circuit_fingerprint(ideal),
             fp.structure_fingerprint(net),
             fp.config_fingerprint(config),
-            fp.plan_key("s", "order", "min_fill", None),
+            fp.plan_key("s", "min_fill", None),
             fp.result_key("a", "b", "c"),
         )
         monkeypatch.setattr(fp, "CACHE_VERSION", fp.CACHE_VERSION + 1)
@@ -121,7 +122,7 @@ class TestVersionSalt:
             fp.circuit_fingerprint(ideal),
             fp.structure_fingerprint(net),
             fp.config_fingerprint(config),
-            fp.plan_key("s", "order", "min_fill", None),
+            fp.plan_key("s", "min_fill", None),
             fp.result_key("a", "b", "c"),
         )
         for old, new in zip(before, after):
@@ -130,18 +131,34 @@ class TestVersionSalt:
 
 class TestPlanKey:
     def test_knobs_feed_the_key(self):
-        base = fp.plan_key("s", "order", "min_fill", None)
-        assert base != fp.plan_key("s2", "order", "min_fill", None)
-        assert base != fp.plan_key("s", "order", "sequential", None)
-        assert base != fp.plan_key("s", "order", "min_fill", 64)
+        base = fp.plan_key("s", "min_fill", None)
+        assert base != fp.plan_key("s2", "min_fill", None)
+        assert base != fp.plan_key("s", "sequential", None)
+        assert base != fp.plan_key("s", "min_fill", 64)
 
-    def test_greedy_ignores_order_method(self):
-        """The greedy planner never consults the heuristic, so greedy
-        plans built under different heuristics share one key."""
-        assert fp.plan_key("s", "greedy", "min_fill", None) == fp.plan_key(
-            "s", "greedy", "tree_decomposition", None
+    def test_distinct_order_methods_never_share_a_key(self):
+        for size in (None, 64):
+            keys = {
+                fp.plan_key("s", method, size) for method in ORDER_METHODS
+            }
+            assert len(keys) == len(ORDER_METHODS)
+
+    @pytest.mark.parametrize("method", ORDER_METHODS)
+    def test_budget_and_seed_key_only_the_searches(self, method):
+        """Only anneal/hyper consult the search knobs, so only their
+        keys move with budget and seed; a heuristic plan is shared."""
+        base = fp.plan_key("s", method, None)
+        assert base == fp.plan_key("s", method, None, None, 0)
+        variants = (
+            fp.plan_key("s", method, None, plan_budget_seconds=0.5),
+            fp.plan_key("s", method, None, plan_budget_seconds=0),
+            fp.plan_key("s", method, None, plan_seed=7),
         )
+        if method in ("anneal", "hyper"):
+            assert len({base, *variants}) == 4
+        else:
+            assert set(variants) == {base}
 
     def test_prefixes_distinguish_kinds(self):
-        assert fp.plan_key("s", "order", "min_fill", None).startswith("plan-")
+        assert fp.plan_key("s", "min_fill", None).startswith("plan-")
         assert fp.result_key("a", "b", "c").startswith("result-")

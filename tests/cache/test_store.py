@@ -123,7 +123,7 @@ class TestDiskStore:
     def test_unpicklable_garbage_survives_adapters(self, tmp_path):
         """A validly framed but non-pickle payload must read as a plan
         miss, not an exception (version-skew simulation)."""
-        from repro.cache import PlanCache
+        from repro.cache import PlanCache, plan_key, structure_fingerprint
         from repro.core.miter import alg2_trace_network
         from repro.library import qft
         from repro.noise import insert_random_noise
@@ -132,13 +132,9 @@ class TestDiskStore:
         net = alg2_trace_network(insert_random_noise(ideal, 1, seed=0), ideal)
         store = DiskStore(tmp_path)
         cache = PlanCache(store)
-        knobs = dict(
-            planner="order",
-            order_method="min_fill",
-            max_intermediate_size=None,
-        )
-        store.put(cache.key_for(net, **knobs), b"not a pickle at all")
-        assert cache.get(net, **knobs) is None
+        key = plan_key(structure_fingerprint(net), "min_fill", None)
+        store.put(key, b"not a pickle at all")
+        assert cache.get(key) is None
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         store = DiskStore(tmp_path)

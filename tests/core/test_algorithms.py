@@ -121,10 +121,11 @@ class TestAlgorithm1Mechanics:
         ideal = qft(3)
         noisy = insert_random_noise(ideal, 2, seed=1)
         with_table = fidelity_individual(
-            noisy, ideal, backend=get_backend("tdd", share_intermediates=True)
+            noisy, ideal, backend=get_backend("tdd", share_computed_table=True)
         )
         without = fidelity_individual(
-            noisy, ideal, backend=get_backend("tdd", share_intermediates=False)
+            noisy, ideal,
+            backend=get_backend("tdd", share_computed_table=False),
         )
         assert np.isclose(with_table.fidelity, without.fidelity, atol=1e-9)
 

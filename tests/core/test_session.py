@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.backends import DenseBackend, resolve_backend
+from repro.backends import DenseBackend, get_backend, resolve_backend
 from repro.circuits import QuantumCircuit
 from repro.core import (
     CheckConfig,
@@ -47,7 +47,8 @@ class TestCheckConfig:
             {"backend": 42},
             {"order_method": "tree_decompositon"},  # typo
             {"alg1_max_noises": -1},
-            {"planner": "gredy"},  # typo
+            {"order_method": "gredy"},  # typo
+            {"planner": "greedy"},  # folded into order_method
             {"max_intermediate_size": 0},
         ],
     )
@@ -66,7 +67,7 @@ class TestCheckConfig:
         with pytest.raises(ValueError, match="tree_decomposition"):
             CheckConfig(order_method="bogus")
         with pytest.raises(ValueError, match="greedy"):
-            CheckConfig(planner="bogus")
+            CheckConfig(order_method="bogus")
         with pytest.raises(ValueError, match="tdd"):
             resolve_backend("bogus")
         with pytest.raises(TypeError, match="tdd"):
@@ -79,27 +80,39 @@ class TestCheckConfig:
     def test_plan_knobs_conflicting_with_instance_backend_rejected(self):
         """Instance backends keep their own config; silent knob loss is
         an error, matching instances that already agree are fine."""
-        with pytest.raises(ValueError, match="planner"):
-            CheckConfig(backend=DenseBackend(), planner="greedy")
+        with pytest.raises(ValueError, match="order_method"):
+            CheckConfig(backend=DenseBackend(), order_method="greedy")
+        with pytest.raises(ValueError, match="share_computed_table"):
+            CheckConfig(backend=DenseBackend(), share_computed_table=False)
         with pytest.raises(ValueError, match="max_intermediate_size"):
             CheckConfig(backend=DenseBackend(), max_intermediate_size=4)
         with pytest.raises(ValueError, match="order_method"):
             CheckConfig(backend=DenseBackend(), order_method="min_fill")
         config = CheckConfig(
-            backend=DenseBackend(planner="greedy", max_intermediate_size=4),
-            planner="greedy",
+            backend=DenseBackend(
+                order_method="greedy", max_intermediate_size=4
+            ),
+            order_method="greedy",
             max_intermediate_size=4,
         )
         assert config.backend.max_intermediate_size == 4
 
-    def test_planner_knobs_reach_the_backend(self):
+    def test_plan_knobs_reach_the_backend(self):
         session = CheckSession(
             CheckConfig(
-                backend="dense", planner="greedy", max_intermediate_size=64
+                backend="dense", order_method="greedy",
+                max_intermediate_size=64, share_computed_table=False,
             )
         )
-        assert session.backend.planner == "greedy"
+        assert session.backend.order_method == "greedy"
         assert session.backend.max_intermediate_size == 64
+        assert session.backend.share_computed_table is False
+
+    def test_removed_planner_knob_is_a_type_error(self):
+        with pytest.raises(TypeError, match="planner"):
+            CheckConfig(planner="greedy")
+        with pytest.raises(TypeError, match="planner"):
+            get_backend("dense", planner="greedy")
 
     def test_sliced_session_checks_agree_with_unsliced(self):
         ideal, noisy = make_pairs(1)[0]

@@ -96,7 +96,7 @@ class TestTemplatePathEquivalence:
         ref = jamiolkowski_fidelity_dense(noisy, ideal)
         result = fidelity_individual(
             noisy, ideal,
-            backend=get_backend("tdd", share_intermediates=False),
+            backend=get_backend("tdd", share_computed_table=False),
         )
         assert np.isclose(result.fidelity, ref, atol=1e-9)
 
@@ -107,6 +107,6 @@ class TestTemplatePathEquivalence:
         warm = fidelity_individual(noisy, ideal)
         cold = fidelity_individual(
             noisy, ideal,
-            backend=get_backend("tdd", share_intermediates=False),
+            backend=get_backend("tdd", share_computed_table=False),
         )
         assert warm.stats.time_seconds < cold.stats.time_seconds

@@ -30,7 +30,7 @@ class TestBackendPlanCache:
         ideal, noisy = pair()
         network = alg2_trace_network(noisy, ideal)
         knobs = dict(
-            planner="anneal", plan_budget_seconds=BUDGET, plan_seed=0,
+            order_method="anneal", plan_budget_seconds=BUDGET, plan_seed=0,
             plan_cache=tmp_path,
         )
         cold = get_backend("einsum", **knobs)
@@ -55,11 +55,11 @@ class TestBackendPlanCache:
         ideal, noisy = pair()
         network = alg2_trace_network(noisy, ideal)
         get_backend(
-            "einsum", planner="anneal", plan_budget_seconds=0.0,
+            "einsum", order_method="anneal", plan_budget_seconds=0.0,
             plan_cache=tmp_path,
         ).plan_for(network)
         funded = get_backend(
-            "einsum", planner="anneal", plan_budget_seconds=BUDGET,
+            "einsum", order_method="anneal", plan_budget_seconds=BUDGET,
             plan_cache=tmp_path,
         )
         funded.plan_for(network)
@@ -71,25 +71,25 @@ class TestBackendPlanCache:
         ideal, noisy = pair()
         network = alg2_trace_network(noisy, ideal)
         get_backend(
-            "einsum", planner="anneal", plan_budget_seconds=0.0,
+            "einsum", order_method="anneal", plan_budget_seconds=0.0,
             plan_seed=0, plan_cache=tmp_path,
         ).plan_for(network)
         other = get_backend(
-            "einsum", planner="anneal", plan_budget_seconds=0.0,
+            "einsum", order_method="anneal", plan_budget_seconds=0.0,
             plan_seed=1, plan_cache=tmp_path,
         )
         other.plan_for(network)
         assert other.plan_cache_hits == 0
 
-    def test_heuristic_planners_ignore_the_search_knobs(self, tmp_path):
+    def test_heuristic_methods_ignore_the_search_knobs(self, tmp_path):
         """For greedy the knobs are inert and must not split the cache."""
         ideal, noisy = pair()
         network = alg2_trace_network(noisy, ideal)
         get_backend(
-            "einsum", planner="greedy", plan_seed=0, plan_cache=tmp_path,
+            "einsum", order_method="greedy", plan_seed=0, plan_cache=tmp_path,
         ).plan_for(network)
         warm = get_backend(
-            "einsum", planner="greedy", plan_seed=9, plan_cache=tmp_path,
+            "einsum", order_method="greedy", plan_seed=9, plan_cache=tmp_path,
         )
         warm.plan_for(network)
         assert warm.plan_cache_hits == 1
@@ -98,7 +98,7 @@ class TestBackendPlanCache:
 class TestSessionWarmReruns:
     def config(self, tmp_path, **overrides):
         settings = dict(
-            epsilon=0.05, backend="einsum", planner="anneal",
+            epsilon=0.05, backend="einsum", order_method="anneal",
             plan_budget_seconds=BUDGET, cache=True,
             cache_dir=str(tmp_path),
         )

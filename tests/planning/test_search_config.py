@@ -76,9 +76,9 @@ class TestCheckConfigValidation:
         with pytest.raises(ValueError, match="plan_seed"):
             CheckConfig(plan_seed=value)
 
-    @pytest.mark.parametrize("planner", ["anneal", "hyper"])
-    def test_search_planners_are_valid_choices(self, planner):
-        assert CheckConfig(planner=planner).planner == planner
+    @pytest.mark.parametrize("method", ["anneal", "hyper"])
+    def test_searches_are_valid_order_methods(self, method):
+        assert CheckConfig(order_method=method).order_method == method
 
     def test_replace_revalidates_the_search_knobs(self):
         config = CheckConfig()
@@ -116,7 +116,7 @@ class TestBackendConstruction:
         """describe() is the worker-rebuild wire format — the search
         knobs must ride it like every other planning knob."""
         backend = get_backend(
-            name, planner="anneal", plan_budget_seconds=0.25, plan_seed=7
+            name, order_method="anneal", plan_budget_seconds=0.25, plan_seed=7
         )
         spec = backend.describe()
         assert spec["plan_budget_seconds"] == 0.25
@@ -126,7 +126,7 @@ class TestBackendConstruction:
         rebuilt = backend_for_spec(spec)
         assert rebuilt.plan_budget_seconds == 0.25
         assert rebuilt.plan_seed == 7
-        assert rebuilt.planner == "anneal"
+        assert rebuilt.order_method == "anneal"
 
 
 class TestEndToEndPlumbing:
@@ -136,20 +136,20 @@ class TestEndToEndPlumbing:
 
     def test_knobs_reach_the_backend_through_the_session(self):
         session = CheckSession(CheckConfig(
-            backend="dense", planner="anneal",
+            backend="dense", order_method="anneal",
             plan_budget_seconds=0.0, plan_seed=5,
         ))
-        assert session.backend.planner == "anneal"
+        assert session.backend.order_method == "anneal"
         assert session.backend.plan_budget_seconds == 0.0
         assert session.backend.plan_seed == 5
 
-    @pytest.mark.parametrize("planner", ["anneal", "hyper"])
-    def test_search_planner_checks_agree_with_dense(self, planner):
+    @pytest.mark.parametrize("method", ["anneal", "hyper"])
+    def test_search_checks_agree_with_dense(self, method):
         ideal, noisy = self.pair()
         plain = CheckSession(CheckConfig(backend="dense")) \
             .check(ideal, noisy)
         searched = CheckSession(CheckConfig(
-            backend="dense", planner=planner, plan_budget_seconds=0.0,
+            backend="dense", order_method=method, plan_budget_seconds=0.0,
         )).check(ideal, noisy)
         assert np.isclose(searched.fidelity, plain.fidelity, atol=1e-9)
         assert searched.equivalent == plain.equivalent
@@ -157,7 +157,7 @@ class TestEndToEndPlumbing:
     def test_zero_budget_runs_zero_trials_but_still_counts_planning(self):
         ideal, noisy = self.pair()
         result = CheckSession(CheckConfig(
-            backend="einsum", planner="anneal", plan_budget_seconds=0.0,
+            backend="einsum", order_method="anneal", plan_budget_seconds=0.0,
         )).check(ideal, noisy)
         assert result.stats.plan_trials == 0
         assert result.stats.planning_seconds > 0
@@ -165,7 +165,7 @@ class TestEndToEndPlumbing:
     def test_funded_search_reports_trials_in_the_stats(self):
         ideal, noisy = self.pair()
         result = CheckSession(CheckConfig(
-            backend="einsum", planner="anneal", plan_budget_seconds=0.05,
+            backend="einsum", order_method="anneal", plan_budget_seconds=0.05,
         )).check(ideal, noisy)
         assert result.stats.plan_trials > 0
         assert result.stats.planning_seconds >= 0.05

@@ -16,13 +16,11 @@ from repro.noise import insert_random_noise
 from repro.planning import (
     DEFAULT_PLAN_BUDGET_SECONDS,
     SEARCHERS,
-    PlanSearcher,
-    register_searcher,
     search_plan,
 )
 from repro.planning.driver import _steps_from_pairs, merge_cost
-from repro.tensornet import greedy_plan, plan_from_order
-from repro.tensornet.planner import SEARCH_PLANNERS, _make_step, _plan_inputs
+from repro.tensornet import ORDER_HEURISTICS, greedy_plan, plan_from_order
+from repro.tensornet.planner import ORDER_METHODS, _make_step, _plan_inputs
 
 SEARCH = sorted(SEARCHERS)
 
@@ -58,28 +56,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=">= 0 or None"):
             search_plan(network(), "anneal", trials=trials)
 
-    def test_register_searcher_requires_a_name(self):
-        class Nameless(PlanSearcher):
-            def trial(self, rng, best_cost):
-                return None
-
-        with pytest.raises(ValueError, match="non-empty name"):
-            register_searcher(Nameless)
-
-    def test_register_searcher_requires_a_known_planner_name(self):
-        class Rogue(PlanSearcher):
-            name = "rogue"
-
-            def trial(self, rng, best_cost):
-                return None
-
-        with pytest.raises(ValueError) as err:
-            register_searcher(Rogue)
-        for name in SEARCH_PLANNERS:
-            assert name in str(err.value)
-
-    def test_every_search_planner_has_a_registered_searcher(self):
-        assert set(SEARCHERS) == set(SEARCH_PLANNERS)
+    def test_searchers_cover_exactly_the_search_order_methods(self):
+        assert list(SEARCHERS) == ["anneal", "hyper"]
+        assert set(ORDER_METHODS) == (
+            set(ORDER_HEURISTICS) | {"greedy"} | set(SEARCHERS)
+        )
 
 
 class TestAnytimeSemantics:

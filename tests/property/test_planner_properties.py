@@ -120,7 +120,7 @@ class TestPlanInvariants:
         """The backends' own plan_for path (no explicit plan) agrees too."""
         reference = network.contract_scalar()
         for backend in (
-            DenseBackend(planner="greedy", max_intermediate_size=8),
+            DenseBackend(order_method="greedy", max_intermediate_size=8),
             NumpyEinsumBackend(order_method="min_fill"),
         ):
             value = backend.contract_scalar(network)

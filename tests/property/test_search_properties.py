@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from test_planner_properties import all_pairwise_labels, closed_networks
 
 from repro.backends import get_backend
-from repro.planning import search_plan
+from repro.planning import SEARCHERS, search_plan
 from repro.tensornet import greedy_plan, plan_from_order
-from repro.tensornet.planner import SEARCH_PLANNERS
 
 TRIALS = 4  # exact deterministic trial count (clock never consulted)
 
@@ -26,7 +25,7 @@ class TestSearchedPlanInvariants:
     @settings(max_examples=20, deadline=None)
     @given(closed_networks(), st.integers(min_value=0, max_value=5))
     def test_each_index_eliminated_exactly_once(self, network, seed):
-        for planner in SEARCH_PLANNERS:
+        for planner in SEARCHERS:
             plan = search_plan(network, planner, trials=TRIALS, seed=seed)
             plan.validate()
             eliminated = [
@@ -43,7 +42,7 @@ class TestSearchedPlanInvariants:
             greedy_plan(network).total_cost(),
             plan_from_order(network, method="min_fill").total_cost(),
         )
-        for planner in SEARCH_PLANNERS:
+        for planner in SEARCHERS:
             plan = search_plan(network, planner, trials=TRIALS)
             assert plan.total_cost() <= floor
 
@@ -58,7 +57,7 @@ class TestSearchedPlanInvariants:
         ):
             backends.append("tdd")  # TDDs only take dimension-2 indices
         reference = network.contract_scalar()
-        for planner in SEARCH_PLANNERS:
+        for planner in SEARCHERS:
             plan = search_plan(network, planner, trials=TRIALS, seed=1)
             for backend in backends:
                 value = get_backend(backend).contract_scalar(
@@ -69,7 +68,7 @@ class TestSearchedPlanInvariants:
     @settings(max_examples=15, deadline=None)
     @given(closed_networks(), st.integers(min_value=0, max_value=3))
     def test_identical_inputs_yield_identical_digests(self, network, seed):
-        for planner in SEARCH_PLANNERS:
+        for planner in SEARCHERS:
             first = search_plan(network, planner, trials=TRIALS, seed=seed)
             second = search_plan(network, planner, trials=TRIALS, seed=seed)
             assert first.digest() == second.digest()
@@ -79,7 +78,7 @@ class TestSearchedPlanInvariants:
     @settings(max_examples=15, deadline=None)
     @given(closed_networks(), st.sampled_from([1, 4, 16]))
     def test_sliced_searched_plans_respect_the_bound(self, network, bound):
-        for planner in SEARCH_PLANNERS:
+        for planner in SEARCHERS:
             plan = search_plan(
                 network, planner, trials=TRIALS,
                 max_intermediate_size=bound,

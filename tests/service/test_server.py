@@ -299,16 +299,16 @@ class TestTracing:
 
     def test_phase_seconds_histogram_is_exported(self, server):
         # a sliced einsum check exercises every phase incl. execute
-        call(
+        status, _, _ = call(
             server, "POST", "/v1/check",
             body=check_body(epsilon=0.047, config={
                 "backend": "einsum",
-                "planner": "order",
                 "max_intermediate_size": 64,
                 "slice_batch": 4,
             }),
             headers={"X-Repro-Trace": "1"},
         )
+        assert status == 200
         _, _, body = call(server, "GET", "/metrics")
         text = body.decode()
         assert "# TYPE repro_phase_seconds histogram" in text

@@ -43,6 +43,7 @@ class TestPlanConstruction:
         order = sorted(net.all_indices())
         plan = plan_from_order(net, order=order)
         assert list(plan.order) == order
+        assert plan.planner == "explicit"
 
     def test_greedy_plan_valid_and_distinct(self):
         net = qft_network()
@@ -57,9 +58,9 @@ class TestPlanConstruction:
         with pytest.raises(ValueError, match="open"):
             plan_from_order(net)
 
-    def test_unknown_planner_rejected(self):
-        with pytest.raises(ValueError, match="planner"):
-            build_plan(qft_network(), planner="magic")
+    def test_unknown_order_method_rejected(self):
+        with pytest.raises(ValueError, match="order_method"):
+            build_plan(qft_network(), order_method="magic")
 
     def test_report_and_dict(self):
         plan = build_plan(qft_network(), max_intermediate_size=8)
@@ -147,16 +148,16 @@ class TestPlanExecution:
             assert np.isclose(value, reference, atol=1e-9), name
 
     def test_tdd_ablation_mode_uses_each_plans_own_order(self):
-        """share_intermediates=False must give every contraction a cold
+        """share_computed_table=False must give every contraction a cold
         manager ordered by its *own* plan, not the first network's."""
-        backend = get_backend("tdd", share_intermediates=False)
+        backend = get_backend("tdd", share_computed_table=False)
         warmup = qft_network(2)
         backend.contract_scalar(warmup)  # seeds the shared-order manager
         net = qft_network(3)
         cold_stats = ContractionStats()
         value = backend.contract_scalar(net, stats=cold_stats)
         fresh_stats = ContractionStats()
-        get_backend("tdd", share_intermediates=False).contract_scalar(
+        get_backend("tdd", share_computed_table=False).contract_scalar(
             net, stats=fresh_stats
         )
         # Same network, same plan -> identical peak node count whether or
@@ -183,13 +184,13 @@ class TestPlanExecution:
         assert stats.predicted_cost > 0
 
     @pytest.mark.parametrize("name", sorted(["tdd", "dense", "einsum"]))
-    def test_every_registered_backend_accepts_planner_knobs(self, name):
+    def test_every_registered_backend_accepts_plan_knobs(self, name):
         assert name in available_backends()
         backend = get_backend(
-            name, planner="greedy", max_intermediate_size=64
+            name, order_method="greedy", max_intermediate_size=64
         )
         description = backend.describe()
-        assert description["planner"] == "greedy"
+        assert description["order_method"] == "greedy"
         assert description["max_intermediate_size"] == 64
 
 

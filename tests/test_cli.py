@@ -225,7 +225,7 @@ class TestPlanCommand:
     def test_plan_json_fields(self, qasm_file, capsys):
         code = main([
             "plan", qasm_file, "--noises", "1", "--algorithm", "alg1",
-            "--planner", "greedy", "--json",
+            "--order-method", "greedy", "--json",
         ])
         record = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -252,10 +252,16 @@ class TestPlanCommand:
         out = capsys.readouterr().out
         assert "more steps" in out
 
-    def test_check_accepts_planner_flags(self, qasm_file, capsys):
+    def test_removed_planner_flag_is_rejected(self, qasm_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plan", qasm_file, "--planner", "greedy"])
+        assert exit_info.value.code == 2
+        assert "--planner" in capsys.readouterr().err
+
+    def test_check_accepts_plan_flags(self, qasm_file, capsys):
         code = main([
             "check", qasm_file, "--noises", "2", "--epsilon", "0.05",
-            "--planner", "greedy", "--max-intermediate", "64",
+            "--order-method", "greedy", "--max-intermediate", "64",
             "--backend", "dense", "--json",
         ])
         record = json.loads(capsys.readouterr().out)
@@ -268,7 +274,8 @@ class TestPlanSearchFlags:
     def test_plan_search_json_carries_the_report(self, qasm_file, capsys):
         code = main([
             "plan", qasm_file, "--noises", "1", "--json",
-            "--planner", "anneal", "--plan-budget", "0", "--plan-seed", "9",
+            "--order-method", "anneal", "--plan-budget", "0",
+            "--plan-seed", "9",
         ])
         record = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -281,7 +288,7 @@ class TestPlanSearchFlags:
                                                        capsys):
         code = main([
             "plan", qasm_file, "--noises", "1",
-            "--planner", "hyper", "--plan-budget", "0",
+            "--order-method", "hyper", "--plan-budget", "0",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -291,16 +298,17 @@ class TestPlanSearchFlags:
     def test_check_accepts_search_flags(self, qasm_file, capsys):
         code = main([
             "check", qasm_file, "--noises", "2", "--epsilon", "0.05",
-            "--planner", "anneal", "--plan-budget", "0", "--plan-seed", "2",
+            "--order-method", "anneal", "--plan-budget", "0",
+            "--plan-seed", "2",
             "--backend", "dense", "--json",
         ])
         record = json.loads(capsys.readouterr().out)
         assert code == 0
         assert record["stats"]["plan_trials"] == 0
 
-    def test_compare_json_races_every_registered_planner(self, qasm_file,
-                                                         capsys):
-        from repro.tensornet.planner import PLANNERS
+    def test_compare_json_races_every_order_method(self, qasm_file,
+                                                   capsys):
+        from repro.tensornet.planner import ORDER_METHODS
 
         code = main([
             "plan", qasm_file, "--noises", "1", "--json",
@@ -308,19 +316,20 @@ class TestPlanSearchFlags:
         ])
         record = json.loads(capsys.readouterr().out)
         assert code == 0
-        rows = record["planners"]
-        assert [row["planner"] for row in rows] == list(PLANNERS)
+        rows = record["plans"]
+        assert [row["order_method"] for row in rows] == list(ORDER_METHODS)
         best = min(row["total_cost"] for row in rows)
         for row in rows:
             assert row["best"] == (row["total_cost"] == best)
             assert row["plan_seconds"] >= 0
-            if row["planner"] in ("anneal", "hyper"):
+            if row["order_method"] in ("anneal", "hyper"):
                 assert row["trials"] >= 1
             else:
                 assert row["trials"] is None
 
-    def test_compare_table_lists_every_planner(self, qasm_file, capsys):
-        from repro.tensornet.planner import PLANNERS
+    def test_compare_table_lists_every_order_method(self, qasm_file,
+                                                    capsys):
+        from repro.tensornet.planner import ORDER_METHODS
 
         code = main([
             "plan", qasm_file, "--noises", "1",
@@ -328,8 +337,8 @@ class TestPlanSearchFlags:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        for planner in PLANNERS:
-            assert planner in out
+        for method in ORDER_METHODS:
+            assert method in out
         assert "cost" in out and "trials" in out
         assert "*" in out  # the cheapest plan is starred
 
@@ -337,7 +346,7 @@ class TestPlanSearchFlags:
                                                   capsys):
         argv = [
             "plan", qasm_file, "--noises", "1", "--json",
-            "--planner", "anneal", "--plan-budget", "0.05",
+            "--order-method", "anneal", "--plan-budget", "0.05",
             "--cache", "--cache-dir", str(tmp_path),
         ]
         main(argv)
@@ -790,15 +799,15 @@ class TestTraceFlag:
         ])
         assert "trace" not in json.loads(capsys.readouterr().out)
 
-    def test_plan_compare_reports_per_planner_traces(self, qasm_file,
-                                                     capsys):
+    def test_plan_compare_reports_per_method_traces(self, qasm_file,
+                                                    capsys):
         code = main([
             "plan", qasm_file, "--noises", "1", "--json",
             "--compare", "--plan-budget", "0",
         ])
         record = json.loads(capsys.readouterr().out)
         assert code == 0
-        for row in record["planners"]:
+        for row in record["plans"]:
             tree = row["trace"]
             names = {tree["name"]} | {
                 child["name"] for child in tree.get("children", ())

@@ -144,7 +144,7 @@ class TestEngineTrace:
         b = CheckRequest.from_json(a.to_json())
         assert a.trace_id() == b.trace_id()
         assert len(a.trace_id()) == 16
-        assert a.trace_id() != request(planner="greedy").trace_id()
+        assert a.trace_id() != request(order_method="greedy").trace_id()
 
 
 class TestWorkerSpanPropagation:

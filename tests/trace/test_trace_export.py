@@ -1,9 +1,9 @@
 """Exporter tests: Chrome trace JSON, span trees, phase attribution.
 
 The golden-fixture test pins the Chrome trace of a fully deterministic
-traced check (sliced qft-4, einsum backend, order planner) byte-for-byte
-modulo timestamps.  Regenerate after an intentional span-vocabulary
-change with::
+traced check (sliced qft-4, einsum backend, default order method)
+byte-for-byte modulo timestamps.  Regenerate after an intentional
+span-vocabulary change with::
 
     REPRO_REGEN_FIXTURES=1 PYTHONPATH=src python -m pytest \
         tests/trace/test_trace_export.py -k golden
@@ -39,7 +39,9 @@ def sample_recorder():
                 with trace.span("circuit.load", source="library"):
                     pass
             with trace.span("session.check", algorithm="alg2"):
-                with trace.span("plan.build", planner="order"):
+                with trace.span(
+                    "plan.build", order_method="tree_decomposition"
+                ):
                     pass
                 with trace.span("slices.dispatch") as dispatch:
                     worker = TraceRecorder()
@@ -147,7 +149,6 @@ def traced_check_tree():
         epsilon=0.05,
         config={
             "backend": "einsum",
-            "planner": "order",
             "max_intermediate_size": 64,
             "slice_batch": 4,
             "trace": True,
