@@ -17,23 +17,34 @@ built in and pre-registered:
   an import-time failure.
 
 All engines execute the same
-:class:`~repro.tensornet.planner.ContractionPlan`.  Register your own
-with::
+:class:`~repro.tensornet.planner.ContractionPlan` through one driver,
+:meth:`ContractionBackend.contract_scalar`; an engine supplies only a
+:class:`ContractionKernel`.  Register your own with::
 
-    from repro.backends import ContractionBackend, register_backend
+    from repro.backends import (
+        ContractionBackend, ContractionKernel, register_backend,
+    )
+
+    class MyKernel(ContractionKernel):
+        def load(self, applier, chunk):
+            return applier.gather(chunk)
+        def merge(self, a, b, step):
+            ...
+        def scalar(self, operand):
+            ...
 
     class MyBackend(ContractionBackend):
         name = "mine"
-        def contract_scalar(self, network, stats=None,
-                            cacheable_tensor_ids=None, plan=None):
-            plan = plan or self.plan_for(network)
-            ...
+        def kernel(self, network, plan, compiled, stats,
+                   cacheable_tensor_ids):
+            return MyKernel()
 
     register_backend("mine", MyBackend)
 """
 
 from .base import (
     ContractionBackend,
+    ContractionKernel,
     available_backends,
     backend_availability,
     get_backend,
@@ -70,6 +81,7 @@ __all__ = [
     "AUTO_SLICE_BATCH_BUDGET",
     "ArrayNamespace",
     "ContractionBackend",
+    "ContractionKernel",
     "CupyEinsumBackend",
     "DenseBackend",
     "MissingDependencyError",

@@ -11,7 +11,10 @@ Planning and execution are separate layers: every backend *executes* a
 shared :class:`~repro.tensornet.planner.ContractionPlan` (built once per
 network structure by :meth:`ContractionBackend.plan_for` and memoised),
 so the same plan object — same pairwise steps, same predicted cost,
-same slicing — drives the TDD, dense and einsum engines alike.
+same slicing — drives the TDD, dense and einsum engines alike.  One
+driver, :meth:`ContractionBackend.contract_scalar`, executes it for
+every engine; a backend only supplies a :class:`ContractionKernel` (how
+to load a chunk of slices, merge two operands, read a scalar).
 
 Backends are *stateful*: an instance may keep contraction plans,
 decision-diagram managers or conversion caches warm across calls.  That is
@@ -42,8 +45,22 @@ from typing import (
 from .. import trace as _trace
 from ..cache import PlanCache, open_cache, plan_key, structure_fingerprint
 from ..tensornet import ContractionStats, TensorNetwork
-from ..tensornet.planner import ORDER_METHODS, ContractionPlan, build_plan
-from .xp import AUTO_SLICE_BATCH_BUDGET, namespace_available
+from ..tensornet.planner import (
+    DEFAULT_ORDER_METHOD,
+    ORDER_METHODS,
+    ContractionPlan,
+    SliceApplier,
+    apply_steps,
+    build_plan,
+    iter_slice_assignments,
+)
+from .xp import (
+    AUTO_SLICE_BATCH_BUDGET,
+    CompiledPlan,
+    CompiledStep,
+    compiled_for,
+    namespace_available,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..parallel.executors import SliceExecutor
@@ -135,6 +152,34 @@ def validate_plan_knobs(
     validate_plan_seed(plan_seed)
 
 
+class ContractionKernel(abc.ABC):
+    """The numerics one engine plugs into the shared plan driver.
+
+    A kernel lives for one :meth:`ContractionBackend.contract_scalar`
+    call.  The driver owns plan resolution, slice chunking, the step
+    loop and the sum over chunks; the kernel turns a chunk of slice
+    assignments into operands, merges two operands for one step, and
+    reads the chunk's scalar.  A chunk of one slice has no batch axis;
+    longer chunks (only for backends with
+    :attr:`ContractionBackend.supports_batched_slices`) carry a leading
+    batch axis wherever an operand varies across slices.
+    """
+
+    @abc.abstractmethod
+    def load(
+        self, applier: SliceApplier, chunk: Sequence[Dict[str, int]]
+    ) -> list:
+        """The chunk's operands, ordered like the network's tensors."""
+
+    @abc.abstractmethod
+    def merge(self, a, b, step: CompiledStep):
+        """Contract two operands of the loaded chunk for ``step``."""
+
+    @abc.abstractmethod
+    def scalar(self, operand) -> complex:
+        """The summed value of the chunk's final operand."""
+
+
 class ContractionBackend(abc.ABC):
     """Contracts closed tensor networks to scalars.
 
@@ -209,7 +254,7 @@ class ContractionBackend(abc.ABC):
 
     def __init__(
         self,
-        order_method: str = "tree_decomposition",
+        order_method: str = DEFAULT_ORDER_METHOD,
         share_computed_table: bool = True,
         max_intermediate_size: Optional[int] = None,
         executor: Optional["SliceExecutor"] = None,
@@ -252,7 +297,6 @@ class ContractionBackend(abc.ABC):
             OrderedDict()
         )
 
-    @abc.abstractmethod
     def contract_scalar(
         self,
         network: TensorNetwork,
@@ -263,22 +307,29 @@ class ContractionBackend(abc.ABC):
     ) -> complex:
         """Contract a closed ``network`` to its scalar value.
 
+        The one execution driver of every engine: it resolves the plan,
+        hands sliced plans to the :attr:`executor`, chunks the slice
+        assignments by :meth:`effective_slice_batch`, runs each chunk's
+        steps through :func:`~repro.tensornet.planner.apply_steps` with
+        the backend's :meth:`kernel`, and sums the chunk scalars inside
+        one ``plan.execute`` span.
+
         Parameters
         ----------
         network:
             A closed tensor network (no open indices).
         stats:
-            Optional collector; backends fill the fields they can
+            Optional collector; kernels fill the fields they can
             (``max_nodes`` for decision diagrams,
-            ``max_intermediate_size`` for dense engines, plus the
-            plan-derived ``predicted_cost``/``predicted_peak_size``/
-            ``slice_count`` predictions).
+            ``max_intermediate_size`` for dense engines), and the driver
+            adds the plan-derived ``predicted_cost``/
+            ``predicted_peak_size``/``slice_count`` predictions.
         cacheable_tensor_ids:
             ``id()``\\ s of tensors that are shared *by object identity*
-            with future calls (Algorithm I's template tensors).  Backends
+            with future calls (Algorithm I's template tensors).  Kernels
             may cache per-tensor conversions for exactly these ids and
-            must drop cached conversions of any other tensor after the
-            call.  ``None`` means no cross-call tensor sharing.
+            must drop cached conversions of any other tensor.  ``None``
+            means no cross-call tensor sharing.
         plan:
             Execute this :class:`ContractionPlan` instead of planning —
             the "plan once, execute anywhere" entry point.  Must have
@@ -290,8 +341,66 @@ class ContractionBackend(abc.ABC):
             :mod:`repro.parallel`).  ``None`` executes every slice.  A
             call carrying explicit assignments never re-dispatches to
             the backend's executor, and does not re-record the plan's
-            predictions into ``stats``.
+            predictions into ``stats`` — the dispatching call recorded
+            the full plan already.
         """
+        if plan is None:
+            plan = self.plan_for(network)
+        if assignments is None:
+            if stats is not None:
+                stats.predicted_cost += plan.total_cost()
+                stats.predicted_peak_size = max(
+                    stats.predicted_peak_size, plan.peak_size()
+                )
+                stats.slice_count = max(
+                    stats.slice_count, plan.num_slices()
+                )
+            if self.executor is not None and plan.num_slices() > 1:
+                return self.executor.contract(self, network, plan, stats)
+            assignments = list(iter_slice_assignments(plan))
+        else:
+            assignments = list(assignments)
+        compiled = compiled_for(plan)
+        batch = max(
+            1, min(self.effective_slice_batch(plan), len(assignments))
+        )
+        # One span per call, not per chunk or step: Algorithm I calls
+        # this once per trace term, thousands of times per check.
+        with _trace.span("plan.execute") as execute_span:
+            execute_span.set(
+                slices=len(assignments), device=self.resolved_device
+            )
+            applier = SliceApplier(network.tensors, plan.slices)
+            kernel = self.kernel(
+                network, plan, compiled, stats, cacheable_tensor_ids
+            )
+            total = 0j
+            for start in range(0, len(assignments), batch):
+                chunk = assignments[start:start + batch]
+                operands = kernel.load(applier, chunk)
+                apply_steps(compiled.steps, operands, kernel.merge)
+                total += kernel.scalar(operands[0])
+                if batch > 1 and stats is not None:
+                    stats.batched_slice_calls += 1
+        return total
+
+    def kernel(
+        self,
+        network: TensorNetwork,
+        plan: ContractionPlan,
+        compiled: CompiledPlan,
+        stats: Optional[ContractionStats],
+        cacheable_tensor_ids: Optional[Set[int]],
+    ) -> "ContractionKernel":
+        """The numerics of one :meth:`contract_scalar` call.
+
+        Engines override this (arguments as for :meth:`contract_scalar`,
+        plus the plan's lowered form); a backend that overrides
+        :meth:`contract_scalar` wholesale need not.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} supplies no contraction kernel"
+        )
 
     def plan_for(self, network: TensorNetwork) -> ContractionPlan:
         """The contraction plan for ``network``, memoised per structure.
@@ -366,60 +475,6 @@ class ContractionBackend(abc.ABC):
         if len(self._plan_cache) > DEFAULT_PLAN_MEMO:
             self._plan_cache.popitem(last=False)
 
-    def _record_plan(
-        self, stats: Optional[ContractionStats], plan: ContractionPlan
-    ) -> None:
-        """Fold the plan's predictions into a stats collector."""
-        if stats is None:
-            return
-        stats.predicted_cost += plan.total_cost()
-        stats.predicted_peak_size = max(
-            stats.predicted_peak_size, plan.peak_size()
-        )
-        stats.slice_count = max(stats.slice_count, plan.num_slices())
-
-    def _resolve_plan(
-        self,
-        network: TensorNetwork,
-        stats: Optional[ContractionStats],
-        plan: Optional[ContractionPlan],
-        assignments: Optional[Sequence[Dict[str, int]]],
-    ) -> ContractionPlan:
-        """Shared ``contract_scalar`` preamble: plan lookup + recording.
-
-        Partial executions (explicit ``assignments``) skip the prediction
-        recording — the dispatching call recorded the full plan already,
-        and a chunk must not double-count it.
-        """
-        if plan is None:
-            plan = self.plan_for(network)
-        if assignments is None:
-            self._record_plan(stats, plan)
-        return plan
-
-    def _dispatch_slices(
-        self,
-        network: TensorNetwork,
-        plan: ContractionPlan,
-        stats: Optional[ContractionStats],
-        assignments: Optional[Sequence[Dict[str, int]]],
-    ) -> Optional[complex]:
-        """Hand a sliced plan to the backend's executor, if any.
-
-        Returns the contracted scalar, or ``None`` when the call should
-        run inline: no executor configured, nothing sliced, or the call
-        *is* an executor-issued partial (explicit ``assignments``) —
-        the guard that makes dispatch non-recursive.
-        """
-        if (
-            assignments is not None
-            or self.executor is None
-            or not plan.slices
-            or plan.num_slices() < 2
-        ):
-            return None
-        return self.executor.contract(self, network, plan, stats)
-
     @property
     def resolved_device(self) -> str:
         """Device the backend actually runs on (host CPU by default).
@@ -432,7 +487,7 @@ class ContractionBackend(abc.ABC):
     def effective_slice_batch(self, plan: ContractionPlan) -> int:
         """How many slices of ``plan`` to contract per batched sweep.
 
-        ``1`` means the per-slice reference loop: unsliced plans,
+        ``1`` means one slice per sweep: unsliced plans,
         backends without batched kernels, and an explicit
         ``slice_batch=1`` all land there.  With ``slice_batch=None``
         the batch auto-sizes so ``batch × peak intermediate`` stays

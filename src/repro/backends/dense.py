@@ -7,25 +7,48 @@ with the largest intermediate tensor — bounded via the backend's
 reference implementation for cross-backend tests.
 
 Sliced plans batch by default: slice assignments are chunked and each
-chunk contracts through the shared batched einsum kernels of
-:mod:`repro.backends.xp` (identical numerics, a leading batch axis).
-``slice_batch=1`` restores the per-slice tensordot loop — the reference
-the property tests pin the batched path against.
+multi-slice chunk contracts through the einsum backend's batched kernel
+(identical numerics, a leading batch axis).  One-slice chunks —
+unsliced plans, and every chunk under ``slice_batch=1`` — use tensordot,
+the reference the property tests pin the batched path against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
-
-from ..tensornet import ContractionStats, Tensor, TensorNetwork
-from ..tensornet.planner import (
-    BatchedSliceApplier,
-    ContractionPlan,
-    execute_plan,
-    iter_slice_assignments,
-)
+from ..tensornet import Tensor
 from .base import ContractionBackend
-from .xp import compiled_for, contract_slices_batched, resolve_namespace
+from .einsum import EinsumKernel
+from .xp import CompiledStep, resolve_namespace
+
+
+class DenseKernel(EinsumKernel):
+    """Tensordot for one-slice chunks, batched einsum for longer ones."""
+
+    def load(self, applier, chunk):
+        operands = super().load(applier, chunk)
+        if self.batch > 1:
+            return operands
+        # Operands without sliced axes are their self-traced tensor's
+        # data: reuse that tensor instead of wrapping it again.
+        return [
+            tensor if data is tensor.data else Tensor(data, labels)
+            for tensor, data, labels in zip(
+                applier.flat, operands, applier.labels
+            )
+        ]
+
+    def merge(self, a, b, step: CompiledStep):
+        if self.batch > 1:
+            return super().merge(a, b, step)
+        merged = a.contract(b)
+        if self.stats is not None:
+            self.stats.observe(merged)
+        return merged
+
+    def scalar(self, operand) -> complex:
+        if self.batch > 1:
+            return super().scalar(operand)
+        return operand.scalar()
 
 
 class DenseBackend(ContractionBackend):
@@ -45,41 +68,5 @@ class DenseBackend(ContractionBackend):
     def resolved_device(self) -> str:
         return self.xp.device
 
-    def contract_scalar(
-        self,
-        network: TensorNetwork,
-        stats: Optional[ContractionStats] = None,
-        cacheable_tensor_ids: Optional[Set[int]] = None,
-        plan: Optional[ContractionPlan] = None,
-        assignments: Optional[Sequence[Dict[str, int]]] = None,
-    ) -> complex:
-        plan = self._resolve_plan(network, stats, plan, assignments)
-        dispatched = self._dispatch_slices(network, plan, stats, assignments)
-        if dispatched is not None:
-            return dispatched
-        batch = self.effective_slice_batch(plan)
-        if batch > 1:
-            if assignments is None:
-                assignments = list(iter_slice_assignments(plan))
-            else:
-                assignments = list(assignments)
-            if len(assignments) > 1:
-                applier = BatchedSliceApplier(network.tensors, plan.slices)
-                return contract_slices_batched(
-                    self.xp, plan, compiled_for(plan), applier,
-                    assignments, batch, stats,
-                )
-
-        def merge(a: Tensor, b: Tensor, step) -> Tensor:
-            merged = a.contract(b)
-            if stats is not None:
-                stats.observe(merged)
-            return merged
-
-        return execute_plan(
-            plan, network,
-            load=list,
-            merge=merge,
-            scalar=Tensor.scalar,
-            assignments=assignments,
-        )
+    def kernel(self, network, plan, compiled, stats, cacheable_tensor_ids):
+        return DenseKernel(self.xp, compiled, stats)

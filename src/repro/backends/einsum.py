@@ -9,15 +9,13 @@ compiled once per plan (:func:`repro.backends.xp.compile_plan`, memoised
 by plan digest), so neither the 52-symbol subscript alphabet nor
 per-call label remapping costs apply.
 
-Sliced plans run in one of two modes:
-
-* **looped** (``slice_batch=1``): the reference loop, one subplan per
-  slice assignment;
-* **batched** (the default for sliced plans): assignments are chunked,
-  slice-varying tensors gain a leading batch axis, and each plan step
-  becomes a single batched einsum over the whole chunk — thousands of
-  Python-level contractions collapse into a handful of kernels, with
-  ``slice_batch × peak intermediate`` bounding memory.
+Sliced plans run in chunks of ``slice_batch`` assignments: a chunk of
+one slice contracts with the unbatched subscripts, and a longer chunk
+gains a leading batch axis on every slice-varying tensor so each plan
+step becomes a single batched einsum over the whole chunk — thousands of
+Python-level contractions collapse into a handful of kernels, with
+``slice_batch × peak intermediate`` bounding memory.  :class:`EinsumKernel`
+is also the dense backend's batched kernel.
 
 The optional-dependency subclasses resolve their namespace at
 *construction*: ``get_backend("einsum-torch")`` without torch raises
@@ -27,22 +25,69 @@ hint, while the registry entry itself always imports and lists.
 
 from __future__ import annotations
 
-from typing import ClassVar, Dict, Optional, Sequence, Set
+from typing import ClassVar, Optional
 
-from ..tensornet import ContractionStats, TensorNetwork
-from ..tensornet.planner import (
-    BatchedSliceApplier,
-    ContractionPlan,
-    SliceApplier,
-    iter_slice_assignments,
-)
-from .base import ContractionBackend
-from .xp import (
-    compiled_for,
-    contract_slices_batched,
-    contract_slices_looped,
-    resolve_namespace,
-)
+from ..tensornet import ContractionStats
+from .base import ContractionBackend, ContractionKernel
+from .xp import ArrayNamespace, CompiledPlan, CompiledStep, resolve_namespace
+
+
+class EinsumKernel(ContractionKernel):
+    """Compiled-subscript einsum steps on one array namespace."""
+
+    def __init__(
+        self,
+        xp: ArrayNamespace,
+        compiled: CompiledPlan,
+        stats: Optional[ContractionStats],
+    ):
+        self.xp = xp
+        self.stats = stats
+        #: slices in the chunk being contracted
+        self.batch = 1
+        # Unreachable for circuit networks (a sliced label always
+        # reaches the final merge), kept for plan generality: an
+        # unbatched final operand contributes once per slice.
+        self._final_unbatched = bool(
+            compiled.steps and not compiled.steps[-1].out_batched
+        )
+
+    def load(self, applier, chunk):
+        self.batch = len(chunk)
+        return applier.gather(chunk, self.xp)
+
+    def merge(self, a, b, step: CompiledStep):
+        if self.batch == 1:
+            lhs_subs, rhs_subs, out_subs = step.subscripts
+        else:
+            lhs_subs, rhs_subs, out_subs = step.batched_subscripts
+        merged = self.xp.einsum(
+            a, list(lhs_subs), b, list(rhs_subs), list(out_subs)
+        )
+        stats = self.stats
+        if stats is not None:
+            # Stats keep their established *per-slice* semantics (the
+            # slicing bound and plan.peak_size() are per-slice figures):
+            # divide the batch axis back out and drop its rank.  The
+            # batch memory multiplier is visible via slice_batch and
+            # batched_slice_calls.
+            size = self.xp.size_of(merged)
+            if self.batch > 1 and step.out_batched:
+                size //= self.batch
+            stats.num_pairwise_contractions += 1
+            stats.max_intermediate_rank = max(
+                stats.max_intermediate_rank, len(step.subscripts[2])
+            )
+            stats.max_intermediate_size = max(
+                stats.max_intermediate_size, size
+            )
+        return merged
+
+    def scalar(self, operand) -> complex:
+        value = self.xp.sum_scalar(operand)
+        if self.batch > 1 and self._final_unbatched:
+            value *= self.batch
+        return value
 
 
 class NumpyEinsumBackend(ContractionBackend):
@@ -64,35 +109,8 @@ class NumpyEinsumBackend(ContractionBackend):
         """The device the namespace actually placed the backend on."""
         return self.xp.device
 
-    def contract_scalar(
-        self,
-        network: TensorNetwork,
-        stats: Optional[ContractionStats] = None,
-        cacheable_tensor_ids: Optional[Set[int]] = None,
-        plan: Optional[ContractionPlan] = None,
-        assignments: Optional[Sequence[Dict[str, int]]] = None,
-    ) -> complex:
-        plan = self._resolve_plan(network, stats, plan, assignments)
-        if stats is not None:
-            stats.extra.setdefault("einsum_path_steps", len(plan.steps))
-        dispatched = self._dispatch_slices(network, plan, stats, assignments)
-        if dispatched is not None:
-            return dispatched
-        compiled = compiled_for(plan)
-        if assignments is None:
-            assignments = list(iter_slice_assignments(plan))
-        else:
-            assignments = list(assignments)
-        batch = self.effective_slice_batch(plan)
-        if batch > 1 and len(assignments) > 1:
-            applier = BatchedSliceApplier(network.tensors, plan.slices)
-            return contract_slices_batched(
-                self.xp, plan, compiled, applier, assignments, batch, stats
-            )
-        looped_applier = SliceApplier(network.tensors, plan.slices)
-        return contract_slices_looped(
-            self.xp, plan, compiled, looped_applier, assignments, stats
-        )
+    def kernel(self, network, plan, compiled, stats, cacheable_tensor_ids):
+        return EinsumKernel(self.xp, compiled, stats)
 
 
 class TorchEinsumBackend(NumpyEinsumBackend):

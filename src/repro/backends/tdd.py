@@ -15,12 +15,62 @@ generalised from one run to one session.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from ..tdd import Tdd, TddManager, ensure_recursion_limit
-from ..tensornet import ContractionStats, TensorNetwork
-from ..tensornet.planner import ContractionPlan, execute_plan
-from .base import ContractionBackend
+from ..tensornet import ContractionStats, Tensor
+from .base import ContractionBackend, ContractionKernel
+from .xp import CompiledStep
+
+
+class TddKernel(ContractionKernel):
+    """Decision-diagram conversion and contraction, one slice at a time.
+
+    ``sources`` are the network's tensors (the identity keys of the
+    conversion ``cache``); ``cacheable`` are the ids the caller shares
+    with future calls — the only ones the cache may keep.
+    """
+
+    def __init__(
+        self,
+        manager: TddManager,
+        sources: List[Tensor],
+        stats: Optional[ContractionStats],
+        cache: Optional[Dict[int, tuple]],
+        cacheable: Optional[Set[int]],
+    ):
+        self.manager = manager
+        self.sources = sources
+        self.stats = stats
+        self.cache = cache
+        self.cacheable = cacheable
+
+    def load(self, applier, chunk) -> List[Tdd]:
+        cache = self.cache
+        ops: List[Tdd] = []
+        for source, data, labels in zip(
+            self.sources, applier.gather(chunk), applier.labels
+        ):
+            converted = None
+            if cache is not None:
+                entry = cache.get(id(source))
+                if entry is not None and entry[0] is source:
+                    converted = entry[1]
+            if converted is None:
+                converted = self.manager.from_array(data, labels)
+                if cache is not None and id(source) in self.cacheable:
+                    cache[id(source)] = (source, converted)
+            _observe(self.stats, converted)
+            ops.append(converted)
+        return ops
+
+    def merge(self, a: Tdd, b: Tdd, step: CompiledStep) -> Tdd:
+        merged = a.contract(b, step.eliminated)
+        _observe(self.stats, merged)
+        return merged
+
+    def scalar(self, operand: Tdd) -> complex:
+        return operand.scalar()
 
 
 class TddBackend(ContractionBackend):
@@ -56,19 +106,8 @@ class TddBackend(ContractionBackend):
         """The shared manager (None until the first contraction)."""
         return self._manager
 
-    def contract_scalar(
-        self,
-        network: TensorNetwork,
-        stats: Optional[ContractionStats] = None,
-        cacheable_tensor_ids: Optional[Set[int]] = None,
-        plan: Optional[ContractionPlan] = None,
-        assignments: Optional[Sequence[Dict[str, int]]] = None,
-    ) -> complex:
+    def kernel(self, network, plan, compiled, stats, cacheable_tensor_ids):
         ensure_recursion_limit()
-        plan = self._resolve_plan(network, stats, plan, assignments)
-        dispatched = self._dispatch_slices(network, plan, stats, assignments)
-        if dispatched is not None:
-            return dispatched
         if self.share_computed_table:
             if self._manager is None:
                 self._manager = TddManager(list(plan.order))
@@ -89,47 +128,18 @@ class TddBackend(ContractionBackend):
             and not plan.slices
         ):
             cache = self._conversion_cache
+            # Per-term tensors die with their term; only tensors shared
+            # by identity with this and future calls may pin memory.
+            for key in list(cache):
+                if key not in cacheable_tensor_ids:
+                    del cache[key]
         elif self._conversion_cache:
             # No tensor sharing this call: release the previous run's
             # template entries instead of pinning them for the session.
             self._conversion_cache.clear()
-        def load(operands) -> List[Tdd]:
-            ops: List[Tdd] = []
-            # execute_plan loads operands in network.tensors order, so
-            # zip against the source tensors for identity-keyed
-            # conversion caching.
-            for source, operand in zip(network.tensors, operands):
-                converted = None
-                if cache is not None:
-                    entry = cache.get(id(source))
-                    if entry is not None and entry[0] is source:
-                        converted = entry[1]
-                if converted is None:
-                    converted = manager.from_array(
-                        operand.data, operand.indices
-                    )
-                    if cache is not None:
-                        cache[id(source)] = (source, converted)
-                _observe(stats, converted)
-                ops.append(converted)
-            return ops
-
-        def merge(a: Tdd, b: Tdd, step) -> Tdd:
-            merged = a.contract(b, step.eliminated)
-            _observe(stats, merged)
-            return merged
-
-        total = execute_plan(
-            plan, network, load=load, merge=merge, scalar=Tdd.scalar,
-            assignments=assignments,
+        return TddKernel(
+            manager, network.tensors, stats, cache, cacheable_tensor_ids
         )
-        if cache is not None:
-            # Per-term tensors die with the term; only tensors shared by
-            # identity with future calls may pin memory.
-            for key in list(cache):
-                if key not in cacheable_tensor_ids:
-                    del cache[key]
-        return total
 
     def reset(self) -> None:
         super().reset()

@@ -23,20 +23,14 @@ Design rules:
   via advanced indexing, so an 8192-slice contraction is still two
   transfers, not 8192.
 
-The module also owns the **compiled-plan + batched execution kernels**
-shared by the einsum and dense backends:
-
-* :func:`compile_plan` precomputes, once per plan, the dense integer
-  einsum subscripts of every step (the per-call label remap the old
-  einsum backend rebuilt for every step of every slice), in both an
-  unbatched and a batch-labelled variant;
-* :func:`contract_slices_looped` executes one slice at a time with the
-  compiled subscripts (the reference slice loop);
-* :func:`contract_slices_batched` stacks a *batch* of slice assignments
-  along a leading batch axis and contracts them with one einsum call per
-  plan step — replacing thousands of per-slice Python-loop contractions
-  with a handful of batched kernels, chunked so
-  ``slice_batch × max_intermediate_size`` still bounds peak memory.
+The module also owns plan lowering: :func:`compile_plan` precomputes,
+once per plan, the dense integer einsum subscripts of every step (the
+per-call label remap the old einsum backend rebuilt for every step of
+every slice), in both an unbatched and a batch-labelled variant.  The
+einsum kernel (:mod:`repro.backends.einsum`) contracts a chunk of one
+slice with the former and a longer chunk — stacked along a leading batch
+axis — with the latter, so thousands of per-slice Python-loop
+contractions collapse into a handful of batched kernels.
 """
 
 from __future__ import annotations
@@ -50,8 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import trace as _trace
-from ..tensornet import ContractionStats
-from ..tensornet.planner import BatchedSliceApplier, ContractionPlan
+from ..tensornet.planner import ContractionPlan, apply_steps
 
 #: Names :func:`resolve_namespace` understands, in documentation order.
 NAMESPACES = ("numpy", "torch", "cupy")
@@ -322,6 +315,8 @@ class CompiledStep:
     out_batched: bool
     #: per-slice element count of the merged operand (the plan estimate)
     output_size: int
+    #: labels summed over in this step (engines that contract by label)
+    eliminated: frozenset
 
 
 @dataclass(frozen=True)
@@ -338,25 +333,23 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
 
     Labels are remapped to a dense integer range *per step* (so the
     global index count never hits the 52-symbol einsum alphabet), with
-    ``0`` reserved for the batch axis of
-    :func:`contract_slices_batched`.  Backends memoise the result by
-    :meth:`ContractionPlan.digest`, so Algorithm I's thousands of
-    structurally identical contractions — and all 8192 slices of a
-    sliced plan — pay the lowering exactly once.
+    ``0`` reserved for the batch axis of batched slice chunks.  Backends
+    memoise the result by :meth:`ContractionPlan.digest`, so Algorithm
+    I's thousands of structurally identical contractions — and all 8192
+    slices of a sliced plan — pay the lowering exactly once.
     """
     sliced = set(plan.slices)
-    ops: List[Tuple[str, ...]] = [
-        tuple(lab for lab in labs if lab not in sliced)
+    inputs = [
+        (
+            tuple(lab for lab in labs if lab not in sliced),
+            any(lab in sliced for lab in labs),
+        )
         for labs in plan.inputs
     ]
-    batched: List[bool] = [
-        any(lab in sliced for lab in labs) for labs in plan.inputs
-    ]
-    input_batched = tuple(batched)
     steps: List[CompiledStep] = []
-    for step in plan.steps:
-        a, b = ops[step.lhs], ops[step.rhs]
-        a_batched, b_batched = batched[step.lhs], batched[step.rhs]
+
+    def lower(lhs, rhs, step):
+        (a, a_batched), (b, b_batched) = lhs, rhs
         mapping: Dict[str, int] = {}
         for label in a + b:
             mapping.setdefault(label, len(mapping) + 1)  # 0 = batch axis
@@ -375,13 +368,15 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
             ),
             out_batched=out_batched,
             output_size=step.output_size,
+            eliminated=step.eliminated,
         ))
-        for seq in (ops, batched):
-            del seq[step.rhs]
-            del seq[step.lhs]
-        ops.append(step.output)
-        batched.append(out_batched)
-    return CompiledPlan(steps=tuple(steps), input_batched=input_batched)
+        return step.output, out_batched
+
+    apply_steps(plan.steps, list(inputs), lower)
+    return CompiledPlan(
+        steps=tuple(steps),
+        input_batched=tuple(batched for _, batched in inputs),
+    )
 
 
 #: Process-wide compiled-plan memo, keyed by
@@ -404,113 +399,3 @@ def compiled_for(plan: ContractionPlan) -> CompiledPlan:
             compile_span.set(steps=len(compiled.steps))
         _COMPILED_MEMO[digest] = compiled
     return compiled
-
-
-# --- execution kernels ------------------------------------------------------
-
-
-def _observe(
-    stats: Optional[ContractionStats], rank: int, size: int
-) -> None:
-    if stats is None:
-        return
-    stats.num_pairwise_contractions += 1
-    stats.max_intermediate_rank = max(stats.max_intermediate_rank, rank)
-    stats.max_intermediate_size = max(stats.max_intermediate_size, size)
-
-
-def contract_slices_looped(
-    xp: ArrayNamespace,
-    plan: ContractionPlan,
-    compiled: CompiledPlan,
-    applier,
-    assignments,
-    stats: Optional[ContractionStats] = None,
-) -> complex:
-    """Reference slice loop over precompiled subscripts.
-
-    ``applier`` is a :class:`~repro.tensornet.planner.SliceApplier`; each
-    assignment fixes the sliced axes on the host, the operands move to
-    the device, and one einsum per step contracts them.
-    """
-    total = 0j
-    # One span for the whole loop, not one per assignment: Algorithm I
-    # calls this once per trace term, thousands of times per check.
-    with _trace.span("slices.loop") as loop_span:
-        loop_span.set(slices=len(assignments), device=str(xp.device))
-        for assignment in assignments:
-            ops = [xp.from_host(t.data) for t in applier(assignment)]
-            for cstep in compiled.steps:
-                a, b = ops[cstep.lhs], ops[cstep.rhs]
-                del ops[cstep.rhs]
-                del ops[cstep.lhs]
-                lhs_subs, rhs_subs, out_subs = cstep.subscripts
-                merged = xp.einsum(
-                    a, list(lhs_subs), b, list(rhs_subs), list(out_subs)
-                )
-                _observe(stats, len(out_subs), xp.size_of(merged))
-                ops.append(merged)
-            total += xp.sum_scalar(ops[0])
-    return total
-
-
-def contract_slices_batched(
-    xp: ArrayNamespace,
-    plan: ContractionPlan,
-    compiled: CompiledPlan,
-    applier: BatchedSliceApplier,
-    assignments: Sequence[Dict[str, int]],
-    slice_batch: int,
-    stats: Optional[ContractionStats] = None,
-) -> complex:
-    """Contract slice assignments in batches of ``slice_batch``.
-
-    Each batch gathers every slice-varying tensor along a leading batch
-    axis (one advanced-indexing gather per tensor, on-device) and runs
-    one einsum per plan step with the shared batch label — so a chunk of
-    B slices costs ``len(plan.steps)`` kernels instead of
-    ``B × len(plan.steps)`` Python-level contractions.  Partial sums
-    accumulate in assignment order (ragged final batches included), so
-    the result agrees with the looped reference to float association.
-
-    Peak memory is ``slice_batch × max`` per-slice intermediate — the
-    bound callers pick ``slice_batch`` against.
-    """
-    if slice_batch < 1:
-        raise ValueError("slice_batch must be at least 1")
-    total = 0j
-    n = len(assignments)
-    for start in range(0, n, slice_batch):
-        chunk = assignments[start:start + slice_batch]
-        with _trace.span("slices.chunk") as chunk_span:
-            chunk_span.set(slices=len(chunk), device=str(xp.device))
-            with _trace.span("slices.transfer"):
-                ops = applier.gather(xp, chunk)
-            for cstep in compiled.steps:
-                a, b = ops[cstep.lhs], ops[cstep.rhs]
-                del ops[cstep.rhs]
-                del ops[cstep.lhs]
-                lhs_subs, rhs_subs, out_subs = cstep.batched_subscripts
-                merged = xp.einsum(
-                    a, list(lhs_subs), b, list(rhs_subs), list(out_subs)
-                )
-                # Stats keep their established *per-slice* semantics (the
-                # slicing bound and plan.peak_size() are per-slice figures):
-                # divide the batch axis back out and drop its rank.  The
-                # batch memory multiplier is visible via slice_batch and
-                # batched_slice_calls.
-                size = xp.size_of(merged)
-                if cstep.out_batched:
-                    size //= len(chunk)
-                _observe(stats, len(cstep.subscripts[2]), size)
-                ops.append(merged)
-            value = xp.sum_scalar(ops[0])
-            if compiled.steps and not compiled.steps[-1].out_batched:
-                # Unreachable for circuit networks (a sliced label always
-                # reaches the final merge), kept for plan generality: an
-                # unbatched final operand contributes once per slice.
-                value *= len(chunk)
-            total += value
-        if stats is not None:
-            stats.batched_slice_calls += 1
-    return total

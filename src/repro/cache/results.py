@@ -32,8 +32,6 @@ class ResultCache:
 
     def __init__(self, store: CacheStore):
         self.store = store
-        self.hits = 0
-        self.misses = 0
 
     @property
     def directory(self) -> Optional[str]:
@@ -62,17 +60,12 @@ class ResultCache:
         without corrupting the cached copy.
         """
         payload = self.store.get(key)
-        result = None
-        if payload is not None:
-            try:
-                result = pickle.loads(payload)
-            except Exception:
-                result = None
-        if result is None:
-            self.misses += 1
+        if payload is None:
             return None
-        self.hits += 1
-        return result
+        try:
+            return pickle.loads(payload)
+        except Exception:
+            return None
 
     def put(self, key: str, result: "CheckResult") -> None:
         """Store a computed result under its content key."""

@@ -90,7 +90,11 @@ from .cache import (
 )
 from .circuits import qasm
 from .core import StatsAggregator
-from .tensornet.planner import ORDER_METHODS, build_plan
+from .tensornet.planner import (
+    DEFAULT_ORDER_METHOD,
+    ORDER_METHODS,
+    build_plan,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +351,7 @@ def _add_engine_args(
             help="contraction backend",
         )
     sub.add_argument(
-        "--order-method", default="tree_decomposition",
+        "--order-method", default=DEFAULT_ORDER_METHOD,
         choices=ORDER_METHODS,
         help="how contraction plans are built: an elimination-order "
         "heuristic, cost-greedy merging, or a budgeted search "

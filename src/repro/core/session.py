@@ -31,6 +31,7 @@ from ..backends import (
 from ..backends.base import validate_plan_knobs
 from ..cache import CheckCache
 from ..circuits import QuantumCircuit
+from ..tensornet.planner import DEFAULT_ORDER_METHOD
 from .. import trace as _trace
 from .algorithm1 import fidelity_individual
 from .algorithm2 import fidelity_collective
@@ -67,7 +68,7 @@ class CheckConfig:
     #: ('sequential', 'min_fill', 'tree_decomposition'), the cost-greedy
     #: 'greedy', or a budgeted search ('anneal'/'hyper', see
     #: repro.planning)
-    order_method: str = "tree_decomposition"
+    order_method: str = DEFAULT_ORDER_METHOD
     #: slice plans so no intermediate exceeds this many elements
     max_intermediate_size: Optional[int] = None
     #: adjacent-gate cancellation + trailing-SWAP elimination per miter

@@ -3,20 +3,18 @@
 from .circuit_tn import (
     CircuitNetwork,
     circuit_to_network,
-    circuit_trace,
     close_trace,
     connect,
 )
 from .network import ContractionStats, TensorNetwork
 from .planner import (
+    DEFAULT_ORDER_METHOD,
     ORDER_METHODS,
     SLICE_HARD_LIMIT,
-    BatchedSliceApplier,
     ContractionPlan,
     ContractionStep,
     SliceApplier,
     build_plan,
-    execute_plan,
     greedy_plan,
     iter_slice_assignments,
     plan_from_order,
@@ -33,10 +31,10 @@ from .ordering import (
 from .tensor import Tensor, gate_tensor, identity_tensor, scalar_tensor
 
 __all__ = [
+    "DEFAULT_ORDER_METHOD",
     "ORDER_HEURISTICS",
     "ORDER_METHODS",
     "SLICE_HARD_LIMIT",
-    "BatchedSliceApplier",
     "CircuitNetwork",
     "ContractionPlan",
     "ContractionStats",
@@ -45,10 +43,8 @@ __all__ = [
     "Tensor",
     "TensorNetwork",
     "build_plan",
-    "execute_plan",
     "iter_slice_assignments",
     "circuit_to_network",
-    "circuit_trace",
     "close_trace",
     "connect",
     "contraction_order",

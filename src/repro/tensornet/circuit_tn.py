@@ -104,15 +104,3 @@ def connect(
     new_outputs = [relabel.get(lab, lab) for lab in second.output_labels]
     return CircuitNetwork(merged, new_inputs, new_outputs)
 
-
-def circuit_trace(
-    circuit: QuantumCircuit,
-    order_method: str = "tree_decomposition",
-    stats=None,
-) -> complex:
-    """Trace of a (matrix-instruction) circuit via network contraction."""
-    from .ordering import contraction_order
-
-    closed = close_trace(circuit_to_network(circuit))
-    order = contraction_order(closed, order_method)
-    return closed.contract_scalar(order=order, stats=stats)

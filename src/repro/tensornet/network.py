@@ -149,15 +149,6 @@ class TensorNetwork:
             stats.observe(result)
         return result
 
-    def contract_scalar(
-        self,
-        order: Optional[Sequence[str]] = None,
-        stats: Optional[ContractionStats] = None,
-    ) -> complex:
-        """Contract a closed network to its scalar value."""
-        result = self.contract(order=order, stats=stats)
-        return result.scalar()
-
     def line_graph_edges(self) -> Set[frozenset]:
         """Edges of the index interaction graph (co-occurrence in a tensor).
 

@@ -139,9 +139,7 @@ ORDER_HEURISTICS = {
 }
 
 
-def contraction_order(
-    network: TensorNetwork, method: str = "tree_decomposition"
-) -> List[str]:
+def contraction_order(network: TensorNetwork, method: str) -> List[str]:
     """Dispatch on a named ordering heuristic."""
     try:
         heuristic = ORDER_HEURISTICS[method]

@@ -32,6 +32,8 @@ large-scale tensor-network simulators).
 Step positions follow the ``np.einsum_path`` convention: each step names
 two positions in the *current* operand list; both operands are removed
 (higher position first) and the merged operand is appended at the end.
+:func:`apply_steps` is the one implementation of that convention, shared
+by plan construction, plan lowering and every backend's execution.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ ORDER_METHODS = (
     "sequential", "min_fill", "tree_decomposition", "greedy", "anneal",
     "hyper",
 )
+
+#: The ``order_method`` every entry point uses unless told otherwise.
+DEFAULT_ORDER_METHOD = "tree_decomposition"
 
 #: :func:`slice_plan` warns when a bound implies more subplan executions
 #: than this — each slice multiplies runtime, and a very tight bound can
@@ -116,7 +121,7 @@ class ContractionPlan:
     slices: Tuple[str, ...] = ()
     #: the ``order_method`` value that produced the plan
     #: (``"explicit"`` for a caller-supplied elimination order)
-    planner: str = "tree_decomposition"
+    planner: str = DEFAULT_ORDER_METHOD
     #: search provenance (a :class:`repro.planning.PlanSearchReport`)
     #: when the plan came from a budgeted search; ``None`` for the
     #: heuristic methods.  Provenance, not structure: excluded from
@@ -269,6 +274,27 @@ class ContractionPlan:
             )
 
 
+# --- the step-position protocol --------------------------------------------
+
+
+def apply_steps(steps: Sequence, operands: list, merge) -> None:
+    """Run pairwise steps over ``operands``, in place.
+
+    Each step takes the operands at positions ``lhs < rhs`` of the
+    *current* list, removes both (``rhs`` first, so ``lhs`` still names
+    its operand) and appends ``merge(a, b, step)``.  A fully executed
+    plan leaves its result as the list's only operand.  ``steps`` may be
+    :class:`ContractionStep`\\ s or anything carrying the same
+    ``lhs``/``rhs`` positions (the lowered steps of
+    :mod:`repro.backends.xp`); operands are opaque.
+    """
+    for step in steps:
+        a, b = operands[step.lhs], operands[step.rhs]
+        del operands[step.rhs]
+        del operands[step.lhs]
+        operands.append(merge(a, b, step))
+
+
 # --- plan construction ------------------------------------------------------
 
 
@@ -312,13 +338,16 @@ def _make_step(
     flops = size
     for label in shared:
         flops *= dims[label]
-    del ops[j]
-    del ops[i]
-    ops.append(output)
-    return ContractionStep(
+    step = ContractionStep(
         lhs=i, rhs=j, eliminated=shared, output=output,
         output_size=size, flops=flops,
     )
+    apply_steps((step,), ops, _merged_labels)
+    return step
+
+
+def _merged_labels(a, b, step: ContractionStep) -> Tuple[str, ...]:
+    return step.output
 
 
 def _steps_from_order(
@@ -341,7 +370,7 @@ def _steps_from_order(
 def plan_from_order(
     network: TensorNetwork,
     order: Optional[Sequence[str]] = None,
-    method: str = "tree_decomposition",
+    method: str = DEFAULT_ORDER_METHOD,
 ) -> ContractionPlan:
     """Plan the pairwise merge sequence an elimination order induces.
 
@@ -406,7 +435,7 @@ def greedy_plan(network: TensorNetwork) -> ContractionPlan:
 
 def build_plan(
     network: TensorNetwork,
-    order_method: str = "tree_decomposition",
+    order_method: str = DEFAULT_ORDER_METHOD,
     max_intermediate_size: Optional[int] = None,
     max_slices: Optional[int] = None,
     plan_budget_seconds: Optional[float] = None,
@@ -560,144 +589,76 @@ def iter_slice_assignments(
 
 
 class SliceApplier:
-    """Precomputed slice-fixing of a network's tensors.
+    """Precomputed slice-fixing of a network's tensors, one chunk at a time.
 
-    Self-tracing and the per-tensor bookkeeping (which axes carry sliced
-    labels, which labels survive) are assignment-independent, so they are
-    derived once at construction; applying one of potentially millions of
-    slice assignments then only indexes ndarrays.
+    Self-tracing and the per-tensor layout (which axes carry sliced
+    labels, which labels survive) are assignment-independent, so they
+    are derived once at construction.  Tensors carrying sliced axes are
+    stored with those axes leading, which makes fixing a chunk of
+    assignments one indexing operation per tensor.  Device placement
+    also happens once: the first :meth:`gather` against a namespace
+    moves every base array there, and later chunks only index on-device
+    (the "one host↔device transfer per plan execution" rule of
+    :mod:`repro.backends.xp`).
     """
 
     def __init__(self, tensors: Sequence[Tensor], slices: Sequence[str]):
+        sliced = set(slices)
+        #: the self-traced tensors, before slicing
         self.flat: List[Tensor] = [t.self_trace() for t in tensors]
-        sliced = set(slices)
-        #: per tensor: (positions of sliced axes, surviving labels)
-        self._layout: List[Tuple[List[int], List[str]]] = [
-            (
-                [ax for ax, lab in enumerate(t.indices) if lab in sliced],
-                [lab for lab in t.indices if lab not in sliced],
-            )
-            for t in self.flat
-        ]
-
-    def __call__(self, assignment: Dict[str, int]) -> List[Tensor]:
-        """Operands with every sliced axis fixed to its assigned value."""
-        if not assignment:
-            return list(self.flat)
-        operands: List[Tensor] = []
-        for tensor, (positions, kept) in zip(self.flat, self._layout):
-            if not positions:
-                operands.append(tensor)
+        #: per operand: its surviving labels, in axis order
+        self.labels: List[Tuple[str, ...]] = [t.indices for t in self.flat]
+        #: per operand: the sliced labels leading its base array
+        self._fixed: List[Tuple[str, ...]] = [()] * len(self.flat)
+        self._host: List[np.ndarray] = [t.data for t in self.flat]
+        for position, tensor in enumerate(self.flat):
+            if sliced.isdisjoint(tensor.indices):
                 continue
-            indexer: List[object] = [slice(None)] * tensor.rank
-            for axis in positions:
-                indexer[axis] = assignment[tensor.indices[axis]]
-            operands.append(Tensor(tensor.data[tuple(indexer)], kept))
-        return operands
-
-
-class BatchedSliceApplier:
-    """Slice-fixing with a leading batch axis, for batched execution.
-
-    The batched counterpart of :class:`SliceApplier`: instead of
-    producing one operand set per assignment, :meth:`gather` produces
-    one operand set per *chunk* of assignments, where every
-    slice-varying tensor gains a leading batch axis of length
-    ``len(chunk)`` and slice-independent tensors pass through unchanged
-    (einsum broadcasting mixes the two freely).
-
-    All assignment-independent work happens once at construction:
-    self-tracing, finding which tensors carry sliced axes, and
-    pre-transposing those tensors so their sliced axes lead — which
-    turns per-chunk stacking into a single advanced-indexing gather per
-    tensor.  Device placement also happens once: the first
-    :meth:`gather` against a namespace moves every base tensor to the
-    device, and later chunks only gather on-device (the "one host↔device
-    transfer per plan execution" rule of :mod:`repro.backends.xp`).
-    """
-
-    def __init__(self, tensors: Sequence[Tensor], slices: Sequence[str]):
-        sliced = set(slices)
-        #: per tensor: (host base array, sliced-label order or None,
-        #: surviving labels)
-        self._layout: List[Tuple[np.ndarray, Optional[List[str]],
-                                 List[str]]] = []
-        for tensor in (t.self_trace() for t in tensors):
-            positions = [
+            axes = [
                 ax for ax, lab in enumerate(tensor.indices) if lab in sliced
             ]
-            kept = [lab for lab in tensor.indices if lab not in sliced]
-            if not positions:
-                self._layout.append((tensor.data, None, kept))
-                continue
-            labels = [tensor.indices[ax] for ax in positions]
-            moved = np.ascontiguousarray(np.moveaxis(
-                tensor.data, positions, range(len(positions))
-            ))
-            self._layout.append((moved, labels, kept))
-        self._device_xp = None
-        self._device_ops: List[object] = []
-
-    def gather(self, xp, chunk: Sequence[Dict[str, int]]) -> List[object]:
-        """Operands for one chunk: batched where sliced, shared where not.
-
-        Returns one operand per tensor, ordered like the plan's inputs;
-        batched operands have shape ``(len(chunk), *kept_axes)``.
-        """
-        if self._device_xp is not xp:
-            self._device_ops = [
-                xp.from_host(data) for data, _, _ in self._layout
-            ]
-            self._device_xp = xp
-        operands: List[object] = []
-        for base, (_, labels, _) in zip(self._device_ops, self._layout):
-            if labels is None:
-                operands.append(base)
-                continue
-            indexer = tuple(
-                xp.index_array([assignment[lab] for assignment in chunk])
-                for lab in labels
+            self.labels[position] = tuple(
+                lab for lab in tensor.indices if lab not in sliced
             )
-            operands.append(base[indexer])
-        return operands
+            self._fixed[position] = tuple(tensor.indices[ax] for ax in axes)
+            self._host[position] = np.ascontiguousarray(
+                np.moveaxis(tensor.data, axes, range(len(axes)))
+            )
+        self._bases: List[object] = self._host
+        self._placed_on = None
 
+    def gather(self, chunk: Sequence[Dict[str, int]], xp=None) -> List[object]:
+        """Operands for one chunk of slice assignments, in tensor order.
 
-def execute_plan(
-    plan, network, *, load, merge, scalar, assignments=None
-) -> complex:
-    """Drive a plan over a network with backend-supplied callbacks.
-
-    The one place that owns the step-position protocol (remove rhs then
-    lhs, append the merged operand) and the slice-summation loop, so the
-    three engines cannot drift apart on it.
-
-    Parameters
-    ----------
-    load:
-        ``load(tensors) -> list`` turning the (self-traced, slice-fixed)
-        :class:`Tensor` operands into backend operands.
-    merge:
-        ``merge(a, b, step) -> operand`` executing one
-        :class:`ContractionStep` on two backend operands.
-    scalar:
-        ``scalar(operand) -> complex`` extracting the final value of one
-        subplan execution; results are summed over all slices.
-    assignments:
-        Execute only these slice assignments (a subset of
-        :func:`iter_slice_assignments`) and return their partial sum —
-        the hook :mod:`repro.parallel` uses to fan independent slices
-        out to workers.  ``None`` (the default) executes every slice.
-    """
-    applier = SliceApplier(network.tensors, plan.slices)
-    if assignments is None:
-        assignments = iter_slice_assignments(plan)
-    total = 0j
-    for assignment in assignments:
-        ops = load(applier(assignment))
-        for step in plan.steps:
-            a, b = ops[step.lhs], ops[step.rhs]
-            del ops[step.rhs]
-            del ops[step.lhs]
-            ops.append(merge(a, b, step))
-        total += scalar(ops[0])
-    return total
+        A chunk of one fixes every sliced axis by integer indexing; a
+        longer chunk gathers a leading batch axis of length
+        ``len(chunk)`` onto every slice-varying operand.  Operands
+        without sliced axes pass through unbatched either way (einsum
+        broadcasting mixes the two).  ``xp`` is the
+        :class:`~repro.backends.xp.ArrayNamespace` to place operands on;
+        ``None`` keeps host ndarrays.
+        """
+        if xp is not self._placed_on:
+            self._bases = (
+                self._host if xp is None
+                else [xp.from_host(data) for data in self._host]
+            )
+            self._placed_on = xp
+        if len(chunk) == 1:
+            assignment = chunk[0]
+            # The trailing Ellipsis keeps a fully fixed operand a 0-d
+            # array instead of collapsing it to a scalar.
+            return [
+                base[tuple(assignment[lab] for lab in fixed) + (Ellipsis,)]
+                if fixed else base
+                for base, fixed in zip(self._bases, self._fixed)
+            ]
+        index = np.asarray if xp is None else xp.index_array
+        return [
+            base[tuple(
+                index([assignment[lab] for assignment in chunk])
+                for lab in fixed
+            )]
+            if fixed else base
+            for base, fixed in zip(self._bases, self._fixed)
+        ]

@@ -45,9 +45,8 @@ PHASE_BY_SPAN = {
     "plan.build": "plan",
     "plan.search": "plan",
     "plan.compile": "compile",
+    "plan.execute": "execute",
     "slices.dispatch": "execute",
-    "slices.chunk": "execute",
-    "slices.loop": "execute",
     "slices.worker": "execute",
     "slices.remote.dispatch": "execute",
     "cache.remote.get": "cache",

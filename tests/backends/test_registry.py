@@ -243,6 +243,21 @@ class TestPlanKnobValidation:
             from_config.value
         )
 
+    def test_one_default_order_method(self):
+        from repro.cli import build_parser
+        from repro.tensornet import (
+            DEFAULT_ORDER_METHOD, Tensor, TensorNetwork, build_plan,
+        )
+
+        args = build_parser().parse_args(["plan", "x.qasm"])
+        net = TensorNetwork([Tensor(np.eye(2), ["i", "j"]),
+                             Tensor(np.eye(2), ["j", "i"])])
+        assert DEFAULT_ORDER_METHOD == "tree_decomposition"
+        assert CheckConfig().order_method == DEFAULT_ORDER_METHOD
+        assert get_backend("dense").order_method == DEFAULT_ORDER_METHOD
+        assert build_plan(net).planner == DEFAULT_ORDER_METHOD
+        assert args.order_method == DEFAULT_ORDER_METHOD
+
 
 class TestOneContractionPath:
     """Scalars are contracted only through ContractionBackend; the
@@ -268,3 +283,19 @@ class TestOneContractionPath:
             assert name not in repro.tdd.__all__
             assert not hasattr(repro.tdd, name)
         assert not hasattr(ContractionBackend, "order_for")
+
+    def test_one_plan_execution_driver(self):
+        import repro.backends.xp as xp
+        import repro.tensornet as tensornet
+        from repro.tensornet import TensorNetwork
+
+        for name in ("execute_plan", "BatchedSliceApplier", "circuit_trace"):
+            assert name not in tensornet.__all__
+            assert not hasattr(tensornet, name)
+        for name in ("contract_slices_looped", "contract_slices_batched"):
+            assert not hasattr(xp, name)
+        assert not hasattr(TensorNetwork, "contract_scalar")
+        # every engine supplies a kernel, none its own driver
+        for cls in (TddBackend, DenseBackend, NumpyEinsumBackend):
+            assert "contract_scalar" not in vars(cls)
+            assert "kernel" in vars(cls)

@@ -25,7 +25,7 @@ class TestScalarAgreementWithDense:
     def test_closed_trace(self, build):
         net = close_trace(circuit_to_network(build()))
         assert np.isclose(
-            TddBackend().contract_scalar(net), net.contract_scalar()
+            TddBackend().contract_scalar(net), net.contract().scalar()
         )
 
     def test_with_self_loop_tensor(self, rng):
@@ -34,7 +34,7 @@ class TestScalarAgreementWithDense:
             Tensor(rng.normal(size=2), ["b"]),
         ])
         assert np.isclose(
-            TddBackend().contract_scalar(net), net.contract_scalar()
+            TddBackend().contract_scalar(net), net.contract().scalar()
         )
 
     def test_disconnected_components(self, rng):
@@ -45,7 +45,7 @@ class TestScalarAgreementWithDense:
             Tensor(b, ["k", "l"]), Tensor(b, ["l", "k"]),
         ])
         assert np.isclose(
-            TddBackend().contract_scalar(net), net.contract_scalar()
+            TddBackend().contract_scalar(net), net.contract().scalar()
         )
 
     def test_open_network_rejected(self, rng):

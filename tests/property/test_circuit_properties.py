@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit, cancel_adjacent_gates
-from repro.backends import TddBackend
-from repro.tensornet import circuit_to_network, circuit_trace, close_trace
+from repro.backends import DenseBackend, TddBackend
+from repro.tensornet import circuit_to_network, close_trace
 
 GATE_POOL = ["h", "x", "y", "z", "s", "sdg", "t", "tdg"]
 
@@ -32,8 +32,9 @@ class TestTraceNetworks:
     @given(random_circuits())
     @settings(max_examples=50, deadline=None)
     def test_network_trace_matches_dense(self, circuit):
+        net = close_trace(circuit_to_network(circuit))
         assert np.isclose(
-            circuit_trace(circuit),
+            DenseBackend().contract_scalar(net),
             np.trace(circuit.to_matrix()),
             atol=1e-8,
         )

@@ -55,7 +55,7 @@ class TestParallelAgreement:
     def test_process_parallel_matches_serial_on_all_backends(
         self, pool, network
     ):
-        reference = network.contract_scalar()
+        reference = network.contract().scalar()
         plan = slice_plan(greedy_plan(network), 2)
         for name in BACKENDS:
             inline = get_backend(name).contract_scalar(network, plan=plan)

@@ -96,7 +96,7 @@ class TestPlanInvariants:
     @settings(max_examples=25, deadline=None)
     @given(closed_networks())
     def test_plan_execution_matches_direct_dense_contraction(self, network):
-        reference = network.contract_scalar()
+        reference = network.contract().scalar()
         for build in PLAN_BUILDERS:
             plan = build(network)
             for executor in (DenseBackend(), NumpyEinsumBackend()):
@@ -108,7 +108,7 @@ class TestPlanInvariants:
     def test_sliced_execution_matches_direct_dense_contraction(
         self, network, bound
     ):
-        reference = network.contract_scalar()
+        reference = network.contract().scalar()
         plan = slice_plan(greedy_plan(network), bound)
         for executor in (DenseBackend(), NumpyEinsumBackend()):
             value = executor.contract_scalar(network, plan=plan)
@@ -118,7 +118,7 @@ class TestPlanInvariants:
     @given(closed_networks())
     def test_backend_planning_matches_direct_dense_contraction(self, network):
         """The backends' own plan_for path (no explicit plan) agrees too."""
-        reference = network.contract_scalar()
+        reference = network.contract().scalar()
         for backend in (
             DenseBackend(order_method="greedy", max_intermediate_size=8),
             NumpyEinsumBackend(order_method="min_fill"),

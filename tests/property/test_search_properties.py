@@ -56,7 +56,7 @@ class TestSearchedPlanInvariants:
             for dim in tensor.data.shape
         ):
             backends.append("tdd")  # TDDs only take dimension-2 indices
-        reference = network.contract_scalar()
+        reference = network.contract().scalar()
         for planner in SEARCHERS:
             plan = search_plan(network, planner, trials=TRIALS, seed=1)
             for backend in backends:

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.backends import DenseBackend
 from repro.circuits import QuantumCircuit, eliminate_final_swaps
 from repro.library import qft
 from repro.noise import bit_flip
-from repro.tensornet import (
-    circuit_to_network,
-    circuit_trace,
-    close_trace,
-    connect,
-)
+from repro.tensornet import circuit_to_network, close_trace, connect
+
+
+def dense_trace(circuit, permutation=None):
+    """tr of a circuit's matrix, contracted through the dense backend."""
+    return DenseBackend().contract_scalar(
+        close_trace(circuit_to_network(circuit), permutation=permutation)
+    )
 
 
 class TestConversion:
@@ -42,39 +45,37 @@ class TestConversion:
 class TestCloseTrace:
     def test_trace_of_unitary(self):
         circuit = QuantumCircuit(2).h(0).cx(0, 1).t(0)
-        value = circuit_trace(circuit)
+        value = dense_trace(circuit)
         assert np.isclose(value, np.trace(circuit.to_matrix()))
 
     def test_empty_circuit(self):
-        assert np.isclose(circuit_trace(QuantumCircuit(3)), 8.0)
+        assert np.isclose(dense_trace(QuantumCircuit(3)), 8.0)
 
     def test_partially_empty_wires(self):
         circuit = QuantumCircuit(3).h(0)  # wires 1, 2 untouched
-        value = circuit_trace(circuit)
+        value = dense_trace(circuit)
         expected = np.trace(circuit.to_matrix())
         assert np.isclose(value, expected)
 
     def test_permutation_closure_swap(self):
         circuit = QuantumCircuit(2).h(0).swap(0, 1)
         stripped, perm = eliminate_final_swaps(circuit)
-        net = close_trace(circuit_to_network(stripped), permutation=perm)
-        value = net.contract_scalar()
+        value = dense_trace(stripped, permutation=perm)
         assert np.isclose(value, np.trace(circuit.to_matrix()))
 
     def test_permutation_closure_qft(self):
         circuit = qft(4)
         stripped, perm = eliminate_final_swaps(circuit)
-        net = close_trace(circuit_to_network(stripped), permutation=perm)
         assert np.isclose(
-            net.contract_scalar(), np.trace(circuit.to_matrix())
+            dense_trace(stripped, permutation=perm),
+            np.trace(circuit.to_matrix()),
         )
 
     def test_permutation_of_untouched_wires(self):
         # Closing an empty 2-qubit circuit through a swap computes
         # tr(SWAP) = 2.
         circuit = QuantumCircuit(2)
-        net = close_trace(circuit_to_network(circuit), permutation=[1, 0])
-        assert np.isclose(net.contract_scalar(), 2.0)
+        assert np.isclose(dense_trace(circuit, permutation=[1, 0]), 2.0)
 
     def test_bad_permutation(self):
         circuit = QuantumCircuit(2).h(0)
@@ -104,5 +105,5 @@ class TestBackendAgreement:
     def test_qft_trace_matches_dense(self, n):
         circuit = qft(n)
         assert np.isclose(
-            circuit_trace(circuit), np.trace(circuit.to_matrix())
+            dense_trace(circuit), np.trace(circuit.to_matrix())
         )

@@ -60,7 +60,7 @@ class TestContraction:
             matrix_tensor(a, "i", "j"),
             matrix_tensor(b, "j", "i"),
         ])
-        assert np.isclose(net.contract_scalar(), np.trace(a @ b))
+        assert np.isclose(net.contract().scalar(), np.trace(a @ b))
 
     def test_disconnected_components(self, rng):
         a = rng.normal(size=(2, 2))
@@ -71,12 +71,12 @@ class TestContraction:
         ])
         # Each tensor has a self-loop -> product of traces.
         assert np.isclose(
-            net.contract_scalar(), np.trace(a) * np.trace(b)
+            net.contract().scalar(), np.trace(a) * np.trace(b)
         )
 
     def test_scalar_factors(self):
         net = TensorNetwork([scalar_tensor(2.0), scalar_tensor(3j)])
-        assert net.contract_scalar() == 6j
+        assert net.contract().scalar() == 6j
 
     def test_order_does_not_change_value(self, rng):
         mats = [rng.normal(size=(2, 2)) for _ in range(4)]
@@ -89,7 +89,7 @@ class TestContraction:
         for order in (["a", "b", "c", "d"], ["d", "b", "a", "c"],
                       ["c", "a", "d", "b"]):
             net = TensorNetwork(list(tensors))
-            assert np.isclose(net.contract_scalar(order=order), expected)
+            assert np.isclose(net.contract(order=order).scalar(), expected)
 
     def test_stats_collected(self, rng):
         net = TensorNetwork([
@@ -97,7 +97,7 @@ class TestContraction:
             matrix_tensor(rng.normal(size=(2, 2)), "j", "i"),
         ])
         stats = ContractionStats()
-        net.contract_scalar(stats=stats)
+        net.contract(stats=stats)
         assert stats.num_pairwise_contractions >= 1
 
     def test_open_network_keeps_legs(self, rng):

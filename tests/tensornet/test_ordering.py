@@ -38,7 +38,7 @@ class TestOrders:
         circuit = qft(3)
         net = close_trace(circuit_to_network(circuit))
         order = contraction_order(net, method)
-        value = net.contract_scalar(order=order)
+        value = net.contract(order=order).scalar()
         assert np.isclose(value, np.trace(circuit.to_matrix()))
 
     def test_sequential_is_first_occurrence(self):
@@ -82,10 +82,10 @@ class TestTreeDecomposition:
         circuit = qft(4)
         net = close_trace(circuit_to_network(circuit))
         seq_stats, tree_stats = ContractionStats(), ContractionStats()
-        net.copy().contract_scalar(
+        net.copy().contract(
             order=sequential_order(net), stats=seq_stats
         )
-        net.copy().contract_scalar(
+        net.copy().contract(
             order=tree_decomposition_order(net), stats=tree_stats
         )
         assert (

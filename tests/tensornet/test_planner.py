@@ -109,8 +109,10 @@ class TestSlicing:
         net = qft_network()
         plan = slice_plan(plan_from_order(net), 4)
         assignment = next(iter_slice_assignments(plan))
-        for tensor in SliceApplier(net.tensors, plan.slices)(assignment):
-            assert not set(tensor.indices) & set(plan.slices)
+        applier = SliceApplier(net.tensors, plan.slices)
+        for data, labels in zip(applier.gather([assignment]), applier.labels):
+            assert not set(labels) & set(plan.slices)
+            assert data.ndim == len(labels)
 
 
 class TestPlanExecution:
@@ -118,7 +120,7 @@ class TestPlanExecution:
         """Acceptance: one ContractionPlan drives tdd, dense and einsum."""
         net = qft_network()
         plan = build_plan(net)
-        reference = net.contract_scalar()
+        reference = net.contract().scalar()
         values = {
             name: get_backend(name).contract_scalar(net, plan=plan)
             for name in ("tdd", "dense", "einsum")
@@ -163,11 +165,11 @@ class TestPlanExecution:
         # Same network, same plan -> identical peak node count whether or
         # not another circuit ran first.
         assert cold_stats.max_nodes == fresh_stats.max_nodes
-        assert np.isclose(value, net.contract_scalar(), atol=1e-9)
+        assert np.isclose(value, net.contract().scalar(), atol=1e-9)
 
     def test_tdd_backend_executes_sliced_plans(self):
         net = qft_network()
-        reference = net.contract_scalar()
+        reference = net.contract().scalar()
         stats = ContractionStats()
         value = get_backend(
             "tdd", max_intermediate_size=4
@@ -274,26 +276,51 @@ class TestSliceApplier:
         applier = SliceApplier(net.tensors, plan.slices)
         flat = [t.self_trace() for t in net.tensors]
         for assignment in iter_slice_assignments(plan):
-            operands = applier(assignment)
+            operands = applier.gather([assignment])
             assert len(operands) == len(flat)
-            for tensor, base in zip(operands, flat):
+            for data, labels, base in zip(operands, applier.labels, flat):
                 expected = base.data[tuple(
                     assignment.get(label, slice(None))
                     for label in base.indices
                 )]
                 kept = [lab for lab in base.indices if lab not in assignment]
-                assert list(tensor.indices) == kept
-                assert np.array_equal(tensor.data, expected)
+                assert list(labels) == kept
+                assert np.array_equal(data, expected)
+
+    @pytest.mark.parametrize("namespace", [None, "numpy"])
+    def test_chunk_stacks_single_gathers(self, namespace):
+        """A chunk of k is k one-assignment gathers stacked on a leading
+        batch axis; slice-independent operands stay unbatched."""
+        from repro.backends import resolve_namespace
+        from repro.tensornet import SliceApplier
+
+        xp = None if namespace is None else resolve_namespace(namespace)
+        net = qft_network()
+        plan = slice_plan(plan_from_order(net), 4)
+        applier = SliceApplier(net.tensors, plan.slices)
+        flat = [t.self_trace() for t in net.tensors]
+        assignments = list(iter_slice_assignments(plan))
+        for k in (2, 3, len(assignments)):
+            chunk = assignments[:k]
+            singles = [applier.gather([a], xp) for a in chunk]
+            for position, operand in enumerate(applier.gather(chunk, xp)):
+                column = [ops[position] for ops in singles]
+                if set(flat[position].indices) & set(plan.slices):
+                    assert np.array_equal(operand, np.stack(column))
+                else:
+                    for single in column:
+                        assert np.array_equal(operand, single)
 
     def test_empty_assignment_returns_self_traced_operands(self):
         from repro.tensornet import SliceApplier
 
         net = qft_network()
         applier = SliceApplier(net.tensors, [])
-        operands = applier({})
+        operands = applier.gather([{}])
         assert len(operands) == len(net.tensors)
-        for tensor in operands:
-            assert len(set(tensor.indices)) == len(tensor.indices)
+        for data, labels in zip(operands, applier.labels):
+            assert len(set(labels)) == len(labels)
+            assert data.ndim == len(labels)
 
 
 class TestSliceDeterminism:

@@ -88,7 +88,7 @@ class TestFold:
         with recording(recorder):
             with trace.span("slices.dispatch") as dispatch:
                 recorder.fold(
-                    self.worker_records("slices.chunk"),
+                    self.worker_records("plan.execute"),
                     attributes={"worker": 0},
                     align_start_ns=dispatch.span.start_ns,
                 )
@@ -106,7 +106,7 @@ class TestFold:
         recorder = TraceRecorder()
         with recording(recorder):
             with trace.span("slices.dispatch") as dispatch:
-                records = self.worker_records("slices.chunk")
+                records = self.worker_records("plan.execute")
                 recorder.fold(
                     records, align_start_ns=dispatch.span.start_ns
                 )
@@ -124,7 +124,7 @@ class TestFold:
             with trace.span("slices.dispatch") as dispatch:
                 for index in range(3):
                     recorder.fold(
-                        self.worker_records("slices.chunk"),
+                        self.worker_records("plan.execute"),
                         attributes={"worker": index},
                         align_start_ns=dispatch.span.start_ns,
                     )

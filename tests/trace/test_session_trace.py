@@ -2,11 +2,14 @@
 
 import json
 
+import pytest
+
 from repro.api import CheckRequest, CheckResponse, CircuitSpec, Engine, NoiseSpec
 from repro.cache.fingerprint import config_fingerprint
 from repro.circuits import QuantumCircuit
 from repro.core.session import CheckConfig, CheckSession
 from repro.noise import depolarizing
+from repro.trace import tree_phase_seconds
 
 
 def pair():
@@ -145,6 +148,33 @@ class TestEngineTrace:
         assert a.trace_id() == b.trace_id()
         assert len(a.trace_id()) == 16
         assert a.trace_id() != request(order_method="greedy").trace_id()
+
+
+class TestExecutePhaseOnEveryBackend:
+    """Every engine executes plans through one driver and one span, so
+    each reports execute time next to its plan and compile phases."""
+
+    @pytest.mark.parametrize("max_intermediate_size", [None, 8])
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    @pytest.mark.parametrize("backend", ["tdd", "dense", "einsum"])
+    def test_execute_plan_and_compile_phases(
+        self, backend, algorithm, max_intermediate_size
+    ):
+        from repro.backends.xp import _COMPILED_MEMO
+
+        # A plan lowered by an earlier test would skip plan.compile.
+        _COMPILED_MEMO.clear()
+        with Engine() as engine:
+            response = engine.check(request(
+                backend=backend,
+                algorithm=algorithm,
+                max_intermediate_size=max_intermediate_size,
+                trace=True,
+            ))
+        assert response.ok
+        phases = tree_phase_seconds(response.result.trace)
+        assert phases.get("execute", 0.0) > 0
+        assert {"plan", "compile"} <= set(phases)
 
 
 class TestWorkerSpanPropagation:

@@ -47,7 +47,7 @@ def sample_recorder():
                     worker = TraceRecorder()
                     with recording(worker):
                         with trace.span("slices.worker", slices=2):
-                            with trace.span("slices.chunk", slices=2):
+                            with trace.span("plan.execute", slices=2):
                                 pass
                     recorder.fold(
                         worker.export_records(),
@@ -65,7 +65,7 @@ class TestChromeTrace:
         assert all(e["ph"] == "X" for e in events)
         assert min(e["ts"] for e in events) == 0.0
         assert {e["name"] for e in events} >= {
-            "engine.request", "slices.worker", "slices.chunk",
+            "engine.request", "slices.worker", "plan.execute",
         }
         json.dumps(doc)  # JSON-serialisable throughout
 
@@ -75,7 +75,7 @@ class TestChromeTrace:
         assert tid["engine.request"] == 0
         assert tid["slices.dispatch"] == 0
         assert tid["slices.worker"] == 1  # worker 0 → tid 1
-        assert tid["slices.chunk"] == 1  # children inherit the row
+        assert tid["plan.execute"] == 1  # children inherit the row
 
 
 class TestSpanTree:
