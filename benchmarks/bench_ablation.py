@@ -21,9 +21,7 @@ from _common import TABLE1_BY_NAME
 WORKLOAD = TABLE1_BY_NAME["qft5"]
 
 
-@pytest.mark.parametrize(
-    "order_method", ["sequential", "min_fill", "tree_decomposition"]
-)
+@pytest.mark.parametrize("order_method", ["sequential", "min_fill"])
 def test_contraction_order(benchmark, order_method):
     """Alg II runtime under each contraction-order heuristic."""
     ideal = WORKLOAD.ideal()

@@ -1,8 +1,8 @@
 """Packaging shim.
 
-Core stays dependency-light (numpy + networkx); the accelerator array
-namespaces are *extras* so ``pip install repro[torch]`` /
-``repro[cupy]`` matches the install hints the backend registry and
+Core depends on numpy alone; the accelerator array namespaces are
+*extras* so ``pip install repro[torch]`` / ``repro[cupy]`` matches the
+install hints the backend registry and
 :class:`repro.backends.MissingDependencyError` print.  The backends
 themselves import lazily — installing an extra flips the corresponding
 ``einsum-torch`` / ``einsum-cupy`` registry entry from "unavailable
@@ -21,10 +21,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=[
-        "numpy",
-        "networkx",
-    ],
+    install_requires=["numpy"],
     extras_require={
         # optional array namespaces for the einsum-* backends
         "torch": ["torch"],

@@ -188,10 +188,10 @@ class ContractionBackend(abc.ABC):
     order_method:
         How plans are built (see
         :data:`repro.tensornet.planner.ORDER_METHODS`): an
-        elimination-order heuristic (``"sequential"``, ``"min_fill"``,
-        ``"tree_decomposition"``) whose order induces the pairwise
-        steps, ``"greedy"`` (cost-greedy pairwise planner), or a
-        budgeted search (``"anneal"``/``"hyper"``: randomized restarts
+        elimination-order heuristic (``"sequential"``, ``"min_fill"``)
+        whose order induces the pairwise steps, ``"greedy"`` (cost-greedy
+        pairwise planner), or a budgeted search
+        (``"anneal"``/``"hyper"``: randomized restarts
         under ``plan_budget_seconds``, never worse than the heuristic
         baseline).
     share_computed_table:
@@ -419,9 +419,11 @@ class ContractionBackend(abc.ABC):
         """
         started = time.perf_counter()
         try:
+            # the structure fixes each tensor's rank, so one flat tuple of
+            # dimensions pins every shape
             memo_key = (
                 network.structure_key(),
-                tuple(t.data.shape for t in network.tensors),
+                tuple(d for t in network.tensors for d in t.data.shape),
             )
             plan = self._plan_cache.get(memo_key)
             if plan is not None:

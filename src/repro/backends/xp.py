@@ -294,7 +294,7 @@ def resolve_namespace(
 # --- compiled plans ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompiledStep:
     """One plan step lowered to ready-made einsum integer subscripts.
 
@@ -357,14 +357,19 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
         rhs_subs = tuple(mapping[lab] for lab in b)
         out_subs = tuple(mapping[lab] for lab in step.output)
         out_batched = a_batched or b_batched
+        subscripts = (lhs_subs, rhs_subs, out_subs)
         steps.append(CompiledStep(
             lhs=step.lhs,
             rhs=step.rhs,
-            subscripts=(lhs_subs, rhs_subs, out_subs),
+            subscripts=subscripts,
+            # an unbatched step shares the per-slice triple
             batched_subscripts=(
-                (0,) + lhs_subs if a_batched else lhs_subs,
-                (0,) + rhs_subs if b_batched else rhs_subs,
-                (0,) + out_subs if out_batched else out_subs,
+                (
+                    (0,) + lhs_subs if a_batched else lhs_subs,
+                    (0,) + rhs_subs if b_batched else rhs_subs,
+                    (0,) + out_subs,
+                )
+                if out_batched else subscripts
             ),
             out_batched=out_batched,
             output_size=step.output_size,

@@ -65,9 +65,8 @@ class CheckConfig:
     #: registered backend name, or a ready ContractionBackend instance
     backend: Union[str, ContractionBackend] = "tdd"
     #: how contraction plans are built: an elimination-order heuristic
-    #: ('sequential', 'min_fill', 'tree_decomposition'), the cost-greedy
-    #: 'greedy', or a budgeted search ('anneal'/'hyper', see
-    #: repro.planning)
+    #: ('sequential', 'min_fill'), the cost-greedy 'greedy', or a
+    #: budgeted search ('anneal'/'hyper', see repro.planning)
     order_method: str = DEFAULT_ORDER_METHOD
     #: slice plans so no intermediate exceeds this many elements
     max_intermediate_size: Optional[int] = None

@@ -26,7 +26,6 @@ from .ordering import (
     interaction_graph,
     min_fill_order,
     sequential_order,
-    tree_decomposition_order,
 )
 from .tensor import Tensor, gate_tensor, identity_tensor, scalar_tensor
 
@@ -57,5 +56,4 @@ __all__ = [
     "min_fill_order",
     "scalar_tensor",
     "sequential_order",
-    "tree_decomposition_order",
 ]

@@ -10,6 +10,7 @@ contracted scalar equals ``tr(E)`` of the circuit's functionality matrix.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -39,7 +40,9 @@ def circuit_to_network(
     """
     network = TensorNetwork()
     wire_time = [0] * circuit.num_qubits
-    labels = [f"{prefix}q{j}.0" for j in range(circuit.num_qubits)]
+    # labels are interned: every network of a circuit, and every plan
+    # memoised for it, shares one copy of each label
+    labels = [sys.intern(f"{prefix}q{j}.0") for j in range(circuit.num_qubits)]
     input_labels = list(labels)
     for inst in circuit:
         if inst.is_noise:
@@ -50,7 +53,7 @@ def circuit_to_network(
         out_labels = []
         for q in inst.qubits:
             wire_time[q] += 1
-            out_labels.append(f"{prefix}q{q}.{wire_time[q]}")
+            out_labels.append(sys.intern(f"{prefix}q{q}.{wire_time[q]}"))
         in_labels = [labels[q] for q in inst.qubits]
         network.add(gate_tensor(inst.operation.matrix, out_labels, in_labels))
         for q, lab in zip(inst.qubits, out_labels):

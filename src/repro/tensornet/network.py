@@ -10,7 +10,7 @@ asserts).  Contraction follows an *index elimination order* produced by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from .tensor import Tensor
 
@@ -148,20 +148,6 @@ class TensorNetwork:
             result = result.contract(tensor)
             stats.observe(result)
         return result
-
-    def line_graph_edges(self) -> Set[frozenset]:
-        """Edges of the index interaction graph (co-occurrence in a tensor).
-
-        This is the graph whose tree decomposition drives the contraction
-        order, following Markov–Shi.
-        """
-        edges: Set[frozenset] = set()
-        for tensor in self.tensors:
-            labels = list(dict.fromkeys(tensor.indices))
-            for i, a in enumerate(labels):
-                for b in labels[i + 1:]:
-                    edges.add(frozenset((a, b)))
-        return edges
 
     def __len__(self) -> int:
         return len(self.tensors)

@@ -3,21 +3,21 @@
 The quality of a tensor-network contraction is governed by the order in
 which indices are eliminated; the optimal order derives from a minimum-width
 tree decomposition of the index interaction graph (Markov & Shi, SIAM J.
-Comput. 2008) — the approach the paper adopts.  Exact treewidth is NP-hard,
-so we provide:
+Comput. 2008) — the approach the paper adopts.  An elimination order and a
+tree decomposition are two forms of the same object: eliminating the
+vertices in order, each vertex's closed neighbourhood at elimination time is
+one bag, and the bags form a tree decomposition whose width is the order's
+largest neighbourhood.  Exact treewidth is NP-hard, so we provide:
 
 * :func:`sequential_order` — first-occurrence (circuit time) order;
 * :func:`min_fill_order` — the classic greedy min-fill elimination
-  heuristic, implemented here directly;
-* :func:`tree_decomposition_order` — an elimination order extracted from
-  networkx's approximate minimum-width tree decomposition.
+  heuristic, i.e. the min-fill tree decomposition read directly as the
+  elimination order the contraction needs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set
-
-import networkx as nx
 
 from .network import TensorNetwork
 
@@ -27,13 +27,18 @@ def sequential_order(network: TensorNetwork) -> List[str]:
     return network.all_indices()
 
 
-def interaction_graph(network: TensorNetwork) -> nx.Graph:
-    """Index co-occurrence graph of the network (Markov–Shi line graph)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(network.all_indices())
-    for edge in network.line_graph_edges():
-        a, b = tuple(edge)
-        graph.add_edge(a, b)
+def interaction_graph(network: TensorNetwork) -> Dict[str, Set[str]]:
+    """Index co-occurrence graph of the network (Markov–Shi line graph).
+
+    Adjacency sets keyed by every index of the network, including indices
+    that share no tensor with another index; two indices are adjacent when
+    some tensor carries both.
+    """
+    graph: Dict[str, Set[str]] = {v: set() for v in network.all_indices()}
+    for tensor in network.tensors:
+        labels = set(tensor.indices)
+        for label in labels:
+            graph[label] |= labels - {label}
     return graph
 
 
@@ -65,8 +70,7 @@ def min_fill_order(network: TensorNetwork) -> List[str]:
     per vertex, so the output is byte-identical to the reference
     implementation (asserted in the test suite).
     """
-    graph = interaction_graph(network)
-    adjacency: Dict[str, Set[str]] = {v: set(graph[v]) for v in graph.nodes}
+    adjacency = interaction_graph(network)
     fill: Dict[str, int] = {v: _fill_count(adjacency, v) for v in adjacency}
     order: List[str] = []
     while adjacency:
@@ -93,49 +97,9 @@ def min_fill_order(network: TensorNetwork) -> List[str]:
     return order
 
 
-def tree_decomposition_order(network: TensorNetwork) -> List[str]:
-    """Elimination order from networkx's approximate tree decomposition.
-
-    The decomposition is computed with the min-fill-in heuristic; the
-    elimination order is recovered by repeatedly peeling a leaf bag and
-    eliminating the vertices private to it — the standard way to turn a
-    tree decomposition into an elimination order of the same width.
-    """
-    graph = interaction_graph(network)
-    if graph.number_of_nodes() == 0:
-        return []
-    order: List[str] = []
-    for component in nx.connected_components(graph):
-        sub = graph.subgraph(component).copy()
-        _, tree = nx.approximation.treewidth_min_fill_in(sub)
-        order.extend(_elimination_order_from_tree(tree, set(component)))
-    return order
-
-
-def _elimination_order_from_tree(tree: nx.Graph, vertices: Set[str]) -> List[str]:
-    order: List[str] = []
-    tree = tree.copy()
-    eliminated: Set[str] = set()
-    while tree.number_of_nodes() > 1:
-        leaf = next(bag for bag in tree.nodes if tree.degree(bag) == 1)
-        parent = next(iter(tree[leaf]))
-        private = [v for v in leaf if v not in parent and v not in eliminated]
-        order.extend(sorted(private))
-        eliminated.update(private)
-        tree.remove_node(leaf)
-    if tree.number_of_nodes() == 1:
-        last_bag = next(iter(tree.nodes))
-        order.extend(sorted(v for v in last_bag if v not in eliminated))
-        eliminated.update(last_bag)
-    # Isolated vertices may not appear in any bag edge traversal.
-    order.extend(sorted(vertices - eliminated))
-    return order
-
-
 ORDER_HEURISTICS = {
     "sequential": sequential_order,
     "min_fill": min_fill_order,
-    "tree_decomposition": tree_decomposition_order,
 }
 
 

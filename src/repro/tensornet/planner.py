@@ -10,13 +10,12 @@ dense and einsum engines contract ndarrays along it — so planning cost is
 paid once per network structure and plan quality is measurable before any
 numerics run.
 
-The ``order_method`` plan knob picks one of six plan builders (see
+The ``order_method`` plan knob picks one of five plan builders (see
 :data:`ORDER_METHODS`), all dispatched by :func:`build_plan`:
 
 * :func:`plan_from_order` — wraps the elimination-order heuristics of
-  :mod:`repro.tensornet.ordering` (``sequential``, ``min_fill``,
-  ``tree_decomposition``), simulating the pairwise merge sequence the
-  order induces;
+  :mod:`repro.tensornet.ordering` (``sequential``, ``min_fill``),
+  simulating the pairwise merge sequence the order induces;
 * :func:`greedy_plan` — a cost-greedy pairwise planner that repeatedly
   merges the connected pair with the smallest output tensor;
 * :func:`repro.planning.search_plan` — budgeted anytime search
@@ -51,19 +50,16 @@ from .ordering import ORDER_HEURISTICS, contraction_order
 from .tensor import Tensor
 
 #: Values of the ``order_method`` plan knob (backends, ``CheckConfig``,
-#: the wire config and the CLI), one per plan builder: the three
+#: the wire config and the CLI), one per plan builder: the two
 #: elimination-order heuristics of :mod:`repro.tensornet.ordering`,
 #: ``"greedy"`` (smallest merged tensor first), and the budgeted anytime
 #: searches ``"anneal"``/``"hyper"`` of :mod:`repro.planning`, which
 #: trade ``plan_budget_seconds`` for cheaper plans and carry a
 #: :class:`~repro.planning.PlanSearchReport` in ``search_report``.
-ORDER_METHODS = (
-    "sequential", "min_fill", "tree_decomposition", "greedy", "anneal",
-    "hyper",
-)
+ORDER_METHODS = ("sequential", "min_fill", "greedy", "anneal", "hyper")
 
 #: The ``order_method`` every entry point uses unless told otherwise.
-DEFAULT_ORDER_METHOD = "tree_decomposition"
+DEFAULT_ORDER_METHOD = "min_fill"
 
 #: :func:`slice_plan` warns when a bound implies more subplan executions
 #: than this — each slice multiplies runtime, and a very tight bound can
@@ -315,7 +311,12 @@ def _plan_inputs(
         counts: Dict[str, int] = {}
         for label in tensor.indices:
             counts[label] = counts.get(label, 0) + 1
-        kept = tuple(lab for lab in tensor.indices if counts[lab] == 1)
+        # share the tensor's own label tuple when nothing self-traces:
+        # memoised plans then hold no second copy of it
+        kept = (
+            tensor.indices if len(counts) == len(tensor.indices)
+            else tuple(lab for lab in tensor.indices if counts[lab] == 1)
+        )
         for label, dim in zip(tensor.indices, tensor.data.shape):
             if counts[label] == 1:
                 dims[label] = dim
@@ -397,24 +398,37 @@ def greedy_plan(network: TensorNetwork) -> ContractionPlan:
     Repeatedly merges the connected pair whose output tensor is smallest
     (ties broken by position for determinism), then outer-products any
     disconnected remainders.  Often beats order-derived plans on networks
-    whose interaction graph fools the ordering heuristics, at the price of
-    O(t^3) planning time in the tensor count.
+    whose interaction graph fools the ordering heuristics.  Each step
+    scans only the pairs that share a label, found through a
+    label -> holder-positions map, so a step costs time proportional to
+    the operands' legs rather than to all O(t^2) operand pairs.
     """
     inputs, dims = _plan_inputs(network)
     ops: List[Tuple[str, ...]] = list(inputs)
     steps: List[ContractionStep] = []
     while True:
-        best: Optional[Tuple[int, int, int]] = None  # (size, i, j)
-        for i, j in itertools.combinations(range(len(ops)), 2):
-            shared = frozenset(ops[i]) & frozenset(ops[j])
-            if not shared:
-                continue
+        # Labels are unique within an operand (inputs are self-traced), so
+        # a pair's merged size is the product of both operands' sizes over
+        # the square of the product of their shared dimensions.
+        holders: Dict[str, List[int]] = {}
+        sizes: List[int] = []
+        for pos, labels in enumerate(ops):
             size = 1
-            for label in ops[i] + ops[j]:
-                if label not in shared:
-                    size *= dims[label]
-            if best is None or (size, i, j) < best:
-                best = (size, i, j)
+            for label in labels:
+                holders.setdefault(label, []).append(pos)
+                size *= dims[label]
+            sizes.append(size)
+        shared: Dict[Tuple[int, int], int] = {}
+        for label, positions in holders.items():
+            for pair in itertools.combinations(positions, 2):
+                shared[pair] = shared.get(pair, 1) * dims[label]
+        best: Optional[Tuple[int, int, int]] = min(  # (size, i, j)
+            (
+                (sizes[i] * sizes[j] // (shared_size * shared_size), i, j)
+                for (i, j), shared_size in shared.items()
+            ),
+            default=None,
+        )
         if best is None:
             break
         steps.append(_make_step(ops, best[1], best[2], dims))
@@ -426,7 +440,8 @@ def greedy_plan(network: TensorNetwork) -> ContractionPlan:
     order: List[str] = []
     for step in steps:
         order.extend(sorted(step.eliminated))
-    remaining = [i for i in network.all_indices() if i not in set(order)]
+    eliminated = set(order)
+    remaining = [i for i in network.all_indices() if i not in eliminated]
     return ContractionPlan(
         inputs=inputs, dims=dims, steps=tuple(steps),
         order=tuple(order + remaining), planner="greedy",

@@ -213,6 +213,25 @@ class TestCheckRequest:
         assert "order_method" in err.value.details["valid"]
         assert "planner" not in err.value.details["valid"]
 
+    def test_removed_tree_decomposition_is_invalid_request(self):
+        # the ``tree_decomposition`` order method was folded into
+        # ``min_fill``; there is no alias, so the wire value is rejected
+        # with the typed config error listing the surviving choices
+        from repro import Engine
+        from repro.tensornet import ORDER_METHODS
+
+        wire = self.request().to_dict()
+        wire["config"] = {"order_method": "tree_decomposition"}
+        request = CheckRequest.from_dict(json.loads(json.dumps(wire)))
+        with pytest.raises(ConfigError) as err:
+            request.resolve_config()
+        assert isinstance(err.value, InvalidRequestError)
+        assert str(list(ORDER_METHODS)) in str(err.value)
+        assert "tree_decomposition" not in ORDER_METHODS
+        response = Engine().respond(request)
+        assert response.verdict == "ERROR"
+        assert response.error_code == "invalid_config"
+
     def test_config_override_fields_track_check_config(self):
         import dataclasses
 

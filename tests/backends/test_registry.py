@@ -33,10 +33,10 @@ class TestRegistry:
         assert names == sorted(names)
 
     def test_get_backend_instantiates(self):
-        backend = get_backend("tdd", order_method="min_fill")
+        backend = get_backend("tdd", order_method="sequential")
         assert isinstance(backend, TddBackend)
         assert backend.name == "tdd"
-        assert backend.order_method == "min_fill"
+        assert backend.order_method == "sequential"
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(ValueError) as excinfo:
@@ -252,7 +252,7 @@ class TestPlanKnobValidation:
         args = build_parser().parse_args(["plan", "x.qasm"])
         net = TensorNetwork([Tensor(np.eye(2), ["i", "j"]),
                              Tensor(np.eye(2), ["j", "i"])])
-        assert DEFAULT_ORDER_METHOD == "tree_decomposition"
+        assert DEFAULT_ORDER_METHOD == "min_fill"
         assert CheckConfig().order_method == DEFAULT_ORDER_METHOD
         assert get_backend("dense").order_method == DEFAULT_ORDER_METHOD
         assert build_plan(net).planner == DEFAULT_ORDER_METHOD

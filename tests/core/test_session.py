@@ -64,7 +64,7 @@ class TestCheckConfig:
             CheckConfig(backend="bogus")
         with pytest.raises(TypeError, match="tdd"):
             CheckConfig(backend=42)
-        with pytest.raises(ValueError, match="tree_decomposition"):
+        with pytest.raises(ValueError, match="min_fill"):
             CheckConfig(order_method="bogus")
         with pytest.raises(ValueError, match="greedy"):
             CheckConfig(order_method="bogus")
@@ -87,7 +87,7 @@ class TestCheckConfig:
         with pytest.raises(ValueError, match="max_intermediate_size"):
             CheckConfig(backend=DenseBackend(), max_intermediate_size=4)
         with pytest.raises(ValueError, match="order_method"):
-            CheckConfig(backend=DenseBackend(), order_method="min_fill")
+            CheckConfig(backend=DenseBackend(), order_method="sequential")
         config = CheckConfig(
             backend=DenseBackend(
                 order_method="greedy", max_intermediate_size=4

@@ -1,10 +1,10 @@
 """The one plan knob: every ``order_method`` value, end to end.
 
-``order_method`` names all six plan builders (three elimination-order
+``order_method`` names all five plan builders (two elimination-order
 heuristics, cost-greedy merging and the two budgeted searches).  Every
 value must give the same fidelity on every host backend as the dense
 superoperator baseline, and the default must keep building exactly the
-tree-decomposition plan.
+min-fill plan.
 """
 
 import pytest
@@ -32,10 +32,9 @@ def reference():
     return process_fidelity(NOISE.apply(ideal), ideal)
 
 
-def test_order_methods_are_the_six_plan_builders():
+def test_order_methods_are_the_five_plan_builders():
     assert ORDER_METHODS == (
-        "sequential", "min_fill", "tree_decomposition", "greedy", "anneal",
-        "hyper",
+        "sequential", "min_fill", "greedy", "anneal", "hyper",
     )
 
 
@@ -65,14 +64,14 @@ def test_every_order_method_agrees_with_the_superop_baseline(
     [qft(7), bernstein_vazirani(13), quantum_volume(5, 5, seed=0)],
     ids=["qft7", "bv13", "qv_n5d5"],
 )
-def test_default_plan_is_the_tree_decomposition_plan(ideal):
+def test_default_plan_is_the_min_fill_plan(ideal):
     noisy = insert_random_noise(ideal, 2, seed=0)
     network = alg2_trace_network(noisy, ideal)
     default = build_plan(network)
-    reference = plan_from_order(network, method="tree_decomposition")
+    reference = plan_from_order(network, method="min_fill")
     assert default.steps == reference.steps
     assert default.total_cost() == reference.total_cost()
-    assert default.planner == "tree_decomposition"
+    assert default.planner == "min_fill"
 
 
 @pytest.mark.parametrize("order_method", ORDER_METHODS)
@@ -81,3 +80,25 @@ def test_plans_record_their_order_method(order_method):
     network = alg2_trace_network(insert_random_noise(ideal, 1), ideal)
     plan = build_plan(network, order_method, plan_budget_seconds=0)
     assert plan.planner == order_method
+
+
+def test_engine_check_runs_without_networkx():
+    """The package and a default check need only numpy: ``networkx`` is
+    blocked from import in a fresh interpreter."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    root = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.modules['networkx'] = None; "
+        f"sys.path.insert(0, {root!r}); "
+        "from repro import CheckRequest, CircuitSpec, Engine, NoiseSpec; "
+        "response = Engine().check(CheckRequest("
+        "ideal=CircuitSpec.from_library('qft', num_qubits=3), "
+        "noise=NoiseSpec(noises=2, seed=3), mode='fidelity')); "
+        "assert response.ok and response.fidelity > 0, response"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -64,7 +64,6 @@ def all_pairwise_labels(network):
 PLAN_BUILDERS = [
     lambda net: plan_from_order(net, method="sequential"),
     lambda net: plan_from_order(net, method="min_fill"),
-    lambda net: plan_from_order(net, method="tree_decomposition"),
     greedy_plan,
 ]
 

@@ -34,6 +34,19 @@ class TestConversion:
         cnet = circuit_to_network(QuantumCircuit(1).h(0), prefix="L.")
         assert cnet.input_labels == ["L.q0.0"]
 
+    def test_memoised_plans_share_labels_with_the_network(self):
+        """Labels are interned across builds, and a plan's input label
+        tuples are the tensors' own, so memoised plans hold no copies."""
+        from repro.tensornet import plan_from_order
+
+        first = close_trace(circuit_to_network(qft(3)))
+        second = close_trace(circuit_to_network(qft(3)))
+        for a, b in zip(first.tensors, second.tensors):
+            assert all(x is y for x, y in zip(a.indices, b.indices))
+        plan = plan_from_order(first)
+        for labels, tensor in zip(plan.inputs, first.tensors):
+            assert labels is tensor.indices
+
     def test_open_contraction_matches_matrix(self):
         circuit = QuantumCircuit(2).h(0).cx(0, 1).s(1)
         cnet = circuit_to_network(circuit)

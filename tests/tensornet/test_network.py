@@ -8,6 +8,7 @@ from repro.tensornet import (
     Tensor,
     TensorNetwork,
     identity_tensor,
+    interaction_graph,
     scalar_tensor,
 )
 
@@ -114,7 +115,8 @@ class TestLineGraph:
         net = TensorNetwork([
             Tensor(np.zeros((2, 2, 2)), ["a", "b", "c"]),
         ])
-        edges = net.line_graph_edges()
+        graph = interaction_graph(net)
+        edges = {frozenset((a, b)) for a, nbrs in graph.items() for b in nbrs}
         assert frozenset(("a", "b")) in edges
         assert frozenset(("a", "c")) in edges
         assert frozenset(("b", "c")) in edges

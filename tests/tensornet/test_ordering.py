@@ -7,13 +7,16 @@ from repro.circuits import QuantumCircuit
 from repro.library import qft
 from repro.tensornet import (
     ORDER_HEURISTICS,
+    ContractionStats,
+    Tensor,
+    TensorNetwork,
     circuit_to_network,
     close_trace,
     contraction_order,
+    identity_tensor,
     interaction_graph,
     min_fill_order,
     sequential_order,
-    tree_decomposition_order,
 )
 
 
@@ -22,10 +25,23 @@ def sample_network():
     return close_trace(circuit_to_network(circuit))
 
 
+def disconnected_network():
+    """Two components plus an index that shares no tensor with another."""
+    return TensorNetwork([
+        identity_tensor("a", "b"),
+        identity_tensor("c", "d"),
+        Tensor(np.ones(2), ["e"]),
+    ])
+
+
 class TestOrders:
     @pytest.mark.parametrize("method", sorted(ORDER_HEURISTICS))
-    def test_order_is_permutation_of_indices(self, method):
-        net = sample_network()
+    @pytest.mark.parametrize(
+        "network", [sample_network, disconnected_network],
+        ids=["connected", "disconnected"],
+    )
+    def test_order_is_permutation_of_indices(self, method, network):
+        net = network()
         order = contraction_order(net, method)
         assert sorted(order) == sorted(net.all_indices())
 
@@ -46,50 +62,56 @@ class TestOrders:
         assert sequential_order(net) == net.all_indices()
 
 
+def edge_set(graph):
+    return {
+        frozenset((a, b)) for a, nbrs in graph.items() for b in nbrs
+    }
+
+
 class TestInteractionGraph:
     def test_vertices_are_indices(self):
         net = sample_network()
         graph = interaction_graph(net)
-        assert set(graph.nodes) == set(net.all_indices())
+        assert set(graph) == set(net.all_indices())
 
     def test_cooccurring_indices_connected(self):
         net = sample_network()
         graph = interaction_graph(net)
+        expected = set()
         for tensor in net.tensors:
             labels = list(dict.fromkeys(tensor.indices))
             for i, a in enumerate(labels):
                 for b in labels[i + 1:]:
-                    assert graph.has_edge(a, b)
+                    assert b in graph[a] and a in graph[b]
+                    expected.add(frozenset((a, b)))
+        assert edge_set(graph) == expected
+
+    def test_isolated_and_disconnected_vertices_kept(self):
+        graph = interaction_graph(disconnected_network())
+        assert graph == {
+            "a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}, "e": set(),
+        }
+
+    def test_no_self_loops_from_self_traced_labels(self):
+        net = TensorNetwork([Tensor(np.zeros((2, 2, 2)), ["a", "a", "b"])])
+        assert interaction_graph(net) == {"a": {"b"}, "b": {"a"}}
 
 
-class TestTreeDecomposition:
-    def test_covers_isolated_vertices(self):
-        # A network with a disconnected scalar-ish component.
-        from repro.tensornet import TensorNetwork, identity_tensor
-
-        net = TensorNetwork([
-            identity_tensor("a", "b"),
-            identity_tensor("c", "d"),
-        ])
-        order = tree_decomposition_order(net)
-        assert sorted(order) == ["a", "b", "c", "d"]
-
+class TestMinFillQuality:
     def test_quality_on_ladder(self):
-        """On a QFT trace network the tree order should not be worse than
-        sequential by more than the intermediate-size metric."""
-        from repro.tensornet import ContractionStats
-
+        """On a QFT trace network the min-fill order should not be worse
+        than sequential by more than the intermediate-size metric."""
         circuit = qft(4)
         net = close_trace(circuit_to_network(circuit))
-        seq_stats, tree_stats = ContractionStats(), ContractionStats()
+        seq_stats, fill_stats = ContractionStats(), ContractionStats()
         net.copy().contract(
             order=sequential_order(net), stats=seq_stats
         )
         net.copy().contract(
-            order=tree_decomposition_order(net), stats=tree_stats
+            order=min_fill_order(net), stats=fill_stats
         )
         assert (
-            tree_stats.max_intermediate_size
+            fill_stats.max_intermediate_size
             <= max(seq_stats.max_intermediate_size, 64)
         )
 
@@ -101,8 +123,7 @@ def _min_fill_order_reference(network):
     version: same ``(fill, degree, label)`` selection key, recomputing
     every vertex's fill from scratch each round.
     """
-    graph = interaction_graph(network)
-    adjacency = {v: set(graph[v]) for v in graph.nodes}
+    adjacency = interaction_graph(network)
     order = []
     while adjacency:
         best, best_key = None, None
@@ -156,8 +177,6 @@ class TestMinFill:
 
 
 def sample_circuit():
-    import numpy as np
-
     rng = np.random.default_rng(7)
     circuit = QuantumCircuit(5)
     for _ in range(20):

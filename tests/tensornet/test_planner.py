@@ -1,5 +1,7 @@
 """Unit tests for the contraction-plan IR and planners."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,12 @@ from repro.tensornet import (
     plan_from_order,
     slice_plan,
 )
-from repro.tensornet.planner import iter_slice_assignments
+from repro.tensornet.planner import (
+    ContractionPlan,
+    _make_step,
+    _plan_inputs,
+    iter_slice_assignments,
+)
 
 
 def qft_network(n=3):
@@ -71,6 +78,71 @@ class TestPlanConstruction:
         assert record["num_steps"] == len(plan.steps)
         assert record["num_slices"] == plan.num_slices()
         assert record["peak_intermediate_size"] <= 8
+
+
+def _greedy_plan_reference(network):
+    """The original all-pairs greedy planner.
+
+    Kept verbatim (modulo renames) as the oracle for the connected-pair
+    scan of :func:`greedy_plan`: same ``(size, i, j)`` selection key,
+    testing every operand pair each step.
+    """
+    inputs, dims = _plan_inputs(network)
+    ops = list(inputs)
+    steps = []
+    while True:
+        best = None  # (size, i, j)
+        for i, j in itertools.combinations(range(len(ops)), 2):
+            shared = frozenset(ops[i]) & frozenset(ops[j])
+            if not shared:
+                continue
+            size = 1
+            for label in ops[i] + ops[j]:
+                if label not in shared:
+                    size *= dims[label]
+            if best is None or (size, i, j) < best:
+                best = (size, i, j)
+        if best is None:
+            break
+        steps.append(_make_step(ops, best[1], best[2], dims))
+    while len(ops) > 1:
+        steps.append(_make_step(ops, 0, 1, dims))
+    order = []
+    for step in steps:
+        order.extend(sorted(step.eliminated))
+    remaining = [i for i in network.all_indices() if i not in set(order)]
+    return ContractionPlan(
+        inputs=inputs, dims=dims, steps=tuple(steps),
+        order=tuple(order + remaining), planner="greedy",
+    )
+
+
+class TestGreedyPlan:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_byte_identical_to_reference_on_qft(self, n):
+        net = qft_network(n)
+        assert greedy_plan(net) == _greedy_plan_reference(net)
+
+    def test_byte_identical_on_noisy_doubled_networks(self):
+        from repro.core.miter import alg2_trace_network
+        from repro.noise import insert_random_noise
+
+        for seed in range(3):
+            ideal = qft(3)
+            noisy = insert_random_noise(ideal, 2, seed=seed)
+            net = alg2_trace_network(noisy, ideal)
+            assert greedy_plan(net) == _greedy_plan_reference(net)
+
+    def test_disconnected_components_are_outer_producted(self):
+        net = TensorNetwork([
+            Tensor(np.eye(2), ["a", "b"]), Tensor(np.eye(2), ["b", "a"]),
+            Tensor(np.eye(2), ["c", "d"]), Tensor(np.eye(2), ["d", "c"]),
+        ])
+        plan = greedy_plan(net)
+        assert plan == _greedy_plan_reference(net)
+        assert [step.eliminated for step in plan.steps] == [
+            frozenset("ab"), frozenset("cd"), frozenset(),
+        ]
 
 
 class TestSlicing:

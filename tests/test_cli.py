@@ -258,6 +258,17 @@ class TestPlanCommand:
         assert exit_info.value.code == 2
         assert "--planner" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "plan"])
+    def test_removed_tree_decomposition_is_rejected(
+        self, qasm_file, capsys, command
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, qasm_file, "--order-method", "tree_decomposition"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'tree_decomposition'" in err
+        assert "min_fill" in err
+
     def test_check_accepts_plan_flags(self, qasm_file, capsys):
         code = main([
             "check", qasm_file, "--noises", "2", "--epsilon", "0.05",

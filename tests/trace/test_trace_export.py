@@ -39,9 +39,7 @@ def sample_recorder():
                 with trace.span("circuit.load", source="library"):
                     pass
             with trace.span("session.check", algorithm="alg2"):
-                with trace.span(
-                    "plan.build", order_method="tree_decomposition"
-                ):
+                with trace.span("plan.build", order_method="min_fill"):
                     pass
                 with trace.span("slices.dispatch") as dispatch:
                     worker = TraceRecorder()
