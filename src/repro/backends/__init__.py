@@ -1,14 +1,14 @@
 """Pluggable contraction backends.
 
-The protocol lives in :mod:`repro.backends.base`; five engines ship
+The protocol lives in :mod:`repro.backends.base`; five backends ship
 built in and pre-registered:
 
 * ``"tdd"`` — Tensor Decision Diagrams (the paper's engine);
-* ``"dense"`` — pairwise ``np.tensordot`` along the contraction plan,
-  with batched sliced execution;
-* ``"einsum"`` — compiled integer-subscript einsum per plan step on
-  numpy, batched sliced execution by default;
-* ``"einsum-torch"`` / ``"einsum-cupy"`` — the same einsum kernels on
+* ``"einsum"`` — the array kernel on numpy: large plan steps contract
+  through ``tensordot`` (BLAS), small ones through compiled
+  integer-subscript einsum, with batched sliced execution by default;
+* ``"dense"`` — the same numpy array kernel under its established name;
+* ``"einsum-torch"`` / ``"einsum-cupy"`` — the same array kernel on
   torch tensors (CPU or CUDA) / cupy arrays.  These registry entries
   always exist; when the optional library is missing they are excluded
   from :func:`available_backends`, reported by
@@ -53,8 +53,12 @@ from .base import (
     resolve_backend,
     unregister_backend,
 )
-from .dense import DenseBackend
-from .einsum import CupyEinsumBackend, NumpyEinsumBackend, TorchEinsumBackend
+from .einsum import (
+    CupyEinsumBackend,
+    DenseBackend,
+    NumpyEinsumBackend,
+    TorchEinsumBackend,
+)
 from .tdd import TddBackend
 from .xp import (
     AUTO_SLICE_BATCH_BUDGET,

@@ -368,7 +368,9 @@ class ContractionBackend(abc.ABC):
         # this once per trace term, thousands of times per check.
         with _trace.span("plan.execute") as execute_span:
             execute_span.set(
-                slices=len(assignments), device=self.resolved_device
+                slices=len(assignments),
+                device=self.resolved_device,
+                predicted_cost=compiled.slice_flops * len(assignments),
             )
             applier = SliceApplier(network.tensors, plan.slices)
             kernel = self.kernel(

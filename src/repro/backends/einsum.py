@@ -1,21 +1,20 @@
-"""The array-API einsum engine: one contraction kernel, any array library.
+"""The array kernel: one contraction kernel for every array library.
 
 Each pairwise step of the shared
-:class:`~repro.tensornet.planner.ContractionPlan` is executed by one
-``einsum`` call against an :class:`~repro.backends.xp.ArrayNamespace` —
-numpy by default, torch or cupy through the ``einsum-torch`` /
-``einsum-cupy`` registry entries.  Subscripts are integer sublists
-compiled once per plan (:func:`repro.backends.xp.compile_plan`, memoised
-by plan digest), so neither the 52-symbol subscript alphabet nor
-per-call label remapping costs apply.
+:class:`~repro.tensornet.planner.ContractionPlan` is one call against an
+:class:`~repro.backends.xp.ArrayNamespace` — numpy for ``einsum`` and
+its ``dense`` alias, torch or cupy for ``einsum-torch`` /
+``einsum-cupy``.  Steps are lowered once per plan digest
+(:func:`repro.backends.xp.compile_plan`): large plain matrix products
+run as ``tensordot`` (BLAS), every other step as an integer-sublist
+``einsum``.
 
 Sliced plans run in chunks of ``slice_batch`` assignments: a chunk of
-one slice contracts with the unbatched subscripts, and a longer chunk
-gains a leading batch axis on every slice-varying tensor so each plan
-step becomes a single batched einsum over the whole chunk — thousands of
+one slice contracts like an unsliced plan, and a longer chunk gains a
+leading batch axis on every slice-varying tensor so each plan step
+becomes a single batched einsum over the whole chunk — thousands of
 Python-level contractions collapse into a handful of kernels, with
-``slice_batch × peak intermediate`` bounding memory.  :class:`EinsumKernel`
-is also the dense backend's batched kernel.
+``slice_batch × peak intermediate`` bounding memory.
 
 The optional-dependency subclasses resolve their namespace at
 *construction*: ``get_backend("einsum-torch")`` without torch raises
@@ -33,7 +32,7 @@ from .xp import ArrayNamespace, CompiledPlan, CompiledStep, resolve_namespace
 
 
 class EinsumKernel(ContractionKernel):
-    """Compiled-subscript einsum steps on one array namespace."""
+    """Compiled tensordot/einsum steps on one array namespace."""
 
     def __init__(
         self,
@@ -57,13 +56,16 @@ class EinsumKernel(ContractionKernel):
         return applier.gather(chunk, self.xp)
 
     def merge(self, a, b, step: CompiledStep):
-        if self.batch == 1:
-            lhs_subs, rhs_subs, out_subs = step.subscripts
+        if self.batch == 1 and step.axes is not None:
+            merged = self.xp.tensordot(a, b, step.axes)
         else:
-            lhs_subs, rhs_subs, out_subs = step.batched_subscripts
-        merged = self.xp.einsum(
-            a, list(lhs_subs), b, list(rhs_subs), list(out_subs)
-        )
+            lhs_subs, rhs_subs, out_subs = (
+                step.subscripts if self.batch == 1
+                else step.batched_subscripts
+            )
+            merged = self.xp.einsum(
+                a, list(lhs_subs), b, list(rhs_subs), list(out_subs)
+            )
         stats = self.stats
         if stats is not None:
             # Stats keep their established *per-slice* semantics (the
@@ -91,7 +93,7 @@ class EinsumKernel(ContractionKernel):
 
 
 class NumpyEinsumBackend(ContractionBackend):
-    """Compiled-subscript einsum execution of a shared contraction plan."""
+    """Compiled tensordot/einsum execution of a shared contraction plan."""
 
     name = "einsum"
     #: array namespace the backend contracts with; subclasses override.
@@ -111,6 +113,13 @@ class NumpyEinsumBackend(ContractionBackend):
 
     def kernel(self, network, plan, compiled, stats, cacheable_tensor_ids):
         return EinsumKernel(self.xp, compiled, stats)
+
+
+class DenseBackend(NumpyEinsumBackend):
+    """``dense``: the numpy array kernel under its established name, so
+    configs, wire records and result fingerprints naming it still work."""
+
+    name = "dense"
 
 
 class TorchEinsumBackend(NumpyEinsumBackend):

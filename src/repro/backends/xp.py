@@ -1,12 +1,12 @@
 """The array-namespace portability layer: one contraction kernel, any array library.
 
-The dense and einsum backends bottom out in ``einsum`` calls over ndarrays.
-Nothing about those calls is numpy-specific — torch and cupy implement the
-same interleaved integer-sublist ``einsum`` signature, the same advanced
-indexing and the same reductions — so this module abstracts the handful of
-array operations the execution path needs behind an
-:class:`ArrayNamespace`, and the einsum backend becomes generic over it:
-the *same* :class:`~repro.tensornet.planner.ContractionPlan` executes on
+The array backends bottom out in ``einsum`` and ``tensordot`` calls over
+ndarrays.  Nothing about those calls is numpy-specific — torch and cupy
+implement the same interleaved integer-sublist ``einsum``, the same
+``tensordot``, advanced indexing and reductions — so this module puts
+the handful of array operations the execution path needs behind an
+:class:`ArrayNamespace`, and the one kernel (:mod:`repro.backends.einsum`)
+runs the *same* :class:`~repro.tensornet.planner.ContractionPlan` on
 numpy arrays, torch tensors (CPU or CUDA) or cupy arrays.
 
 Design rules:
@@ -23,14 +23,10 @@ Design rules:
   via advanced indexing, so an 8192-slice contraction is still two
   transfers, not 8192.
 
-The module also owns plan lowering: :func:`compile_plan` precomputes,
-once per plan, the dense integer einsum subscripts of every step (the
-per-call label remap the old einsum backend rebuilt for every step of
-every slice), in both an unbatched and a batch-labelled variant.  The
-einsum kernel (:mod:`repro.backends.einsum`) contracts a chunk of one
-slice with the former and a longer chunk — stacked along a leading batch
-axis — with the latter, so thousands of per-slice Python-loop
-contractions collapse into a handful of batched kernels.
+The module also owns plan lowering: :func:`compile_plan` computes, once
+per plan, every step's integer einsum subscripts (unbatched and
+batch-labelled) and, for steps of at least :data:`BLAS_MIN_FLOPS`
+predicted flops that are plain matrix products, ``tensordot`` axes.
 """
 
 from __future__ import annotations
@@ -54,6 +50,12 @@ NAMESPACES = ("numpy", "torch", "cupy")
 #: ``batch × peak per-slice intermediate`` stays under this many
 #: elements (2M complex128 elements ≈ 32 MiB of batched intermediate).
 AUTO_SLICE_BATCH_BUDGET = 1 << 21
+
+#: Unbatched plan steps of at least this many predicted flops
+#: (:attr:`~repro.tensornet.planner.ContractionStep.flops`) that are plain
+#: matrix products run as ``tensordot`` (BLAS on numpy); below it einsum's
+#: lower call overhead wins.  Fitted on the perfbench rows (ROADMAP item 3).
+BLAS_MIN_FLOPS = 4096
 
 #: pip extras installing each optional namespace (the error-message hint).
 _INSTALL_HINTS = {
@@ -129,6 +131,10 @@ class ArrayNamespace(abc.ABC):
         """Interleaved integer-sublist einsum (the numpy calling form)."""
 
     @abc.abstractmethod
+    def tensordot(self, a, b, axes):
+        """Contract ``axes[0]`` of ``a`` with ``axes[1]`` of ``b``."""
+
+    @abc.abstractmethod
     def sum_scalar(self, operand) -> complex:
         """Sum every element and return it as a host complex."""
 
@@ -163,6 +169,9 @@ class NumpyNamespace(ArrayNamespace):
 
     def einsum(self, *operands_and_subscripts):
         return np.asarray(np.einsum(*operands_and_subscripts))
+
+    def tensordot(self, a, b, axes):
+        return np.tensordot(a, b, axes)
 
     def sum_scalar(self, operand) -> complex:
         return complex(np.sum(operand))
@@ -202,6 +211,9 @@ class TorchNamespace(ArrayNamespace):
 
     def einsum(self, *operands_and_subscripts):
         return self._torch.einsum(*operands_and_subscripts)
+
+    def tensordot(self, a, b, axes):
+        return self._torch.tensordot(a, b, axes)
 
     def sum_scalar(self, operand) -> complex:
         return complex(operand.sum().item())
@@ -247,6 +259,9 @@ class CupyNamespace(ArrayNamespace):
 
     def einsum(self, *operands_and_subscripts):
         return self._cupy.einsum(*operands_and_subscripts)
+
+    def tensordot(self, a, b, axes):
+        return self._cupy.tensordot(a, b, axes)
 
     def sum_scalar(self, operand) -> complex:
         return complex(operand.sum().item())
@@ -296,14 +311,13 @@ def resolve_namespace(
 
 @dataclass(frozen=True, slots=True)
 class CompiledStep:
-    """One plan step lowered to ready-made einsum integer subscripts.
+    """One plan step lowered to ready-made einsum subscripts or BLAS axes.
 
     ``subscripts`` is the ``(lhs, rhs, out)`` sublist triple for the
     per-slice (unbatched) call; ``batched_subscripts`` is the same triple
     with the reserved batch label ``0`` prepended wherever the operand —
-    or the output — varies across slices.  Both are computed once per
-    plan, replacing the per-call label remap the einsum backend used to
-    rebuild for every step of every slice.
+    or the output — varies across slices; ``axes`` is the ``tensordot``
+    axes pair of a step lowered to BLAS (``None``: einsum).
     """
 
     lhs: int
@@ -313,10 +327,10 @@ class CompiledStep:
         Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]
     ]
     out_batched: bool
-    #: per-slice element count of the merged operand (the plan estimate)
-    output_size: int
     #: labels summed over in this step (engines that contract by label)
     eliminated: frozenset
+    #: ``tensordot`` axes of an unbatched call (``None`` = einsum)
+    axes: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -326,17 +340,48 @@ class CompiledPlan:
     steps: Tuple[CompiledStep, ...]
     #: whether each input tensor carries a sliced label (varies per slice)
     input_batched: Tuple[bool, ...]
+    #: predicted flops of one slice (the plan's cost model)
+    slice_flops: int
+
+    @property
+    def blas_steps(self) -> int:
+        """How many steps an unbatched chunk contracts with ``tensordot``."""
+        return sum(step.axes is not None for step in self.steps)
+
+
+def tensordot_axes(
+    lhs: Tuple[str, ...], rhs: Tuple[str, ...], output: Tuple[str, ...]
+) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """``tensordot`` axes merging ``lhs`` and ``rhs`` into ``output``.
+
+    ``None`` unless the merge is a plain matrix product: no operand
+    repeats a label, and ``output`` is exactly the unshared lhs labels
+    then the unshared rhs labels (``tensordot``'s order, so no transpose
+    follows) — no label survives from both operands or is summed from one.
+    """
+    if len(set(lhs)) != len(lhs) or len(set(rhs)) != len(rhs):
+        return None
+    shared = [label for label in lhs if label in rhs]
+    if tuple(output) != tuple(
+        label for label in lhs + rhs if label not in shared
+    ):
+        return None
+    return (
+        tuple(lhs.index(label) for label in shared),
+        tuple(rhs.index(label) for label in shared),
+    )
 
 
 def compile_plan(plan: ContractionPlan) -> CompiledPlan:
-    """Lower a plan's steps to integer einsum subscripts, once.
+    """Lower a plan's steps to integer einsum subscripts or BLAS axes, once.
 
     Labels are remapped to a dense integer range *per step* (so the
     global index count never hits the 52-symbol einsum alphabet), with
-    ``0`` reserved for the batch axis of batched slice chunks.  Backends
-    memoise the result by :meth:`ContractionPlan.digest`, so Algorithm
-    I's thousands of structurally identical contractions — and all 8192
-    slices of a sliced plan — pay the lowering exactly once.
+    ``0`` reserved for the batch axis of batched slice chunks; steps of at
+    least :data:`BLAS_MIN_FLOPS` flops also get :func:`tensordot_axes`.
+    Backends memoise the result by :meth:`ContractionPlan.digest`, so
+    Algorithm I's thousands of structurally identical contractions — and
+    all 8192 slices of a sliced plan — pay the lowering exactly once.
     """
     sliced = set(plan.slices)
     inputs = [
@@ -372,8 +417,11 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
                 if out_batched else subscripts
             ),
             out_batched=out_batched,
-            output_size=step.output_size,
             eliminated=step.eliminated,
+            axes=(
+                tensordot_axes(a, b, step.output)
+                if step.flops >= BLAS_MIN_FLOPS else None
+            ),
         ))
         return step.output, out_batched
 
@@ -381,6 +429,7 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
     return CompiledPlan(
         steps=tuple(steps),
         input_batched=tuple(batched for _, batched in inputs),
+        slice_flops=sum(step.flops for step in plan.steps),
     )
 
 
@@ -401,6 +450,8 @@ def compiled_for(plan: ContractionPlan) -> CompiledPlan:
             _COMPILED_MEMO.clear()
         with _trace.span("plan.compile") as compile_span:
             compiled = compile_plan(plan)
-            compile_span.set(steps=len(compiled.steps))
+            compile_span.set(
+                steps=len(compiled.steps), blas_steps=compiled.blas_steps
+            )
         _COMPILED_MEMO[digest] = compiled
     return compiled

@@ -78,6 +78,82 @@ class TestRegistry:
             DenseBackend(order_method="tree_decompositon")  # typo
 
 
+class TestDenseIsTheArrayKernel:
+    """``dense`` keeps its name but runs the one numpy array kernel."""
+
+    def test_dense_is_the_numpy_einsum_backend(self):
+        import repro.backends as backends
+
+        backend = get_backend("dense", max_intermediate_size=64)
+        assert isinstance(backend, NumpyEinsumBackend)
+        assert backend.name == "dense"
+        assert backend.namespace == "numpy"
+        assert backend.resolved_device == "cpu"
+        spec = backend.describe()
+        assert spec["name"] == "dense"
+        assert spec == {
+            **get_backend("einsum", max_intermediate_size=64).describe(),
+            "name": "dense",
+        }
+        assert not hasattr(backends, "DenseKernel")
+        with pytest.raises(ImportError):
+            __import__("repro.backends.dense")
+
+    def test_dense_and_einsum_agree_bit_for_bit(self):
+        from repro.core.miter import algorithm_network
+
+        ideal = qft(4)
+        noisy = insert_random_noise(ideal, 2, seed=5)
+        network = algorithm_network(noisy, ideal, "alg2")
+        for bound in (None, 64):
+            values = {
+                get_backend(name, max_intermediate_size=bound)
+                .contract_scalar(network)
+                for name in ("dense", "einsum")
+            }
+            assert len(values) == 1, bound
+
+
+class TestNamespaceTensordot:
+    """Every usable array namespace contracts BLAS steps the same way."""
+
+    @staticmethod
+    def _usable_namespaces():
+        from repro.backends import (
+            NAMESPACES,
+            namespace_available,
+            resolve_namespace,
+        )
+
+        for name in NAMESPACES:
+            if namespace_available(name) is not None:
+                continue
+            try:
+                yield resolve_namespace(name)
+            except ValueError:  # installed, but no device to run on
+                continue
+
+    def test_tensordot_matches_numpy(self):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal(
+            (2, 3, 4)
+        )
+        b = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal(
+            (4, 5, 3)
+        )
+        axes = ((1, 2), (2, 0))
+        expected = np.tensordot(a, b, axes)
+        names = []
+        for xp in self._usable_namespaces():
+            names.append(xp.name)
+            merged = xp.tensordot(xp.from_host(a), xp.from_host(b), axes)
+            assert tuple(merged.shape) == expected.shape
+            assert abs(
+                xp.sum_scalar(merged) - complex(expected.sum())
+            ) < 1e-12 * np.abs(expected).sum()
+        assert "numpy" in names
+
+
 class TestCustomBackend:
     def test_custom_backend_drives_the_checker(self):
         calls = []
@@ -296,6 +372,9 @@ class TestOneContractionPath:
             assert not hasattr(xp, name)
         assert not hasattr(TensorNetwork, "contract_scalar")
         # every engine supplies a kernel, none its own driver
-        for cls in (TddBackend, DenseBackend, NumpyEinsumBackend):
+        for cls in (TddBackend, NumpyEinsumBackend):
             assert "contract_scalar" not in vars(cls)
             assert "kernel" in vars(cls)
+        # dense is the numpy array kernel under its own name
+        assert "contract_scalar" not in vars(DenseBackend)
+        assert DenseBackend.kernel is NumpyEinsumBackend.kernel

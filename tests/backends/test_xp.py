@@ -12,8 +12,14 @@ Three concerns, mirroring the layers of :mod:`repro.backends.xp`:
   kernel to the reference loop and to the unsliced contraction within
   1e-9 on every backend, including ragged final chunks
   (``num_slices % slice_batch != 0``) and the ``slice_batch=1``
-  degenerate chunking.
+  degenerate chunking;
+* **BLAS lowering** — steps at or above ``BLAS_MIN_FLOPS`` that are
+  plain matrix products run through ``tensordot`` and agree with the
+  pure-einsum kernel to 1e-12, with identical contraction stats; every
+  other step stays on einsum.
 """
+
+import dataclasses
 
 import subprocess
 import sys
@@ -40,12 +46,26 @@ from repro.backends import (
     registered_backends,
     resolve_namespace,
 )
-from repro.backends.xp import _COMPILED_MEMO, compile_plan, compiled_for
+from repro.backends.einsum import EinsumKernel
+from repro.backends.xp import (
+    _COMPILED_MEMO,
+    BLAS_MIN_FLOPS,
+    compile_plan,
+    compiled_for,
+    tensordot_axes,
+)
 from repro.core import fidelity_collective, jamiolkowski_fidelity_dense
 from repro.core.session import CheckConfig
 from repro.library import qft
 from repro.noise import depolarizing, insert_random_noise
-from repro.tensornet import Tensor, TensorNetwork, build_plan
+from repro.tensornet import (
+    ContractionPlan,
+    ContractionStats,
+    ContractionStep,
+    Tensor,
+    TensorNetwork,
+    build_plan,
+)
 
 TORCH_MISSING = namespace_available("torch")
 
@@ -280,7 +300,9 @@ class TestBatchedAgreesWithLooped:
         bound=st.sampled_from([2, 4, 16]),
     )
     def test_property(self, network, backend_cls, slice_batch, bound):
-        reference = DenseBackend().contract_scalar(network)
+        # Tensor.contract is the independent oracle: DenseBackend is the
+        # array kernel under test.
+        reference = network.contract().scalar()
         scale = max(1.0, abs(reference))
         looped = backend_cls(
             max_intermediate_size=bound, slice_batch=1
@@ -334,6 +356,210 @@ class TestBatchedAgreesWithLooped:
         assert stats.batched_slice_calls >= 1
 
 
+# --- BLAS lowering ----------------------------------------------------------
+
+
+def _wide_network(seed):
+    """A random closed network whose plan steps straddle BLAS_MIN_FLOPS.
+
+    Bonds of dimension 2-8 on tensors of up to 2**10 elements: small
+    merges predict a few dozen flops, merges of two full tensors tens of
+    thousands.
+    """
+    rng = np.random.default_rng(seed)
+    num_tensors = int(rng.integers(3, 7))
+    slots = [[] for _ in range(num_tensors)]
+    sizes = [1] * num_tensors
+    dims = {}
+    for e in range(int(rng.integers(4, 13))):
+        dim = int(rng.choice([2, 4, 8]))
+        a, b = (int(x) for x in rng.choice(num_tensors, 2, replace=False))
+        if max(sizes[a], sizes[b]) * dim > 2**10:
+            continue
+        label = f"e{e}"
+        dims[label] = dim
+        for t in (a, b):
+            slots[t].append(label)
+            sizes[t] *= dim
+    tensors = []
+    for labels in slots:
+        shape = tuple(dims[lab] for lab in labels)
+        data = rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(
+            -1, 1, size=shape
+        )
+        tensors.append(Tensor(data, labels))
+    return TensorNetwork(tensors)
+
+
+wide_networks = st.integers(min_value=0, max_value=2**32 - 1).map(
+    _wide_network
+)
+
+
+def _einsum_only(compiled):
+    """``compiled`` with every step left on einsum (the reference path)."""
+    return dataclasses.replace(compiled, steps=tuple(
+        dataclasses.replace(step, axes=None) for step in compiled.steps
+    ))
+
+
+def _execute(network, plan, compiled, slice_batch=None):
+    """``contract_scalar``'s value and stats with ``compiled`` as lowering."""
+    digest = plan.digest()
+    saved = _COMPILED_MEMO.get(digest)
+    _COMPILED_MEMO[digest] = compiled
+    try:
+        stats = ContractionStats()
+        value = NumpyEinsumBackend(slice_batch=slice_batch).contract_scalar(
+            network, stats=stats, plan=plan
+        )
+    finally:
+        if saved is None:
+            _COMPILED_MEMO.pop(digest, None)
+        else:
+            _COMPILED_MEMO[digest] = saved
+    return value, stats
+
+
+class TestBlasLowering:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        network=wide_networks,
+        bound=st.sampled_from([None, 64]),
+        slice_batch=st.sampled_from([1, None]),
+    )
+    def test_lowered_agrees_with_pure_einsum(
+        self, network, bound, slice_batch
+    ):
+        plan = build_plan(network, max_intermediate_size=bound)
+        lowered = compile_plan(plan)
+        for step, cstep in zip(plan.steps, lowered.steps):
+            assert (cstep.axes is not None) == (
+                step.flops >= BLAS_MIN_FLOPS
+            )
+        value, stats = _execute(network, plan, lowered, slice_batch)
+        ref, ref_stats = _execute(
+            network, plan, _einsum_only(lowered), slice_batch
+        )
+        # relative to the cancellation-free magnitude of the sum
+        scale = abs(TensorNetwork([
+            Tensor(np.abs(t.data), t.indices) for t in network.tensors
+        ]).contract().scalar())
+        assert abs(value - ref) <= 1e-12 * scale
+        for field in (
+            "num_pairwise_contractions",
+            "max_intermediate_size",
+            "max_intermediate_rank",
+        ):
+            assert getattr(stats, field) == getattr(ref_stats, field)
+
+    def test_sample_networks_straddle_the_threshold(self):
+        # The property above only means something if its networks mix
+        # lowered and einsum steps.
+        mixed = 0
+        for seed in range(20):
+            compiled = compile_plan(build_plan(_wide_network(seed)))
+            if 0 < compiled.blas_steps < len(compiled.steps):
+                mixed += 1
+        assert mixed >= 5
+
+    def test_matrix_product_axes(self):
+        assert tensordot_axes(("a", "b"), ("b", "c"), ("a", "c")) == (
+            (1,), (0,),
+        )
+        assert tensordot_axes(
+            ("a", "b", "c"), ("d", "c", "a"), ("b", "d")
+        ) == ((0, 2), (2, 1))
+        # outer product: nothing shared
+        assert tensordot_axes(("a",), ("b",), ("a", "b")) == ((), ())
+
+    @pytest.mark.parametrize("lhs, rhs, out", [
+        # a label in both operands and the output (a kept hyperedge)
+        (("a", "b"), ("a", "c"), ("a", "b", "c")),
+        # a repeated label inside one operand
+        (("a", "a", "b"), ("b", "c"), ("c",)),
+        (("a", "b"), ("b", "c", "c"), ("a",)),
+        # a label summed from one operand only
+        (("a", "b"), ("b", "c"), ("c",)),
+        # survivors in an order tensordot does not produce
+        (("a", "b"), ("b", "c"), ("c", "a")),
+    ])
+    def test_non_matrix_products_stay_on_einsum(self, lhs, rhs, out):
+        assert tensordot_axes(lhs, rhs, out) is None
+        dims = {label: 4 for label in lhs + rhs}
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(tuple(dims[x] for x in lhs))
+        b = rng.standard_normal(tuple(dims[x] for x in rhs))
+        size = 4 ** len(out)
+        plan = ContractionPlan(
+            inputs=(lhs, rhs),
+            dims=dims,
+            steps=(ContractionStep(
+                0, 1, frozenset(set(lhs + rhs) - set(out)), out, size,
+                max(size, BLAS_MIN_FLOPS),
+            ),),
+            order=(),
+        )
+        compiled = compile_plan(plan)
+        assert compiled.blas_steps == 0
+        kernel = EinsumKernel(resolve_namespace("numpy"), compiled, None)
+        merged = kernel.merge(a, b, compiled.steps[0])
+        symbols = {label: chr(ord("i") + n) for n, label in enumerate(dims)}
+        spec = "{},{}->{}".format(*(
+            "".join(symbols[x] for x in labels) for labels in (lhs, rhs, out)
+        ))
+        np.testing.assert_allclose(merged, np.einsum(spec, a, b))
+
+    def test_small_steps_stay_on_einsum(self):
+        _, plan = _tiny_sliced_plan()
+        assert all(step.flops < BLAS_MIN_FLOPS for step in plan.steps)
+        assert compile_plan(plan).blas_steps == 0
+
+    @pytest.mark.parametrize("backend_name", ["dense", "einsum"])
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    @pytest.mark.parametrize("bound", [None, 512])
+    @pytest.mark.parametrize("slice_batch", [1, None])
+    def test_agrees_with_superoperator_baseline(
+        self, backend_name, algorithm, bound, slice_batch
+    ):
+        from repro.core import fidelity_individual
+        from repro.core.miter import algorithm_network
+
+        ideal = qft(5)
+        noisy = insert_random_noise(
+            ideal, 3, channel_factory=lambda: depolarizing(0.98), seed=4
+        )
+        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        backend = get_backend(
+            backend_name, max_intermediate_size=bound,
+            slice_batch=slice_batch,
+        )
+        # unsliced and sliced plans alike keep steps on both paths
+        plan = backend.plan_for(algorithm_network(noisy, ideal, algorithm))
+        assert 0 < compile_plan(plan).blas_steps < len(plan.steps)
+        fidelity = (
+            fidelity_collective if algorithm == "alg2"
+            else fidelity_individual
+        )
+        assert abs(fidelity(noisy, ideal, backend=backend).fidelity - ref) < 1e-9
+
+    def test_circuit_plans_lower_their_large_steps(self):
+        from repro.core.miter import algorithm_network
+
+        ideal = qft(5)
+        noisy = insert_random_noise(ideal, 3, seed=4)
+        backend = NumpyEinsumBackend()
+        network = algorithm_network(noisy, ideal, "alg2")
+        plan = backend.plan_for(network)
+        compiled = compile_plan(plan)
+        large = sum(step.flops >= BLAS_MIN_FLOPS for step in plan.steps)
+        assert large > 0
+        assert compiled.blas_steps == large
+        value, _ = _execute(network, plan, compiled)
+        ref, _ = _execute(network, plan, _einsum_only(compiled))
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
 # --- the torch path ---------------------------------------------------------
 
 
@@ -356,6 +582,7 @@ def _install_fake_torch(monkeypatch):
     fake.cuda = types.SimpleNamespace(is_available=lambda: False)
     fake.as_tensor = lambda array, device=None: np.asarray(array)
     fake.einsum = np.einsum
+    fake.tensordot = np.tensordot
     monkeypatch.setitem(sys.modules, "torch", fake)
     return fake
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit, cancel_adjacent_gates
-from repro.backends import DenseBackend, TddBackend
+from repro.backends import TddBackend
 from repro.tensornet import circuit_to_network, close_trace
 
 GATE_POOL = ["h", "x", "y", "z", "s", "sdg", "t", "tdg"]
@@ -34,7 +34,7 @@ class TestTraceNetworks:
     def test_network_trace_matches_dense(self, circuit):
         net = close_trace(circuit_to_network(circuit))
         assert np.isclose(
-            DenseBackend().contract_scalar(net),
+            net.contract().scalar(),
             np.trace(circuit.to_matrix()),
             atol=1e-8,
         )

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.backends import DenseBackend
 from repro.circuits import QuantumCircuit, eliminate_final_swaps
 from repro.library import qft
 from repro.noise import bit_flip
@@ -11,10 +10,10 @@ from repro.tensornet import circuit_to_network, close_trace, connect
 
 
 def dense_trace(circuit, permutation=None):
-    """tr of a circuit's matrix, contracted through the dense backend."""
-    return DenseBackend().contract_scalar(
-        close_trace(circuit_to_network(circuit), permutation=permutation)
-    )
+    """tr of a circuit's matrix, contracted by the Tensor.contract oracle."""
+    return close_trace(
+        circuit_to_network(circuit), permutation=permutation
+    ).contract().scalar()
 
 
 class TestConversion:

@@ -177,6 +177,53 @@ class TestExecutePhaseOnEveryBackend:
         assert {"plan", "compile"} <= set(phases)
 
 
+class TestCostOnSpans:
+    """plan.compile says how many steps go to BLAS, and plan.execute
+    carries the predicted cost it ran, so seconds-per-flop can be read
+    per kernel path."""
+
+    @pytest.mark.parametrize("backend", ["tdd", "dense", "einsum"])
+    @pytest.mark.parametrize("max_intermediate_size", [None, 64])
+    def test_compile_and_execute_attributes(
+        self, backend, max_intermediate_size
+    ):
+        from repro import trace as T
+        from repro.backends import get_backend
+        from repro.backends.xp import _COMPILED_MEMO
+        from repro.core.miter import alg2_trace_network
+        from repro.library import qft
+        from repro.noise import insert_random_noise
+        from repro.tensornet import ContractionStats
+
+        ideal = qft(5)
+        network = alg2_trace_network(
+            insert_random_noise(ideal, 3, seed=4), ideal
+        )
+        engine = get_backend(
+            backend, max_intermediate_size=max_intermediate_size
+        )
+        plan = engine.plan_for(network)
+        _COMPILED_MEMO.pop(plan.digest(), None)
+        stats = ContractionStats()
+        recorder = T.TraceRecorder()
+        with T.recording(recorder):
+            engine.contract_scalar(network, stats=stats)
+        (compile_span,) = [
+            s for s in recorder.spans if s.name == "plan.compile"
+        ]
+        (execute_span,) = [
+            s for s in recorder.spans if s.name == "plan.execute"
+        ]
+        assert compile_span.attributes["blas_steps"] == (
+            _COMPILED_MEMO[plan.digest()].blas_steps
+        )
+        if max_intermediate_size is None:
+            assert compile_span.attributes["blas_steps"] > 0
+        assert execute_span.attributes["predicted_cost"] == (
+            plan.total_cost()
+        ) == stats.predicted_cost
+
+
 class TestWorkerSpanPropagation:
     def test_process_executor_folds_worker_spans(self):
         from repro import trace as T
