@@ -4,10 +4,12 @@ The protocol lives in :mod:`repro.backends.base`; five backends ship
 built in and pre-registered:
 
 * ``"tdd"`` — Tensor Decision Diagrams (the paper's engine);
+* ``"dense"`` — pairwise :meth:`Tensor.contract` along the contraction
+  plan, with batched sliced execution: the independent reference the
+  array kernel is checked against;
 * ``"einsum"`` — the array kernel on numpy: large plan steps contract
   through ``tensordot`` (BLAS), small ones through compiled
   integer-subscript einsum, with batched sliced execution by default;
-* ``"dense"`` — the same numpy array kernel under its established name;
 * ``"einsum-torch"`` / ``"einsum-cupy"`` — the same array kernel on
   torch tensors (CPU or CUDA) / cupy arrays.  These registry entries
   always exist; when the optional library is missing they are excluded
@@ -53,12 +55,8 @@ from .base import (
     resolve_backend,
     unregister_backend,
 )
-from .einsum import (
-    CupyEinsumBackend,
-    DenseBackend,
-    NumpyEinsumBackend,
-    TorchEinsumBackend,
-)
+from .dense import DenseBackend
+from .einsum import CupyEinsumBackend, NumpyEinsumBackend, TorchEinsumBackend
 from .tdd import TddBackend
 from .xp import (
     AUTO_SLICE_BATCH_BUDGET,

@@ -370,7 +370,9 @@ class ContractionBackend(abc.ABC):
             execute_span.set(
                 slices=len(assignments),
                 device=self.resolved_device,
-                predicted_cost=compiled.slice_flops * len(assignments),
+                predicted_cost=(
+                    plan.total_cost() // plan.num_slices() * len(assignments)
+                ),
             )
             applier = SliceApplier(network.tensors, plan.slices)
             kernel = self.kernel(

@@ -2,19 +2,19 @@
 
 Each pairwise step of the shared
 :class:`~repro.tensornet.planner.ContractionPlan` is one call against an
-:class:`~repro.backends.xp.ArrayNamespace` — numpy for ``einsum`` and
-its ``dense`` alias, torch or cupy for ``einsum-torch`` /
-``einsum-cupy``.  Steps are lowered once per plan digest
-(:func:`repro.backends.xp.compile_plan`): large plain matrix products
-run as ``tensordot`` (BLAS), every other step as an integer-sublist
-``einsum``.
+:class:`~repro.backends.xp.ArrayNamespace` — numpy for ``einsum``,
+torch or cupy for ``einsum-torch`` / ``einsum-cupy``.  Steps are
+lowered once per plan digest (:func:`repro.backends.xp.compile_plan`):
+large plain matrix products run as ``tensordot`` (BLAS), every other
+step as an integer-sublist ``einsum``.
 
 Sliced plans run in chunks of ``slice_batch`` assignments: a chunk of
 one slice contracts like an unsliced plan, and a longer chunk gains a
 leading batch axis on every slice-varying tensor so each plan step
 becomes a single batched einsum over the whole chunk — thousands of
 Python-level contractions collapse into a handful of kernels, with
-``slice_batch × peak intermediate`` bounding memory.
+``slice_batch × peak intermediate`` bounding memory.  :class:`EinsumKernel`
+is also the dense backend's batched kernel.
 
 The optional-dependency subclasses resolve their namespace at
 *construction*: ``get_backend("einsum-torch")`` without torch raises
@@ -113,13 +113,6 @@ class NumpyEinsumBackend(ContractionBackend):
 
     def kernel(self, network, plan, compiled, stats, cacheable_tensor_ids):
         return EinsumKernel(self.xp, compiled, stats)
-
-
-class DenseBackend(NumpyEinsumBackend):
-    """``dense``: the numpy array kernel under its established name, so
-    configs, wire records and result fingerprints naming it still work."""
-
-    name = "dense"
 
 
 class TorchEinsumBackend(NumpyEinsumBackend):

@@ -340,8 +340,6 @@ class CompiledPlan:
     steps: Tuple[CompiledStep, ...]
     #: whether each input tensor carries a sliced label (varies per slice)
     input_batched: Tuple[bool, ...]
-    #: predicted flops of one slice (the plan's cost model)
-    slice_flops: int
 
     @property
     def blas_steps(self) -> int:
@@ -429,7 +427,6 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
     return CompiledPlan(
         steps=tuple(steps),
         input_batched=tuple(batched for _, batched in inputs),
-        slice_flops=sum(step.flops for step in plan.steps),
     )
 
 

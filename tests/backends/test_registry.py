@@ -78,40 +78,26 @@ class TestRegistry:
             DenseBackend(order_method="tree_decompositon")  # typo
 
 
-class TestDenseIsTheArrayKernel:
-    """``dense`` keeps its name but runs the one numpy array kernel."""
+class TestDenseIsIndependent:
+    """``dense`` is the reference the array kernel is checked against, so
+    an unsliced dense contraction never runs through that kernel."""
 
-    def test_dense_is_the_numpy_einsum_backend(self):
-        import repro.backends as backends
-
-        backend = get_backend("dense", max_intermediate_size=64)
-        assert isinstance(backend, NumpyEinsumBackend)
-        assert backend.name == "dense"
-        assert backend.namespace == "numpy"
-        assert backend.resolved_device == "cpu"
-        spec = backend.describe()
-        assert spec["name"] == "dense"
-        assert spec == {
-            **get_backend("einsum", max_intermediate_size=64).describe(),
-            "name": "dense",
-        }
-        assert not hasattr(backends, "DenseKernel")
-        with pytest.raises(ImportError):
-            __import__("repro.backends.dense")
-
-    def test_dense_and_einsum_agree_bit_for_bit(self):
+    def test_unsliced_dense_never_calls_the_array_kernel(self, monkeypatch):
+        from repro.backends.xp import NumpyNamespace
         from repro.core.miter import algorithm_network
 
+        def refuse(*args):
+            raise AssertionError("dense ran the array kernel")
+
+        monkeypatch.setattr(NumpyNamespace, "einsum", refuse)
+        monkeypatch.setattr(NumpyNamespace, "tensordot", refuse)
         ideal = qft(4)
-        noisy = insert_random_noise(ideal, 2, seed=5)
-        network = algorithm_network(noisy, ideal, "alg2")
-        for bound in (None, 64):
-            values = {
-                get_backend(name, max_intermediate_size=bound)
-                .contract_scalar(network)
-                for name in ("dense", "einsum")
-            }
-            assert len(values) == 1, bound
+        network = algorithm_network(
+            insert_random_noise(ideal, 2, seed=5), ideal, "alg2"
+        )
+        value = DenseBackend().contract_scalar(network)
+        ref = network.contract().scalar()
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 class TestNamespaceTensordot:
@@ -372,9 +358,6 @@ class TestOneContractionPath:
             assert not hasattr(xp, name)
         assert not hasattr(TensorNetwork, "contract_scalar")
         # every engine supplies a kernel, none its own driver
-        for cls in (TddBackend, NumpyEinsumBackend):
+        for cls in (TddBackend, DenseBackend, NumpyEinsumBackend):
             assert "contract_scalar" not in vars(cls)
             assert "kernel" in vars(cls)
-        # dense is the numpy array kernel under its own name
-        assert "contract_scalar" not in vars(DenseBackend)
-        assert DenseBackend.kernel is NumpyEinsumBackend.kernel
