@@ -9,6 +9,7 @@ Usage::
 
     python benchmarks/report_fig7.py                # k = 1..4
     python benchmarks/report_fig7.py --max-noises 8 # paper range
+    python benchmarks/report_fig7.py --backend einsum
 """
 
 from __future__ import annotations
@@ -25,15 +26,17 @@ from repro.core import fidelity_collective, fidelity_individual  # noqa: E402
 from repro.noise import depolarizing, insert_random_noise  # noqa: E402
 
 
-def measure(build, k, budget):
+def measure(build, k, budget, backend):
     ideal = build()
     noisy = insert_random_noise(
         ideal, k,
         channel_factory=lambda: depolarizing(NOISE_P),
         seed=NOISE_SEED,
     )
-    r1 = fidelity_individual(noisy, ideal, time_budget_seconds=budget)
-    r2 = fidelity_collective(noisy, ideal)
+    r1 = fidelity_individual(
+        noisy, ideal, time_budget_seconds=budget, backend=backend
+    )
+    r2 = fidelity_collective(noisy, ideal, backend=backend)
     t1 = r1.stats.time_seconds
     t2 = r2.stats.time_seconds
     return t1, t2, r1.stats.timed_out
@@ -46,6 +49,9 @@ def main() -> None:
         "--budget", type=float, default=60.0,
         help="per-point Alg I wall-clock budget",
     )
+    parser.add_argument(
+        "--backend", default="tdd", help="contraction backend of both"
+    )
     args = parser.parse_args()
 
     ks = list(range(1, args.max_noises + 1))
@@ -55,7 +61,7 @@ def main() -> None:
     for name, build in families.items():
         cells = []
         for k in ks:
-            t1, t2, timed_out = measure(build, k, args.budget)
+            t1, t2, timed_out = measure(build, k, args.budget, args.backend)
             if timed_out:
                 cells.append(f"{'>TO':>9}")
             else:

@@ -19,8 +19,9 @@ built in and pre-registered:
   an import-time failure.
 
 All engines execute the same
-:class:`~repro.tensornet.planner.ContractionPlan` through one driver,
-:meth:`ContractionBackend.contract_scalar`; an engine supplies only a
+:class:`~repro.tensornet.planner.ContractionPlan` through one core,
+:meth:`ContractionBackend.execute_chunks` (``contract_scalar`` and
+Algorithm I both run on it); an engine supplies only a
 :class:`ContractionKernel`.  Register your own with::
 
     from repro.backends import (
@@ -32,13 +33,12 @@ All engines execute the same
             return applier.gather(chunk)
         def merge(self, a, b, step):
             ...
-        def scalar(self, operand):
-            ...
+        def values(self, operand):
+            ...  # one host complex per slice of the chunk
 
     class MyBackend(ContractionBackend):
         name = "mine"
-        def kernel(self, network, plan, compiled, stats,
-                   cacheable_tensor_ids):
+        def kernel(self, network, plan, compiled, stats):
             return MyKernel()
 
     register_backend("mine", MyBackend)

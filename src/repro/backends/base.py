@@ -12,15 +12,17 @@ shared :class:`~repro.tensornet.planner.ContractionPlan` (built once per
 network structure by :meth:`ContractionBackend.plan_for` and memoised),
 so the same plan object — same pairwise steps, same predicted cost,
 same slicing — drives the TDD, dense and einsum engines alike.  One
-driver, :meth:`ContractionBackend.contract_scalar`, executes it for
-every engine; a backend only supplies a :class:`ContractionKernel` (how
-to load a chunk of slices, merge two operands, read a scalar).
+core, :meth:`ContractionBackend.execute_chunks`, executes it for every
+engine and yields per-slice values chunk by chunk;
+:meth:`ContractionBackend.contract_scalar` sums them, Algorithm I sums
+their squared moduli.  A backend only supplies a
+:class:`ContractionKernel` (how to load a chunk of slices, merge two
+operands, read the chunk's values).
 
-Backends are *stateful*: an instance may keep contraction plans,
-decision-diagram managers or conversion caches warm across calls.  That is
-how a :class:`~repro.core.session.CheckSession` amortises setup work over
-many circuit pairs, and how Algorithm I amortises it over many trace
-terms.
+Backends are *stateful*: an instance may keep contraction plans and
+decision-diagram managers warm across calls.  That is how a
+:class:`~repro.core.session.CheckSession` amortises setup work over many
+circuit pairs.
 """
 
 from __future__ import annotations
@@ -35,12 +37,15 @@ from typing import (
     Callable,
     ClassVar,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
-    Set,
     Union,
 )
+
+import numpy as np
 
 from .. import trace as _trace
 from ..cache import PlanCache, open_cache, plan_key, structure_fingerprint
@@ -155,11 +160,11 @@ def validate_plan_knobs(
 class ContractionKernel(abc.ABC):
     """The numerics one engine plugs into the shared plan driver.
 
-    A kernel lives for one :meth:`ContractionBackend.contract_scalar`
-    call.  The driver owns plan resolution, slice chunking, the step
-    loop and the sum over chunks; the kernel turns a chunk of slice
-    assignments into operands, merges two operands for one step, and
-    reads the chunk's scalar.  A chunk of one slice has no batch axis;
+    A kernel lives for one :meth:`ContractionBackend.execute_chunks`
+    stream.  The driver owns plan resolution, slice chunking and the
+    step loop; the kernel turns a chunk of slice assignments into
+    operands, merges two operands for one step, and reads the chunk's
+    per-slice values.  A chunk of one slice has no batch axis;
     longer chunks (only for backends with
     :attr:`ContractionBackend.supports_batched_slices`) carry a leading
     batch axis wherever an operand varies across slices.
@@ -176,8 +181,8 @@ class ContractionKernel(abc.ABC):
         """Contract two operands of the loaded chunk for ``step``."""
 
     @abc.abstractmethod
-    def scalar(self, operand) -> complex:
-        """The summed value of the chunk's final operand."""
+    def values(self, operand) -> np.ndarray:
+        """The chunk's final operand as one host complex per slice."""
 
 
 class ContractionBackend(abc.ABC):
@@ -301,18 +306,14 @@ class ContractionBackend(abc.ABC):
         self,
         network: TensorNetwork,
         stats: Optional[ContractionStats] = None,
-        cacheable_tensor_ids: Optional[Set[int]] = None,
         plan: Optional[ContractionPlan] = None,
         assignments: Optional[Sequence[Dict[str, int]]] = None,
     ) -> complex:
         """Contract a closed ``network`` to its scalar value.
 
-        The one execution driver of every engine: it resolves the plan,
-        hands sliced plans to the :attr:`executor`, chunks the slice
-        assignments by :meth:`effective_slice_batch`, runs each chunk's
-        steps through :func:`~repro.tensornet.planner.apply_steps` with
-        the backend's :meth:`kernel`, and sums the chunk scalars inside
-        one ``plan.execute`` span.
+        Resolves the plan, hands sliced plans to the :attr:`executor`,
+        chunks the slice assignments by :meth:`effective_slice_batch`
+        and sums the per-slice values :meth:`execute_chunks` yields.
 
         Parameters
         ----------
@@ -324,12 +325,6 @@ class ContractionBackend(abc.ABC):
             ``max_intermediate_size`` for dense engines), and the driver
             adds the plan-derived ``predicted_cost``/
             ``predicted_peak_size``/``slice_count`` predictions.
-        cacheable_tensor_ids:
-            ``id()``\\ s of tensors that are shared *by object identity*
-            with future calls (Algorithm I's template tensors).  Kernels
-            may cache per-tensor conversions for exactly these ids and
-            must drop cached conversions of any other tensor.  ``None``
-            means no cross-call tensor sharing.
         plan:
             Execute this :class:`ContractionPlan` instead of planning —
             the "plan once, execute anywhere" entry point.  Must have
@@ -360,33 +355,62 @@ class ContractionBackend(abc.ABC):
             assignments = list(iter_slice_assignments(plan))
         else:
             assignments = list(assignments)
-        compiled = compiled_for(plan)
         batch = max(
             1, min(self.effective_slice_batch(plan), len(assignments))
         )
-        # One span per call, not per chunk or step: Algorithm I calls
-        # this once per trace term, thousands of times per check.
-        with _trace.span("plan.execute") as execute_span:
-            execute_span.set(
-                slices=len(assignments),
-                device=self.resolved_device,
-                predicted_cost=(
-                    plan.total_cost() // plan.num_slices() * len(assignments)
-                ),
-            )
-            applier = SliceApplier(network.tensors, plan.slices)
-            kernel = self.kernel(
-                network, plan, compiled, stats, cacheable_tensor_ids
-            )
-            total = 0j
-            for start in range(0, len(assignments), batch):
-                chunk = assignments[start:start + batch]
-                operands = kernel.load(applier, chunk)
-                apply_steps(compiled.steps, operands, kernel.merge)
-                total += kernel.scalar(operands[0])
-                if batch > 1 and stats is not None:
-                    stats.batched_slice_calls += 1
+        chunks = (
+            assignments[start:start + batch]
+            for start in range(0, len(assignments), batch)
+        )
+        total = 0j
+        for values in self.execute_chunks(network, plan, chunks, stats):
+            total += complex(values.sum())
         return total
+
+    def execute_chunks(
+        self,
+        network: TensorNetwork,
+        plan: ContractionPlan,
+        chunks: Iterable[Sequence[Dict[str, int]]],
+        stats: Optional[ContractionStats] = None,
+    ) -> Iterator[np.ndarray]:
+        """Per-slice values of each chunk of slice assignments, in order.
+
+        The one execution core of every engine: it lowers the plan once
+        (:func:`~repro.backends.xp.compiled_for`), builds the backend's
+        :meth:`kernel`, and for each chunk loads the operands, runs the
+        plan's steps through :func:`~repro.tensornet.planner.apply_steps`
+        and yields the chunk's values — one complex per assignment, in
+        chunk order.  ``chunks`` is pulled lazily, one chunk after the
+        caller has consumed the previous chunk's values, so a caller can
+        size or stop the stream as it goes (Algorithm I does).
+
+        The whole stream runs inside one ``plan.execute`` span, closed
+        when the stream is exhausted or closed; its ``slices`` and
+        ``predicted_cost`` (per-slice flops times slices run) describe
+        the chunks that actually ran.  ``network`` may keep open legs
+        exactly on the plan's sliced labels: every chunk fixes them.
+        """
+        compiled = compiled_for(plan)
+        per_slice_cost = sum(step.flops for step in plan.steps)
+        with _trace.span("plan.execute") as execute_span:
+            applier = SliceApplier(network.tensors, plan.slices)
+            kernel = self.kernel(network, plan, compiled, stats)
+            ran = 0
+            try:
+                for chunk in chunks:
+                    operands = kernel.load(applier, chunk)
+                    apply_steps(compiled.steps, operands, kernel.merge)
+                    ran += len(chunk)
+                    if len(chunk) > 1 and stats is not None:
+                        stats.batched_slice_calls += 1
+                    yield kernel.values(operands[0])
+            finally:
+                execute_span.set(
+                    slices=ran,
+                    device=self.resolved_device,
+                    predicted_cost=per_slice_cost * ran,
+                )
 
     def kernel(
         self,
@@ -394,11 +418,10 @@ class ContractionBackend(abc.ABC):
         plan: ContractionPlan,
         compiled: CompiledPlan,
         stats: Optional[ContractionStats],
-        cacheable_tensor_ids: Optional[Set[int]],
     ) -> "ContractionKernel":
-        """The numerics of one :meth:`contract_scalar` call.
+        """The numerics of one :meth:`execute_chunks` stream.
 
-        Engines override this (arguments as for :meth:`contract_scalar`,
+        Engines override this (arguments as for :meth:`execute_chunks`,
         plus the plan's lowered form); a backend that overrides
         :meth:`contract_scalar` wholesale need not.
         """
@@ -409,10 +432,11 @@ class ContractionBackend(abc.ABC):
     def plan_for(self, network: TensorNetwork) -> ContractionPlan:
         """The contraction plan for ``network``, memoised per structure.
 
-        Algorithm I contracts thousands of structurally identical
-        networks; the (possibly expensive) planning pass — ordering
-        heuristic, pairwise simulation, slicing — runs once per
-        structure+shape and the resulting plan is replayed.  The memo
+        A session checks many structurally identical networks (a noise
+        sweep changes only tensor values); the (possibly expensive)
+        planning pass — ordering heuristic, pairwise simulation,
+        slicing — runs once per structure+shape and the resulting plan
+        is replayed.  The memo
         keeps the :data:`DEFAULT_PLAN_MEMO` most recently used plans.
 
         With a :attr:`plan_cache` attached a memo miss additionally

@@ -8,12 +8,14 @@ reference implementation for cross-backend tests.
 
 Sliced plans batch by default: slice assignments are chunked and each
 multi-slice chunk contracts through the einsum backend's batched kernel
-(identical numerics, a leading batch axis).  One-slice chunks —
+(batched matmul or einsum over a leading batch axis).  One-slice chunks —
 unsliced plans, and every chunk under ``slice_batch=1`` — use tensordot,
 the reference the property tests pin the batched path against.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..tensornet import Tensor
 from .base import ContractionBackend
@@ -45,10 +47,10 @@ class DenseKernel(EinsumKernel):
             self.stats.observe(merged)
         return merged
 
-    def scalar(self, operand) -> complex:
+    def values(self, operand) -> np.ndarray:
         if self.batch > 1:
-            return super().scalar(operand)
-        return operand.scalar()
+            return super().values(operand)
+        return np.array([operand.scalar()])
 
 
 class DenseBackend(ContractionBackend):
@@ -68,5 +70,5 @@ class DenseBackend(ContractionBackend):
     def resolved_device(self) -> str:
         return self.xp.device
 
-    def kernel(self, network, plan, compiled, stats, cacheable_tensor_ids):
-        return DenseKernel(self.xp, compiled, stats)
+    def kernel(self, network, plan, compiled, stats):
+        return DenseKernel(self.xp, stats)

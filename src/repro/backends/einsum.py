@@ -11,9 +11,11 @@ step as an integer-sublist ``einsum``.
 Sliced plans run in chunks of ``slice_batch`` assignments: a chunk of
 one slice contracts like an unsliced plan, and a longer chunk gains a
 leading batch axis on every slice-varying tensor so each plan step
-becomes a single batched einsum over the whole chunk — thousands of
+becomes a single batched ``matmul`` (batched einsum when the step is
+not a plain matrix product) over the whole chunk — thousands of
 Python-level contractions collapse into a handful of kernels, with
-``slice_batch × peak intermediate`` bounding memory.  :class:`EinsumKernel`
+``slice_batch × peak intermediate`` bounding memory.  Algorithm I's
+Kraus-sliced plans run through the same path.  :class:`EinsumKernel`
 is also the dense backend's batched kernel.
 
 The optional-dependency subclasses resolve their namespace at
@@ -26,42 +28,37 @@ from __future__ import annotations
 
 from typing import ClassVar, Optional
 
+import numpy as np
+
 from ..tensornet import ContractionStats
 from .base import ContractionBackend, ContractionKernel
-from .xp import ArrayNamespace, CompiledPlan, CompiledStep, resolve_namespace
+from .xp import ArrayNamespace, CompiledStep, resolve_namespace
 
 
 class EinsumKernel(ContractionKernel):
-    """Compiled tensordot/einsum steps on one array namespace."""
+    """Compiled tensordot/matmul/einsum steps on one array namespace."""
 
     def __init__(
-        self,
-        xp: ArrayNamespace,
-        compiled: CompiledPlan,
-        stats: Optional[ContractionStats],
+        self, xp: ArrayNamespace, stats: Optional[ContractionStats]
     ):
         self.xp = xp
         self.stats = stats
         #: slices in the chunk being contracted
         self.batch = 1
-        # Unreachable for circuit networks (a sliced label always
-        # reaches the final merge), kept for plan generality: an
-        # unbatched final operand contributes once per slice.
-        self._final_unbatched = bool(
-            compiled.steps and not compiled.steps[-1].out_batched
-        )
 
     def load(self, applier, chunk):
         self.batch = len(chunk)
         return applier.gather(chunk, self.xp)
 
     def merge(self, a, b, step: CompiledStep):
-        if self.batch == 1 and step.axes is not None:
+        batched = self.batch > 1 and step.out_batched
+        if batched and step.matmul is not None:
+            merged = step.matmul(self.xp, a, b)
+        elif not batched and step.axes is not None:
             merged = self.xp.tensordot(a, b, step.axes)
         else:
             lhs_subs, rhs_subs, out_subs = (
-                step.subscripts if self.batch == 1
-                else step.batched_subscripts
+                step.batched_subscripts if batched else step.subscripts
             )
             merged = self.xp.einsum(
                 a, list(lhs_subs), b, list(rhs_subs), list(out_subs)
@@ -74,7 +71,7 @@ class EinsumKernel(ContractionKernel):
             # batch memory multiplier is visible via slice_batch and
             # batched_slice_calls.
             size = self.xp.size_of(merged)
-            if self.batch > 1 and step.out_batched:
+            if batched:
                 size //= self.batch
             stats.num_pairwise_contractions += 1
             stats.max_intermediate_rank = max(
@@ -85,11 +82,14 @@ class EinsumKernel(ContractionKernel):
             )
         return merged
 
-    def scalar(self, operand) -> complex:
-        value = self.xp.sum_scalar(operand)
-        if self.batch > 1 and self._final_unbatched:
-            value *= self.batch
-        return value
+    def values(self, operand) -> np.ndarray:
+        values = self.xp.to_host(operand)
+        # A 0-d operand is one slice's value — or, unreachable for
+        # circuit networks but kept for plan generality, a final operand
+        # no sliced label reached, which every slice of the chunk shares.
+        if values.ndim == 0:
+            return np.full(self.batch, complex(values))
+        return values.reshape(self.batch)
 
 
 class NumpyEinsumBackend(ContractionBackend):
@@ -111,8 +111,8 @@ class NumpyEinsumBackend(ContractionBackend):
         """The device the namespace actually placed the backend on."""
         return self.xp.device
 
-    def kernel(self, network, plan, compiled, stats, cacheable_tensor_ids):
-        return EinsumKernel(self.xp, compiled, stats)
+    def kernel(self, network, plan, compiled, stats):
+        return EinsumKernel(self.xp, stats)
 
 
 class TorchEinsumBackend(NumpyEinsumBackend):

@@ -10,15 +10,20 @@ subnetworks whose decision diagrams are correspondingly narrower.
 One :class:`~repro.tdd.TddManager` lives for the lifetime of the backend
 instance, so its computed tables stay warm across trace terms *and*
 across circuit pairs in a batch session — the Sec. IV-C optimisation
-generalised from one run to one session.
+generalised from one run to one session.  Within one plan execution,
+operands no sliced label reaches are converted once; only the sliced
+ones (Algorithm I's Kraus-stacked noise sites) are re-converted per
+slice.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..tdd import Tdd, TddManager, ensure_recursion_limit
-from ..tensornet import ContractionStats, Tensor
+from ..tensornet import ContractionStats
 from .base import ContractionBackend, ContractionKernel
 from .xp import CompiledStep
 
@@ -26,40 +31,39 @@ from .xp import CompiledStep
 class TddKernel(ContractionKernel):
     """Decision-diagram conversion and contraction, one slice at a time.
 
-    ``sources`` are the network's tensors (the identity keys of the
-    conversion ``cache``); ``cacheable`` are the ids the caller shares
-    with future calls — the only ones the cache may keep.
+    ``manager_for_chunk`` gives each chunk its manager.  Operands that
+    no sliced label reaches are converted once per manager and reused by
+    every chunk it serves; sliced ones (Algorithm I's Kraus-stacked
+    noise sites, memory-sliced tensors) are converted per chunk.
     """
 
     def __init__(
         self,
-        manager: TddManager,
-        sources: List[Tensor],
+        manager_for_chunk: Callable[[], TddManager],
+        varies: Sequence[bool],
         stats: Optional[ContractionStats],
-        cache: Optional[Dict[int, tuple]],
-        cacheable: Optional[Set[int]],
     ):
-        self.manager = manager
-        self.sources = sources
+        self.manager_for_chunk = manager_for_chunk
+        self.manager: Optional[TddManager] = None
+        self.varies = varies
         self.stats = stats
-        self.cache = cache
-        self.cacheable = cacheable
+        #: operand position -> its conversion, for slice-invariant operands
+        self.invariant: Dict[int, Tdd] = {}
 
     def load(self, applier, chunk) -> List[Tdd]:
-        cache = self.cache
+        manager = self.manager_for_chunk()
+        if manager is not self.manager:
+            self.manager = manager
+            self.invariant.clear()
         ops: List[Tdd] = []
-        for source, data, labels in zip(
-            self.sources, applier.gather(chunk), applier.labels
+        for position, (data, labels, varies) in enumerate(
+            zip(applier.gather(chunk), applier.labels, self.varies)
         ):
-            converted = None
-            if cache is not None:
-                entry = cache.get(id(source))
-                if entry is not None and entry[0] is source:
-                    converted = entry[1]
+            converted = None if varies else self.invariant.get(position)
             if converted is None:
                 converted = self.manager.from_array(data, labels)
-                if cache is not None and id(source) in self.cacheable:
-                    cache[id(source)] = (source, converted)
+                if not varies:
+                    self.invariant[position] = converted
             _observe(self.stats, converted)
             ops.append(converted)
         return ops
@@ -69,8 +73,8 @@ class TddKernel(ContractionKernel):
         _observe(self.stats, merged)
         return merged
 
-    def scalar(self, operand: Tdd) -> complex:
-        return operand.scalar()
+    def values(self, operand: Tdd) -> np.ndarray:
+        return np.array([operand.scalar()])
 
 
 class TddBackend(ContractionBackend):
@@ -79,7 +83,7 @@ class TddBackend(ContractionBackend):
     With ``share_computed_table`` (the default) one manager — and hence
     one set of computed tables — serves every contraction; switching it
     off reproduces the paper's Table II 'Ori.' column by giving each
-    contraction a cold manager.
+    chunk (for Algorithm I, each trace term) a cold manager.
     """
 
     name = "tdd"
@@ -97,54 +101,33 @@ class TddBackend(ContractionBackend):
         # stays False).
         super().__init__(**options)
         self._manager: Optional[TddManager] = None
-        #: id(tensor) -> (tensor, Tdd); entries survive only for tensors
-        #: the caller declared shareable (Algorithm I template slots).
-        self._conversion_cache: dict = {}
 
     @property
     def manager(self) -> Optional[TddManager]:
         """The shared manager (None until the first contraction)."""
         return self._manager
 
-    def kernel(self, network, plan, compiled, stats, cacheable_tensor_ids):
+    def kernel(self, network, plan, compiled, stats):
         ensure_recursion_limit()
-        if self.share_computed_table:
-            if self._manager is None:
-                self._manager = TddManager(list(plan.order))
-            self._manager.extend_order(network.all_indices())
-            manager = self._manager
-        else:
-            # The ablation ('Ori.') mode gives every contraction a cold
-            # manager ordered by *its own* plan — a shared manager's
-            # accumulated order would skew node counts on later networks.
-            manager = TddManager(list(plan.order))
-            manager.extend_order(network.all_indices())
-        # Conversion caching keys on tensor identity, which a slice
-        # assignment would silently violate — sliced runs always convert.
-        cache = None
-        if (
-            self.share_computed_table
-            and cacheable_tensor_ids is not None
-            and not plan.slices
-        ):
-            cache = self._conversion_cache
-            # Per-term tensors die with their term; only tensors shared
-            # by identity with this and future calls may pin memory.
-            for key in list(cache):
-                if key not in cacheable_tensor_ids:
-                    del cache[key]
-        elif self._conversion_cache:
-            # No tensor sharing this call: release the previous run's
-            # template entries instead of pinning them for the session.
-            self._conversion_cache.clear()
-        return TddKernel(
-            manager, network.tensors, stats, cache, cacheable_tensor_ids
-        )
+        if not self.share_computed_table:
+            # The ablation ('Ori.') mode orders every cold manager by
+            # *this* plan — a shared manager's accumulated order would
+            # skew node counts on later networks.
+            def cold_manager() -> TddManager:
+                manager = TddManager(list(plan.order))
+                manager.extend_order(network.all_indices())
+                return manager
+
+            return TddKernel(cold_manager, compiled.input_batched, stats)
+        if self._manager is None:
+            self._manager = TddManager(list(plan.order))
+        self._manager.extend_order(network.all_indices())
+        shared = self._manager
+        return TddKernel(lambda: shared, compiled.input_batched, stats)
 
     def reset(self) -> None:
         super().reset()
         self._manager = None
-        self._conversion_cache.clear()
 
 
 def _observe(stats: Optional[ContractionStats], tdd: Tdd) -> None:

@@ -1,9 +1,10 @@
 """The array-namespace portability layer: one contraction kernel, any array library.
 
-The array backends bottom out in ``einsum`` and ``tensordot`` calls over
-ndarrays.  Nothing about those calls is numpy-specific — torch and cupy
-implement the same interleaved integer-sublist ``einsum``, the same
-``tensordot``, advanced indexing and reductions — so this module puts
+The array backends bottom out in ``einsum``, ``tensordot`` and
+``matmul`` calls over ndarrays.  Nothing about those calls is
+numpy-specific — torch and cupy implement the same interleaved
+integer-sublist ``einsum``, the same ``tensordot`` and batched
+``matmul``, advanced indexing and transposes — so this module puts
 the handful of array operations the execution path needs behind an
 :class:`ArrayNamespace`, and the one kernel (:mod:`repro.backends.einsum`)
 runs the *same* :class:`~repro.tensornet.planner.ContractionPlan` on
@@ -18,15 +19,16 @@ Design rules:
   the ``pip install repro[torch]`` / ``repro[cupy]`` hint when absent.
 * **One host↔device transfer per plan-execution boundary.**  Input tensors
   move to the device once (:meth:`ArrayNamespace.from_host`), every
-  intermediate stays on-device, and only the final scalar comes back
-  (:meth:`ArrayNamespace.sum_scalar`).  Slice gathering happens on-device
-  via advanced indexing, so an 8192-slice contraction is still two
-  transfers, not 8192.
+  intermediate stays on-device, and only each chunk's per-slice values
+  come back (:meth:`ArrayNamespace.to_host`).  Slice gathering happens
+  on-device via advanced indexing, so the inputs of an 8192-slice
+  contraction move once, not 8192 times.
 
 The module also owns plan lowering: :func:`compile_plan` computes, once
 per plan, every step's integer einsum subscripts (unbatched and
-batch-labelled) and, for steps of at least :data:`BLAS_MIN_FLOPS`
-predicted flops that are plain matrix products, ``tensordot`` axes.
+batch-labelled), ``tensordot`` axes for unbatched steps of at least
+:data:`BLAS_MIN_FLOPS` predicted flops that are plain matrix products,
+and a :class:`BatchedMatmul` for every batched step that is one.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class ArrayNamespace(abc.ABC):
     Operands are opaque to callers: :meth:`from_host` turns a host
     ndarray into whatever the namespace contracts (numpy ndarray, torch
     tensor, cupy array), :meth:`einsum`/advanced indexing combine them,
-    and :meth:`sum_scalar` is the single device→host exit.
+    and :meth:`to_host` is the single device→host exit.
     """
 
     #: namespace name ("numpy" / "torch" / "cupy")
@@ -135,8 +137,16 @@ class ArrayNamespace(abc.ABC):
         """Contract ``axes[0]`` of ``a`` with ``axes[1]`` of ``b``."""
 
     @abc.abstractmethod
-    def sum_scalar(self, operand) -> complex:
-        """Sum every element and return it as a host complex."""
+    def transpose(self, operand, axes):
+        """``operand`` with its axes permuted to ``axes``."""
+
+    @abc.abstractmethod
+    def matmul(self, a, b):
+        """Matrix product over the last two axes, broadcasting the rest."""
+
+    @abc.abstractmethod
+    def to_host(self, operand) -> np.ndarray:
+        """``operand`` as a host ndarray (the one device→host exit)."""
 
     @staticmethod
     def size_of(operand) -> int:
@@ -173,8 +183,14 @@ class NumpyNamespace(ArrayNamespace):
     def tensordot(self, a, b, axes):
         return np.tensordot(a, b, axes)
 
-    def sum_scalar(self, operand) -> complex:
-        return complex(np.sum(operand))
+    def transpose(self, operand, axes):
+        return operand.transpose(axes)
+
+    def matmul(self, a, b):
+        return np.matmul(a, b)
+
+    def to_host(self, operand) -> np.ndarray:
+        return np.asarray(operand)
 
 
 class TorchNamespace(ArrayNamespace):
@@ -215,8 +231,14 @@ class TorchNamespace(ArrayNamespace):
     def tensordot(self, a, b, axes):
         return self._torch.tensordot(a, b, axes)
 
-    def sum_scalar(self, operand) -> complex:
-        return complex(operand.sum().item())
+    def transpose(self, operand, axes):
+        return operand.permute(axes)
+
+    def matmul(self, a, b):
+        return self._torch.matmul(a, b)
+
+    def to_host(self, operand) -> np.ndarray:
+        return operand.cpu().numpy()
 
 
 class CupyNamespace(ArrayNamespace):
@@ -263,8 +285,14 @@ class CupyNamespace(ArrayNamespace):
     def tensordot(self, a, b, axes):
         return self._cupy.tensordot(a, b, axes)
 
-    def sum_scalar(self, operand) -> complex:
-        return complex(operand.sum().item())
+    def transpose(self, operand, axes):
+        return operand.transpose(axes)
+
+    def matmul(self, a, b):
+        return self._cupy.matmul(a, b)
+
+    def to_host(self, operand) -> np.ndarray:
+        return self._cupy.asnumpy(operand)
 
 
 def _import_module(name: str):
@@ -310,14 +338,43 @@ def resolve_namespace(
 
 
 @dataclass(frozen=True, slots=True)
+class BatchedMatmul:
+    """A batched step as one ``matmul``: ``(batch, m, k) × (batch, k, n)``.
+
+    Each operand is transposed (when its axes are not already in order)
+    to its free labels then the shared ones (lhs) or the shared labels
+    then its free ones (rhs), reshaped to a stack of matrices — an
+    operand without a batch axis stays one matrix and broadcasts — and
+    the product is reshaped to the step's batched output.
+    """
+
+    lhs_axes: Optional[Tuple[int, ...]]
+    lhs_shape: Tuple[int, ...]
+    rhs_axes: Optional[Tuple[int, ...]]
+    rhs_shape: Tuple[int, ...]
+    out_shape: Tuple[int, ...]
+
+    def __call__(self, xp: "ArrayNamespace", a, b):
+        if self.lhs_axes is not None:
+            a = xp.transpose(a, self.lhs_axes)
+        if self.rhs_axes is not None:
+            b = xp.transpose(b, self.rhs_axes)
+        return xp.matmul(
+            a.reshape(self.lhs_shape), b.reshape(self.rhs_shape)
+        ).reshape(self.out_shape)
+
+
+@dataclass(frozen=True, slots=True)
 class CompiledStep:
-    """One plan step lowered to ready-made einsum subscripts or BLAS axes.
+    """One plan step lowered to einsum subscripts, BLAS axes or a matmul.
 
     ``subscripts`` is the ``(lhs, rhs, out)`` sublist triple for the
     per-slice (unbatched) call; ``batched_subscripts`` is the same triple
     with the reserved batch label ``0`` prepended wherever the operand —
     or the output — varies across slices; ``axes`` is the ``tensordot``
-    axes pair of a step lowered to BLAS (``None``: einsum).
+    axes pair of an unbatched step lowered to BLAS (``None``: einsum);
+    ``matmul`` is the batched step's :class:`BatchedMatmul` (``None``:
+    batched einsum).
     """
 
     lhs: int
@@ -331,6 +388,8 @@ class CompiledStep:
     eliminated: frozenset
     #: ``tensordot`` axes of an unbatched call (``None`` = einsum)
     axes: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+    #: the batched call as one ``matmul`` (``None`` = batched einsum)
+    matmul: Optional[BatchedMatmul]
 
 
 @dataclass(frozen=True)
@@ -370,16 +429,64 @@ def tensordot_axes(
     )
 
 
+def batched_matmul(
+    lhs: Tuple[str, ...],
+    rhs: Tuple[str, ...],
+    output: Tuple[str, ...],
+    lhs_batched: bool,
+    rhs_batched: bool,
+    dims: Dict[str, int],
+) -> Optional[BatchedMatmul]:
+    """The :class:`BatchedMatmul` of a batched step, if it is a matrix product.
+
+    ``lhs``/``rhs``/``output`` are the per-slice labels; the flags say
+    which operands carry the leading batch axis (the output always
+    does).  ``None`` when :func:`tensordot_axes` finds no plain matrix
+    product.
+    """
+    contracted = tensordot_axes(lhs, rhs, output)
+    if contracted is None:
+        return None
+    lhs_shared, rhs_shared = contracted
+    lhs_free = [ax for ax in range(len(lhs)) if ax not in lhs_shared]
+    rhs_free = [ax for ax in range(len(rhs)) if ax not in rhs_shared]
+
+    def layout(order, batched, rows, cols):
+        # (batch,) rows x cols, with None for an axis order already in place
+        axes = (0,) + tuple(ax + 1 for ax in order) if batched else order
+        shape = (-1, rows, cols) if batched else (rows, cols)
+        return (None if axes == tuple(range(len(axes))) else axes), shape
+
+    def size(labels, axes):
+        return math.prod(dims[labels[ax]] for ax in axes)
+
+    m, k, n = size(lhs, lhs_free), size(lhs, lhs_shared), size(rhs, rhs_free)
+    lhs_axes, lhs_shape = layout(
+        tuple(lhs_free) + lhs_shared, lhs_batched, m, k
+    )
+    rhs_axes, rhs_shape = layout(
+        rhs_shared + tuple(rhs_free), rhs_batched, k, n
+    )
+    return BatchedMatmul(
+        lhs_axes=lhs_axes,
+        lhs_shape=lhs_shape,
+        rhs_axes=rhs_axes,
+        rhs_shape=rhs_shape,
+        out_shape=(-1,) + tuple(dims[label] for label in output),
+    )
+
+
 def compile_plan(plan: ContractionPlan) -> CompiledPlan:
-    """Lower a plan's steps to integer einsum subscripts or BLAS axes, once.
+    """Lower a plan's steps to einsum subscripts, BLAS axes or matmuls, once.
 
     Labels are remapped to a dense integer range *per step* (so the
     global index count never hits the 52-symbol einsum alphabet), with
-    ``0`` reserved for the batch axis of batched slice chunks; steps of at
-    least :data:`BLAS_MIN_FLOPS` flops also get :func:`tensordot_axes`.
-    Backends memoise the result by :meth:`ContractionPlan.digest`, so
-    Algorithm I's thousands of structurally identical contractions — and
-    all 8192 slices of a sliced plan — pay the lowering exactly once.
+    ``0`` reserved for the batch axis of batched slice chunks; unbatched
+    steps of at least :data:`BLAS_MIN_FLOPS` flops also get
+    :func:`tensordot_axes`, and every batched step gets
+    :func:`batched_matmul`.  Backends memoise the result by
+    :meth:`ContractionPlan.digest`, so every slice of a sliced plan —
+    and every check of a structure — pays the lowering exactly once.
     """
     sliced = set(plan.slices)
     inputs = [
@@ -419,6 +526,12 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
             axes=(
                 tensordot_axes(a, b, step.output)
                 if step.flops >= BLAS_MIN_FLOPS else None
+            ),
+            matmul=(
+                batched_matmul(
+                    a, b, step.output, a_batched, b_batched, plan.dims
+                )
+                if out_batched else None
             ),
         ))
         return step.output, out_batched

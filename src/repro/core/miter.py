@@ -4,9 +4,11 @@ The reversible-miter idea (Yamashita & Markov) specialised to the paper's
 two algorithms:
 
 * Algorithm I contracts the miter ``U† E_i`` for every Kraus selection
-  ``E_i``; :func:`lower_kraus_selection` materialises one selection as a
-  plain matrix-gate circuit and :func:`miter_circuit` appends the reversed
-  ideal circuit.
+  ``E_i``.  :func:`alg1_template` builds it once with every noise site's
+  Kraus operators stacked on an open axis, so the terms are the slices
+  of one plan; :func:`lower_kraus_selection` materialises one selection
+  as a plain matrix-gate circuit (the sampling estimator's path) and
+  :func:`miter_circuit` appends the reversed ideal circuit.
 * Algorithm II contracts a single *doubled* miter where each unitary ``V``
   is accompanied by ``V*`` on a primed qubit copy and each noise ``N``
   becomes its matrix representation ``M_N = sum_k N_k (x) N_k*`` spanning
@@ -15,14 +17,15 @@ two algorithms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits import QuantumCircuit, cancel_adjacent_gates, eliminate_final_swaps
 from ..gates import Gate
-from ..tensornet import TensorNetwork, circuit_to_network, close_trace
+from ..tensornet import Tensor, TensorNetwork, circuit_to_network, close_trace
+from ..tensornet.planner import ContractionPlan
 
 
 def lower_kraus_selection(
@@ -114,68 +117,123 @@ def alg1_trace_network(
     return close_trace(circuit_to_network(miter), permutation=permutation)
 
 
+def kraus_order(
+    kraus_operators: Sequence[np.ndarray], dominant_first: bool
+) -> List[int]:
+    """The order Algorithm I visits one noise site's Kraus operators in.
+
+    With ``dominant_first`` the indices sort by decreasing Frobenius
+    norm (stable, so ties keep channel order); otherwise channel order.
+    """
+    indices = list(range(len(kraus_operators)))
+    if dominant_first:
+        indices.sort(
+            key=lambda j: -float(np.linalg.norm(kraus_operators[j]))
+        )
+    return indices
+
+
 @dataclass
 class Alg1Template:
-    """Reusable miter network for Algorithm I.
+    """Algorithm I's miter network with each noise site's Kraus stack.
 
-    All trace-term networks of Algorithm I share every tensor except the
-    one at each noise site.  The template holds the closed network built
-    from the first Kraus selection together with the tensor slot of every
-    noise site, so each further term only swaps ``k`` small tensors
-    instead of rebuilding the whole network — the structure-reuse idea the
-    paper borrows from Li et al. [24].
+    ``network`` is the trace network of ``tr(U† E)`` in which the tensor
+    of noise site ``s`` carries a leading open axis labelled
+    ``kraus{s}`` over the site's Kraus operators, in enumeration order.
+    Fixing every Kraus label to one value selects one trace term
+    ``tr(U† E_i)``, so the terms are the slices of one sliced plan
+    (:meth:`sliced_plan`) — the structure-reuse idea the paper borrows
+    from Li et al. [24], taken to a single contraction.
     """
 
     network: TensorNetwork
-    #: tensor index in ``network.tensors`` for each noise site
+    #: tensor index in ``network.tensors`` of each noise site
     site_slots: List[int]
-    #: Kraus operator list per noise site
-    site_kraus: List[List]
 
-    def instantiate(self, selection: Sequence[int]) -> TensorNetwork:
-        """The trace network for one Kraus selection.
+    @property
+    def kraus_labels(self) -> Tuple[str, ...]:
+        """The stacked Kraus axis label of each noise site."""
+        return tuple(
+            self.network.tensors[slot].indices[0] for slot in self.site_slots
+        )
 
-        Unchanged tensors are shared by object identity with the template
-        (enabling TDD conversion caching); only noise-site tensors are
-        fresh.
+    def representative(self) -> TensorNetwork:
+        """The closed network of the first trace term (every Kraus label at 0).
+
+        Every term shares its structure, so its plan serves them all.
         """
-        from ..tensornet import gate_tensor
-
         tensors = list(self.network.tensors)
-        for site, j in enumerate(selection):
-            slot = self.site_slots[site]
-            old = tensors[slot]
-            op = self.site_kraus[site][j]
-            half = old.rank // 2
-            tensors[slot] = gate_tensor(
-                op, old.indices[:half], old.indices[half:]
-            )
+        for slot in self.site_slots:
+            stacked = tensors[slot]
+            tensors[slot] = Tensor(stacked.data[0], stacked.indices[1:])
         return TensorNetwork(tensors)
+
+    def sliced_plan(self, plan: ContractionPlan) -> ContractionPlan:
+        """``plan`` (built for :meth:`representative`) over every trace term.
+
+        The Kraus labels join each noise site's input and lead the
+        plan's ``slices``, ahead of any memory slices, so
+        :func:`~repro.tensornet.planner.iter_slice_assignments` visits
+        terms in enumeration order and each term's memory slices
+        consecutively.  The pairwise steps are unchanged: sliced labels
+        never reach them.
+        """
+        inputs = list(plan.inputs)
+        dims = dict(plan.dims)
+        for slot, label in zip(self.site_slots, self.kraus_labels):
+            inputs[slot] = (label,) + inputs[slot]
+            dims[label] = self.network.tensors[slot].data.shape[0]
+        return replace(
+            plan,
+            inputs=tuple(inputs),
+            dims=dims,
+            slices=self.kraus_labels + plan.slices,
+        )
 
 
 def alg1_template(
-    noisy: QuantumCircuit, ideal: QuantumCircuit
-) -> Optional[Alg1Template]:
-    """Build the shared Algorithm I network template.
+    noisy: QuantumCircuit,
+    ideal: QuantumCircuit,
+    dominant_first: bool = True,
+    use_local_optimisations: bool = False,
+) -> Alg1Template:
+    """Build Algorithm I's Kraus-stacked miter network.
 
-    Returns None when the template construction is unsafe — currently
-    only when the trace closure traced a noise tensor onto itself (a
-    noise on an otherwise untouched wire), in which case Algorithm I
-    falls back to per-term network construction.
+    With ``use_local_optimisations`` the SWAP-tail and adjacent-gate
+    cancellation passes run once on the channel-bearing miter (noise
+    channels are barriers to cancellation), so every term shares the
+    simplified network.  Stacking happens before the trace closure, so a
+    noise on an otherwise untouched wire self-traces to a vector over its
+    Kraus axis like any other contraction.
     """
-    sites = noisy.noise_instructions()
-    lowered = lower_kraus_selection(noisy, tuple(0 for _ in sites))
-    miter = miter_circuit(lowered, ideal)
-    closed = close_trace(circuit_to_network(miter))
-    # close_trace preserves tensor order = instruction order (identity
-    # patches for untouched wires are appended at the end).
-    slots = [i for i, inst in enumerate(noisy) if inst.is_noise]
-    kraus = [inst.operation.kraus_operators for inst in sites]
-    for slot, ops in zip(slots, kraus):
-        expected_rank = 2 * int(np.log2(ops[0].shape[0]) + 0.5)
-        if closed.tensors[slot].rank != expected_rank:
-            return None
-    return Alg1Template(closed, slots, kraus)
+    miter = miter_circuit(noisy, ideal)
+    permutation = None
+    if use_local_optimisations:
+        miter, permutation = eliminate_final_swaps(miter)
+        miter = cancel_adjacent_gates(miter)
+    lowered = QuantumCircuit(miter.num_qubits, f"{miter.name}_stacked")
+    stacks: List[List[np.ndarray]] = []
+    slots: List[int] = []
+    for position, inst in enumerate(miter):
+        if inst.is_noise:
+            ops = inst.operation.kraus_operators
+            stacks.append([ops[j] for j in kraus_order(ops, dominant_first)])
+            slots.append(position)
+            lowered.append(
+                Gate(f"kraus{len(slots) - 1}", stacks[-1][0]), inst.qubits
+            )
+        else:
+            lowered.append(inst.operation, inst.qubits)
+    cnet = circuit_to_network(lowered)
+    # circuit_to_network keeps one tensor per instruction, in order
+    tensors = cnet.network.tensors
+    for site, (slot, ops) in enumerate(zip(slots, stacks)):
+        tensor = tensors[slot]
+        tensors[slot] = Tensor(
+            np.stack([np.reshape(op, tensor.data.shape) for op in ops]),
+            (f"kraus{site}",) + tensor.indices,
+        )
+    return Alg1Template(close_trace(cnet, permutation=permutation), slots)
 
 
 def alg2_trace_network(
@@ -204,14 +262,14 @@ def algorithm_network(
     """The network the chosen algorithm contracts.
 
     ``"alg2"`` gives the doubled network of the single collective
-    contraction; ``"alg1"`` gives one representative trace-term network
-    (the all-zeros Kraus selection — every term shares its structure, so
-    one term stands for planning/reporting purposes).  Shared by the CLI
-    ``plan`` command and the backends micro-benchmark.
+    contraction; ``"alg1"`` gives the representative trace-term network
+    Algorithm I plans (:meth:`Alg1Template.representative` — every term
+    shares its structure, so one term stands for planning/reporting
+    purposes).  Shared by the CLI ``plan`` command and the backends
+    micro-benchmark.
     """
     if algorithm == "alg1":
-        selection = tuple(0 for _ in noisy.noise_instructions())
-        return alg1_trace_network(lower_kraus_selection(noisy, selection), ideal)
+        return alg1_template(noisy, ideal).representative()
     if algorithm == "alg2":
         return alg2_trace_network(noisy, ideal)
     raise ValueError(f"unknown algorithm {algorithm!r}; choose alg1 or alg2")

@@ -70,7 +70,9 @@ class RunStats:
     early_stopped: bool = False
     #: True when Alg I hit its wall-clock budget before finishing
     timed_out: bool = False
-    #: per-term wall-clock seconds (Alg I, for the Table II experiment)
+    #: per-term wall-clock seconds (Alg I, for the Table II experiment),
+    #: amortised: each term gets its chunk's wall time divided by the
+    #: chunk's terms, so ``len(term_times) == terms_computed``
     term_times: List[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:

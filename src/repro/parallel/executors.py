@@ -111,6 +111,7 @@ class SliceExecutor(abc.ABC):
         network: TensorNetwork,
         plan: ContractionPlan,
         stats: Optional[ContractionStats] = None,
+        assignments: Optional[Sequence[Dict[str, int]]] = None,
     ) -> complex:
         """Sum the plan's subplan executions and return the scalar.
 
@@ -118,6 +119,8 @@ class SliceExecutor(abc.ABC):
         :class:`~repro.backends.base.ContractionBackend`; executors call
         back into ``backend.contract_scalar(..., assignments=chunk)``
         (in-process or in a worker), which never re-dispatches.
+        ``assignments`` restricts the sum to those slices (Algorithm I
+        sends one trace term's memory slices); ``None`` sums them all.
         """
 
     def close(self) -> None:
@@ -141,8 +144,9 @@ class SerialExecutor(SliceExecutor):
     def __init__(self, chunk_size: Optional[int] = None):
         self.chunk_size = chunk_size
 
-    def contract(self, backend, network, plan, stats=None):
-        assignments = list(iter_slice_assignments(plan))
+    def contract(self, backend, network, plan, stats=None, assignments=None):
+        if assignments is None:
+            assignments = list(iter_slice_assignments(plan))
         if self.chunk_size is None:
             return backend.contract_scalar(
                 network, stats=stats, plan=plan, assignments=assignments
@@ -184,8 +188,9 @@ class ChunkedSliceExecutor(SliceExecutor):
     jobs: int
     chunk_size: Optional[int]
 
-    def contract(self, backend, network, plan, stats=None):
-        assignments = list(iter_slice_assignments(plan))
+    def contract(self, backend, network, plan, stats=None, assignments=None):
+        if assignments is None:
+            assignments = list(iter_slice_assignments(plan))
         if len(assignments) < 2:
             # Nothing to parallelise: skip the transport (and its pickling).
             return backend.contract_scalar(
@@ -275,10 +280,12 @@ class ProcessSliceExecutor(ChunkedSliceExecutor):
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
-    def contract(self, backend, network, plan, stats=None):
+    def contract(self, backend, network, plan, stats=None, assignments=None):
         if self.jobs == 1:
-            return SerialExecutor().contract(backend, network, plan, stats)
-        return super().contract(backend, network, plan, stats)
+            return SerialExecutor().contract(
+                backend, network, plan, stats, assignments
+            )
+        return super().contract(backend, network, plan, stats, assignments)
 
     def _run_chunks(
         self, backend, network, plan, stats, chunks, payload, dispatch_span

@@ -91,9 +91,10 @@ class TensorNetwork:
 
         The per-tensor label tuples capture the full connectivity (which
         tensor carries which index, in which axis order).  Contraction
-        backends key order/path caches on it, so Algorithm I's
-        structurally identical per-term networks plan their contraction
-        once while differently-wired networks never share a plan.
+        backends key their plan memo on it, so structurally identical
+        networks (a noise sweep over one placement) plan their
+        contraction once while differently-wired networks never share a
+        plan.
         """
         return tuple(tensor.indices for tensor in self.tensors)
 

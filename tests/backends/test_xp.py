@@ -50,6 +50,7 @@ from repro.backends.einsum import EinsumKernel
 from repro.backends.xp import (
     _COMPILED_MEMO,
     BLAS_MIN_FLOPS,
+    batched_matmul,
     compile_plan,
     compiled_for,
     tensordot_axes,
@@ -398,7 +399,8 @@ wide_networks = st.integers(min_value=0, max_value=2**32 - 1).map(
 def _einsum_only(compiled):
     """``compiled`` with every step left on einsum (the reference path)."""
     return dataclasses.replace(compiled, steps=tuple(
-        dataclasses.replace(step, axes=None) for step in compiled.steps
+        dataclasses.replace(step, axes=None, matmul=None)
+        for step in compiled.steps
     ))
 
 
@@ -501,7 +503,8 @@ class TestBlasLowering:
         )
         compiled = compile_plan(plan)
         assert compiled.blas_steps == 0
-        kernel = EinsumKernel(resolve_namespace("numpy"), compiled, None)
+        assert batched_matmul(lhs, rhs, out, True, True, dims) is None
+        kernel = EinsumKernel(resolve_namespace("numpy"), None)
         merged = kernel.merge(a, b, compiled.steps[0])
         symbols = {label: chr(ord("i") + n) for n, label in enumerate(dims)}
         spec = "{},{}->{}".format(*(
@@ -545,6 +548,86 @@ class TestBlasLowering:
         assert abs(fidelity(noisy, ideal, backend=backend).fidelity - ref) < 1e-9
 
 
+# --- batched matmul lowering -----------------------------------------------
+
+
+class TestBatchedMatmulLowering:
+    """Batched slice chunks run every plain matrix-product step as one
+    ``matmul`` over ``(batch, m, k) × (batch, k, n)``."""
+
+    @staticmethod
+    def _sliced_alg2():
+        from repro.core.miter import algorithm_network
+
+        ideal = qft(4)
+        network = algorithm_network(
+            insert_random_noise(
+                ideal, 2, channel_factory=lambda: depolarizing(0.98), seed=6
+            ),
+            ideal, "alg2",
+        )
+        return network, build_plan(network, max_intermediate_size=64)
+
+    def test_every_batched_step_lowers(self):
+        _, plan = self._sliced_alg2()
+        compiled = compile_plan(plan)
+        batched = [step for step in compiled.steps if step.out_batched]
+        assert batched and all(step.matmul is not None for step in batched)
+        assert all(
+            step.matmul is None
+            for step in compiled.steps if not step.out_batched
+        )
+
+    def test_sliced_alg2_agrees_with_tensor_contract(self, monkeypatch):
+        from repro.backends.xp import NumpyNamespace
+
+        network, plan = self._sliced_alg2()
+        calls = []
+        original = NumpyNamespace.matmul
+        monkeypatch.setattr(
+            NumpyNamespace, "matmul",
+            lambda self, a, b: calls.append(1) or original(self, a, b),
+        )
+        value = NumpyEinsumBackend(
+            max_intermediate_size=64
+        ).contract_scalar(network, plan=plan)
+        # the Tensor.contract oracle shares no code with the kernel
+        reference = network.contract().scalar()
+        assert calls, "no batched step ran as a matmul"
+        assert abs(value - reference) < 1e-9 * max(1.0, abs(reference))
+
+    @pytest.mark.parametrize("lhs_batched, rhs_batched", [
+        (True, True), (True, False), (False, True),
+    ])
+    def test_matches_batched_einsum(self, lhs_batched, rhs_batched):
+        # a transposed lhs, an rhs already in order, one unbatched side
+        lhs, rhs, out = ("c", "a", "b"), ("c", "b", "d"), ("a", "d")
+        dims = {"a": 2, "b": 3, "c": 4, "d": 5}
+        rng = np.random.default_rng(11)
+
+        def operand(labels, batched):
+            shape = (6,) * batched + tuple(dims[x] for x in labels)
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(
+                shape
+            )
+
+        a, b = operand(lhs, lhs_batched), operand(rhs, rhs_batched)
+        lowered = batched_matmul(
+            lhs, rhs, out, lhs_batched, rhs_batched, dims
+        )
+        assert lowered.lhs_axes is not None and lowered.rhs_axes is None
+        spec = "{},{}->z{}".format(
+            "z" * lhs_batched + "".join(lhs),
+            "z" * rhs_batched + "".join(rhs),
+            "".join(out),
+        )
+        np.testing.assert_allclose(
+            lowered(resolve_namespace("numpy"), a, b),
+            np.einsum(spec, a, b),
+            rtol=1e-12,
+        )
+
+
 # --- the torch path ---------------------------------------------------------
 
 
@@ -562,12 +645,30 @@ def _install_fake_torch(monkeypatch):
         def __str__(self):
             return self._spec
 
+    class _Tensor(np.ndarray):
+        """The tensor methods the namespace calls, on a host array."""
+
+        def permute(self, axes):
+            return self.transpose(axes)
+
+        def cpu(self):
+            return self
+
+        def numpy(self):
+            return np.asarray(self)
+
+    def tensors(function):
+        return lambda *args: np.asarray(function(*args)).view(_Tensor)
+
     fake = types.ModuleType("torch")
     fake.device = _Device
     fake.cuda = types.SimpleNamespace(is_available=lambda: False)
-    fake.as_tensor = lambda array, device=None: np.asarray(array)
-    fake.einsum = np.einsum
-    fake.tensordot = np.tensordot
+    fake.as_tensor = lambda array, device=None: np.asarray(array).view(
+        _Tensor
+    )
+    fake.einsum = tensors(np.einsum)
+    fake.tensordot = tensors(np.tensordot)
+    fake.matmul = tensors(np.matmul)
     monkeypatch.setitem(sys.modules, "torch", fake)
     return fake
 

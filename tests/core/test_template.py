@@ -1,5 +1,7 @@
 """Unit tests for Algorithm I's shared network template."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,59 +13,89 @@ from repro.core import (
 )
 from repro.library import qft
 from repro.noise import bit_flip, depolarizing, insert_random_noise
-from repro.backends import TddBackend, get_backend
+from repro.backends import get_backend
+
+
+def _term_network(template, positions):
+    """The closed network of one term: each Kraus axis fixed by index."""
+    from repro.tensornet import Tensor, TensorNetwork
+
+    tensors = list(template.network.tensors)
+    for slot, j in zip(template.site_slots, positions):
+        stacked = tensors[slot]
+        tensors[slot] = Tensor(stacked.data[j], stacked.indices[1:])
+    return TensorNetwork(tensors)
 
 
 class TestTemplateConstruction:
-    def test_slots_point_at_noise_tensors(self):
+    def test_sites_stack_their_kraus_operators(self):
         ideal = qft(2)
         noisy = insert_random_noise(ideal, 2, seed=0)
         template = alg1_template(noisy, ideal)
-        assert template is not None
-        assert len(template.site_slots) == 2
-        for slot, ops in zip(template.site_slots, template.site_kraus):
+        assert template.kraus_labels == ("kraus0", "kraus1")
+        sites = noisy.noise_instructions()
+        for slot, inst in zip(template.site_slots, sites):
             tensor = template.network.tensors[slot]
-            assert tensor.rank == 2
-            assert np.allclose(
-                tensor.data.reshape(2, 2), ops[0]
-            )
+            ops = inst.operation.kraus_operators
+            assert tensor.data.shape == (len(ops), 2, 2)
+            # dominant first: sqrt(1-p) I leads the stack
+            assert np.allclose(tensor.data[0], ops[0])
 
-    def test_instantiate_swaps_only_noise_slots(self):
-        ideal = qft(2)
-        noisy = insert_random_noise(ideal, 2, seed=0)
-        template = alg1_template(noisy, ideal)
-        net = template.instantiate((1, 2))
-        shared = sum(
-            1 for a, b in zip(template.network.tensors, net.tensors)
-            if a is b
+    def test_every_slice_is_one_trace_term(self):
+        """Fixing the Kraus labels gives the freshly built term network."""
+        from repro.core import (
+            alg1_trace_network,
+            enumerate_selections,
+            lower_kraus_selection,
         )
-        assert shared == len(net.tensors) - 2
-
-    def test_instantiated_network_value(self):
-        """Template networks give the same traces as freshly built ones."""
-        from repro.core import alg1_trace_network, lower_kraus_selection
 
         ideal = qft(2)
-        noisy = insert_random_noise(ideal, 2, seed=0)
-        template = alg1_template(noisy, ideal)
-        for selection in [(0, 0), (1, 3), (2, 1)]:
-            from_template = template.instantiate(selection)
-            fresh = alg1_trace_network(
-                lower_kraus_selection(noisy, selection), ideal
+        noisy = insert_random_noise(
+            ideal, 2, channel_factory=lambda: depolarizing(0.9), seed=0
+        )
+        for dominant_first in (True, False):
+            template = alg1_template(
+                noisy, ideal, dominant_first=dominant_first
             )
-            assert np.isclose(
-                TddBackend().contract_scalar(from_template),
-                TddBackend().contract_scalar(fresh),
-                atol=1e-9,
+            selections = list(
+                enumerate_selections(noisy, dominant_first=dominant_first)
             )
+            positions = itertools.product(
+                *(range(4) for _ in template.site_slots)
+            )
+            for selection, position in zip(selections, positions):
+                fresh = alg1_trace_network(
+                    lower_kraus_selection(noisy, selection), ideal
+                )
+                assert np.isclose(
+                    _term_network(template, position).contract().scalar(),
+                    fresh.contract().scalar(),
+                    atol=1e-12,
+                )
 
-    def test_untouched_wire_noise_falls_back(self):
-        """Noise on a wire with no gates self-traces at closure; the
-        template must refuse and Algorithm I must fall back correctly."""
+    def test_sliced_plan_leads_with_the_kraus_labels(self):
+        ideal = qft(3)
+        noisy = insert_random_noise(ideal, 2, seed=1)
+        template = alg1_template(noisy, ideal)
+        term_plan = get_backend(
+            "einsum", max_intermediate_size=16
+        ).plan_for(template.representative())
+        assert term_plan.slices
+        plan = template.sliced_plan(term_plan)
+        assert plan.slices == template.kraus_labels + term_plan.slices
+        assert plan.steps == term_plan.steps
+        assert plan.num_slices() == 16 * term_plan.num_slices()
+        plan.validate()
+
+    def test_untouched_wire_noise_self_traces_over_its_kraus_axis(self):
+        """Noise on a wire with no gates traces to a vector at closure;
+        the stacked network carries it like any other site."""
         ideal = QuantumCircuit(2).h(0)
         noisy = QuantumCircuit(2).h(0)
         noisy.append(bit_flip(0.9), [1])
-        assert alg1_template(noisy, ideal) is None
+        template = alg1_template(noisy, ideal)
+        (slot,) = template.site_slots
+        assert template.network.tensors[slot].indices == ("kraus0",)
         result = fidelity_individual(noisy, ideal)
         ref = jamiolkowski_fidelity_dense(noisy, ideal)
         assert np.isclose(result.fidelity, ref, atol=1e-9)
@@ -80,8 +112,8 @@ class TestTemplatePathEquivalence:
         ref = jamiolkowski_fidelity_dense(noisy, ideal)
         assert np.isclose(result.fidelity, ref, atol=1e-8)
 
-    def test_local_optimisations_disable_template(self):
-        """The optimised path (per-term cancellation) stays correct."""
+    def test_local_optimisations_share_one_template(self):
+        """The passes run once on the channel-bearing miter."""
         ideal = qft(3)
         noisy = insert_random_noise(ideal, 2, seed=5)
         plain = fidelity_individual(noisy, ideal).fidelity
