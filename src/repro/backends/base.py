@@ -28,7 +28,6 @@ circuit pairs.
 from __future__ import annotations
 
 import abc
-import math
 import os
 import time
 from collections import OrderedDict
@@ -49,6 +48,7 @@ import numpy as np
 
 from .. import trace as _trace
 from ..cache import PlanCache, open_cache, plan_key, structure_fingerprint
+from ..planning.driver import validate_plan_budget_seconds
 from ..tensornet import ContractionStats, TensorNetwork
 from ..tensornet.planner import (
     DEFAULT_ORDER_METHOD,
@@ -100,32 +100,11 @@ def _coerce_plan_cache(
     )
 
 
-def validate_plan_budget_seconds(value: Optional[float]) -> None:
-    """Validate a ``plan_budget_seconds`` knob (shared with CheckConfig).
-
-    Valid values: ``None`` (use the search default) or a finite number
-    of seconds >= 0 (``0`` = baseline only, no search trials).
-    """
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(
-            f"plan_budget_seconds must be a number of seconds >= 0 or "
-            f"None (the search default), got {type(value).__name__} "
-            f"{value!r}"
-        )
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(
-            f"plan_budget_seconds must be a finite number of seconds "
-            f">= 0 or None (the search default), got {value!r}"
-        )
-
-
 def validate_plan_seed(value: int) -> None:
     """Validate a ``plan_seed`` knob (shared with CheckConfig).
 
     Valid values: any integer >= 0 (seeds the per-trial RNG streams of
-    the ``anneal``/``hyper`` searches).
+    the ``anneal`` search).
     """
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(
@@ -195,22 +174,21 @@ class ContractionBackend(abc.ABC):
         :data:`repro.tensornet.planner.ORDER_METHODS`): an
         elimination-order heuristic (``"sequential"``, ``"min_fill"``)
         whose order induces the pairwise steps, ``"greedy"`` (cost-greedy
-        pairwise planner), or a budgeted search
-        (``"anneal"``/``"hyper"``: randomized restarts
-        under ``plan_budget_seconds``, never worse than the heuristic
-        baseline).
+        pairwise planner), or the budgeted search ``"anneal"``
+        (randomized restarts under ``plan_budget_seconds``, never worse
+        than the heuristic baseline).
     share_computed_table:
         Allow the backend to reuse internal *numeric* state — computed
         tables, dense→TDD conversion caches — across calls.  The paper's
         Table II 'Ori.' ablation runs with this off.  Plans are pure
         structure and stay memoised either way.
     plan_budget_seconds:
-        Wall-clock budget for the searches (ignored by the heuristic
+        Wall-clock budget for the anneal search (ignored by the heuristic
         methods).  ``None`` (the default) uses
         :data:`repro.planning.DEFAULT_PLAN_BUDGET_SECONDS`; ``0``
         returns the heuristic baseline without searching.
     plan_seed:
-        Seed for the searches' randomized trials (ignored by the
+        Seed for the anneal search's randomized trials (ignored by the
         heuristic methods); identical seeds replay identical trial
         sequences.
     max_intermediate_size:

@@ -144,17 +144,15 @@ def plan_key(
     """Store key of a contraction plan.
 
     A plan is a pure function of the network structure and the planning
-    knobs its ``order_method`` actually consults: only the searches
-    (``anneal``/``hyper``) fold in the budget and seed — a zero-budget
+    knobs its ``order_method`` actually consults: only the search
+    (``anneal``) folds in the budget and seed — a zero-budget
     search stores its baseline under a different key than a funded one,
     so it can never mask the searched plan — while the heuristic
     methods ignore both, so those inert knobs stay out of their keys.
     """
-    from ..planning import SEARCHERS
-
     digest = _new_hash("plan")
     digest.update(f"{order_method}:{max_intermediate_size}:".encode())
-    if order_method in SEARCHERS:
+    if order_method == "anneal":
         digest.update(
             f"budget={plan_budget_seconds!r}:seed={plan_seed!r}".encode()
         )

@@ -354,8 +354,8 @@ def _add_engine_args(
         "--order-method", default=DEFAULT_ORDER_METHOD,
         choices=ORDER_METHODS,
         help="how contraction plans are built: an elimination-order "
-        "heuristic, cost-greedy merging, or a budgeted search "
-        "(anneal/hyper)",
+        "heuristic, cost-greedy merging, or the budgeted anneal "
+        "search",
     )
     sub.add_argument(
         "--max-intermediate", type=int, default=None, metavar="SIZE",
@@ -363,13 +363,13 @@ def _add_engine_args(
     )
     sub.add_argument(
         "--plan-budget", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget of the anneal/hyper searches; 0 returns "
-        "their heuristic baseline, default is the search default "
+        help="wall-clock budget of the anneal search; 0 returns "
+        "its heuristic baseline, default is the search default "
         "budget; ignored by the other order methods",
     )
     sub.add_argument(
         "--plan-seed", type=int, default=None, metavar="N",
-        help="seed of the anneal/hyper searches' randomized trials "
+        help="seed of the anneal search's randomized trials "
         "(fixed seed = reproducible searched plans; ignored by the "
         "other order methods)",
     )
@@ -600,10 +600,10 @@ def cmd_plan(args) -> int:
 def _cmd_plan_compare(args, network, plan_seed: int) -> int:
     """Race every ``order_method`` value on one network (``plan --compare``).
 
-    The searches run under ``--plan-budget``/``--plan-seed``; the
+    The anneal search runs under ``--plan-budget``/``--plan-seed``; the
     heuristic methods plan as usual.  The cheapest plan is starred.
     Every row carries a span trace of its planning run (``trace`` in the
-    JSON form, a summary section in the report) — the searches'
+    JSON form, a summary section in the report) — the search's
     ``plan.search`` spans show where the budget went.
     """
     from .trace import TraceRecorder, recording, span as trace_span, span_tree

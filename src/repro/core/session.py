@@ -66,7 +66,7 @@ class CheckConfig:
     backend: Union[str, ContractionBackend] = "tdd"
     #: how contraction plans are built: an elimination-order heuristic
     #: ('sequential', 'min_fill'), the cost-greedy 'greedy', or a
-    #: budgeted search ('anneal'/'hyper', see repro.planning)
+    #: budgeted search ('anneal', see repro.planning)
     order_method: str = DEFAULT_ORDER_METHOD
     #: slice plans so no intermediate exceeds this many elements
     max_intermediate_size: Optional[int] = None
@@ -105,10 +105,10 @@ class CheckConfig:
     #: slices contracted per batched kernel sweep (None = auto-size
     #: against the memory budget, 1 = per-slice reference loop)
     slice_batch: Optional[int] = None
-    #: wall-clock budget for the 'anneal'/'hyper' searches (None = their
+    #: wall-clock budget for the 'anneal' search (None = its
     #: default; 0 = heuristic baseline only; ignored by the heuristics)
     plan_budget_seconds: Optional[float] = None
-    #: seed of the searches' randomized trials (ignored by the
+    #: seed of the search's randomized trials (ignored by the
     #: heuristics); fixed seed = reproducible searched plans
     plan_seed: int = 0
     #: record a span trace of the run and attach it to the result

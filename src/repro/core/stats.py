@@ -56,7 +56,7 @@ class RunStats:
     #: wall-clock seconds the backend spent planning (cache lookups,
     #: heuristics, search trials); ~0 on plan-cache hits
     planning_seconds: float = 0.0
-    #: randomized search trials run by the anneal/hyper searches
+    #: randomized search trials run by the anneal search
     #: (0 for the heuristic order methods and on plan-cache hits)
     plan_trials: int = 0
     #: whole checks served from the result cache without contracting

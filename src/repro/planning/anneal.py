@@ -18,11 +18,9 @@ networks.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-
-from .driver import MergePairs, PlanSearcher, merge_cost
 
 #: Per-restart temperature is drawn log-uniformly from this range (log10).
 TEMPERATURE_LOG10_RANGE = (-2.0, 1.0)
@@ -31,12 +29,47 @@ TEMPERATURE_LOG10_RANGE = (-2.0, 1.0)
 #: ``log2(size(out)) - alpha * (log2(size(a)) + log2(size(b)))``.
 ALPHA_CHOICES = (0.0, 0.5, 1.0)
 
+#: Merge pairs over stable operand ids (the trial output format, see
+#: :mod:`repro.planning.driver`).
+MergePairs = List[Tuple[int, int]]
 
-class AnnealSearcher(PlanSearcher):
-    """Temperature-weighted cost-greedy restarts over connected pairs."""
 
-    def __init__(self, inputs, dims):
-        super().__init__(inputs, dims)
+def merge_cost(
+    a: Tuple[str, ...], b: Tuple[str, ...], dims: Dict[str, int]
+) -> Tuple[Tuple[str, ...], int, int]:
+    """Output labels, output size and flops of merging two operands.
+
+    The trial cost model, kept identical to
+    :func:`~repro.tensornet.planner._make_step` so trial costs compare
+    exactly against baseline ``total_cost()`` values.
+    """
+    shared = frozenset(a) & frozenset(b)
+    output = tuple(lab for lab in a if lab not in shared) + tuple(
+        lab for lab in b if lab not in shared
+    )
+    size = 1
+    for label in output:
+        size *= dims[label]
+    flops = size
+    for label in shared:
+        flops *= dims[label]
+    return output, size, flops
+
+
+class AnnealSearcher:
+    """Temperature-weighted cost-greedy restarts over connected pairs.
+
+    Constructed once per search with the self-traced input label tuples
+    and label dimensions; :meth:`trial` runs one randomized restart.
+    """
+
+    def __init__(
+        self,
+        inputs: Sequence[Tuple[str, ...]],
+        dims: Dict[str, int],
+    ):
+        self.inputs: Tuple[Tuple[str, ...], ...] = tuple(inputs)
+        self.dims: Dict[str, int] = dict(dims)
         self._log2dim: Dict[str, float] = {
             label: math.log2(dim) for label, dim in self.dims.items()
         }
@@ -57,6 +90,13 @@ class AnnealSearcher(PlanSearcher):
     def trial(
         self, rng: np.random.Generator, best_cost: int
     ) -> Optional[Tuple[int, MergePairs]]:
+        """Run one randomized restart.
+
+        Returns ``(cost, pairs)`` — the predicted flop total and the
+        merge sequence over stable ids — or ``None`` when the trial
+        aborted early because its running cost already reached
+        ``best_cost`` (pruning keeps hopeless restarts cheap).
+        """
         low, high = TEMPERATURE_LOG10_RANGE
         temperature = 10.0 ** rng.uniform(low, high)
         alpha = float(ALPHA_CHOICES[rng.integers(len(ALPHA_CHOICES))])

@@ -1,10 +1,10 @@
-"""The anytime search driver: budgeted restarts over one searcher.
+"""The anytime search driver: budgeted restarts of the anneal searcher.
 
-:func:`search_plan` owns everything strategy-independent — the heuristic
-baseline floor, the wall-clock budget / exact-trial-count loop, per-trial
-deterministic seeding, best-so-far tracking, and the
-:class:`PlanSearchReport` provenance record.  Strategies implement the
-:class:`PlanSearcher` protocol: one randomized ``trial`` that returns a
+:func:`search_plan` owns everything around a single trial — the
+heuristic baseline floor, the wall-clock budget / exact-trial-count
+loop, per-trial deterministic seeding, best-so-far tracking, and the
+:class:`PlanSearchReport` provenance record.  Each randomized trial is
+one :meth:`~repro.planning.anneal.AnnealSearcher.trial`, which returns a
 candidate contraction as ``(cost, merge pairs)`` over *stable operand
 ids* (see below), or ``None`` when the trial pruned itself against the
 best cost so far.
@@ -13,7 +13,7 @@ Stable-id convention
 --------------------
 Plan steps address operands by *position* in a shrinking list (the
 einsum-path convention), which is awkward to produce incrementally.
-Searchers instead name operands by stable integer ids: input ``k`` is id
+Trials instead name operands by stable integer ids: input ``k`` is id
 ``k``, and every merge allocates the next id in sequence (``len(inputs)``,
 ``len(inputs) + 1``, ...) in the order the merges appear in the returned
 pair list.  The driver converts the winning trial's id pairs into
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import time
-from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -42,15 +41,13 @@ from ..tensornet.planner import (
     plan_from_order,
     slice_plan,
 )
+from .anneal import AnnealSearcher, MergePairs
 
 #: Wall-clock budget used when a search is selected but neither
 #: ``budget_seconds`` nor ``trials`` is given.  One second buys hundreds
 #: of restarts on library-sized networks and amortises across the fleet
 #: through the plan cache.
 DEFAULT_PLAN_BUDGET_SECONDS = 1.0
-
-#: Merge pairs over stable operand ids (the searcher output format).
-MergePairs = List[Tuple[int, int]]
 
 #: Trials grouped under one ``plan.search.trials`` span.  Small enough
 #: that a trace shows cost progress over the budget, large enough that
@@ -91,35 +88,6 @@ class PlanSearchReport:
         return record
 
 
-class PlanSearcher(ABC):
-    """One randomized plan-search strategy (see module docstring).
-
-    Subclasses are constructed once per search with the self-traced
-    input label tuples and label dimensions, may precompute whatever
-    structure they like, and must implement :meth:`trial`.
-    """
-
-    def __init__(
-        self,
-        inputs: Sequence[Tuple[str, ...]],
-        dims: Dict[str, int],
-    ):
-        self.inputs: Tuple[Tuple[str, ...], ...] = tuple(inputs)
-        self.dims: Dict[str, int] = dict(dims)
-
-    @abstractmethod
-    def trial(
-        self, rng: np.random.Generator, best_cost: int
-    ) -> Optional[Tuple[int, MergePairs]]:
-        """Run one randomized trial.
-
-        Returns ``(cost, pairs)`` — the predicted flop total and the
-        merge sequence over stable ids — or ``None`` when the trial
-        aborted early because its running cost already reached
-        ``best_cost`` (pruning keeps hopeless restarts cheap).
-        """
-
-
 def _steps_from_pairs(
     inputs: Sequence[Tuple[str, ...]],
     dims: Dict[str, int],
@@ -142,28 +110,6 @@ def _steps_from_pairs(
     return steps
 
 
-def merge_cost(
-    a: Tuple[str, ...], b: Tuple[str, ...], dims: Dict[str, int]
-) -> Tuple[Tuple[str, ...], int, int]:
-    """Output labels, output size and flops of merging two operands.
-
-    The shared cost model of every searcher, kept identical to
-    :func:`~repro.tensornet.planner._make_step` so trial costs compare
-    exactly against baseline ``total_cost()`` values.
-    """
-    shared = frozenset(a) & frozenset(b)
-    output = tuple(lab for lab in a if lab not in shared) + tuple(
-        lab for lab in b if lab not in shared
-    )
-    size = 1
-    for label in output:
-        size *= dims[label]
-    flops = size
-    for label in shared:
-        flops *= dims[label]
-    return output, size, flops
-
-
 def _baseline_plans(
     network: TensorNetwork,
 ) -> List[Tuple[str, ContractionPlan]]:
@@ -174,9 +120,29 @@ def _baseline_plans(
     ]
 
 
+def validate_plan_budget_seconds(value: Optional[float]) -> None:
+    """Validate a search budget (shared by backends and CheckConfig).
+
+    Valid values: ``None`` (use the search default) or a finite number
+    of seconds >= 0 (``0`` = baseline only, no search trials).
+    """
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(
+            f"plan_budget_seconds must be a number of seconds >= 0 or "
+            f"None (the search default), got {type(value).__name__} "
+            f"{value!r}"
+        )
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(
+            f"plan_budget_seconds must be a finite number of seconds "
+            f">= 0 or None (the search default), got {value!r}"
+        )
+
+
 def search_plan(
     network: TensorNetwork,
-    order_method: str,
     *,
     budget_seconds: Optional[float] = None,
     seed: int = 0,
@@ -185,16 +151,17 @@ def search_plan(
     max_slices: Optional[int] = None,
     clock: Callable[[], float] = time.perf_counter,
 ) -> ContractionPlan:
-    """Budgeted anytime plan search (``order_method="anneal"``/``"hyper"``).
+    """Budgeted anytime plan search (``order_method="anneal"``).
 
     Computes the greedy and min_fill baselines, then runs randomized
-    trials of the named strategy until the wall-clock ``budget_seconds``
-    is spent — or, when ``trials`` is given, for exactly that many
-    trials regardless of the clock (the deterministic mode: identical
-    ``(network, order_method, seed, trials)`` inputs yield identical
-    plans on any machine).  With neither given the budget defaults to
-    :data:`DEFAULT_PLAN_BUDGET_SECONDS`; ``budget_seconds=0`` runs no
-    trials and returns the best baseline unchanged (anytime floor).
+    :class:`~repro.planning.anneal.AnnealSearcher` trials until the
+    wall-clock ``budget_seconds`` is spent — or, when ``trials`` is
+    given, for exactly that many trials regardless of the clock (the
+    deterministic mode: identical ``(network, seed, trials)`` inputs
+    yield identical plans on any machine).  With neither given the
+    budget defaults to :data:`DEFAULT_PLAN_BUDGET_SECONDS`;
+    ``budget_seconds=0`` runs no trials and returns the best baseline
+    unchanged (anytime floor).
 
     Trial ``t`` draws every random choice from
     ``np.random.default_rng([seed, t])``, so results are reproducible
@@ -202,26 +169,10 @@ def search_plan(
 
     The returned plan carries a :class:`PlanSearchReport` in its
     ``search_report`` field and is sliced to ``max_intermediate_size``
-    (after the search — searchers optimise the unsliced contraction,
+    (after the search — trials optimise the unsliced contraction,
     matching :func:`~repro.tensornet.planner.build_plan` semantics).
     """
-    from . import SEARCHERS
-
-    if order_method not in SEARCHERS:
-        raise ValueError(
-            f"unknown search order_method {order_method!r}; choose from "
-            f"{sorted(SEARCHERS)}"
-        )
-    if budget_seconds is not None and (
-        not isinstance(budget_seconds, (int, float))
-        or isinstance(budget_seconds, bool)
-        or not math.isfinite(budget_seconds)
-        or budget_seconds < 0
-    ):
-        raise ValueError(
-            f"budget_seconds must be a finite number >= 0 or None, "
-            f"got {budget_seconds!r}"
-        )
+    validate_plan_budget_seconds(budget_seconds)
     if trials is not None and (
         not isinstance(trials, int)
         or isinstance(trials, bool)
@@ -233,7 +184,8 @@ def search_plan(
     if trials is None and budget_seconds is None:
         budget_seconds = DEFAULT_PLAN_BUDGET_SECONDS
 
-    with _trace.span("plan.search", order_method=order_method) as search_span:
+    planner = "anneal"
+    with _trace.span("plan.search", order_method=planner) as search_span:
         start = clock()
         baselines = _baseline_plans(network)
         base_name, base_plan = min(
@@ -243,7 +195,7 @@ def search_plan(
             ),
         )
         inputs, dims = _plan_inputs(network)
-        searcher = SEARCHERS[order_method](inputs, dims)
+        searcher = AnnealSearcher(inputs, dims)
 
         best_cost = base_plan.total_cost()
         best_pairs: Optional[MergePairs] = None
@@ -285,7 +237,7 @@ def search_plan(
         search_span.set(trials=trial, best_cost=best_cost)
 
     if best_pairs is None:
-        plan = replace(base_plan, planner=order_method)
+        plan = replace(base_plan, planner=planner)
     else:
         steps = _steps_from_pairs(inputs, dims, best_pairs)
         order: List[str] = []
@@ -295,10 +247,10 @@ def search_plan(
         remaining = [i for i in network.all_indices() if i not in seen]
         plan = ContractionPlan(
             inputs=inputs, dims=dims, steps=tuple(steps),
-            order=tuple(order + remaining), planner=order_method,
+            order=tuple(order + remaining), planner=planner,
         )
     report = PlanSearchReport(
-        planner=order_method,
+        planner=planner,
         seed=seed,
         budget_seconds=budget_seconds,
         trials=trial,

@@ -10,7 +10,7 @@ dense and einsum engines contract ndarrays along it — so planning cost is
 paid once per network structure and plan quality is measurable before any
 numerics run.
 
-The ``order_method`` plan knob picks one of five plan builders (see
+The ``order_method`` plan knob picks one of four plan builders (see
 :data:`ORDER_METHODS`), all dispatched by :func:`build_plan`:
 
 * :func:`plan_from_order` — wraps the elimination-order heuristics of
@@ -19,7 +19,7 @@ The ``order_method`` plan knob picks one of five plan builders (see
 * :func:`greedy_plan` — a cost-greedy pairwise planner that repeatedly
   merges the connected pair with the smallest output tensor;
 * :func:`repro.planning.search_plan` — budgeted anytime search
-  (``anneal``/``hyper``) that spends a wall-clock budget on randomized
+  (``anneal``) that spends a wall-clock budget on randomized
   restarts and never returns a plan worse than the greedy/min_fill
   baseline.
 
@@ -53,10 +53,10 @@ from .tensor import Tensor
 #: the wire config and the CLI), one per plan builder: the two
 #: elimination-order heuristics of :mod:`repro.tensornet.ordering`,
 #: ``"greedy"`` (smallest merged tensor first), and the budgeted anytime
-#: searches ``"anneal"``/``"hyper"`` of :mod:`repro.planning`, which
-#: trade ``plan_budget_seconds`` for cheaper plans and carry a
+#: search ``"anneal"`` of :mod:`repro.planning`, which trades
+#: ``plan_budget_seconds`` for cheaper plans and carries a
 #: :class:`~repro.planning.PlanSearchReport` in ``search_report``.
-ORDER_METHODS = ("sequential", "min_fill", "greedy", "anneal", "hyper")
+ORDER_METHODS = ("sequential", "min_fill", "greedy", "anneal")
 
 #: The ``order_method`` every entry point uses unless told otherwise.
 DEFAULT_ORDER_METHOD = "min_fill"
@@ -459,8 +459,8 @@ def build_plan(
 ) -> ContractionPlan:
     """One-stop plan construction: pick a plan builder, optionally slice.
 
-    ``order_method`` is one of :data:`ORDER_METHODS`.  The searches
-    (``anneal``/``hyper``) additionally honour ``plan_budget_seconds``
+    ``order_method`` is one of :data:`ORDER_METHODS`.  The search
+    (``anneal``) additionally honours ``plan_budget_seconds``
     (wall-clock search budget; ``None`` means the default budget, ``0``
     means baseline only), ``plan_seed`` (deterministic trial seeding)
     and ``plan_trials`` (exact trial count, overriding the clock — the
@@ -475,12 +475,11 @@ def build_plan(
         plan = plan_from_order(network, method=order_method)
     elif order_method == "greedy":
         plan = greedy_plan(network)
-    else:
+    else:  # "anneal"
         from ..planning import search_plan
 
         return search_plan(
             network,
-            order_method,
             budget_seconds=plan_budget_seconds,
             seed=plan_seed,
             trials=plan_trials,

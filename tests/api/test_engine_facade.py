@@ -37,7 +37,7 @@ class TestCheck:
         direct = CheckSession(CheckConfig(epsilon=0.05)).check(ideal, noisy)
         assert response.ok
         assert response.equivalent == direct.equivalent
-        assert abs(response.fidelity - direct.fidelity) < 1e-12
+        assert response.fidelity == direct.fidelity
 
     def test_request_config_overrides_base(self):
         engine = Engine(CheckConfig(backend="tdd"))

@@ -213,21 +213,23 @@ class TestCheckRequest:
         assert "order_method" in err.value.details["valid"]
         assert "planner" not in err.value.details["valid"]
 
-    def test_removed_tree_decomposition_is_invalid_request(self):
+    @pytest.mark.parametrize("removed", ["tree_decomposition", "hyper"])
+    def test_removed_tree_decomposition_is_invalid_request(self, removed):
         # the ``tree_decomposition`` order method was folded into
-        # ``min_fill``; there is no alias, so the wire value is rejected
-        # with the typed config error listing the surviving choices
+        # ``min_fill`` and the ``hyper`` search was deleted; there is no
+        # alias, so the wire value is rejected with the typed config
+        # error listing the surviving choices
         from repro import Engine
         from repro.tensornet import ORDER_METHODS
 
         wire = self.request().to_dict()
-        wire["config"] = {"order_method": "tree_decomposition"}
+        wire["config"] = {"order_method": removed}
         request = CheckRequest.from_dict(json.loads(json.dumps(wire)))
         with pytest.raises(ConfigError) as err:
             request.resolve_config()
         assert isinstance(err.value, InvalidRequestError)
         assert str(list(ORDER_METHODS)) in str(err.value)
-        assert "tree_decomposition" not in ORDER_METHODS
+        assert removed not in ORDER_METHODS
         response = Engine().respond(request)
         assert response.verdict == "ERROR"
         assert response.error_code == "invalid_config"

@@ -283,6 +283,7 @@ class TestPlanKnobValidation:
         [
             ("order_method", "tree_decompositon"),
             ("order_method", "gredy"),
+            ("order_method", "hyper"),
             ("max_intermediate_size", 0),
             ("slice_batch", 0),
             ("plan_budget_seconds", -1.0),

@@ -86,7 +86,7 @@ class TestConstruction:
         from repro.backends import get_backend
 
         spec = TddBackend(
-            order_method="hyper",
+            order_method="anneal",
             share_computed_table=False,
             max_intermediate_size=32,
             plan_cache=str(tmp_path),

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import repro.backends.base as backends_base
-from repro.backends import get_backend
+from repro.backends import available_backends, get_backend
 from repro.cache import CheckCache, fingerprint
 from repro.circuits import QuantumCircuit
 from repro.core import CheckConfig, CheckSession
@@ -176,10 +176,11 @@ class TestResultCacheThroughSessions:
         assert result.stats.result_cache_hit == 1
         assert warm_session._backend is None  # untouched engine
 
+    @pytest.mark.parametrize("name", available_backends())
     def test_structurally_identical_pair_skips_planning(
-        self, tmp_path, monkeypatch
+        self, name, tmp_path, monkeypatch
     ):
-        config = self.config("einsum", tmp_path)
+        config = self.config(name, tmp_path)
         CheckSession(config).check(*pair(angle=0.3))
         calls = counting_build_plan(monkeypatch)
         warm = CheckSession(config).check(*pair(angle=0.4, p=0.98))

@@ -145,8 +145,8 @@ class TestPlanKey:
 
     @pytest.mark.parametrize("method", ORDER_METHODS)
     def test_budget_and_seed_key_only_the_searches(self, method):
-        """Only anneal/hyper consult the search knobs, so only their
-        keys move with budget and seed; a heuristic plan is shared."""
+        """Only anneal consults the search knobs, so only its keys
+        move with budget and seed; a heuristic plan is shared."""
         base = fp.plan_key("s", method, None)
         assert base == fp.plan_key("s", method, None, None, 0)
         variants = (
@@ -154,7 +154,7 @@ class TestPlanKey:
             fp.plan_key("s", method, None, plan_budget_seconds=0),
             fp.plan_key("s", method, None, plan_seed=7),
         )
-        if method in ("anneal", "hyper"):
+        if method == "anneal":
             assert len({base, *variants}) == 4
         else:
             assert set(variants) == {base}

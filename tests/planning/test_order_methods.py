@@ -1,7 +1,7 @@
 """The one plan knob: every ``order_method`` value, end to end.
 
-``order_method`` names all five plan builders (two elimination-order
-heuristics, cost-greedy merging and the two budgeted searches).  Every
+``order_method`` names all four plan builders (two elimination-order
+heuristics, cost-greedy merging and the budgeted anneal search).  Every
 value must give the same fidelity on every host backend as the dense
 superoperator baseline, and the default must keep building exactly the
 min-fill plan.
@@ -32,10 +32,8 @@ def reference():
     return process_fidelity(NOISE.apply(ideal), ideal)
 
 
-def test_order_methods_are_the_five_plan_builders():
-    assert ORDER_METHODS == (
-        "sequential", "min_fill", "greedy", "anneal", "hyper",
-    )
+def test_order_methods_are_the_four_plan_builders():
+    assert ORDER_METHODS == ("sequential", "min_fill", "greedy", "anneal")
 
 
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])

@@ -13,17 +13,11 @@ import pytest
 from repro.core.miter import alg2_trace_network
 from repro.library import qft
 from repro.noise import insert_random_noise
-from repro.planning import (
-    DEFAULT_PLAN_BUDGET_SECONDS,
-    SEARCHERS,
-    search_plan,
-)
-from repro.planning.driver import _steps_from_pairs, merge_cost
+from repro.planning import DEFAULT_PLAN_BUDGET_SECONDS, search_plan
+from repro.planning.anneal import merge_cost
+from repro.planning.driver import _steps_from_pairs
 from repro.tensornet import ORDER_HEURISTICS, greedy_plan, plan_from_order
 from repro.tensornet.planner import ORDER_METHODS, _make_step, _plan_inputs
-
-SEARCH = sorted(SEARCHERS)
-
 
 def network(qubits=3, noises=2, seed=0):
     ideal = qft(qubits)
@@ -39,73 +33,65 @@ def baseline_cost(net):
 
 
 class TestValidation:
-    def test_unknown_planner_lists_the_registered_searchers(self):
-        with pytest.raises(ValueError) as err:
-            search_plan(network(), "gredy")
-        for name in SEARCHERS:
-            assert name in str(err.value)
+    @pytest.mark.parametrize("budget", ["1.0", True])
+    def test_bad_budget_type_rejected(self, budget):
+        with pytest.raises(TypeError, match=">= 0 or None"):
+            search_plan(network(), budget_seconds=budget)
 
     @pytest.mark.parametrize("budget", [-1.0, -0.001, float("inf"),
-                                        float("nan"), "1.0", True])
-    def test_bad_budget_rejected(self, budget):
+                                        float("nan")])
+    def test_bad_budget_value_rejected(self, budget):
         with pytest.raises(ValueError, match=">= 0 or None"):
-            search_plan(network(), "anneal", budget_seconds=budget)
+            search_plan(network(), budget_seconds=budget)
 
     @pytest.mark.parametrize("trials", [-1, 1.5, "3", True])
     def test_bad_trials_rejected(self, trials):
         with pytest.raises(ValueError, match=">= 0 or None"):
-            search_plan(network(), "anneal", trials=trials)
+            search_plan(network(), trials=trials)
 
-    def test_searchers_cover_exactly_the_search_order_methods(self):
-        assert list(SEARCHERS) == ["anneal", "hyper"]
+    def test_anneal_is_the_only_search_order_method(self):
         assert set(ORDER_METHODS) == (
-            set(ORDER_HEURISTICS) | {"greedy"} | set(SEARCHERS)
+            set(ORDER_HEURISTICS) | {"greedy", "anneal"}
         )
 
 
 class TestAnytimeSemantics:
-    @pytest.mark.parametrize("planner", SEARCH)
-    def test_zero_budget_returns_the_best_baseline(self, planner):
+    def test_zero_budget_returns_the_best_baseline(self):
         net = network()
-        plan = search_plan(net, planner, budget_seconds=0)
+        plan = search_plan(net, budget_seconds=0)
         report = plan.search_report
         assert report.trials == 0
         assert report.best_trial is None
         assert report.trajectory == ()
-        assert plan.planner == planner  # relabelled baseline
+        assert plan.planner == "anneal"  # relabelled baseline
         assert plan.total_cost() == baseline_cost(net)
         plan.validate()
 
-    @pytest.mark.parametrize("planner", SEARCH)
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_search_never_loses_to_the_baselines(self, planner, seed):
+    def test_search_never_loses_to_the_baselines(self, seed):
         net = network()
-        plan = search_plan(net, planner, trials=10, seed=seed)
+        plan = search_plan(net, trials=10, seed=seed)
         assert plan.total_cost() <= baseline_cost(net)
         plan.validate()
 
-    @pytest.mark.parametrize("planner", SEARCH)
-    def test_fixed_trials_are_deterministic(self, planner):
+    def test_fixed_trials_are_deterministic(self):
         net = network()
         kwargs = dict(trials=8, seed=3)
-        first = search_plan(net, planner, **kwargs)
-        second = search_plan(net, planner, **kwargs)
+        first = search_plan(net, **kwargs)
+        second = search_plan(net, **kwargs)
         assert first.digest() == second.digest()
         assert first.steps == second.steps
         assert first.search_report.best_cost == \
             second.search_report.best_cost
 
     def test_trials_take_precedence_over_the_clock(self):
-        plan = search_plan(
-            network(), "anneal", trials=3, budget_seconds=0
-        )
+        plan = search_plan(network(), trials=3, budget_seconds=0)
         assert plan.search_report.trials == 3
 
     def test_budget_is_enforced_by_the_injected_clock(self):
         ticks = iter(float(t) for t in range(100))
         plan = search_plan(
             network(),
-            "anneal",
             budget_seconds=3.5,
             clock=lambda: next(ticks),
         )
@@ -114,7 +100,7 @@ class TestAnytimeSemantics:
 
     def test_default_budget_applies_when_nothing_is_given(self):
         ticks = iter(float(t) for t in range(100))
-        plan = search_plan(network(), "anneal", clock=lambda: next(ticks))
+        plan = search_plan(network(), clock=lambda: next(ticks))
         assert plan.search_report.budget_seconds == \
             DEFAULT_PLAN_BUDGET_SECONDS
 
@@ -125,7 +111,7 @@ class TestSearchImprovement:
         cheaper contraction than greedy and min_fill within a modest
         deterministic trial count."""
         net = network(qubits=4, noises=2, seed=0)
-        plan = search_plan(net, "anneal", trials=40, seed=0)
+        plan = search_plan(net, trials=40, seed=0)
         assert plan.total_cost() < baseline_cost(net)
         report = plan.search_report
         assert report.best_trial is not None
@@ -139,7 +125,7 @@ class TestSearchImprovement:
 class TestReport:
     def test_report_contents(self):
         net = network()
-        plan = search_plan(net, "anneal", trials=5, seed=11)
+        plan = search_plan(net, trials=5, seed=11)
         report = plan.search_report
         assert report.planner == "anneal"
         assert report.seed == 11
@@ -153,14 +139,14 @@ class TestReport:
     def test_report_to_dict_is_json_safe(self):
         import json
 
-        plan = search_plan(network(), "anneal", trials=5)
+        plan = search_plan(network(), trials=5)
         record = json.loads(json.dumps(plan.search_report.to_dict()))
         assert record["planner"] == "anneal"
         assert isinstance(record["trajectory"], list)
 
     def test_report_rides_through_slicing(self):
         plan = search_plan(
-            network(), "anneal", trials=5, max_intermediate_size=16
+            network(), trials=5, max_intermediate_size=16
         )
         assert plan.search_report is not None
         assert plan.peak_size() <= 16
@@ -168,7 +154,7 @@ class TestReport:
         plan.validate()
 
     def test_plan_to_dict_carries_the_search_record(self):
-        plan = search_plan(network(), "anneal", trials=5)
+        plan = search_plan(network(), trials=5)
         assert plan.to_dict()["search"]["trials"] == 5
         heuristic = greedy_plan(network())
         assert heuristic.to_dict()["search"] is None
@@ -178,19 +164,18 @@ class TestReport:
         split the plan cache by search metadata."""
         from dataclasses import replace
 
-        plan = search_plan(network(), "anneal", trials=8, seed=0)
+        plan = search_plan(network(), trials=8, seed=0)
         stripped = replace(plan, search_report=None)
         assert plan.digest() == stripped.digest()
 
 
 class TestExecution:
-    @pytest.mark.parametrize("planner", SEARCH)
-    def test_searched_plan_contracts_to_the_dense_value(self, planner):
+    def test_searched_plan_contracts_to_the_dense_value(self):
         from repro.backends import get_backend
 
         net = network()
         reference = get_backend("dense").contract_scalar(net)
-        plan = search_plan(net, planner, trials=6, seed=1)
+        plan = search_plan(net, trials=6, seed=1)
         for backend in ("tdd", "dense", "einsum"):
             value = get_backend(backend).contract_scalar(net, plan=plan)
             assert np.isclose(value, reference, atol=1e-9)
@@ -202,7 +187,7 @@ class TestStepsFromPairs:
         merge exactly like the searchers' shared merge_cost model."""
         net = network()
         inputs, dims = _plan_inputs(net)
-        plan = search_plan(net, "anneal", trials=20, seed=0)
+        plan = search_plan(net, trials=20, seed=0)
         if plan.search_report.best_trial is None:  # pragma: no cover
             pytest.skip("baseline won; no pair list to check")
         total = sum(step.flops for step in plan.steps)

@@ -1,19 +1,17 @@
-"""Unit tests for the two search strategies behind ``search_plan``.
+"""Unit tests for the anneal searcher behind ``search_plan``.
 
-Trials are exercised directly through the :class:`PlanSearcher`
-interface: whatever a trial returns must be a complete, correctly
-priced contraction over stable operand ids — the driver trusts this
-when it converts only the winning trial to plan steps.
+Trials are exercised directly through
+:meth:`~repro.planning.anneal.AnnealSearcher.trial`: whatever a trial
+returns must be a complete, correctly priced contraction over stable
+operand ids — the driver trusts this when it converts only the winning
+trial to plan steps.
 """
 
 import numpy as np
 import pytest
 
-from repro.planning.anneal import AnnealSearcher
-from repro.planning.driver import _steps_from_pairs, merge_cost
-from repro.planning.hyper import HyperSearcher
-
-SEARCHER_CLASSES = [AnnealSearcher, HyperSearcher]
+from repro.planning.anneal import AnnealSearcher, merge_cost
+from repro.planning.driver import _steps_from_pairs
 
 #: a closed 6-tensor ring with mixed dimensions
 RING_INPUTS = [
@@ -42,26 +40,23 @@ def replay_cost(inputs, dims, pairs):
     return total
 
 
-@pytest.mark.parametrize("cls", SEARCHER_CLASSES)
 @pytest.mark.parametrize("inputs,dims", [
     (RING_INPUTS, RING_DIMS),
     (SPLIT_INPUTS, SPLIT_DIMS),
 ])
 class TestTrialContract:
     def test_trial_is_a_complete_correctly_priced_contraction(
-        self, cls, inputs, dims
+        self, inputs, dims
     ):
-        searcher = cls(inputs, dims)
+        searcher = AnnealSearcher(inputs, dims)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             cost, pairs = searcher.trial(rng, UNBEATABLE)
             assert len(pairs) == len(inputs) - 1
             assert cost == replay_cost(inputs, dims, pairs)
 
-    def test_pairs_convert_to_valid_positional_steps(
-        self, cls, inputs, dims
-    ):
-        searcher = cls(inputs, dims)
+    def test_pairs_convert_to_valid_positional_steps(self, inputs, dims):
+        searcher = AnnealSearcher(inputs, dims)
         cost, pairs = searcher.trial(np.random.default_rng(0), UNBEATABLE)
         steps = _steps_from_pairs(inputs, dims, pairs)
         assert sum(step.flops for step in steps) == cost
@@ -69,32 +64,31 @@ class TestTrialContract:
         assert sorted(eliminated) == sorted(dims)
 
     def test_trial_is_deterministic_under_a_fixed_rng_stream(
-        self, cls, inputs, dims
+        self, inputs, dims
     ):
-        searcher = cls(inputs, dims)
+        searcher = AnnealSearcher(inputs, dims)
         first = searcher.trial(np.random.default_rng(42), UNBEATABLE)
         second = searcher.trial(np.random.default_rng(42), UNBEATABLE)
         assert first == second
 
     def test_trial_prunes_against_an_already_beaten_cost(
-        self, cls, inputs, dims
+        self, inputs, dims
     ):
-        searcher = cls(inputs, dims)
+        searcher = AnnealSearcher(inputs, dims)
         assert searcher.trial(np.random.default_rng(0), 1) is None
 
 
 class TestEdgeCases:
-    def test_hyper_handles_an_empty_network(self):
-        assert HyperSearcher([], {}).trial(
+    def test_handles_an_empty_network(self):
+        assert AnnealSearcher([], {}).trial(
             np.random.default_rng(0), UNBEATABLE
         ) == (0, [])
 
     def test_single_tensor_needs_no_merges(self):
-        for cls in SEARCHER_CLASSES:
-            cost, pairs = cls([("a", "a")], {"a": 2}).trial(
-                np.random.default_rng(0), UNBEATABLE
-            )
-            assert (cost, pairs) == (0, [])
+        cost, pairs = AnnealSearcher([("a", "a")], {"a": 2}).trial(
+            np.random.default_rng(0), UNBEATABLE
+        )
+        assert (cost, pairs) == (0, [])
 
     def test_anneal_explores_distinct_merge_orders(self):
         """Across seeds the restarts must not all collapse onto one

@@ -1,11 +1,10 @@
-"""Property-based tests for the budgeted search planners.
+"""Property-based tests for the budgeted anneal search.
 
 Searched plans are held to exactly the invariants of the heuristic
 planners (see ``test_planner_properties``) — validity, single
 elimination, backend agreement with direct dense contraction — plus the
 search-specific ones: the anytime floor against the heuristic baselines
-and bitwise determinism of fixed ``(network, planner, seed, trials)``
-inputs.
+and bitwise determinism of fixed ``(network, seed, trials)`` inputs.
 """
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 from test_planner_properties import all_pairwise_labels, closed_networks
 
 from repro.backends import get_backend
-from repro.planning import SEARCHERS, search_plan
+from repro.planning import search_plan
 from repro.tensornet import greedy_plan, plan_from_order
 
 TRIALS = 4  # exact deterministic trial count (clock never consulted)
@@ -25,15 +24,12 @@ class TestSearchedPlanInvariants:
     @settings(max_examples=20, deadline=None)
     @given(closed_networks(), st.integers(min_value=0, max_value=5))
     def test_each_index_eliminated_exactly_once(self, network, seed):
-        for planner in SEARCHERS:
-            plan = search_plan(network, planner, trials=TRIALS, seed=seed)
-            plan.validate()
-            eliminated = [
-                lab for step in plan.steps for lab in step.eliminated
-            ]
-            assert len(eliminated) == len(set(eliminated))
-            assert set(eliminated) | set(plan.slices) == \
-                all_pairwise_labels(network)
+        plan = search_plan(network, trials=TRIALS, seed=seed)
+        plan.validate()
+        eliminated = [lab for step in plan.steps for lab in step.eliminated]
+        assert len(eliminated) == len(set(eliminated))
+        assert set(eliminated) | set(plan.slices) == \
+            all_pairwise_labels(network)
 
     @settings(max_examples=20, deadline=None)
     @given(closed_networks())
@@ -42,9 +38,8 @@ class TestSearchedPlanInvariants:
             greedy_plan(network).total_cost(),
             plan_from_order(network, method="min_fill").total_cost(),
         )
-        for planner in SEARCHERS:
-            plan = search_plan(network, planner, trials=TRIALS)
-            assert plan.total_cost() <= floor
+        plan = search_plan(network, trials=TRIALS)
+        assert plan.total_cost() <= floor
 
     @settings(max_examples=15, deadline=None)
     @given(closed_networks())
@@ -57,32 +52,26 @@ class TestSearchedPlanInvariants:
         ):
             backends.append("tdd")  # TDDs only take dimension-2 indices
         reference = network.contract().scalar()
-        for planner in SEARCHERS:
-            plan = search_plan(network, planner, trials=TRIALS, seed=1)
-            for backend in backends:
-                value = get_backend(backend).contract_scalar(
-                    network, plan=plan
-                )
-                assert np.isclose(value, reference, atol=1e-9)
+        plan = search_plan(network, trials=TRIALS, seed=1)
+        for backend in backends:
+            value = get_backend(backend).contract_scalar(network, plan=plan)
+            assert np.isclose(value, reference, atol=1e-9)
 
     @settings(max_examples=15, deadline=None)
     @given(closed_networks(), st.integers(min_value=0, max_value=3))
     def test_identical_inputs_yield_identical_digests(self, network, seed):
-        for planner in SEARCHERS:
-            first = search_plan(network, planner, trials=TRIALS, seed=seed)
-            second = search_plan(network, planner, trials=TRIALS, seed=seed)
-            assert first.digest() == second.digest()
-            assert first.order == second.order
-            assert first.steps == second.steps
+        first = search_plan(network, trials=TRIALS, seed=seed)
+        second = search_plan(network, trials=TRIALS, seed=seed)
+        assert first.digest() == second.digest()
+        assert first.order == second.order
+        assert first.steps == second.steps
 
     @settings(max_examples=15, deadline=None)
     @given(closed_networks(), st.sampled_from([1, 4, 16]))
     def test_sliced_searched_plans_respect_the_bound(self, network, bound):
-        for planner in SEARCHERS:
-            plan = search_plan(
-                network, planner, trials=TRIALS,
-                max_intermediate_size=bound,
-            )
-            plan.validate()
-            assert plan.peak_size() <= bound
-            assert plan.search_report is not None
+        plan = search_plan(
+            network, trials=TRIALS, max_intermediate_size=bound
+        )
+        plan.validate()
+        assert plan.peak_size() <= bound
+        assert plan.search_report is not None
