@@ -159,6 +159,26 @@ class TestPlanKey:
         else:
             assert set(variants) == {base}
 
+    @pytest.mark.parametrize("args, key", [
+        (("s", "anneal", None),
+         "adae5301f5ce1e7ba68a9c2a4a4a71a0c542b17c72ad7689e19773c4d8bfcc16"),
+        (("s", "anneal", 64, 0.5, 7),
+         "db283b9a78c9fb8a83d7e6453f5d4f53ac1b20ac1ebc4fc537af86b45504d200"),
+        (("s", "anneal", None, 0, 0),
+         "3f91478d89c1a9f6be1fc0c89ec38363ca98c1414d0889156374143419762f99"),
+        (("s", "anneal", None, None, 3),
+         "e2279eb1988645cff04432575e1fece6faf0f9e5e845aaace00d6e035a7c314e"),
+        (("s", "min_fill", None),
+         "d488ee81dc919d45d5ff7bcf7416be53c03137f507460cc280152760020f5f53"),
+        (("s", "greedy", 64),
+         "9c0bdb47ab89bb7aeee2e3a3c12e1c9540732bdd06b06d3e3bec2f1e217d854e"),
+    ], ids=["anneal", "anneal-sliced-budget-seed", "anneal-zero-budget",
+            "anneal-seed", "min_fill", "greedy-sliced"])
+    def test_plan_keys_are_pinned(self, args, key):
+        """Stored plans stay reachable under CACHE_VERSION: a plan key
+        may only move together with a version bump."""
+        assert fp.plan_key(*args) == f"plan-{key}"
+
     def test_prefixes_distinguish_kinds(self):
         assert fp.plan_key("s", "min_fill", None).startswith("plan-")
         assert fp.result_key("a", "b", "c").startswith("result-")

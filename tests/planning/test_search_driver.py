@@ -11,12 +11,23 @@ import numpy as np
 import pytest
 
 from repro.core.miter import alg2_trace_network
-from repro.library import qft
+from repro.library import (
+    bernstein_vazirani,
+    grover,
+    qft,
+    quantum_volume,
+    randomized_benchmarking,
+)
 from repro.noise import insert_random_noise
 from repro.planning import DEFAULT_PLAN_BUDGET_SECONDS, search_plan
 from repro.planning.anneal import merge_cost
 from repro.planning.driver import _steps_from_pairs
-from repro.tensornet import ORDER_HEURISTICS, greedy_plan, plan_from_order
+from repro.tensornet import (
+    ORDER_HEURISTICS,
+    build_plan,
+    greedy_plan,
+    plan_from_order,
+)
 from repro.tensornet.planner import ORDER_METHODS, _make_step, _plan_inputs
 
 def network(qubits=3, noises=2, seed=0):
@@ -43,6 +54,20 @@ class TestValidation:
     def test_bad_budget_value_rejected(self, budget):
         with pytest.raises(ValueError, match=">= 0 or None"):
             search_plan(network(), budget_seconds=budget)
+
+    @pytest.mark.parametrize("budget, error", [
+        ("1.0", TypeError),
+        (True, TypeError),
+        (-1.0, ValueError),
+        (-0.001, ValueError),
+        (float("inf"), ValueError),
+        (float("nan"), ValueError),
+    ])
+    def test_build_plan_shares_the_budget_check(self, budget, error):
+        """Direct ``build_plan`` callers get the same error split as
+        ``CheckConfig``: the budget check is the one shared validator."""
+        with pytest.raises(error, match=">= 0 or None"):
+            build_plan(network(), "anneal", plan_budget_seconds=budget)
 
     @pytest.mark.parametrize("trials", [-1, 1.5, "3", True])
     def test_bad_trials_rejected(self, trials):
@@ -103,6 +128,61 @@ class TestAnytimeSemantics:
         plan = search_plan(network(), clock=lambda: next(ticks))
         assert plan.search_report.budget_seconds == \
             DEFAULT_PLAN_BUDGET_SECONDS
+
+
+# (circuit, noises, noise seed, trials, search seed) -> what the search
+# found: the plan digest, best cost, winning trial and improvement
+# trajectory.  Fixed-trial searches are machine independent, so these
+# pins hold the anneal trials, their RNG streams and the plans they pick
+# to exactly what they were when the search had a second strategy
+# beside it.
+PINNED_SEARCHES = {
+    "qft3": ((lambda: qft(3), 2, 0, 20, 0), (
+        "c7ebf264a0b876f669b5c6eb20ef36015b8b5985", 2784, 17,
+        [(17, 2784)])),
+    "qft4": ((lambda: qft(4), 2, 0, 40, 0), (
+        "35614f5e121ac4bbd76e933d76d65379c8c2dc76", 9552, 19,
+        [(6, 10272), (19, 9552)])),
+    "qft4_n4": ((lambda: qft(4), 4, 1, 30, 2), (
+        "f82c394429d2984f9df8578f80ccf5d622596002", 10704, 11,
+        [(11, 10704)])),
+    "qft5": ((lambda: qft(5), 2, 1, 30, 0), (
+        "653bece49dcd819db6a080213f40cf92529d4b4e", 41952, 22,
+        [(22, 41952)])),
+    "bv6": ((lambda: bernstein_vazirani(6), 4, 0, 20, 1), (
+        "524e16c08194f182a35bf609c2f2f9a8f9934809", 2000, None, [])),
+    "grover3": ((lambda: grover(3), 2, 2, 20, 2), (
+        "e78928269a5579c575f38ae6650c67878794b8ab", 3120, 0,
+        [(0, 3120)])),
+    "qv_n4d4": ((lambda: quantum_volume(4, 4, seed=0), 2, 0, 20, 3), (
+        "d252c7e6f45f60d1e597ec6007cf9f1587629c5e", 23040, 17,
+        [(5, 23408), (17, 23040)])),
+    "rb2": ((lambda: randomized_benchmarking(2, 5, seed=0), 2, 0, 20, 0), (
+        "483c288e3e9af08d42af01880e4a28f58773bc55", 836, 6,
+        [(6, 836)])),
+}
+
+
+class TestPinnedSearches:
+    @pytest.mark.parametrize("case", sorted(PINNED_SEARCHES))
+    def test_fixed_trial_search_finds_the_pinned_plan(self, case):
+        (make, noises, noise_seed, trials, seed), expected = \
+            PINNED_SEARCHES[case]
+        digest, best_cost, best_trial, trajectory = expected
+        ideal = make()
+        net = alg2_trace_network(
+            insert_random_noise(ideal, noises, seed=noise_seed), ideal
+        )
+        plan = search_plan(net, trials=trials, seed=seed)
+        report = plan.search_report
+        assert plan.digest() == digest
+        assert report.best_cost == best_cost == plan.total_cost()
+        assert report.best_trial == best_trial
+        assert list(report.trajectory) == trajectory
+        via_knobs = build_plan(
+            net, "anneal", plan_seed=seed, plan_trials=trials
+        )
+        assert via_knobs.digest() == digest
 
 
 class TestSearchImprovement:

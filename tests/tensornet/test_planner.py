@@ -65,9 +65,16 @@ class TestPlanConstruction:
         with pytest.raises(ValueError, match="open"):
             plan_from_order(net)
 
-    def test_unknown_order_method_rejected(self):
-        with pytest.raises(ValueError, match="order_method"):
-            build_plan(qft_network(), order_method="magic")
+    @pytest.mark.parametrize(
+        "method", ["magic", "hyper", "tree_decomposition"]
+    )
+    def test_unknown_order_method_rejected(self, method):
+        """Removed planners are unknown values like any other, and the
+        error lists the valid choices."""
+        with pytest.raises(ValueError, match="order_method") as info:
+            build_plan(qft_network(), order_method=method)
+        assert "'min_fill'" in str(info.value)
+        assert "'anneal'" in str(info.value)
 
     def test_report_and_dict(self):
         plan = build_plan(qft_network(), max_intermediate_size=8)
