@@ -36,6 +36,7 @@ from __future__ import annotations
 import abc
 import importlib.util
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -545,10 +546,10 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
 
 #: Process-wide compiled-plan memo, keyed by
 #: :meth:`ContractionPlan.digest` — shared across backend instances and
-#: warm inside worker processes.  Bounded defensively; real workloads
-#: hold a handful of plans.
-_COMPILED_MEMO: Dict[str, CompiledPlan] = {}
-_COMPILED_MEMO_CAP = 512
+#: warm inside worker processes.  An LRU as large as a backend's plan
+#: memo (:data:`repro.backends.base.DEFAULT_PLAN_MEMO`).
+_COMPILED_MEMO: "OrderedDict[str, CompiledPlan]" = OrderedDict()
+_COMPILED_MEMO_CAP = 256
 
 
 def compiled_for(plan: ContractionPlan) -> CompiledPlan:
@@ -556,12 +557,13 @@ def compiled_for(plan: ContractionPlan) -> CompiledPlan:
     digest = plan.digest()
     compiled = _COMPILED_MEMO.get(digest)
     if compiled is None:
-        if len(_COMPILED_MEMO) >= _COMPILED_MEMO_CAP:
-            _COMPILED_MEMO.clear()
         with _trace.span("plan.compile") as compile_span:
             compiled = compile_plan(plan)
             compile_span.set(
                 steps=len(compiled.steps), blas_steps=compiled.blas_steps
             )
         _COMPILED_MEMO[digest] = compiled
+        if len(_COMPILED_MEMO) > _COMPILED_MEMO_CAP:
+            _COMPILED_MEMO.popitem(last=False)
+    _COMPILED_MEMO.move_to_end(digest)
     return compiled

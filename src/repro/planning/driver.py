@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,9 +34,8 @@ from .. import trace as _trace
 from ..tensornet.network import TensorNetwork
 from ..tensornet.planner import (
     ContractionPlan,
-    ContractionStep,
-    _make_step,
     _plan_inputs,
+    _steps_from_pairs,
     greedy_plan,
     plan_from_order,
     slice_plan,
@@ -86,28 +85,6 @@ class PlanSearchReport:
         record = asdict(self)
         record["trajectory"] = [list(point) for point in self.trajectory]
         return record
-
-
-def _steps_from_pairs(
-    inputs: Sequence[Tuple[str, ...]],
-    dims: Dict[str, int],
-    pairs: Sequence[Tuple[int, int]],
-) -> List[ContractionStep]:
-    """Convert stable-id merge pairs into positional plan steps."""
-    ops: List[Tuple[str, ...]] = list(inputs)
-    ids: List[int] = list(range(len(inputs)))
-    next_id = len(inputs)
-    steps: List[ContractionStep] = []
-    for a, b in pairs:
-        i, j = ids.index(a), ids.index(b)
-        if i > j:
-            i, j = j, i
-        steps.append(_make_step(ops, i, j, dims))
-        del ids[j]
-        del ids[i]
-        ids.append(next_id)
-        next_id += 1
-    return steps
 
 
 def _baseline_plans(

@@ -17,6 +17,7 @@ largest neighbourhood.  Exact treewidth is NP-hard, so we provide:
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Set
 
 from .network import TensorNetwork
@@ -44,11 +45,10 @@ def interaction_graph(network: TensorNetwork) -> Dict[str, Set[str]]:
 
 def _fill_count(adjacency: Dict[str, Set[str]], vertex: str) -> int:
     """Missing edges among ``vertex``'s neighbourhood (its fill-in)."""
-    fill = 0
-    nbr_list = list(adjacency[vertex])
-    for i, a in enumerate(nbr_list):
-        fill += sum(1 for b in nbr_list[i + 1:] if b not in adjacency[a])
-    return fill
+    nbrs = adjacency[vertex]
+    # each present pair shows up in two neighbours' intersections
+    linked = sum(map(len, map(nbrs.intersection, map(adjacency.get, nbrs))))
+    return len(nbrs) * (len(nbrs) - 1) // 2 - linked // 2
 
 
 def min_fill_order(network: TensorNetwork) -> List[str]:
@@ -58,42 +58,46 @@ def min_fill_order(network: TensorNetwork) -> List[str]:
     fill-in edges (ties broken by smaller degree, then label for
     determinism), then connect its neighbourhood into a clique.
 
-    Fill counts are maintained *incrementally*: eliminating ``u`` can
-    only change the fill of vertices whose neighbourhood (or adjacency
-    among its members) changed — ``u``'s neighbours, which lose ``u`` and
-    may gain clique edges, and their neighbours, which may see one of the
-    new clique edges appear inside their own neighbourhood.  Only that
-    2-neighbourhood is recounted per round instead of every remaining
-    vertex, turning the quadratic full recount into work proportional to
-    the eliminated vertex's locality.  Selection uses the same
-    ``(fill, degree, label)`` key as the naive scan and the key is unique
-    per vertex, so the output is byte-identical to the reference
+    Selection pops a heap of ``(fill, degree, label)`` keys, skipping
+    stale entries; the key is unique per vertex, so the heap yields the
+    vertex a full ``min`` scan would.  Fill counts change by deltas.
+    Eliminating ``u`` costs each neighbour ``a`` its missing pairs
+    ``(u, x)``, one per ``x`` in ``N(a)`` outside ``N(u)``; when ``u``
+    has no fill (most eliminations) nothing else changes.  Otherwise the
+    neighbours are recounted, and each new clique edge ``(a, b)`` takes
+    one missing pair from every vertex outside ``N(u)`` adjacent to both
+    ends.  The output is byte-identical to the full-recount reference
     implementation (asserted in the test suite).
     """
     adjacency = interaction_graph(network)
     fill: Dict[str, int] = {v: _fill_count(adjacency, v) for v in adjacency}
+    heap = [(count, len(adjacency[v]), v) for v, count in fill.items()]
+    heapq.heapify(heap)
     order: List[str] = []
-    while adjacency:
-        best = min(
-            adjacency,
-            key=lambda v: (fill[v], len(adjacency[v]), v),
-        )
-        order.append(best)
-        nbrs = adjacency.pop(best)
-        del fill[best]
+    while heap:
+        count, degree, u = heapq.heappop(heap)
+        if fill.get(u) != count or len(adjacency[u]) != degree:
+            continue  # stale: eliminated, or re-keyed since the push
+        order.append(u)
+        nbrs = adjacency.pop(u)
+        del fill[u]
+        rekeyed = set(nbrs)
         for a in nbrs:
-            adjacency[a].discard(best)
-        nbr_list = list(nbrs)
-        for i, a in enumerate(nbr_list):
-            for b in nbr_list[i + 1:]:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        touched: Set[str] = set(nbrs)
-        for a in nbrs:
-            touched.update(adjacency[a])
-        touched &= adjacency.keys()
-        for vertex in touched:
-            fill[vertex] = _fill_count(adjacency, vertex)
+            adjacency[a].discard(u)
+            fill[a] -= len(adjacency[a] - nbrs)
+        if count:
+            for a in nbrs:
+                new = nbrs - adjacency[a] - {a}
+                adjacency[a] |= new
+                for b in new:
+                    adjacency[b].add(a)
+                    for w in (adjacency[a] & adjacency[b]) - nbrs:
+                        fill[w] -= 1
+                        rekeyed.add(w)
+            for a in nbrs:
+                fill[a] = _fill_count(adjacency, a)
+        for v in rekeyed:
+            heapq.heappush(heap, (fill[v], len(adjacency[v]), v))
     return order
 
 

@@ -351,21 +351,51 @@ def _merged_labels(a, b, step: ContractionStep) -> Tuple[str, ...]:
     return step.output
 
 
+def _steps_from_pairs(
+    inputs: Sequence[Tuple[str, ...]],
+    dims: Dict[str, int],
+    pairs: Sequence[Tuple[int, int]],
+) -> List[ContractionStep]:
+    """Positional steps for stable-id merge pairs (the convention of
+    :mod:`repro.planning.driver`), then outer products of what is left."""
+    ops: List[Tuple[str, ...]] = list(inputs)
+    ids: List[int] = list(range(len(inputs)))
+    steps: List[ContractionStep] = []
+    for a, b in pairs:
+        i, j = sorted((ids.index(a), ids.index(b)))
+        steps.append(_make_step(ops, i, j, dims))
+        del ids[j], ids[i]
+        ids.append(len(inputs) + len(steps) - 1)
+    while len(ops) > 1:  # disconnected components
+        steps.append(_make_step(ops, 0, 1, dims))
+    return steps
+
+
 def _steps_from_order(
     inputs: Sequence[Tuple[str, ...]],
     dims: Dict[str, int],
     order: Sequence[str],
 ) -> List[ContractionStep]:
-    """Simulate the dense engine's merge sequence along ``order``."""
-    ops: List[Tuple[str, ...]] = list(inputs)
-    steps: List[ContractionStep] = []
+    """Simulate the dense engine's merge sequence along ``order``.
+
+    A label -> holder-ids map names the two operands each label merges.
+    """
+    labels = dict(enumerate(map(frozenset, inputs)))
+    holders: Dict[str, Set[int]] = {}
+    for op_id, labs in labels.items():
+        for label in labs:
+            holders.setdefault(label, set()).add(op_id)
+    pairs: List[Tuple[int, int]] = []
     for label in order:
-        holders = [idx for idx, labs in enumerate(ops) if label in labs]
-        if len(holders) == 2:
-            steps.append(_make_step(ops, holders[0], holders[1], dims))
-    while len(ops) > 1:  # outer-product disconnected components
-        steps.append(_make_step(ops, 0, 1, dims))
-    return steps
+        pair = holders.get(label, ())
+        if len(pair) == 2:  # a label merged away is left one holder
+            a, b = pair
+            new_id = len(inputs) + len(pairs)
+            pairs.append((a, b))
+            labels[new_id] = labels[a] ^ labels[b]
+            for lab in labels.pop(a) | labels.pop(b):
+                holders[lab] = holders[lab] - pair | {new_id}
+    return _steps_from_pairs(inputs, dims, pairs)
 
 
 def plan_from_order(

@@ -48,9 +48,11 @@ from repro.backends import (
     registered_backends,
     resolve_namespace,
 )
+from repro.backends.base import DEFAULT_PLAN_MEMO
 from repro.backends.einsum import EinsumKernel
 from repro.backends.xp import (
     _COMPILED_MEMO,
+    _COMPILED_MEMO_CAP,
     BLAS_MIN_FLOPS,
     batched_matmul,
     compile_plan,
@@ -225,6 +227,51 @@ class TestCompiledPlans:
         assert compiled_for(plan) is compiled_for(plan)
         ref = DenseBackend().contract_scalar(network)
         assert abs(value - ref) < 1e-9
+
+
+@pytest.fixture
+def empty_compiled_memo():
+    """An empty process-wide compiled-plan memo, restored afterwards."""
+    saved = list(_COMPILED_MEMO.items())
+    _COMPILED_MEMO.clear()
+    yield _COMPILED_MEMO
+    _COMPILED_MEMO.clear()
+    _COMPILED_MEMO.update(saved)
+
+
+def _distinct_plans(count):
+    """``count`` tiny plans with pairwise different digests."""
+    return [
+        build_plan(TensorNetwork([
+            Tensor(np.ones(dim), ["a"]), Tensor(np.ones(dim), ["a"]),
+        ]))
+        for dim in range(1, count + 1)
+    ]
+
+
+class TestCompiledMemoLru:
+    def test_cap_matches_the_backend_plan_memo(self):
+        assert _COMPILED_MEMO_CAP == DEFAULT_PLAN_MEMO
+
+    def test_overflow_keeps_exactly_the_cap(self, empty_compiled_memo):
+        plans = _distinct_plans(_COMPILED_MEMO_CAP + 5)
+        for plan in plans:
+            compiled_for(plan)
+        assert len(empty_compiled_memo) == _COMPILED_MEMO_CAP
+        assert list(empty_compiled_memo) == [p.digest() for p in plans[5:]]
+
+    def test_a_hit_survives_and_the_least_recent_is_evicted(
+        self, empty_compiled_memo
+    ):
+        *plans, newcomer = _distinct_plans(_COMPILED_MEMO_CAP + 1)
+        for plan in plans:
+            compiled_for(plan)
+        hit = compiled_for(plans[0])  # now the most recently used
+        compiled_for(newcomer)
+        assert len(empty_compiled_memo) == _COMPILED_MEMO_CAP
+        assert compiled_for(plans[0]) is hit
+        assert plans[1].digest() not in empty_compiled_memo
+        assert newcomer.digest() in empty_compiled_memo
 
 
 class TestEffectiveSliceBatch:

@@ -21,14 +21,18 @@ from repro.library import (
 from repro.noise import insert_random_noise
 from repro.planning import DEFAULT_PLAN_BUDGET_SECONDS, search_plan
 from repro.planning.anneal import merge_cost
-from repro.planning.driver import _steps_from_pairs
 from repro.tensornet import (
     ORDER_HEURISTICS,
     build_plan,
     greedy_plan,
     plan_from_order,
 )
-from repro.tensornet.planner import ORDER_METHODS, _make_step, _plan_inputs
+from repro.tensornet.planner import (
+    ORDER_METHODS,
+    _make_step,
+    _plan_inputs,
+    _steps_from_pairs,
+)
 
 def network(qubits=3, noises=2, seed=0):
     ideal = qft(qubits)

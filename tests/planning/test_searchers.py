@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.planning.anneal import AnnealSearcher, merge_cost
-from repro.planning.driver import _steps_from_pairs
+from repro.tensornet.planner import _steps_from_pairs
 
 #: a closed 6-tensor ring with mixed dimensions
 RING_INPUTS = [

@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
-from repro.library import qft
+from repro.core.miter import alg2_trace_network
+from repro.library import (
+    bernstein_vazirani,
+    grover,
+    mod_mult_7x15,
+    qft,
+    quantum_volume,
+)
+from repro.noise import insert_random_noise
 from repro.tensornet import (
     ORDER_HEURISTICS,
     ContractionStats,
@@ -149,6 +159,45 @@ def _min_fill_order_reference(network):
     return order
 
 
+def alg2_network(make, noises, seed):
+    ideal = make()
+    return alg2_trace_network(
+        insert_random_noise(ideal, noises, seed=seed), ideal
+    )
+
+
+#: Table I rows where min-fill often eliminates a vertex with fill > 0.
+FILL_ROWS = {
+    "7x1mod15": mod_mult_7x15,
+    "bv9": lambda: bernstein_vazirani(9),
+    "grover3": lambda: grover(3),
+    "qft4": lambda: qft(4),
+    "qft5": lambda: qft(5),
+}
+
+
+@st.composite
+def index_graph_networks(draw):
+    """Up to three disconnected components of rank-1..4 tensors.
+
+    Each component draws its tensors' labels from its own pool, so
+    isolated labels, rank-1 tensors, labels shared by several tensors
+    and components with no edge between them all occur.
+    """
+    tensors = []
+    for component in range(draw(st.integers(1, 3))):
+        pool = [
+            f"c{component}.{i}" for i in range(draw(st.integers(1, 16)))
+        ]
+        for _ in range(draw(st.integers(1, 12))):
+            labels = draw(st.lists(
+                st.sampled_from(pool), min_size=1,
+                max_size=min(4, len(pool)), unique=True,
+            ))
+            tensors.append(Tensor(np.ones((2,) * len(labels)), labels))
+    return TensorNetwork(tensors)
+
+
 class TestMinFill:
     def test_deterministic(self):
         net = sample_network()
@@ -166,14 +215,31 @@ class TestMinFill:
         assert min_fill_order(net) == _min_fill_order_reference(net)
 
     def test_incremental_byte_identical_on_noisy_doubled_networks(self):
-        from repro.core.miter import alg2_trace_network
-        from repro.noise import insert_random_noise
-
         for seed in range(3):
-            ideal = qft(3)
-            noisy = insert_random_noise(ideal, 2, seed=seed)
-            net = alg2_trace_network(noisy, ideal)
+            net = alg2_network(lambda: qft(3), 2, seed)
             assert min_fill_order(net) == _min_fill_order_reference(net)
+
+    @pytest.mark.parametrize("row", sorted(FILL_ROWS))
+    def test_byte_identical_on_alg2_networks_with_fill(self, row):
+        """Table I rows whose eliminations often add fill, so the
+        clique-edge decrements run on most of these orders."""
+        for noises in (1, 3, 6):
+            for seed in range(2):
+                net = alg2_network(FILL_ROWS[row], noises, seed)
+                assert min_fill_order(net) == _min_fill_order_reference(net)
+
+    @pytest.mark.parametrize("noises,seed", [(1, 0), (3, 1), (6, 2)])
+    def test_byte_identical_on_a_quantum_volume_network(self, noises, seed):
+        # qv_n5d5: ~570 vertices, ~0.7 s for the cubic reference apiece
+        net = alg2_network(
+            lambda: quantum_volume(5, 5, seed=0), noises, seed
+        )
+        assert min_fill_order(net) == _min_fill_order_reference(net)
+
+    @settings(max_examples=100, deadline=None)
+    @given(index_graph_networks())
+    def test_byte_identical_on_random_index_graphs(self, net):
+        assert min_fill_order(net) == _min_fill_order_reference(net)
 
 
 def sample_circuit():

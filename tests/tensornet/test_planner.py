@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from repro.backends import available_backends, get_backend
-from repro.library import qft
+from repro.core.miter import alg2_trace_network
+from repro.library import (
+    bernstein_vazirani,
+    grover,
+    mod_mult_7x15,
+    qft,
+    quantum_volume,
+)
+from repro.noise import insert_random_noise
 from repro.tensornet import (
     ContractionStats,
     Tensor,
@@ -22,6 +30,7 @@ from repro.tensornet.planner import (
     ContractionPlan,
     _make_step,
     _plan_inputs,
+    _steps_from_order,
     iter_slice_assignments,
 )
 
@@ -150,6 +159,106 @@ class TestGreedyPlan:
         assert [step.eliminated for step in plan.steps] == [
             frozenset("ab"), frozenset("cd"), frozenset(),
         ]
+
+
+def _steps_from_order_reference(inputs, dims, order):
+    """The original operand-scanning merge simulation.
+
+    Kept verbatim (modulo renames) as the oracle for the holder map of
+    :func:`_steps_from_order`: each label's holders are found by
+    scanning the whole current operand list.
+    """
+    ops = list(inputs)
+    steps = []
+    for label in order:
+        holders = [idx for idx, labs in enumerate(ops) if label in labs]
+        if len(holders) == 2:
+            steps.append(_make_step(ops, holders[0], holders[1], dims))
+    while len(ops) > 1:
+        steps.append(_make_step(ops, 0, 1, dims))
+    return steps
+
+
+def table_one_network(make, noises=3, seed=0):
+    ideal = make()
+    return alg2_trace_network(
+        insert_random_noise(ideal, noises, seed=seed), ideal
+    )
+
+
+#: Table I rows (the perfbench ``CIRCUITS``), by row name.
+TABLE_ONE = {
+    "7x1mod15": mod_mult_7x15,
+    "bv13": lambda: bernstein_vazirani(13),
+    "bv16": lambda: bernstein_vazirani(16),
+    "bv5": lambda: bernstein_vazirani(5),
+    "bv9": lambda: bernstein_vazirani(9),
+    "grover3": lambda: grover(3),
+    "qft3": lambda: qft(3),
+    "qft4": lambda: qft(4),
+    "qft5": lambda: qft(5),
+    "qft7": lambda: qft(7),
+    "qft9": lambda: qft(9),
+    "qv_n5d5": lambda: quantum_volume(5, 5, seed=0),
+    "qv_n7d5": lambda: quantum_volume(7, 5, seed=0),
+}
+
+
+class TestStepsFromOrder:
+    @pytest.mark.parametrize("row", ["7x1mod15", "qft5", "qv_n5d5"])
+    def test_holder_map_matches_the_operand_scan(self, row):
+        net = table_one_network(TABLE_ONE[row])
+        inputs, dims = _plan_inputs(net)
+        rng = np.random.default_rng(0)
+        labels = net.all_indices()
+        # shuffled orders (disconnected merges and outer products) and
+        # one that names labels twice, after they are already gone
+        orders = [list(rng.permutation(labels)) for _ in range(3)]
+        orders.append(labels[::2] + labels)
+        for order in orders:
+            assert _steps_from_order(inputs, dims, order) == (
+                _steps_from_order_reference(inputs, dims, order)
+            )
+
+
+#: ``build_plan(net, "min_fill")`` digest and total cost of each Table I
+#: row's alg2 network (3 noises, noise seed 0), as computed before
+#: min-fill selection moved to a heap and fill counts to deltas.
+PINNED_MIN_FILL = {
+    "7x1mod15": ("fcab8e8740048a79ee4d1873dcace427b01810a1", 23632),
+    "bv13": ("bfb68ade37cbaeda11284830a567b7da4c263902", 5088),
+    "bv16": ("4e5496eb4e6cdc8758450b86bf9109b357957977", 5200),
+    "bv5": ("b78ac309531930c7002eff681f0a13cb78638168", 2400),
+    "bv9": ("0df99857373bcf4811412a74e9444ed6fe2770b6", 2928),
+    "grover3": ("fc08d1dbaf02cb31f80e634ef922ff93baa2ae41", 2528),
+    "qft3": ("2db807139551af758ee202ef300933ef8c89a7c9", 2352),
+    "qft4": ("f86903301c032578df8d0140e685dde1702ab5cc", 25296),
+    "qft5": ("1008c9307566f74d967201ee200a96b3da650edc", 80528),
+    "qft7": ("26baa9605c21ff605e050cf9038d52628b8d54bf", 3597776),
+    "qft9": ("b168976c3611553e6a6886223d8220698ac60c3b", 69980560),
+    "qv_n5d5": ("65e4d25df2b34339ddf1ce495c20ce252895d372", 24000),
+    "qv_n7d5": ("b3bb7cfc633535ba8c5e59677bf0c8f2eeea7f77", 990624),
+}
+
+
+class TestPinnedMinFillPlans:
+    @pytest.mark.parametrize("row", sorted(PINNED_MIN_FILL))
+    def test_min_fill_plan_is_pinned(self, row):
+        digest, cost = PINNED_MIN_FILL[row]
+        plan = build_plan(table_one_network(TABLE_ONE[row]), "min_fill")
+        assert plan.digest() == digest
+        assert plan.total_cost() == cost
+
+    def test_sliced_min_fill_plan_is_pinned(self):
+        """slice_plan replays the merge positions of the unsliced plan."""
+        plan = build_plan(
+            table_one_network(TABLE_ONE["qft5"]), "min_fill",
+            max_intermediate_size=256,
+        )
+        assert plan.slices == ("q1.7", "q3.2", "q5.8", "q6.13")
+        assert plan.digest() == "3725d3755d48dc936dd76f31cb85e2353172e88e"
+        assert plan.total_cost() == 431616
+        assert plan.peak_size() <= 256
 
 
 class TestSlicing:
