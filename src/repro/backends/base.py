@@ -74,6 +74,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: in-process memo of plan objects, least recently used evicted first.
 DEFAULT_PLAN_MEMO = 256
 
+#: Capacity of a backend's miter template memo (templates, least
+#: recently used evicted first).  Each entry holds a whole closed
+#: network (a full memo of cold Table I checks adds ~3 MB of RSS), so
+#: the cap is far below the plan memo's.
+MITER_TEMPLATE_MEMO = 32
+
+
+def _lru_put(memo: "OrderedDict", key, value, cap: int) -> None:
+    """Store ``value`` under ``key``, evicting the least recently used
+    entry once ``memo`` holds more than ``cap``."""
+    memo[key] = value
+    if len(memo) > cap:
+        memo.popitem(last=False)
+
 
 def _coerce_plan_cache(
     plan_cache: Union[None, PlanCache, str, os.PathLike, tuple]
@@ -279,6 +293,9 @@ class ContractionBackend(abc.ABC):
         self._plan_cache: "OrderedDict[tuple, ContractionPlan]" = (
             OrderedDict()
         )
+        #: miter key -> miter template (network, noise slots, plan), least
+        #: recently used first (at most MITER_TEMPLATE_MEMO entries)
+        self._templates: "OrderedDict[bytes, object]" = OrderedDict()
 
     def contract_scalar(
         self,
@@ -450,7 +467,8 @@ class ContractionBackend(abc.ABC):
                     lookup_span.set(hit=plan is not None)
                 if plan is not None:
                     self.plan_cache_hits += 1
-                    self._memoise(memo_key, plan)
+                    _lru_put(self._plan_cache, memo_key, plan,
+                             DEFAULT_PLAN_MEMO)
                     return plan
             with _trace.span(
                 "plan.build", order_method=self.order_method
@@ -468,7 +486,7 @@ class ContractionBackend(abc.ABC):
             report = getattr(plan, "search_report", None)
             if report is not None:
                 self.plan_trials_total += report.trials
-            self._memoise(memo_key, plan)
+            _lru_put(self._plan_cache, memo_key, plan, DEFAULT_PLAN_MEMO)
             if self.plan_cache is not None:
                 self.plan_cache_misses += 1
                 with _trace.span("plan.cache.put"):
@@ -477,11 +495,29 @@ class ContractionBackend(abc.ABC):
         finally:
             self.planning_seconds_total += time.perf_counter() - started
 
-    def _memoise(self, key: tuple, plan: ContractionPlan) -> None:
-        """Remember ``plan``, evicting the least recently used past the cap."""
-        self._plan_cache[key] = plan
-        if len(self._plan_cache) > DEFAULT_PLAN_MEMO:
-            self._plan_cache.popitem(last=False)
+    def lookup_template(self, key: bytes) -> Optional[object]:
+        """The miter template memoised under ``key``, or ``None``.
+
+        The template memo sits in front of :meth:`plan_for`: a hit
+        carries the network *and* its plan, so the algorithms skip both
+        the miter build and the plan lookup
+        (:func:`repro.core.miter.memoised_miter`).  A hit therefore
+        counts as a plan-memo hit: it moves ``plan_cache_hits`` (while a
+        plan cache is attached) and ``planning_seconds_total`` exactly as
+        a :meth:`plan_for` memo hit does, and runs no search trials.
+        """
+        started = time.perf_counter()
+        template = self._templates.get(key)
+        if template is not None:
+            self._templates.move_to_end(key)
+            if self.plan_cache is not None:
+                self.plan_cache_hits += 1
+            self.planning_seconds_total += time.perf_counter() - started
+        return template
+
+    def store_template(self, key: bytes, template: object) -> None:
+        """Memoise a miter template (at most :data:`MITER_TEMPLATE_MEMO`)."""
+        _lru_put(self._templates, key, template, MITER_TEMPLATE_MEMO)
 
     @property
     def resolved_device(self) -> str:
@@ -513,8 +549,9 @@ class ContractionBackend(abc.ABC):
         )
 
     def reset(self) -> None:
-        """Drop all cached state (plans, managers, conversions)."""
+        """Drop all cached state (plans, templates, managers, conversions)."""
         self._plan_cache.clear()
+        self._templates.clear()
 
     def describe(self) -> Dict[str, object]:
         """Lightweight description for logs and serialised results.

@@ -7,7 +7,10 @@ the number of noises — but every term shares one network:
 :func:`~repro.core.miter.alg1_template` stacks each site's Kraus
 operators on an open ``kraus{s}`` axis, the representative term is
 planned once through the backend's plan memo, and the Kraus labels
-become the plan's leading slices.  The terms then run as slice chunks
+become the plan's leading slices.  Network and plans are memoised per
+structure (:func:`~repro.core.miter.memoised_miter`): a request that
+changes only channel values restacks the noise tensors and reuses the
+rest.  The terms then run as slice chunks
 of the one execution core
 (:meth:`~repro.backends.ContractionBackend.execute_chunks`) — batched
 matmuls over whole runs of terms on the array backends, one term at a
@@ -39,7 +42,14 @@ from ..backends import ContractionBackend, resolve_backend
 from ..circuits import QuantumCircuit
 from ..tensornet import ContractionStats
 from ..tensornet.planner import iter_slice_assignments
-from .miter import alg1_template, kraus_order
+from .miter import (
+    Alg1Template,
+    MiterTemplate,
+    alg1_template,
+    kraus_order,
+    kraus_stack,
+    memoised_miter,
+)
 from .stats import FidelityResult, RunStats
 
 
@@ -122,13 +132,27 @@ def fidelity_individual(
     )
     start = time.perf_counter()
 
-    template = alg1_template(
-        noisy, ideal,
-        dominant_first=dominant_first,
-        use_local_optimisations=use_local_optimisations,
+    def plan_terms(network) -> MiterTemplate:
+        template = Alg1Template(network)
+        term_plan = engine.plan_for(template.representative())
+        return MiterTemplate(
+            network, template.sliced_plan(term_plan), term_plan
+        )
+
+    network, template = memoised_miter(
+        engine, "alg1", noisy, ideal, use_local_optimisations,
+        build=lambda: alg1_template(
+            noisy, ideal,
+            dominant_first=dominant_first,
+            use_local_optimisations=use_local_optimisations,
+        ).network,
+        plan=plan_terms,
+        site_data=lambda: [
+            kraus_stack(inst.operation.kraus_operators, dominant_first)
+            for inst in noisy.noise_instructions()
+        ],
     )
-    term_plan = engine.plan_for(template.representative())
-    plan = template.sliced_plan(term_plan)
+    plan, term_plan = template.plan, template.term_plan
     per_term = term_plan.num_slices()  # memory slices of one term
     # A slice executor spreads each term's memory slices over its
     # workers, so it gets one term per chunk.
@@ -188,12 +212,12 @@ def fidelity_individual(
     cstats = ContractionStats()
     if executor is None:
         runs = term_traces(
-            engine.execute_chunks(template.network, plan, chunks(), cstats)
+            engine.execute_chunks(network, plan, chunks(), cstats)
         )
     else:
         runs = (
             np.array([executor.contract(
-                engine, template.network, plan, cstats, assignments=chunk
+                engine, network, plan, cstats, assignments=chunk
             )])
             for chunk in chunks()
         )

@@ -6,7 +6,10 @@ Contract a single doubled network computing
 
 in one pass, regardless of how many noise sites the circuit has.  The
 network has twice the qubits of Algorithm I's miters, but there is only
-one of it — the trade-off the paper demonstrates in Fig. 7.
+one of it — the trade-off the paper demonstrates in Fig. 7.  When
+``p`` changes in a sweep only the ``M_N`` noise tensors change value, so
+the network and its plan are memoised per structure
+(:func:`~repro.core.miter.memoised_miter`) and a repeat refills them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .. import trace as _trace
 from ..backends import ContractionBackend, resolve_backend
 from ..circuits import QuantumCircuit
 from ..tensornet import ContractionStats
-from .miter import alg2_trace_network
+from .miter import MiterTemplate, alg2_trace_network, gate_data, memoised_miter
 from .stats import FidelityResult, RunStats
 
 
@@ -46,12 +49,22 @@ def fidelity_collective(
     )
     start = time.perf_counter()
 
-    network = alg2_trace_network(
-        noisy, ideal, use_local_optimisations=use_local_optimisations
+    network, template = memoised_miter(
+        engine, "alg2", noisy, ideal, use_local_optimisations,
+        build=lambda: alg2_trace_network(
+            noisy, ideal, use_local_optimisations=use_local_optimisations
+        ),
+        plan=lambda network: MiterTemplate(network, engine.plan_for(network)),
+        site_data=lambda: [
+            gate_data(inst.operation.matrix_rep())
+            for inst in noisy.noise_instructions()
+        ],
     )
     cstats = ContractionStats()
     with _trace.span("alg2.contract"):
-        value = engine.contract_scalar(network, stats=cstats)
+        value = engine.contract_scalar(
+            network, stats=cstats, plan=template.plan
+        )
     stats.max_nodes = cstats.max_nodes
     stats.max_intermediate_size = cstats.max_intermediate_size
     stats.predicted_cost = cstats.predicted_cost

@@ -243,7 +243,7 @@ class ReproService(Daemon):
         self._phase_seconds = self.registry.histogram(
             "repro_phase_seconds",
             "Per-check seconds attributed to each phase "
-            "(resolve/cache/plan/compile/execute); span-accurate when "
+            "(resolve/cache/build/plan/compile/execute); span-accurate when "
             "the check was traced, coarse RunStats split otherwise.",
             ("phase",),
         )

@@ -16,8 +16,8 @@ Three read-side views over a finished :class:`~.recorder.TraceRecorder`:
     ``CheckConfig(trace=True)`` is set.
 
 ``phase_seconds``
-    Wall seconds per named phase (``resolve`` / ``cache`` / ``plan`` /
-    ``compile`` / ``execute``), fed into the service's
+    Wall seconds per named phase (``resolve`` / ``cache`` / ``build`` /
+    ``plan`` / ``compile`` / ``execute``), fed into the service's
     ``repro_phase_seconds{phase=...}`` histograms.  Attribution is
     *topmost-assigned-ancestor-wins*: once a span maps to a phase, its
     descendants are not counted again, so nested spans (and concurrent
@@ -37,6 +37,7 @@ from .recorder import Span, TraceRecorder
 PHASE_BY_SPAN = {
     "request.resolve": "resolve",
     "circuit.load": "resolve",
+    "network.build": "build",
     "request.fingerprint": "cache",
     "cache.result.get": "cache",
     "cache.result.put": "cache",
@@ -54,7 +55,7 @@ PHASE_BY_SPAN = {
 }
 
 #: Every phase label the histogram may carry (docs + tests import this).
-PHASES = ("resolve", "cache", "plan", "compile", "execute")
+PHASES = ("resolve", "cache", "build", "plan", "compile", "execute")
 
 
 def tree_records(tree: dict) -> List[Span]:

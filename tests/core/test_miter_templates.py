@@ -1,0 +1,399 @@
+"""The backend's miter template memo: build once per structure, refill.
+
+A request that changes only channel values (a ``p`` sweep) must reuse
+the memoised miter network and plan, replace only the noise tensors,
+and give the fidelity a fresh build gives, bit for bit.  Anything that
+changes the structure (a gate, a rotation angle, a noise position)
+must miss.
+"""
+
+import numpy as np
+import pytest
+
+from repro import trace as T
+from repro.backends import get_backend
+from repro.backends.base import MITER_TEMPLATE_MEMO
+from repro.baseline import process_fidelity
+from repro.circuits import QuantumCircuit
+from repro.core import CheckConfig, CheckSession
+from repro.core.algorithm1 import fidelity_individual
+from repro.core.algorithm2 import fidelity_collective
+from repro.core.miter import (
+    alg1_template,
+    alg2_trace_network,
+    gate_data,
+    kraus_stack,
+    miter_key,
+)
+from repro.library import qft, qft_dagger
+from repro.noise import (
+    KrausChannel,
+    bit_flip,
+    depolarizing,
+    insert_random_noise,
+)
+
+BACKENDS = ["tdd", "dense", "einsum"]
+ALGORITHMS = ["alg1", "alg2"]
+
+
+def run(algorithm, engine, noisy, ideal, **options):
+    """(result, template_hit) of one check on ``engine``."""
+    recorder = T.TraceRecorder()
+    with T.recording(recorder):
+        if algorithm == "alg1":
+            result = fidelity_individual(noisy, ideal, backend=engine, **options)
+        else:
+            result = fidelity_collective(noisy, ideal, backend=engine, **options)
+    (build,) = [s for s in recorder.spans if s.name == "network.build"]
+    assert build.attributes["tensors"] > 0
+    return result, build.attributes["template_hit"]
+
+
+def _with_noise(ideal, positions, channel, qubits):
+    """``ideal`` with ``channel`` inserted before each instruction index
+    in ``positions`` (``len(ideal)`` appends)."""
+    noisy = QuantumCircuit(ideal.num_qubits)
+    for index, inst in enumerate(ideal):
+        if index in positions:
+            noisy.append(channel, qubits)
+        noisy.append(inst.operation, inst.qubits)
+    if len(ideal) in positions:
+        noisy.append(channel, qubits)
+    return noisy
+
+
+def _cases():
+    """Name -> ``make(p) -> (noisy, ideal)``; ``p`` changes values only."""
+    ideal = qft(3)
+    untouched = QuantumCircuit(3).h(0).cx(0, 1)
+    explicit = QuantumCircuit(3).h(0).cx(0, 1).rz(0.4, 2)
+
+    def explicit_noisy(p):
+        # not ideal + noise: one gate differs and one is missing
+        noisy = QuantumCircuit(3).h(0).cx(0, 1).rz(0.5, 2)
+        noisy.append(depolarizing(p), [1])
+        noisy.append(bit_flip(p), [2])
+        return noisy
+
+    return {
+        "random": lambda p: (
+            insert_random_noise(
+                qft_dagger(3), 3,
+                channel_factory=lambda: depolarizing(p), seed=3,
+            ),
+            qft_dagger(3),
+        ),
+        "noise_first": lambda p: (
+            _with_noise(ideal, {0}, depolarizing(p), [1]), ideal
+        ),
+        "noise_last": lambda p: (
+            _with_noise(ideal, {len(ideal)}, depolarizing(p), [0]), ideal
+        ),
+        "untouched_wire": lambda p: (
+            _with_noise(untouched, {1}, bit_flip(p), [2]), untouched
+        ),
+        "noise_free": lambda p: (ideal.copy(), ideal),
+        "explicit_noisy": lambda p: (explicit_noisy(p), explicit),
+    }
+
+
+CASES = _cases()
+
+
+class TestRefillIsBitIdentical:
+    """A template hit gives exactly the fidelity of a fresh build."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("use_local_optimisations", [False, True])
+    @pytest.mark.parametrize("max_intermediate_size", [None, 32])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_hit_equals_fresh_build(
+        self, backend, algorithm, max_intermediate_size,
+        use_local_optimisations, case,
+    ):
+        make = CASES[case]
+        knobs = dict(max_intermediate_size=max_intermediate_size)
+        options = dict(use_local_optimisations=use_local_optimisations)
+        warm = get_backend(backend, **knobs)
+        _, hit = run(algorithm, warm, *make(0.97), **options)
+        assert hit is False
+        refilled, hit = run(algorithm, warm, *make(0.9), **options)
+        assert hit is True
+        fresh, hit = run(
+            algorithm, get_backend(backend, **knobs), *make(0.9), **options
+        )
+        assert hit is False
+        assert repr(refilled.fidelity) == repr(fresh.fidelity)
+        noisy, ideal = make(0.9)
+        assert abs(refilled.fidelity - process_fidelity(noisy, ideal)) < 1e-9
+        if case == "random" and max_intermediate_size is not None:
+            if not use_local_optimisations:  # which may shrink it unsliced
+                assert refilled.stats.slice_count > 1
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("use_local_optimisations", [False, True])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_refilled_network_equals_a_fresh_build(
+        self, algorithm, use_local_optimisations, case
+    ):
+        make = CASES[case]
+
+        def build(noisy, ideal):
+            if algorithm == "alg1":
+                return alg1_template(
+                    noisy, ideal,
+                    use_local_optimisations=use_local_optimisations,
+                ).network
+            return alg2_trace_network(
+                noisy, ideal, use_local_optimisations=use_local_optimisations
+            )
+
+        noisy, ideal = make(0.9)
+        if algorithm == "alg1":
+            data = [kraus_stack(inst.operation.kraus_operators, True)
+                    for inst in noisy.noise_instructions()]
+        else:
+            data = [gate_data(inst.operation.matrix_rep())
+                    for inst in noisy.noise_instructions()]
+        refilled = build(*make(0.97)).refill(data)
+        fresh = build(noisy, ideal)
+        assert len(fresh.noise_sites) == len(data)
+        assert refilled.noise_sites == fresh.noise_sites
+        assert refilled.structure_key() == fresh.structure_key()
+        for ours, theirs in zip(refilled.tensors, fresh.tensors):
+            assert ours.data.shape == theirs.data.shape
+            assert np.array_equal(ours.data, theirs.data)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_refill_never_writes_into_the_template(self, backend, algorithm):
+        engine = get_backend(backend, max_intermediate_size=32)
+        make = CASES["random"]
+        run(algorithm, engine, *make(0.97))
+        (template,) = engine._templates.values()
+        arrays = [tensor.data for tensor in template.network.tensors]
+        before = [array.copy() for array in arrays]
+        for array in arrays:
+            array.setflags(write=False)  # any write now raises
+        for p in (0.9, 0.8, 0.97):
+            _, hit = run(algorithm, engine, *make(p))
+            assert hit is True
+        for array, saved in zip(arrays, before):
+            assert np.array_equal(array, saved)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_rotation_angle_change_misses(self, algorithm):
+        engine = get_backend("einsum")
+
+        def pair(angle):
+            ideal = QuantumCircuit(2).h(0).rz(angle, 0).cx(0, 1)
+            noisy = ideal.copy()
+            noisy.append(depolarizing(0.95), [1])
+            return noisy, ideal
+
+        _, hit = run(algorithm, engine, *pair(0.3))
+        assert hit is False
+        result, hit = run(algorithm, engine, *pair(0.7))
+        assert hit is False
+        assert abs(result.fidelity - process_fidelity(*pair(0.7))) < 1e-9
+        assert len(engine._templates) == 2
+
+    def test_a_noise_position_change_misses(self):
+        engine = get_backend("einsum")
+        ideal = qft(3)
+        run("alg2", engine, _with_noise(ideal, {0}, bit_flip(0.9), [1]), ideal)
+        _, hit = run(
+            "alg2", engine, _with_noise(ideal, {1}, bit_flip(0.9), [1]), ideal
+        )
+        assert hit is False
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_channel_type_change(self, algorithm):
+        """Algorithm II refills any single-qubit channel into the same
+        M_N slot; Algorithm I's stacked axis has one entry per Kraus
+        operator, so a different Kraus count is another structure."""
+        engine = get_backend("einsum")
+        ideal = qft(3)
+        run(algorithm, engine, _with_noise(ideal, {2}, bit_flip(0.9), [1]),
+            ideal)
+        noisy = _with_noise(ideal, {2}, depolarizing(0.9), [1])
+        result, hit = run(algorithm, engine, noisy, ideal)
+        assert hit is (algorithm == "alg2")
+        assert abs(result.fidelity - process_fidelity(noisy, ideal)) < 1e-9
+
+    def test_cancelled_noise_sites_are_never_memoised(self):
+        """Local optimisations cancel adjacent mutually inverse unitary
+        channels in the doubled miter: that network has no slot for them,
+        so it is not stored.  A stored template of the same structure
+        still refills them, with the same value."""
+        s = np.diag([1, 1j])
+        ideal = qft(3)
+
+        def make(first, second):
+            noisy = _with_noise(ideal, {2}, first, [1])
+            return _with_noise(noisy, {3}, second, [1]), ideal
+
+        options = dict(use_local_optimisations=True)
+        cancelling = make(KrausChannel([s]), KrausChannel([s.conj().T]))
+        engine = get_backend("einsum")
+        for _ in range(2):
+            result, hit = run("alg2", engine, *cancelling, **options)
+            assert hit is False
+            assert abs(
+                result.fidelity - process_fidelity(*cancelling)
+            ) < 1e-9
+        assert len(engine._templates) == 0
+        run("alg2", engine, *make(bit_flip(0.9), bit_flip(0.9)), **options)
+        result, hit = run("alg2", engine, *cancelling, **options)
+        assert hit is True
+        assert abs(result.fidelity - process_fidelity(*cancelling)) < 1e-9
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_alg1_sweep_across_a_kraus_order_flip(self, backend, epsilon):
+        """bit_flip(p) visits X first below p = 0.5: the refill restacks
+        each site in the current dominant-first order."""
+        ideal = qft(3)
+
+        def make(p):
+            return _with_noise(ideal, {1, 4}, bit_flip(p), [2]), ideal
+
+        warm = get_backend(backend)
+        run("alg1", warm, *make(0.9), epsilon=epsilon)
+        for p in (0.2, 0.7, 0.3):
+            refilled, hit = run("alg1", warm, *make(p), epsilon=epsilon)
+            assert hit is True
+            fresh, _ = run(
+                "alg1", get_backend(backend), *make(p), epsilon=epsilon
+            )
+            assert repr(refilled.fidelity) == repr(fresh.fidelity)
+            assert refilled.stats.terms_computed == fresh.stats.terms_computed
+            assert refilled.is_lower_bound == fresh.is_lower_bound
+
+
+class TestMemoBound:
+    @staticmethod
+    def pair(angle):
+        ideal = QuantumCircuit(1).h(0).rz(angle, 0)
+        noisy = ideal.copy()
+        noisy.append(bit_flip(0.9), [0])
+        return noisy, ideal
+
+    def key(self, angle):
+        return miter_key("alg2", *self.pair(angle), False)
+
+    def test_cap_plus_five_keep_the_last_cap(self):
+        engine = get_backend("einsum")
+        angles = [0.01 * i for i in range(MITER_TEMPLATE_MEMO + 5)]
+        for angle in angles:
+            run("alg2", engine, *self.pair(angle))
+        assert list(engine._templates) == [self.key(a) for a in angles[5:]]
+
+    def test_a_hit_survives_an_overflow(self):
+        engine = get_backend("einsum")
+        angles = [0.01 * i for i in range(MITER_TEMPLATE_MEMO)]
+        for angle in angles:
+            run("alg2", engine, *self.pair(angle))
+        _, hit = run("alg2", engine, *self.pair(angles[0]))
+        assert hit is True
+        extra = [1.0 + 0.01 * i for i in range(5)]
+        for angle in extra:
+            run("alg2", engine, *self.pair(angle))
+        kept = set(engine._templates)
+        assert self.key(angles[0]) in kept
+        assert not kept & {self.key(a) for a in angles[1:6]}
+        assert len(kept) == MITER_TEMPLATE_MEMO
+
+    def test_reset_empties_the_memo(self):
+        engine = get_backend("einsum")
+        run("alg2", engine, *self.pair(0.1))
+        assert len(engine._templates) == 1
+        engine.reset()
+        assert len(engine._templates) == 0
+        _, hit = run("alg2", engine, *self.pair(0.1))
+        assert hit is False
+
+    def test_a_p_sweep_builds_and_plans_once(self, monkeypatch):
+        import repro.backends.base as base
+        import repro.core.algorithm2 as algorithm2
+
+        calls = {"build_plan": 0, "alg2_trace_network": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(base, "build_plan")
+        counted(algorithm2, "alg2_trace_network")
+        session = CheckSession(CheckConfig(backend="einsum", algorithm="alg2"))
+        ideal = qft(4)
+        for p in np.linspace(0.9, 0.99, 8):
+            noisy = insert_random_noise(
+                ideal, 3, channel_factory=lambda: depolarizing(p), seed=5
+            )
+            result = session.check(ideal, noisy)
+            assert abs(
+                result.fidelity - process_fidelity(noisy, ideal)
+            ) < 1e-9
+        assert calls == {"build_plan": 1, "alg2_trace_network": 1}
+
+
+class TestStatsOnATemplateHit:
+    """A template hit reads like a plan-memo hit in the run's stats."""
+
+    BUDGET = 0.05
+
+    @staticmethod
+    def pair(angle=0.3, p=0.99):
+        ideal = QuantumCircuit(3).h(0).rz(angle, 0).cx(0, 1).cx(1, 2)
+        noisy = ideal.copy()
+        noisy.append(depolarizing(p), [1])
+        noisy.append(depolarizing(p), [2])
+        return noisy, ideal
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("backend", ["einsum", "tdd"])
+    def test_hit_counts_as_a_plan_memo_hit(self, tmp_path, backend, algorithm):
+        session = CheckSession(CheckConfig(
+            backend=backend, algorithm=algorithm, epsilon=0.05,
+            cache=True, cache_dir=str(tmp_path),
+        ))
+
+        def check(**pair):
+            noisy, ideal = self.pair(**pair)
+            return session.check(ideal, noisy).stats
+
+        cold = check(p=0.99)
+        assert cold.plan_cache_hit == 0
+        # same plan structure, new template (another angle): a plan-memo hit
+        plan_hit = check(angle=0.4, p=0.98)
+        # same template, other values: a template hit
+        template_hit = check(angle=0.4, p=0.97)
+        assert plan_hit.result_cache_hit == template_hit.result_cache_hit == 0
+        assert plan_hit.plan_cache_hit == template_hit.plan_cache_hit == 1
+        assert plan_hit.plan_trials == template_hit.plan_trials == 0
+        assert 0.0 < template_hit.planning_seconds < 0.01
+
+    @pytest.mark.parametrize("backend", ["einsum", "tdd"])
+    def test_hit_spends_no_search_trials(self, tmp_path, backend):
+        session = CheckSession(CheckConfig(
+            backend=backend, algorithm="alg2", epsilon=0.05,
+            order_method="anneal", plan_budget_seconds=self.BUDGET,
+            cache=True, cache_dir=str(tmp_path),
+        ))
+        noisy, ideal = self.pair(p=0.99)
+        cold = session.check(ideal, noisy).stats
+        assert cold.plan_trials >= 1
+        assert cold.planning_seconds >= self.BUDGET
+        noisy, ideal = self.pair(p=0.98)
+        warm = session.check(ideal, noisy).stats
+        assert warm.plan_cache_hit == 1
+        assert warm.plan_trials == 0
+        assert warm.planning_seconds < self.BUDGET

@@ -35,6 +35,12 @@ def span_names(tree):
         yield from span_names(child)
 
 
+def walk(tree):
+    yield tree
+    for child in tree.get("children", ()):
+        yield from walk(child)
+
+
 class TestSessionTrace:
     def test_untraced_result_carries_no_trace(self):
         result = CheckSession(CheckConfig(epsilon=0.05)).check(*pair())
@@ -175,6 +181,42 @@ class TestExecutePhaseOnEveryBackend:
         phases = tree_phase_seconds(response.result.trace)
         assert phases.get("execute", 0.0) > 0
         assert {"plan", "compile"} <= set(phases)
+
+
+class TestBuildPhaseOnEveryBackend:
+    """Each check opens one ``network.build`` span (the ``build`` phase):
+    a fresh miter on the first request of a structure, a template refill
+    on the next ones, which then plan nothing."""
+
+    @staticmethod
+    def traced(engine, backend, algorithm, p):
+        return engine.check(CheckRequest(
+            ideal=CircuitSpec.from_library("qft", num_qubits=3),
+            noise=NoiseSpec(noises=2, seed=0, p=p),
+            epsilon=0.05,
+            config={"backend": backend, "algorithm": algorithm,
+                    "trace": True},
+        )).result.trace
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    @pytest.mark.parametrize("backend", ["tdd", "dense", "einsum"])
+    def test_build_phase_and_wall_coverage(self, backend, algorithm):
+        with Engine() as engine:
+            cold, warm = (
+                self.traced(engine, backend, algorithm, p)
+                for p in (0.99, 0.98)
+            )
+        for tree, hit in ((cold, False), (warm, True)):
+            nodes = list(walk(tree))
+            (build,) = [n for n in nodes if n["name"] == "network.build"]
+            assert build["attrs"]["template_hit"] is hit
+            assert build["attrs"]["tensors"] > 0
+            assert tree_phase_seconds(tree)["build"] > 0
+            planned = any(n["name"] == "plan.build" for n in nodes)
+            assert planned is not hit
+        # the acceptance bar: spans cover >= 95% of the traced wall
+        covered = sum(child["dur_ns"] for child in cold["children"])
+        assert covered / cold["dur_ns"] >= 0.95
 
 
 class TestCostOnSpans:
