@@ -50,7 +50,9 @@ def main() -> None:
         help="per-point Alg I wall-clock budget",
     )
     parser.add_argument(
-        "--backend", default="tdd", help="contraction backend of both"
+        "--backend", default="tdd",
+        help="contraction backend of both (default tdd, the paper's "
+        "engine, whatever the library default)",
     )
     args = parser.parse_args()
 

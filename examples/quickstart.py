@@ -26,12 +26,12 @@ def main() -> None:
     session = CheckSession(CheckConfig(epsilon=0.01))
     result = session.check(ideal, noisy)
 
-    print(f"\nalgorithm     : {result.algorithm}")
+    print(f"\nbackend       : {result.backend}")
+    print(f"algorithm     : {result.algorithm}")
     print(f"F_J           : {result.fidelity:.6f}"
           + (" (lower bound)" if result.is_lower_bound else ""))
     print(f"equivalent    : {result.equivalent} (epsilon = {result.epsilon})")
     print(f"time          : {result.stats.time_seconds:.3f} s")
-    print(f"peak TDD nodes: {result.stats.max_nodes}")
 
     favg = average_fidelity_from_jamiolkowski(result.fidelity, 2**5)
     print(f"\nInterpretation: a Haar-random input state would come out with "

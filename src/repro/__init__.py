@@ -24,8 +24,8 @@ True
 '{"schema_version": "1", "equivalent": true, ...}'
 
 The lower layer, for callers already holding circuit objects — one
-session keeps its backend's state (TDD computed tables, cached
-contraction plans) warm across pairs:
+session keeps its backend's state (cached contraction plans and miter
+templates) warm across pairs:
 
 >>> from repro import CheckConfig, CheckSession, qft, insert_random_noise
 >>> ideal = qft(5)
@@ -36,11 +36,14 @@ contraction plans) warm across pairs:
 
 Below the session, the paper's two algorithms
 (:func:`fidelity_individual`, :func:`fidelity_collective`) take a
-``backend``: a registered name (``"tdd"``, the paper's Tensor Decision
-Diagrams; ``"dense"``; ``"einsum"``) or a ready
-:class:`ContractionBackend` carrying its own plan knobs.  Every
-contraction goes through a backend's ``contract_scalar``; register your
-own via :func:`repro.backends.register_backend`.  See ``docs/api.md``
+``backend``: a registered name or a ready :class:`ContractionBackend`
+carrying its own plan knobs.  Every config, CLI command and helper that
+names no backend runs on :data:`repro.backends.DEFAULT_BACKEND`,
+``"einsum"`` (the numpy array kernel); pass ``backend="tdd"`` for the
+paper's Tensor Decision Diagrams and their node counts
+(``stats.max_nodes``), or ``"dense"`` for the pairwise reference.  Every
+contraction goes through a backend's ``execute_chunks`` core; register
+your own via :func:`repro.backends.register_backend`.  See ``docs/api.md``
 for the wire-schema reference.
 """
 

@@ -3,13 +3,16 @@
 The protocol lives in :mod:`repro.backends.base`; five backends ship
 built in and pre-registered:
 
-* ``"tdd"`` — Tensor Decision Diagrams (the paper's engine);
+* ``"tdd"`` — Tensor Decision Diagrams (the paper's engine; pass it
+  explicitly for the paper's node counts, ``stats.max_nodes``);
 * ``"dense"`` — pairwise :meth:`Tensor.contract` along the contraction
   plan, with batched sliced execution: the independent reference the
   array kernel is checked against;
 * ``"einsum"`` — the array kernel on numpy: large plan steps contract
   through ``tensordot`` (BLAS), small ones through compiled
-  integer-subscript einsum, with batched sliced execution by default;
+  integer-subscript einsum, with batched sliced execution by default.
+  It is :data:`DEFAULT_BACKEND`, the backend of every config, CLI
+  command and ``fidelity_*`` helper that names none;
 * ``"einsum-torch"`` / ``"einsum-cupy"`` — the same array kernel on
   torch tensors (CPU or CUDA) / cupy arrays.  These registry entries
   always exist; when the optional library is missing they are excluded
@@ -67,6 +70,10 @@ from .xp import (
     resolve_namespace,
 )
 
+#: Registry name of the backend used wherever none is named: the fastest
+#: host kernel on every measured Table I row.
+DEFAULT_BACKEND = NumpyEinsumBackend.name
+
 register_backend(TddBackend.name, TddBackend, overwrite=True)
 register_backend(DenseBackend.name, DenseBackend, overwrite=True)
 register_backend(NumpyEinsumBackend.name, NumpyEinsumBackend, overwrite=True)
@@ -85,6 +92,7 @@ __all__ = [
     "ContractionBackend",
     "ContractionKernel",
     "CupyEinsumBackend",
+    "DEFAULT_BACKEND",
     "DenseBackend",
     "MissingDependencyError",
     "NAMESPACES",

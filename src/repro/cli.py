@@ -80,7 +80,7 @@ from .api import (
     NoiseSpec,
     ReproError,
 )
-from .backends import available_backends, backend_availability
+from .backends import DEFAULT_BACKEND, available_backends, backend_availability
 from .cache import (
     CheckCache,
     DiskStore,
@@ -347,8 +347,9 @@ def _add_engine_args(
 ) -> None:
     if include_backend:
         sub.add_argument(
-            "--backend", default="tdd", choices=available_backends(),
-            help="contraction backend",
+            "--backend", default=DEFAULT_BACKEND, choices=available_backends(),
+            help=f"contraction backend (default {DEFAULT_BACKEND}; tdd "
+            "reports the paper's decision-diagram node counts)",
         )
     sub.add_argument(
         "--order-method", default=DEFAULT_ORDER_METHOD,

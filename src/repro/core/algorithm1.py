@@ -38,7 +38,7 @@ from typing import Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .. import trace as _trace
-from ..backends import ContractionBackend, resolve_backend
+from ..backends import DEFAULT_BACKEND, ContractionBackend, resolve_backend
 from ..circuits import QuantumCircuit
 from ..tensornet import ContractionStats
 from ..tensornet.planner import iter_slice_assignments
@@ -72,7 +72,7 @@ def fidelity_individual(
     noisy: QuantumCircuit,
     ideal: QuantumCircuit,
     epsilon: Optional[float] = None,
-    backend: Union[str, ContractionBackend] = "tdd",
+    backend: Union[str, ContractionBackend] = DEFAULT_BACKEND,
     use_local_optimisations: bool = False,
     dominant_first: bool = True,
     max_terms: Optional[int] = None,
@@ -91,8 +91,10 @@ def fidelity_individual(
         (the result is then flagged as a lower bound unless all terms were
         computed anyway).
     backend:
-        A registered backend name (``"tdd"``, ``"dense"``, ``"einsum"``,
-        …, built with default plan knobs) or a ready
+        A registered backend name (``"einsum"``, the default
+        :data:`~repro.backends.DEFAULT_BACKEND`; ``"tdd"`` for the
+        paper's node counts; ``"dense"``, …, built with default plan
+        knobs) or a ready
         :class:`~repro.backends.ContractionBackend` instance, e.g. the
         shared engine of a :class:`~repro.core.session.CheckSession`.
         Plan, batching and sharing knobs live on the instance: terms run

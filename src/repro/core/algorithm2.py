@@ -18,7 +18,7 @@ import time
 from typing import Union
 
 from .. import trace as _trace
-from ..backends import ContractionBackend, resolve_backend
+from ..backends import DEFAULT_BACKEND, ContractionBackend, resolve_backend
 from ..circuits import QuantumCircuit
 from ..tensornet import ContractionStats
 from .miter import MiterTemplate, alg2_trace_network, gate_data, memoised_miter
@@ -28,7 +28,7 @@ from .stats import FidelityResult, RunStats
 def fidelity_collective(
     noisy: QuantumCircuit,
     ideal: QuantumCircuit,
-    backend: Union[str, ContractionBackend] = "tdd",
+    backend: Union[str, ContractionBackend] = DEFAULT_BACKEND,
     use_local_optimisations: bool = False,
 ) -> FidelityResult:
     """Jamiolkowski fidelity via one doubled-network contraction.

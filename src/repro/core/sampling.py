@@ -23,7 +23,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..backends import ContractionBackend, resolve_backend
+from ..backends import DEFAULT_BACKEND, ContractionBackend, resolve_backend
 from ..circuits import QuantumCircuit
 from ..gates import Gate
 from ..linalg import dagger
@@ -84,7 +84,7 @@ def fidelity_sampled(
     num_samples: int = 200,
     confidence_level: float = 0.95,
     seed: Optional[int] = None,
-    backend: Union[str, ContractionBackend] = "tdd",
+    backend: Union[str, ContractionBackend] = DEFAULT_BACKEND,
 ) -> SampledFidelityResult:
     """Estimate ``F_J`` by sampling Kraus selections (mixed-unitary noise).
 

@@ -2,14 +2,16 @@
 
 One :class:`CheckSession` owns a configured contraction backend and reuses
 it across many equivalence checks, so batch workloads amortise backend
-setup — warm TDD computed tables, cached contraction orders and einsum
-paths — over every circuit pair, the way DAC-style decoders amortise
-per-codeword work across blocks.
+setup — cached contraction plans and miter templates, warm TDD computed
+tables — over every circuit pair.  The backend defaults to
+:data:`repro.backends.DEFAULT_BACKEND` (``"einsum"``); pass
+``backend="tdd"`` for the paper's decision diagrams and their node
+counts (``stats.max_nodes``).
 
 Quick start
 -----------
 >>> from repro import CheckConfig, CheckSession
->>> session = CheckSession(CheckConfig(epsilon=0.01, backend="einsum"))
+>>> session = CheckSession(CheckConfig(epsilon=0.01))
 >>> for result in session.check_many([(ideal_a, noisy_a),
 ...                                   (ideal_b, noisy_b)]):
 ...     print(result.verdict, result.fidelity)
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from ..backends import (
+    DEFAULT_BACKEND,
     ContractionBackend,
     available_backends,
     backend_availability,
@@ -63,7 +66,8 @@ class CheckConfig:
     #: 'auto', 'alg1', 'alg2' or 'dense' (the dense-linalg baseline)
     algorithm: str = "auto"
     #: registered backend name, or a ready ContractionBackend instance
-    backend: Union[str, ContractionBackend] = "tdd"
+    #: (default repro.backends.DEFAULT_BACKEND, "einsum")
+    backend: Union[str, ContractionBackend] = DEFAULT_BACKEND
     #: how contraction plans are built: an elimination-order heuristic
     #: ('sequential', 'min_fill'), the cost-greedy 'greedy', or a
     #: budgeted search ('anneal', see repro.planning)

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Union
 
-from ..backends import ContractionBackend, resolve_backend
+from ..backends import DEFAULT_BACKEND, ContractionBackend, resolve_backend
 from ..circuits import QuantumCircuit, cancel_adjacent_gates, eliminate_final_swaps
 from ..tensornet import ContractionStats, circuit_to_network, close_trace
 from .stats import RunStats
@@ -41,7 +41,7 @@ def check_unitary_equivalence(
     circuit_b: QuantumCircuit,
     atol: float = 1e-9,
     use_local_optimisations: bool = True,
-    backend: Union[str, ContractionBackend] = "tdd",
+    backend: Union[str, ContractionBackend] = DEFAULT_BACKEND,
 ) -> UnitaryCheckResult:
     """Decide whether two noiseless circuits implement the same unitary.
 

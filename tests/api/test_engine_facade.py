@@ -81,7 +81,7 @@ class TestCheck:
         engine.check(library_request(seed=0))
         engine.check(library_request(seed=1))
         assert len(engine._sessions) == 1
-        engine.check(library_request(config={"backend": "einsum"}))
+        engine.check(library_request(config={"backend": "tdd"}))
         assert len(engine._sessions) == 2
 
     def test_session_memo_is_bounded(self):
@@ -329,7 +329,7 @@ class TestThreadSafety:
         import threading
 
         engine = Engine(cache=True, cache_dir=str(tmp_path / "cache"))
-        configs = [None, {"backend": "einsum"}]
+        configs = [None, {"backend": "tdd"}]
         results = []
         lock = threading.Lock()
 
@@ -364,7 +364,7 @@ class TestCacheSharing:
         assert warm.stats.result_cache_hit == 1
         assert warm.fidelity == cold.fidelity
         # different config -> different session, same cache object
-        engine.check(library_request(config={"backend": "einsum"}))
+        engine.check(library_request(config={"backend": "tdd"}))
         sessions = list(engine._sessions.values())
         assert len(sessions) == 2
         assert sessions[0].cache is sessions[1].cache is engine.cache

@@ -107,9 +107,9 @@ class TestGoldenResponse:
 
         path = tmp_path / "qft2.qasm"
         qasm.dump(qft(2), path)
-        main([
+        main([  # the golden request pins the tdd backend
             "check", str(path), "--noises", "1", "--epsilon", "0.05",
-            "--algorithm", "alg2", "--json",
+            "--algorithm", "alg2", "--backend", "tdd", "--json",
         ])
         record = json.loads(capsys.readouterr().out)
         fixture = load("response_v1.json")

@@ -175,7 +175,7 @@ class TestAlgorithm2Mechanics:
     def test_stats_nodes_tracked(self):
         ideal = qft(3)
         noisy = insert_random_noise(ideal, 2, seed=2)
-        result = fidelity_collective(noisy, ideal)
+        result = fidelity_collective(noisy, ideal, backend="tdd")
         assert result.stats.max_nodes > 0
         assert result.stats.time_seconds > 0
 

@@ -5,7 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.backends import DenseBackend, get_backend, resolve_backend
+from repro.backends import (
+    DEFAULT_BACKEND,
+    DenseBackend,
+    get_backend,
+    resolve_backend,
+)
 from repro.circuits import QuantumCircuit
 from repro.core import (
     CheckConfig,
@@ -30,7 +35,8 @@ class TestCheckConfig:
         config = CheckConfig()
         assert config.epsilon == 0.01
         assert config.algorithm == "auto"
-        assert config.backend == "tdd"
+        assert config.backend == "einsum"
+        assert config.backend_name == DEFAULT_BACKEND
         assert config.share_computed_table
 
     def test_frozen(self):
@@ -156,11 +162,11 @@ class TestCheckSession:
         assert len(results) == 3
         for result in results:
             assert result.equivalent
-            assert result.backend == "tdd"
+            assert result.backend == "einsum"
 
     def test_check_many_shares_backend_state(self):
         pairs = make_pairs(2)
-        session = CheckSession(CheckConfig(algorithm="alg2"))
+        session = CheckSession(CheckConfig(algorithm="alg2", backend="tdd"))
         list(session.check_many(pairs))
         manager = session.backend.manager
         assert manager is not None
@@ -289,9 +295,9 @@ class TestSerialisation:
 
     def test_run_stats_dict_fields(self):
         ideal, noisy = make_pairs(1)[0]
-        result = CheckSession(CheckConfig(algorithm="alg1")).check(
-            ideal, noisy
-        )
+        result = CheckSession(
+            CheckConfig(algorithm="alg1", backend="tdd")
+        ).check(ideal, noisy)
         stats = result.stats.to_dict()
         assert stats["backend"] == "tdd"
         assert stats["terms_total"] >= stats["terms_computed"] >= 1

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.backends import DEFAULT_BACKEND
 from repro.circuits import qasm
 from repro.cli import build_parser, load_noisy, main, read_manifest
 from repro.library import qft
@@ -107,7 +108,7 @@ class TestJsonOutput:
         record = json.loads(capsys.readouterr().out)
         assert code == 0
         assert record["verdict"] == "EQUIVALENT"
-        assert record["backend"] == "tdd"
+        assert record["backend"] == "einsum"
         assert 0.9 < record["fidelity"] <= 1.0
         assert record["time_seconds"] >= 0
         assert record["stats"]["algorithm"] == record["algorithm"]
@@ -115,10 +116,11 @@ class TestJsonOutput:
     def test_check_json_backend_selection(self, qasm_file, capsys):
         main([
             "check", qasm_file, "--noises", "2", "--epsilon", "0.05",
-            "--backend", "einsum", "--json",
+            "--backend", "tdd", "--json",
         ])
         record = json.loads(capsys.readouterr().out)
-        assert record["backend"] == "einsum"
+        assert record["backend"] == "tdd"
+        assert record["stats"]["max_nodes"] > 0
 
     def test_check_json_roundtrips_direct_result(self, qasm_file, capsys):
         from repro import CheckConfig, CheckSession
@@ -173,7 +175,7 @@ class TestBatch:
         assert records[0]["ideal"] == qasm_file
         for record in records:
             assert record["verdict"] == "EQUIVALENT"
-            assert record["backend"] == "tdd"
+            assert record["backend"] == "einsum"
             assert 0.9 < record["fidelity"] <= 1.0
 
     def test_batch_jsonl_roundtrips_direct_check(self, manifest, capsys):
@@ -632,6 +634,7 @@ class TestWireSchemaOutput:
             config={"algorithm": "alg2"},
         ))
         direct = response.to_dict()
+        assert record["backend"] == direct["backend"] == DEFAULT_BACKEND
         for volatile in ("time_seconds", "planning_seconds"):
             record.pop(volatile, None)
             direct.pop(volatile, None)
