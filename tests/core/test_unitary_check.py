@@ -46,9 +46,9 @@ class TestEquivalentPairs:
         assert unitary_equivalent(a, b)
 
     def test_miter_cancellation_shortcut(self):
-        """Equal circuits should need almost no contraction work."""
+        """Equal circuits should need almost no decision-diagram work."""
         circuit = qft(5)
-        result = check_unitary_equivalence(circuit, circuit)
+        result = check_unitary_equivalence(circuit, circuit, backend="tdd")
         assert result.equivalent
         assert result.stats.max_nodes <= 4
 

@@ -109,6 +109,7 @@ class TestJsonOutput:
         assert code == 0
         assert record["verdict"] == "EQUIVALENT"
         assert record["backend"] == "einsum"
+        assert record["stats"]["backend"] == "einsum"
         assert 0.9 < record["fidelity"] <= 1.0
         assert record["time_seconds"] >= 0
         assert record["stats"]["algorithm"] == record["algorithm"]
