@@ -28,9 +28,11 @@ circuit pairs.
 from __future__ import annotations
 
 import abc
+import math
 import os
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -41,6 +43,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -167,7 +170,8 @@ class ContractionKernel(abc.ABC):
     def load(
         self, applier: SliceApplier, chunk: Sequence[Dict[str, int]]
     ) -> list:
-        """The chunk's operands, ordered like the network's tensors."""
+        """The chunk's operands, ordered like the applier's tensors (the
+        network's, or only a fold's varying inputs)."""
 
     @abc.abstractmethod
     def merge(self, a, b, step: CompiledStep):
@@ -176,6 +180,132 @@ class ContractionKernel(abc.ABC):
     @abc.abstractmethod
     def values(self, operand) -> np.ndarray:
         """The chunk's final operand as one host complex per slice."""
+
+
+@dataclass(frozen=True)
+class PlanFold:
+    """A plan whose constant steps ran once, for networks that differ
+    only in some inputs.
+
+    For a plan of ``n`` inputs, node ``i < n`` is its ``i``-th input
+    and node ``n + k`` is the output of its ``k``-th step.  A step is
+    *residual* when an input below it varies between the executions the
+    fold serves (a refilled noise tensor, or a tensor carrying a sliced
+    label), and *constant* otherwise.  The fold holds the operand of
+    every constant node a residual step consumes, plus the root when no
+    input varies.  :meth:`run` then loads only the varying inputs and
+    runs only the residual steps: the same
+    :class:`~repro.backends.xp.CompiledStep` calls, in plan order, each
+    with its own lhs and rhs, so its values equal the whole plan's bit
+    for bit.  Built by :meth:`ContractionBackend.fold_constants`.
+    """
+
+    #: ``(lhs node, rhs node, output node, step)`` of each residual step
+    steps: Tuple[Tuple[int, int, int, CompiledStep], ...]
+    #: the varying inputs, as positions in the network's tensor list
+    inputs: Tuple[int, ...]
+    #: constant node -> its operand (read-only on numpy)
+    arrays: Dict[int, object]
+    #: the node of the plan's final operand
+    root: int
+    #: how many of the plan's steps the fold ran once
+    folded_steps: int
+    #: predicted flops per slice of the residual steps
+    cost: int
+
+    def run(self, operands: Sequence, merge) -> object:
+        """The final operand, from the varying inputs' ``operands``."""
+        nodes = dict(self.arrays)
+        nodes.update(zip(self.inputs, operands))
+        for lhs, rhs, out, step in self.steps:
+            nodes[out] = merge(nodes.pop(lhs), nodes.pop(rhs), step)
+        return nodes[self.root]
+
+
+def _read_only(operand):
+    """A numpy operand as a read-only view; other operands as they are."""
+    if isinstance(operand, np.ndarray):
+        operand = operand.view()
+        operand.setflags(write=False)
+    return operand
+
+
+def fold_plan(
+    engine: "ContractionBackend",
+    network: TensorNetwork,
+    plan: ContractionPlan,
+    varying: Iterable[int],
+) -> Optional[PlanFold]:
+    """Run ``plan``'s constant steps on ``network`` once, through the
+    kernel :meth:`~ContractionBackend.execute_chunks` would use.
+
+    ``varying`` lists the positions of the tensors that later executions
+    replace; tensors carrying a sliced label vary too.  Returns ``None``
+    when the engine has a ``max_intermediate_size`` and the fold's
+    operands would total more elements than it: a held fold is one more
+    intermediate.  The size is read off the plan, so a declined fold
+    contracts nothing.
+    """
+    compiled = compiled_for(plan)
+    count = len(compiled.input_batched)
+    varying = set(varying)
+    dirty = [
+        batched or position in varying
+        for position, batched in enumerate(compiled.input_batched)
+    ]
+    graph: List[Tuple[int, int, int, CompiledStep]] = []
+
+    def link(lhs: int, rhs: int, step: CompiledStep) -> int:
+        graph.append((lhs, rhs, count + len(graph), step))
+        dirty.append(dirty[lhs] or dirty[rhs])
+        return count + len(graph) - 1
+
+    nodes = list(range(count))
+    apply_steps(compiled.steps, nodes, link)
+    (root,) = nodes
+    residual = tuple(node for node in graph if dirty[node[2]])
+    folded = len(graph) - len(residual)
+    kept = {
+        operand for lhs, rhs, _, _ in residual for operand in (lhs, rhs)
+        if not dirty[operand]
+    }
+    if not dirty[root]:
+        kept.add(root)
+
+    size = sum(
+        math.prod(plan.dims[label] for label in plan.inputs[node])
+        if node < count else plan.steps[node - count].output_size
+        for node in kept
+    )
+    if (
+        engine.max_intermediate_size is not None
+        and size > engine.max_intermediate_size
+    ):
+        return None
+    with _trace.span("plan.fold") as fold_span:
+        constant = [position for position in range(count)
+                    if not dirty[position]]
+        kernel = engine.kernel(network, plan, compiled, None)
+        applier = SliceApplier(
+            [network.tensors[position] for position in constant], plan.slices
+        )
+        operands = dict(zip(constant, kernel.load(applier, [{}])))
+        for lhs, rhs, out, step in graph:
+            if not dirty[out]:
+                operands[out] = kernel.merge(
+                    operands.pop(lhs), operands.pop(rhs), step
+                )
+        fold_span.set(steps=folded, arrays=len(kept), size=size)
+    return PlanFold(
+        steps=residual,
+        inputs=tuple(
+            position for position in range(count) if dirty[position]
+        ),
+        arrays={node: _read_only(operands[node]) for node in kept},
+        root=root,
+        folded_steps=folded,
+        cost=sum(plan.steps[out - count].flops for _, _, out, _ in residual),
+    )
 
 
 class ContractionBackend(abc.ABC):
@@ -303,6 +433,7 @@ class ContractionBackend(abc.ABC):
         stats: Optional[ContractionStats] = None,
         plan: Optional[ContractionPlan] = None,
         assignments: Optional[Sequence[Dict[str, int]]] = None,
+        fold: Optional[PlanFold] = None,
     ) -> complex:
         """Contract a closed ``network`` to its scalar value.
 
@@ -333,6 +464,11 @@ class ContractionBackend(abc.ABC):
             the backend's executor, and does not re-record the plan's
             predictions into ``stats`` — the dispatching call recorded
             the full plan already.
+        fold:
+            ``plan``'s :class:`PlanFold` (:meth:`fold_constants`) for
+            ``network``, passed on to :meth:`execute_chunks`.  The
+            predictions recorded into ``stats`` stay the whole plan's.
+            A sliced plan handed to the :attr:`executor` runs unfolded.
         """
         if plan is None:
             plan = self.plan_for(network)
@@ -358,7 +494,9 @@ class ContractionBackend(abc.ABC):
             for start in range(0, len(assignments), batch)
         )
         total = 0j
-        for values in self.execute_chunks(network, plan, chunks, stats):
+        for values in self.execute_chunks(
+            network, plan, chunks, stats, fold=fold
+        ):
             total += complex(values.sum())
         return total
 
@@ -368,6 +506,7 @@ class ContractionBackend(abc.ABC):
         plan: ContractionPlan,
         chunks: Iterable[Sequence[Dict[str, int]]],
         stats: Optional[ContractionStats] = None,
+        fold: Optional[PlanFold] = None,
     ) -> Iterator[np.ndarray]:
         """Per-slice values of each chunk of slice assignments, in order.
 
@@ -380,30 +519,49 @@ class ContractionBackend(abc.ABC):
         caller has consumed the previous chunk's values, so a caller can
         size or stop the stream as it goes (Algorithm I does).
 
+        With a ``fold`` (:meth:`fold_constants` of ``plan`` on a network
+        that differs from ``network`` at most in the fold's varying
+        inputs) each chunk loads only those inputs and runs only the
+        residual steps, on the fold's held operands.
+
         The whole stream runs inside one ``plan.execute`` span, closed
-        when the stream is exhausted or closed; its ``slices`` and
-        ``predicted_cost`` (per-slice flops times slices run) describe
-        the chunks that actually ran.  ``network`` may keep open legs
-        exactly on the plan's sliced labels: every chunk fixes them.
+        when the stream is exhausted or closed; its ``slices``,
+        ``steps`` (steps each slice ran), ``folded_steps`` and
+        ``predicted_cost`` (per-slice flops of the steps run times
+        slices run) describe the work that actually ran.  ``network``
+        may keep open legs exactly on the plan's sliced labels: every
+        chunk fixes them.
         """
         compiled = compiled_for(plan)
-        per_slice_cost = sum(step.flops for step in plan.steps)
+        if fold is None:
+            tensors = network.tensors
+            steps = len(plan.steps)
+            per_slice_cost = sum(step.flops for step in plan.steps)
+        else:
+            tensors = [network.tensors[position] for position in fold.inputs]
+            steps, per_slice_cost = len(fold.steps), fold.cost
         with _trace.span("plan.execute") as execute_span:
-            applier = SliceApplier(network.tensors, plan.slices)
+            applier = SliceApplier(tensors, plan.slices)
             kernel = self.kernel(network, plan, compiled, stats)
             ran = 0
             try:
                 for chunk in chunks:
                     operands = kernel.load(applier, chunk)
-                    apply_steps(compiled.steps, operands, kernel.merge)
+                    if fold is None:
+                        apply_steps(compiled.steps, operands, kernel.merge)
+                        result = operands[0]
+                    else:
+                        result = fold.run(operands, kernel.merge)
                     ran += len(chunk)
                     if len(chunk) > 1 and stats is not None:
                         stats.batched_slice_calls += 1
-                    yield kernel.values(operands[0])
+                    yield kernel.values(result)
             finally:
                 execute_span.set(
                     slices=ran,
                     device=self.resolved_device,
+                    steps=steps,
+                    folded_steps=len(plan.steps) - steps,
                     predicted_cost=per_slice_cost * ran,
                 )
 
@@ -423,6 +581,23 @@ class ContractionBackend(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} supplies no contraction kernel"
         )
+
+    def fold_constants(
+        self,
+        network: TensorNetwork,
+        plan: ContractionPlan,
+        varying: Iterable[int],
+    ) -> Optional[PlanFold]:
+        """``plan``'s constant steps run once on ``network``, or ``None``.
+
+        ``varying`` are the positions of the tensors later executions
+        replace (a miter template's noise sites).  The result goes to
+        :meth:`contract_scalar` / :meth:`execute_chunks` as ``fold``.
+        Only engines whose operands can be held and reused across
+        executions override this with :func:`fold_plan`; the base
+        engine folds nothing.
+        """
+        return None
 
     def plan_for(self, network: TensorNetwork) -> ContractionPlan:
         """The contraction plan for ``network``, memoised per structure.

@@ -31,7 +31,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from ..tensornet import ContractionStats
-from .base import ContractionBackend, ContractionKernel
+from .base import ContractionBackend, ContractionKernel, fold_plan
 from .xp import ArrayNamespace, CompiledStep, resolve_namespace
 
 
@@ -113,6 +113,10 @@ class NumpyEinsumBackend(ContractionBackend):
 
     def kernel(self, network, plan, compiled, stats):
         return EinsumKernel(self.xp, stats)
+
+    def fold_constants(self, network, plan, varying):
+        """The plan's constant steps on this namespace (:func:`fold_plan`)."""
+        return fold_plan(self, network, plan, varying)
 
 
 class TorchEinsumBackend(NumpyEinsumBackend):

@@ -10,7 +10,9 @@ planned once through the backend's plan memo, and the Kraus labels
 become the plan's leading slices.  Network and plans are memoised per
 structure (:func:`~repro.core.miter.memoised_miter`): a request that
 changes only channel values restacks the noise tensors and reuses the
-rest.  The terms then run as slice chunks
+rest, and on the einsum backends runs only the plan steps the Kraus
+stacks (or memory slices) reach, the others being folded into the
+template once.  The terms then run as slice chunks
 of the one execution core
 (:meth:`~repro.backends.ContractionBackend.execute_chunks`) — batched
 matmuls over whole runs of terms on the array backends, one term at a
@@ -214,7 +216,9 @@ def fidelity_individual(
     cstats = ContractionStats()
     if executor is None:
         runs = term_traces(
-            engine.execute_chunks(network, plan, chunks(), cstats)
+            engine.execute_chunks(
+                network, plan, chunks(), cstats, fold=template.fold
+            )
         )
     else:
         runs = (

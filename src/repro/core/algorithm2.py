@@ -9,7 +9,9 @@ network has twice the qubits of Algorithm I's miters, but there is only
 one of it — the trade-off the paper demonstrates in Fig. 7.  When
 ``p`` changes in a sweep only the ``M_N`` noise tensors change value, so
 the network and its plan are memoised per structure
-(:func:`~repro.core.miter.memoised_miter`) and a repeat refills them.
+(:func:`~repro.core.miter.memoised_miter`) and a repeat refills them;
+on the einsum backends a repeat contracts only the plan steps the noise
+tensors reach, the rest being folded into the template once.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def fidelity_collective(
     cstats = ContractionStats()
     with _trace.span("alg2.contract"):
         value = engine.contract_scalar(
-            network, stats=cstats, plan=template.plan
+            network, stats=cstats, plan=template.plan, fold=template.fold
         )
     stats.max_nodes = cstats.max_nodes
     stats.max_intermediate_size = cstats.max_intermediate_size

@@ -45,6 +45,7 @@ from ..tensornet.planner import ContractionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..backends import ContractionBackend
+    from ..backends.base import PlanFold
 
 
 class NoiseSite(NamedTuple):
@@ -440,6 +441,13 @@ class MiterTemplate:
     plan: ContractionPlan
     #: Algorithm I's plan of one trace term (``None`` for Algorithm II)
     term_plan: Optional[ContractionPlan] = None
+    #: ``plan``'s noise-free steps contracted once
+    #: (:meth:`~repro.backends.ContractionBackend.fold_constants`);
+    #: ``None`` until the entry's first hit, and after it when the
+    #: backend or its memory bound declined
+    fold: Optional["PlanFold"] = None
+    #: whether a hit has offered the backend the fold (only the first does)
+    fold_tried: bool = False
 
 
 def memoised_miter(
@@ -462,9 +470,16 @@ def memoised_miter(
     and memoises the result, unless cancellation dropped a noise site
     (see :func:`alg2_trace_network`): such a network cannot be refilled.
 
+    The entry's first hit also asks the backend to fold the plan: every
+    step no noise tensor (and no sliced label) reaches is contracted once
+    and held in the entry (:attr:`MiterTemplate.fold`), which replaces
+    the memo entry.  That hit and every later one then contract only the
+    steps the noise tensors reach.  A structure checked once holds no
+    fold.
+
     The lookup, build and refill run inside one ``network.build`` span
     (attributes ``template_hit`` and ``tensors``); planning stays outside
-    it, in its own phase.
+    it, in its own phase, and so does the fold (``plan.fold``).
     """
     with _trace.span("network.build") as build_span:
         key = miter_key(algorithm, noisy, ideal, use_local_optimisations)
@@ -480,4 +495,14 @@ def memoised_miter(
         template = plan(network)
         if len(network.noise_sites) == len(noisy.noise_instructions()):
             engine.store_template(key, template)
+    elif not template.fold_tried:
+        template = replace(
+            template,
+            fold=engine.fold_constants(
+                network, template.plan,
+                [site.slot for site in network.noise_sites],
+            ),
+            fold_tried=True,
+        )
+        engine.store_template(key, template)
     return network, template

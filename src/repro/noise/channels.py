@@ -86,8 +86,17 @@ class KrausChannel:
 
         This is the 2l-qubit "gate" that replaces an l-qubit noise in
         Algorithm II's doubled circuit (row-stacking vectorisation).
+        Every ``K_i (x) K_i*`` is formed elementwise, as ``np.kron`` forms
+        it, in one broadcast product; the terms are then summed in Kraus
+        order, so the result equals the per-term ``np.kron`` sum bit for
+        bit.
         """
-        return sum(np.kron(op, np.conjugate(op)) for op in self._ops)
+        ops = np.stack(self._ops)
+        d = self.dim
+        products = (
+            ops[:, :, None, :, None] * np.conjugate(ops)[:, None, :, None, :]
+        )
+        return sum(products.reshape(len(self._ops), d * d, d * d))
 
     def choi_matrix(self, normalised: bool = True) -> np.ndarray:
         """Choi–Jamiolkowski state ``(I (x) E)(|Psi><Psi|)``.

@@ -46,6 +46,7 @@ PHASE_BY_SPAN = {
     "plan.build": "plan",
     "plan.search": "plan",
     "plan.compile": "compile",
+    "plan.fold": "execute",
     "plan.execute": "execute",
     "slices.dispatch": "execute",
     "slices.worker": "execute",

@@ -7,6 +7,8 @@ changes the structure (a gate, a rotation angle, a noise position)
 must miss.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -397,3 +399,267 @@ class TestStatsOnATemplateHit:
         assert warm.plan_cache_hit == 1
         assert warm.plan_trials == 0
         assert warm.planning_seconds < self.BUDGET
+
+
+def traced(algorithm, engine, noisy, ideal, **options):
+    """(result, {span name: [attributes]}) of one check on ``engine``."""
+    check = fidelity_individual if algorithm == "alg1" else fidelity_collective
+    recorder = T.TraceRecorder()
+    with T.recording(recorder):
+        result = check(noisy, ideal, backend=engine, **options)
+    spans = {}
+    for span in recorder.spans:
+        spans.setdefault(span.name, []).append(span.attributes)
+    return result, spans
+
+
+def only_template(engine):
+    (key,) = engine._templates
+    return key, engine._templates[key]
+
+
+class TestFoldIsBitIdentical:
+    """A hit on a folded template runs only the steps the noise tensors
+    reach, and gives exactly what a fresh build and an unfolded hit give."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("use_local_optimisations", [False, True])
+    @pytest.mark.parametrize("max_intermediate_size", [None, 32])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_folded_hit_equals_fresh_and_unfolded(
+        self, algorithm, max_intermediate_size, use_local_optimisations,
+        case,
+    ):
+        make = CASES[case]
+        knobs = dict(max_intermediate_size=max_intermediate_size)
+        options = dict(use_local_optimisations=use_local_optimisations)
+        warm = get_backend("einsum", **knobs)
+        _, spans = traced(algorithm, warm, *make(0.97), **options)
+        assert "plan.fold" not in spans
+        assert spans["plan.execute"][0]["folded_steps"] == 0
+        for p in (0.9, 0.8):
+            folded, spans = traced(algorithm, warm, *make(p), **options)
+            key, template = only_template(warm)
+            assert template.fold_tried
+            if max_intermediate_size is None:
+                assert template.fold is not None
+            (execute,) = spans["plan.execute"]
+            folded_steps = (
+                0 if template.fold is None else template.fold.folded_steps
+            )
+            assert execute["folded_steps"] == folded_steps
+            assert execute["steps"] + folded_steps == len(
+                template.plan.steps
+            )
+            fresh, _ = traced(
+                algorithm, get_backend("einsum", **knobs), *make(p),
+                **options,
+            )
+            warm._templates[key] = replace(template, fold=None)
+            unfolded, spans = traced(algorithm, warm, *make(p), **options)
+            assert spans["plan.execute"][0]["folded_steps"] == 0
+            warm._templates[key] = template
+            assert repr(folded.fidelity) == repr(fresh.fidelity)
+            assert repr(folded.fidelity) == repr(unfolded.fidelity)
+            assert folded.stats.terms_computed == fresh.stats.terms_computed
+            noisy, ideal = make(p)
+            assert abs(
+                folded.fidelity - process_fidelity(noisy, ideal)
+            ) < 1e-9
+
+    @pytest.mark.parametrize("slice_batch", [1, None])
+    def test_a_memory_sliced_plan_folds_bit_identically(self, slice_batch):
+        """Tensors carrying a sliced label vary per slice, so they stay
+        residual; batched chunks broadcast the unbatched fold operands."""
+        from repro.tensornet.planner import slice_plan
+
+        noisy, ideal = CASES["random"](0.9)
+        network = alg2_trace_network(noisy, ideal)
+        engine = get_backend("einsum", slice_batch=slice_batch)
+        plan = slice_plan(engine.plan_for(network), 32)
+        assert plan.num_slices() > 1
+        slots = [site.slot for site in network.noise_sites]
+        fold = engine.fold_constants(network, plan, slots)
+        assert 0 < fold.folded_steps < len(plan.steps)
+        assert set(slots) <= set(fold.inputs)
+        sliced = set(plan.slices)
+        assert all(
+            sliced.isdisjoint(plan.inputs[position])
+            for position in range(len(plan.inputs))
+            if position not in fold.inputs
+        )
+        assert repr(engine.contract_scalar(network, plan=plan, fold=fold)) == (
+            repr(engine.contract_scalar(network, plan=plan))
+        )
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_noise_free_network_folds_to_its_root(self, algorithm):
+        engine = get_backend("einsum")
+        for _ in range(3):
+            result, spans = traced(
+                algorithm, engine, *CASES["noise_free"](0.9)
+            )
+            assert abs(result.fidelity - 1.0) < 1e-9
+        _, template = only_template(engine)
+        fold = template.fold
+        assert fold.steps == () and fold.inputs == ()
+        assert list(fold.arrays) == [fold.root]
+        assert fold.folded_steps == len(template.plan.steps)
+        assert spans["plan.execute"][0]["steps"] == 0
+        assert spans["plan.execute"][0]["predicted_cost"] == 0
+
+
+class TestFoldLifetime:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_fold_arrays_are_read_only_and_never_change(self, algorithm):
+        engine = get_backend("einsum")
+        make = CASES["random"]
+        for p in (0.97, 0.9):
+            run(algorithm, engine, *make(p))
+        _, template = only_template(engine)
+        fold = template.fold
+        assert fold.arrays
+        saved = {node: array.copy() for node, array in fold.arrays.items()}
+        for array in fold.arrays.values():
+            assert not array.flags.writeable
+        for p in (0.8, 0.85, 0.9, 0.95, 0.99):
+            _, hit = run(algorithm, engine, *make(p))
+            assert hit is True
+        _, template = only_template(engine)
+        assert template.fold is fold
+        for node, array in fold.arrays.items():
+            assert np.array_equal(array, saved[node])
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("backend", ["tdd", "dense"])
+    def test_tdd_and_dense_never_fold(self, backend, algorithm):
+        engine = get_backend(backend)
+        make = CASES["random"]
+        for p in (0.97, 0.9, 0.8):
+            _, spans = traced(algorithm, engine, *make(p))
+            assert "plan.fold" not in spans
+            assert spans["plan.execute"][0]["folded_steps"] == 0
+        _, template = only_template(engine)
+        assert template.fold_tried and template.fold is None
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_structure_checked_once_holds_no_fold(self, algorithm):
+        engine = get_backend("einsum")
+        _, spans = traced(algorithm, engine, *CASES["random"](0.9))
+        assert "plan.fold" not in spans
+        _, template = only_template(engine)
+        assert template.fold is None and not template.fold_tried
+        # the first hit builds the fold once, later hits reuse it
+        _, spans = traced(algorithm, engine, *CASES["random"](0.8))
+        (fold_span,) = spans["plan.fold"]
+        _, template = only_template(engine)
+        assert fold_span["steps"] == template.fold.folded_steps > 0
+        _, spans = traced(algorithm, engine, *CASES["random"](0.7))
+        assert "plan.fold" not in spans
+
+    def test_eviction_and_reset_drop_the_fold(self):
+        import gc
+        import weakref
+
+        engine = get_backend("einsum")
+        pair = TestMemoBound.pair
+        for _ in range(2):
+            run("alg2", engine, *pair(0.0))
+        fold = weakref.ref(engine._templates[TestMemoBound().key(0.0)].fold)
+        assert fold() is not None
+        for i in range(1, MITER_TEMPLATE_MEMO + 1):
+            run("alg2", engine, *pair(0.01 * i))
+        gc.collect()
+        assert fold() is None
+        for _ in range(2):
+            run("alg2", engine, *pair(0.5))
+        fold = weakref.ref(engine._templates[TestMemoBound().key(0.5)].fold)
+        engine.reset()
+        gc.collect()
+        assert fold() is None
+        _, hit = run("alg2", engine, *pair(0.5))
+        assert hit is False
+
+    def test_a_fold_larger_than_the_memory_bound_is_not_kept(self):
+        """qft_dagger(3)'s alg2 fold holds 256 elements; neither bound
+        slices the plan, but only the larger one keeps the fold."""
+        make = CASES["random"]
+        sizes = {}
+        for bound in (128, 256):
+            engine = get_backend("einsum", max_intermediate_size=bound)
+            for p in (0.97, 0.9):
+                result, spans = traced("alg2", engine, *make(p))
+            _, template = only_template(engine)
+            assert template.plan.num_slices() == 1
+            assert template.fold_tried
+            fold = template.fold
+            sizes[bound] = None if fold is None else sum(
+                array.size for array in fold.arrays.values()
+            )
+            assert ("plan.fold" in spans) is (fold is not None)
+            assert abs(result.fidelity - process_fidelity(*make(0.9))) < 1e-9
+        assert sizes == {128: None, 256: 256}
+
+
+class TestFoldedAlgorithmOne:
+    @pytest.mark.parametrize("max_intermediate_size", [None, 256])
+    def test_an_early_stop_returns_the_same_lower_bound(
+        self, max_intermediate_size
+    ):
+        ideal = qft(3)
+        knobs = dict(max_intermediate_size=max_intermediate_size)
+
+        def make(p):
+            return insert_random_noise(
+                ideal, 3, channel_factory=lambda: depolarizing(p), seed=3
+            ), ideal
+
+        warm = get_backend("einsum", **knobs)
+        run("alg1", warm, *make(0.999), epsilon=0.05)
+        for p in (0.998, 0.997):
+            folded, hit = run("alg1", warm, *make(p), epsilon=0.05)
+            assert hit is True
+            fresh, _ = run(
+                "alg1", get_backend("einsum", **knobs), *make(p),
+                epsilon=0.05,
+            )
+            assert folded.stats.early_stopped and folded.is_lower_bound
+            assert folded.stats.terms_computed == 1
+            assert folded.stats.terms_computed == fresh.stats.terms_computed
+            assert repr(folded.fidelity) == repr(fresh.fidelity)
+        _, template = only_template(warm)
+        assert template.fold is not None
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_hit_and_miss_report_the_same_predictions(self, algorithm):
+        engine = get_backend("einsum")
+        make = CASES["random"]
+        miss, _ = traced(algorithm, engine, *make(0.97))
+        hit, spans = traced(algorithm, engine, *make(0.9))
+        _, template = only_template(engine)
+        for field in ("predicted_cost", "predicted_peak_size", "slice_count"):
+            assert getattr(hit.stats, field) == getattr(miss.stats, field)
+        (execute,) = spans["plan.execute"]
+        assert execute["predicted_cost"] == (
+            template.fold.cost * execute["slices"]
+        ) < hit.stats.predicted_cost
+
+
+class TestFoldWithASliceExecutor:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_process_executor_agrees_with_the_serial_run(self, algorithm):
+        from repro.parallel import ProcessSliceExecutor
+
+        make = CASES["random"]
+        serial = get_backend("einsum", max_intermediate_size=8)
+        with ProcessSliceExecutor(jobs=2) as executor:
+            pooled = get_backend(
+                "einsum", max_intermediate_size=8, executor=executor
+            )
+            for p in (0.97, 0.9, 0.8):
+                ours, _ = run(algorithm, pooled, *make(p))
+                theirs, _ = run(algorithm, serial, *make(p))
+                assert abs(ours.fidelity - theirs.fidelity) < 1e-9
+                assert abs(
+                    ours.fidelity - process_fidelity(*make(p))
+                ) < 1e-9

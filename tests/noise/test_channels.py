@@ -128,6 +128,25 @@ class TestMatrixRep:
         rep = unitary_channel(u).matrix_rep()
         assert np.allclose(rep, np.kron(u, np.conjugate(u)))
 
+    @pytest.mark.parametrize("p", [0.999, 0.9, 0.37])
+    @pytest.mark.parametrize("factory", [
+        bit_flip, phase_flip, bit_phase_flip, depolarizing,
+        amplitude_damping, phase_damping, two_qubit_depolarizing,
+        lambda p: pauli_channel((1 - p) / 2, (1 - p) / 4, (1 - p) / 8),
+        lambda p: depolarizing(p).tensor(amplitude_damping(1 - p)),
+    ])
+    def test_equals_the_kron_sum_bit_for_bit(self, factory, p):
+        """The broadcast form sums the same products in the same order
+        as ``sum(np.kron(K, K*))``: equal values and equal bytes."""
+        channel = factory(p)
+        expected = sum(
+            np.kron(op, np.conjugate(op)) for op in channel.kraus_operators
+        )
+        rep = channel.matrix_rep()
+        assert rep.dtype == expected.dtype
+        assert np.array_equal(rep, expected)
+        assert rep.tobytes() == expected.tobytes()
+
 
 class TestChoi:
     def test_choi_is_density_matrix(self):
