@@ -32,7 +32,7 @@ import math
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -197,7 +197,10 @@ class PlanFold:
     runs only the residual steps: the same
     :class:`~repro.backends.xp.CompiledStep` calls, in plan order, each
     with its own lhs and rhs, so its values equal the whole plan's bit
-    for bit.  Built by :meth:`ContractionBackend.fold_constants`.
+    for bit.  A held operand that a BLAS step would transpose and copy
+    on every run is held in that copy's layout instead, and its step
+    reads it as is (:func:`_blas_ready`).  Built by
+    :meth:`ContractionBackend.fold_constants`.
     """
 
     #: ``(lhs node, rhs node, output node, step)`` of each residual step
@@ -228,6 +231,48 @@ def _read_only(operand):
         operand = operand.view()
         operand.setflags(write=False)
     return operand
+
+
+def _blas_ready(operand, step: CompiledStep, side: int):
+    """A held ``operand`` already in the layout ``np.tensordot`` copies
+    it into on ``side`` (0 = lhs, 1 = rhs) of ``step``, and the step
+    rewritten to read it as is; ``None`` when that call copies nothing.
+
+    ``tensordot`` transposes each operand to (kept axes, summed axes) on
+    the lhs and (summed axes, kept axes) on the rhs, and reshapes it to a
+    matrix, which copies a permuted operand on every execution; for qft9
+    that is a strided 4 MB copy per check.  The held copy is that same
+    C-contiguous matrix, so ``dot`` reads the same values in the same
+    order and the step's value stays bit for bit the same.
+    """
+    if (
+        not isinstance(operand, np.ndarray)
+        or step.axes is None
+        or step.out_batched
+    ):
+        return None
+    summed = list(step.axes[side])
+    kept = [axis for axis in range(operand.ndim) if axis not in summed]
+    order = kept + summed if side == 0 else summed + kept
+    transposed = operand.transpose(order)
+    groups = (kept, summed) if side == 0 else (summed, kept)
+    matrix = transposed.reshape(tuple(
+        math.prod(operand.shape[axis] for axis in group) for group in groups
+    ))
+    if np.may_share_memory(matrix, operand):
+        return None  # tensordot reads a view: nothing to save
+    axes = list(step.axes)
+    axes[side] = tuple(
+        range(len(kept), operand.ndim) if side == 0 else range(len(summed))
+    )
+    subscripts = list(step.subscripts)
+    subscripts[side] = tuple(step.subscripts[side][axis] for axis in order)
+    return matrix.reshape(transposed.shape), replace(
+        step,
+        axes=tuple(axes),
+        subscripts=tuple(subscripts),
+        batched_subscripts=tuple(subscripts),
+    )
 
 
 def fold_plan(
@@ -295,9 +340,19 @@ def fold_plan(
                 operands[out] = kernel.merge(
                     operands.pop(lhs), operands.pop(rhs), step
                 )
+        steps = []
+        for lhs, rhs, out, step in residual:
+            for side, node in enumerate((lhs, rhs)):
+                ready = (
+                    None if dirty[node]
+                    else _blas_ready(operands[node], step, side)
+                )
+                if ready is not None:
+                    operands[node], step = ready
+            steps.append((lhs, rhs, out, step))
         fold_span.set(steps=folded, arrays=len(kept), size=size)
     return PlanFold(
-        steps=residual,
+        steps=tuple(steps),
         inputs=tuple(
             position for position in range(count) if dirty[position]
         ),

@@ -14,7 +14,8 @@ import pytest
 
 from repro import trace as T
 from repro.backends import get_backend
-from repro.backends.base import MITER_TEMPLATE_MEMO
+from repro.backends.base import MITER_TEMPLATE_MEMO, _blas_ready
+from repro.backends.xp import compiled_for
 from repro.baseline import process_fidelity
 from repro.circuits import QuantumCircuit
 from repro.core import CheckConfig, CheckSession
@@ -507,6 +508,61 @@ class TestFoldIsBitIdentical:
         assert fold.folded_steps == len(template.plan.steps)
         assert spans["plan.execute"][0]["steps"] == 0
         assert spans["plan.execute"][0]["predicted_cost"] == 0
+
+
+class TestFoldLayout:
+    """A held operand that a BLAS step would transpose and copy on every
+    hit is held in that copy's layout, and the step reads it as is."""
+
+    @staticmethod
+    def make(p):
+        # qft_dagger(3), the other cases' circuit, has no BLAS-sized step
+        # on a held operand; this placement has four
+        return (
+            insert_random_noise(
+                qft_dagger(5), 3,
+                channel_factory=lambda: depolarizing(p), seed=3,
+            ),
+            qft_dagger(5),
+        )
+
+    def test_held_blas_operands_are_read_without_a_copy(self):
+        engine = get_backend("einsum")
+        for p in (0.97, 0.9):
+            run("alg2", engine, *self.make(p))
+        _, template = only_template(engine)
+        fold = template.fold
+        compiled = compiled_for(template.plan)
+        count = len(compiled.input_batched)
+        rewritten = 0
+        for lhs, rhs, out, step in fold.steps:
+            original = compiled.steps[out - count]
+            assert step.subscripts[2] == original.subscripts[2]
+            assert step.eliminated == original.eliminated
+            for side, node in enumerate((lhs, rhs)):
+                if node in fold.arrays and step.axes is not None:
+                    array = fold.arrays[node]
+                    assert not array.flags.writeable
+                    # tensordot's matrix of it is a view: no per-hit copy
+                    assert _blas_ready(array, step, side) is None
+            rewritten += step != original
+        assert rewritten > 0
+
+    def test_a_rewritten_step_stays_bit_identical(self):
+        warm = get_backend("einsum")
+        run("alg2", warm, *self.make(0.97))
+        for p in (0.9, 0.8):
+            folded, hit = run("alg2", warm, *self.make(p))
+            assert hit
+            key, template = only_template(warm)
+            fresh, _ = run("alg2", get_backend("einsum"), *self.make(p))
+            warm._templates[key] = replace(template, fold=None)
+            unfolded, _ = run("alg2", warm, *self.make(p))
+            warm._templates[key] = template
+            reference, _ = run("alg2", get_backend("dense"), *self.make(p))
+            assert repr(folded.fidelity) == repr(fresh.fidelity)
+            assert repr(folded.fidelity) == repr(unfolded.fidelity)
+            assert abs(folded.fidelity - reference.fidelity) < 1e-9
 
 
 class TestFoldLifetime:
