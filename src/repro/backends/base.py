@@ -58,7 +58,6 @@ from ..tensornet.planner import (
     ORDER_METHODS,
     ContractionPlan,
     SliceApplier,
-    apply_steps,
     build_plan,
     iter_slice_assignments,
 )
@@ -187,8 +186,8 @@ class PlanFold:
     """A plan whose constant steps ran once, for networks that differ
     only in some inputs.
 
-    For a plan of ``n`` inputs, node ``i < n`` is its ``i``-th input
-    and node ``n + k`` is the output of its ``k``-th step.  A step is
+    Steps and operands are named by their plan nodes (see
+    :class:`~repro.backends.xp.CompiledStep`).  A step is
     *residual* when an input below it varies between the executions the
     fold serves (a refilled noise tensor, or a tensor carrying a sliced
     label), and *constant* otherwise.  The fold holds the operand of
@@ -200,11 +199,12 @@ class PlanFold:
     for bit.  A held operand that a BLAS step would transpose and copy
     on every run is held in that copy's layout instead, and its step
     reads it as is (:func:`_blas_ready`).  Built by
-    :meth:`ContractionBackend.fold_constants`.
+    :meth:`ContractionBackend.fold_constants`; a whole-plan execution
+    is the fold that holds nothing.
     """
 
-    #: ``(lhs node, rhs node, output node, step)`` of each residual step
-    steps: Tuple[Tuple[int, int, int, CompiledStep], ...]
+    #: the residual steps, in plan order
+    steps: Tuple[CompiledStep, ...]
     #: the varying inputs, as positions in the network's tensor list
     inputs: Tuple[int, ...]
     #: constant node -> its operand (read-only on numpy)
@@ -220,8 +220,10 @@ class PlanFold:
         """The final operand, from the varying inputs' ``operands``."""
         nodes = dict(self.arrays)
         nodes.update(zip(self.inputs, operands))
-        for lhs, rhs, out, step in self.steps:
-            nodes[out] = merge(nodes.pop(lhs), nodes.pop(rhs), step)
+        for step in self.steps:
+            nodes[step.out] = merge(
+                nodes.pop(step.lhs), nodes.pop(step.rhs), step
+            )
         return nodes[self.root]
 
 
@@ -298,24 +300,16 @@ def fold_plan(
         batched or position in varying
         for position, batched in enumerate(compiled.input_batched)
     ]
-    graph: List[Tuple[int, int, int, CompiledStep]] = []
-
-    def link(lhs: int, rhs: int, step: CompiledStep) -> int:
-        graph.append((lhs, rhs, count + len(graph), step))
-        dirty.append(dirty[lhs] or dirty[rhs])
-        return count + len(graph) - 1
-
-    nodes = list(range(count))
-    apply_steps(compiled.steps, nodes, link)
-    (root,) = nodes
-    residual = tuple(node for node in graph if dirty[node[2]])
-    folded = len(graph) - len(residual)
+    for step in compiled.steps:  # step k's output is node count + k
+        dirty.append(dirty[step.lhs] or dirty[step.rhs])
+    residual = tuple(step for step in compiled.steps if dirty[step.out])
+    folded = len(compiled.steps) - len(residual)
     kept = {
-        operand for lhs, rhs, _, _ in residual for operand in (lhs, rhs)
+        operand for step in residual for operand in (step.lhs, step.rhs)
         if not dirty[operand]
     }
-    if not dirty[root]:
-        kept.add(root)
+    if not dirty[compiled.root]:
+        kept.add(compiled.root)
 
     size = sum(
         math.prod(plan.dims[label] for label in plan.inputs[node])
@@ -335,21 +329,21 @@ def fold_plan(
             [network.tensors[position] for position in constant], plan.slices
         )
         operands = dict(zip(constant, kernel.load(applier, [{}])))
-        for lhs, rhs, out, step in graph:
-            if not dirty[out]:
-                operands[out] = kernel.merge(
-                    operands.pop(lhs), operands.pop(rhs), step
+        for step in compiled.steps:
+            if not dirty[step.out]:
+                operands[step.out] = kernel.merge(
+                    operands.pop(step.lhs), operands.pop(step.rhs), step
                 )
         steps = []
-        for lhs, rhs, out, step in residual:
-            for side, node in enumerate((lhs, rhs)):
+        for step in residual:
+            for side, node in enumerate((step.lhs, step.rhs)):
                 ready = (
                     None if dirty[node]
                     else _blas_ready(operands[node], step, side)
                 )
                 if ready is not None:
                     operands[node], step = ready
-            steps.append((lhs, rhs, out, step))
+            steps.append(step)
         fold_span.set(steps=folded, arrays=len(kept), size=size)
     return PlanFold(
         steps=tuple(steps),
@@ -357,9 +351,9 @@ def fold_plan(
             position for position in range(count) if dirty[position]
         ),
         arrays={node: _read_only(operands[node]) for node in kept},
-        root=root,
+        root=compiled.root,
         folded_steps=folded,
-        cost=sum(plan.steps[out - count].flops for _, _, out, _ in residual),
+        cost=sum(plan.steps[step.out - count].flops for step in residual),
     )
 
 
@@ -565,19 +559,20 @@ class ContractionBackend(abc.ABC):
     ) -> Iterator[np.ndarray]:
         """Per-slice values of each chunk of slice assignments, in order.
 
-        The one execution core of every engine: it lowers the plan once
-        (:func:`~repro.backends.xp.compiled_for`), builds the backend's
-        :meth:`kernel`, and for each chunk loads the operands, runs the
-        plan's steps through :func:`~repro.tensornet.planner.apply_steps`
-        and yields the chunk's values — one complex per assignment, in
-        chunk order.  ``chunks`` is pulled lazily, one chunk after the
-        caller has consumed the previous chunk's values, so a caller can
-        size or stop the stream as it goes (Algorithm I does).
+        The one execution core of every engine: it takes the plan's
+        lowered form (:func:`~repro.backends.xp.compiled_for`), builds
+        the backend's :meth:`kernel`, and for each chunk loads the
+        operands, runs the steps through :meth:`PlanFold.run` and yields
+        the chunk's values — one complex per assignment, in chunk order.
+        ``chunks`` is pulled lazily, one chunk after the caller has
+        consumed the previous chunk's values, so a caller can size or
+        stop the stream as it goes (Algorithm I does).
 
-        With a ``fold`` (:meth:`fold_constants` of ``plan`` on a network
-        that differs from ``network`` at most in the fold's varying
-        inputs) each chunk loads only those inputs and runs only the
-        residual steps, on the fold's held operands.
+        Without a ``fold`` the run is the fold that holds nothing: every
+        input loaded, every step run.  With one (:meth:`fold_constants`
+        of ``plan`` on a network that differs from ``network`` at most
+        in the fold's varying inputs) each chunk loads only those inputs
+        and runs only the residual steps, on the fold's held operands.
 
         The whole stream runs inside one ``plan.execute`` span, closed
         when the stream is exhausted or closed; its ``slices``,
@@ -589,24 +584,21 @@ class ContractionBackend(abc.ABC):
         """
         compiled = compiled_for(plan)
         if fold is None:
-            tensors = network.tensors
-            steps = len(plan.steps)
-            per_slice_cost = sum(step.flops for step in plan.steps)
-        else:
-            tensors = [network.tensors[position] for position in fold.inputs]
-            steps, per_slice_cost = len(fold.steps), fold.cost
+            fold = PlanFold(
+                compiled.steps, tuple(range(len(compiled.input_batched))),
+                {}, compiled.root, 0, sum(step.flops for step in plan.steps),
+            )
         with _trace.span("plan.execute") as execute_span:
-            applier = SliceApplier(tensors, plan.slices)
+            applier = SliceApplier(
+                [network.tensors[position] for position in fold.inputs],
+                plan.slices,
+            )
             kernel = self.kernel(network, plan, compiled, stats)
             ran = 0
             try:
                 for chunk in chunks:
                     operands = kernel.load(applier, chunk)
-                    if fold is None:
-                        apply_steps(compiled.steps, operands, kernel.merge)
-                        result = operands[0]
-                    else:
-                        result = fold.run(operands, kernel.merge)
+                    result = fold.run(operands, kernel.merge)
                     ran += len(chunk)
                     if len(chunk) > 1 and stats is not None:
                         stats.batched_slice_calls += 1
@@ -615,9 +607,9 @@ class ContractionBackend(abc.ABC):
                 execute_span.set(
                     slices=ran,
                     device=self.resolved_device,
-                    steps=steps,
-                    folded_steps=len(plan.steps) - steps,
-                    predicted_cost=per_slice_cost * ran,
+                    steps=len(fold.steps),
+                    folded_steps=fold.folded_steps,
+                    predicted_cost=fold.cost * ran,
                 )
 
     def kernel(

@@ -4,7 +4,7 @@ Each pairwise step of the shared
 :class:`~repro.tensornet.planner.ContractionPlan` is one call against an
 :class:`~repro.backends.xp.ArrayNamespace` — numpy for ``einsum``,
 torch or cupy for ``einsum-torch`` / ``einsum-cupy``.  Steps are
-lowered once per plan digest (:func:`repro.backends.xp.compile_plan`):
+lowered once per plan object (:func:`repro.backends.xp.compiled_for`):
 large plain matrix products run as ``tensordot`` (BLAS), every other
 step as an integer-sublist ``einsum``.
 

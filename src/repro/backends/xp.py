@@ -24,11 +24,12 @@ Design rules:
   on-device via advanced indexing, so the inputs of an 8192-slice
   contraction move once, not 8192 times.
 
-The module also owns plan lowering: :func:`compile_plan` computes, once
-per plan, every step's integer einsum subscripts (unbatched and
-batch-labelled), ``tensordot`` axes for unbatched steps of at least
+The module also owns plan lowering: :func:`compile_plan` computes every
+step's operand and output nodes, integer einsum subscripts (unbatched
+and batch-labelled), ``tensordot`` axes for unbatched steps of at least
 :data:`BLAS_MIN_FLOPS` predicted flops that are plain matrix products,
-and a :class:`BatchedMatmul` for every batched step that is one.
+and a :class:`BatchedMatmul` for every batched step that is one;
+:func:`compiled_for` keeps it on the plan, for as long as the plan lives.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 import abc
 import importlib.util
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -369,6 +369,9 @@ class BatchedMatmul:
 class CompiledStep:
     """One plan step lowered to einsum subscripts, BLAS axes or a matmul.
 
+    For a plan of ``n`` inputs, node ``i < n`` is its ``i``-th input and
+    node ``n + k`` is the output of its ``k``-th step: the step merges
+    nodes ``lhs`` and ``rhs`` (in that orientation) into node ``out``.
     ``subscripts`` is the ``(lhs, rhs, out)`` sublist triple for the
     per-slice (unbatched) call; ``batched_subscripts`` is the same triple
     with the reserved batch label ``0`` prepended wherever the operand —
@@ -380,6 +383,7 @@ class CompiledStep:
 
     lhs: int
     rhs: int
+    out: int
     subscripts: Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
     batched_subscripts: Tuple[
         Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]
@@ -400,6 +404,8 @@ class CompiledPlan:
     steps: Tuple[CompiledStep, ...]
     #: whether each input tensor carries a sliced label (varies per slice)
     input_batched: Tuple[bool, ...]
+    #: the node of the plan's final operand
+    root: int
 
     @property
     def blas_steps(self) -> int:
@@ -478,29 +484,30 @@ def batched_matmul(
 
 
 def compile_plan(plan: ContractionPlan) -> CompiledPlan:
-    """Lower a plan's steps to einsum subscripts, BLAS axes or matmuls, once.
+    """Lower a plan's steps to nodes and einsum subscripts, BLAS axes or
+    matmuls.
 
-    Labels are remapped to a dense integer range *per step* (so the
-    global index count never hits the 52-symbol einsum alphabet), with
-    ``0`` reserved for the batch axis of batched slice chunks; unbatched
-    steps of at least :data:`BLAS_MIN_FLOPS` flops also get
-    :func:`tensordot_axes`, and every batched step gets
-    :func:`batched_matmul`.  Backends memoise the result by
-    :meth:`ContractionPlan.digest`, so every slice of a sliced plan —
-    and every check of a structure — pays the lowering exactly once.
+    Steps are named by the nodes they merge (:class:`CompiledStep`), so
+    execution walks no step positions.  Labels are remapped to a dense
+    integer range *per step* (so the global index count never hits the
+    52-symbol einsum alphabet), with ``0`` reserved for the batch axis
+    of batched slice chunks; unbatched steps of at least
+    :data:`BLAS_MIN_FLOPS` flops also get :func:`tensordot_axes`, and
+    every batched step gets :func:`batched_matmul`.
     """
     sliced = set(plan.slices)
     inputs = [
         (
             tuple(lab for lab in labs if lab not in sliced),
             any(lab in sliced for lab in labs),
+            node,
         )
-        for labs in plan.inputs
+        for node, labs in enumerate(plan.inputs)
     ]
     steps: List[CompiledStep] = []
 
     def lower(lhs, rhs, step):
-        (a, a_batched), (b, b_batched) = lhs, rhs
+        (a, a_batched, a_node), (b, b_batched, b_node) = lhs, rhs
         mapping: Dict[str, int] = {}
         for label in a + b:
             mapping.setdefault(label, len(mapping) + 1)  # 0 = batch axis
@@ -509,9 +516,11 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
         out_subs = tuple(mapping[lab] for lab in step.output)
         out_batched = a_batched or b_batched
         subscripts = (lhs_subs, rhs_subs, out_subs)
+        out = len(plan.inputs) + len(steps)
         steps.append(CompiledStep(
-            lhs=step.lhs,
-            rhs=step.rhs,
+            lhs=a_node,
+            rhs=b_node,
+            out=out,
             subscripts=subscripts,
             # an unbatched step shares the per-slice triple
             batched_subscripts=(
@@ -535,35 +544,24 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
                 if out_batched else None
             ),
         ))
-        return step.output, out_batched
+        return step.output, out_batched, out
 
-    apply_steps(plan.steps, list(inputs), lower)
-    return CompiledPlan(
-        steps=tuple(steps),
-        input_batched=tuple(batched for _, batched in inputs),
-    )
-
-
-#: Process-wide compiled-plan memo, keyed by
-#: :meth:`ContractionPlan.digest` — shared across backend instances and
-#: warm inside worker processes.  An LRU as large as a backend's plan
-#: memo (:data:`repro.backends.base.DEFAULT_PLAN_MEMO`).
-_COMPILED_MEMO: "OrderedDict[str, CompiledPlan]" = OrderedDict()
-_COMPILED_MEMO_CAP = 256
+    input_batched = tuple(batched for _, batched, _ in inputs)
+    apply_steps(plan.steps, inputs, lower)
+    ((_, _, root),) = inputs
+    return CompiledPlan(tuple(steps), input_batched, root)
 
 
 def compiled_for(plan: ContractionPlan) -> CompiledPlan:
-    """The lowered form of ``plan``, computed once per digest."""
-    digest = plan.digest()
-    compiled = _COMPILED_MEMO.get(digest)
-    if compiled is None:
-        with _trace.span("plan.compile") as compile_span:
-            compiled = compile_plan(plan)
-            compile_span.set(
-                steps=len(compiled.steps), blas_steps=compiled.blas_steps
-            )
-        _COMPILED_MEMO[digest] = compiled
-        if len(_COMPILED_MEMO) > _COMPILED_MEMO_CAP:
-            _COMPILED_MEMO.popitem(last=False)
-    _COMPILED_MEMO.move_to_end(digest)
+    """The lowered form of ``plan``, computed once per plan object and
+    kept on it (:meth:`~ContractionPlan.lowered`)."""
+    return plan.lowered(_lower)
+
+
+def _lower(plan: ContractionPlan) -> CompiledPlan:
+    with _trace.span("plan.compile") as compile_span:
+        compiled = compile_plan(plan)
+        compile_span.set(
+            steps=len(compiled.steps), blas_steps=compiled.blas_steps
+        )
     return compiled

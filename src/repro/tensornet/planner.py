@@ -32,7 +32,8 @@ Step positions follow the ``np.einsum_path`` convention: each step names
 two positions in the *current* operand list; both operands are removed
 (higher position first) and the merged operand is appended at the end.
 :func:`apply_steps` is the one implementation of that convention, shared
-by plan construction, plan lowering and every backend's execution.
+by plan construction and plan lowering, which names each step by the
+nodes it merges for execution (:class:`repro.backends.xp.CompiledStep`).
 """
 
 from __future__ import annotations
@@ -163,27 +164,37 @@ class ContractionPlan:
     def digest(self) -> str:
         """Content digest of the plan's executable structure.
 
-        The memo key backends use for per-plan lowered forms (compiled
-        einsum subscripts, batch layouts): two plans with the same
-        inputs, dims, steps and slices share a digest, whatever network
-        object they were built from.  Computed once and cached on the
-        instance (plans are frozen; the cache rides along through
-        pickling to worker processes).
+        Two plans with the same inputs, dims, steps and slices share a
+        digest, whatever network object they were built from; provenance
+        (``planner``, ``search_report``) does not enter it.  A stable
+        identity for tests and tools to pin plans by.
         """
-        cached = self.__dict__.get("_digest")
-        if cached is None:
-            payload = repr((
-                self.inputs,
-                tuple(sorted(self.dims.items())),
-                tuple(
-                    (s.lhs, s.rhs, tuple(sorted(s.eliminated)), s.output)
-                    for s in self.steps
-                ),
-                self.slices,
-            )).encode()
-            cached = hashlib.sha1(payload).hexdigest()
-            object.__setattr__(self, "_digest", cached)
-        return cached
+        payload = repr((
+            self.inputs,
+            tuple(sorted(self.dims.items())),
+            tuple(
+                (s.lhs, s.rhs, tuple(sorted(s.eliminated)), s.output)
+                for s in self.steps
+            ),
+            self.slices,
+        )).encode()
+        return hashlib.sha1(payload).hexdigest()
+
+    def lowered(self, lower):
+        """``lower(self)``, computed once and kept on this plan object.
+
+        Outside the plan's fields: equality, ``repr``, :meth:`digest` and
+        pickling ignore it, and a ``dataclasses.replace`` copy or an
+        unpickled plan starts without one.  Racing threads may each call
+        ``lower``; all get the first result stored.
+        """
+        value = self.__dict__.get("_lowered")
+        if value is None:
+            value = self.__dict__.setdefault("_lowered", lower(self))
+        return value
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_lowered"}
 
     # --- reporting ------------------------------------------------------------
 
@@ -279,10 +290,8 @@ def apply_steps(steps: Sequence, operands: list, merge) -> None:
     Each step takes the operands at positions ``lhs < rhs`` of the
     *current* list, removes both (``rhs`` first, so ``lhs`` still names
     its operand) and appends ``merge(a, b, step)``.  A fully executed
-    plan leaves its result as the list's only operand.  ``steps`` may be
-    :class:`ContractionStep`\\ s or anything carrying the same
-    ``lhs``/``rhs`` positions (the lowered steps of
-    :mod:`repro.backends.xp`); operands are opaque.
+    plan leaves its result as the list's only operand.  Operands are
+    opaque.
     """
     for step in steps:
         a, b = operands[step.lhs], operands[step.rhs]

@@ -6,8 +6,9 @@ Three concerns, mirroring the layers of :mod:`repro.backends.xp`:
   registry entries for torch/cupy backends always exist, and a missing
   library surfaces as :class:`MissingDependencyError` at construction,
   never as an import error at ``import repro.backends`` time;
-* **compiled plans** — subscripts are lowered once per plan digest and
-  memoised process-wide (the per-call label remap fix);
+* **compiled plans** — each plan object is lowered once and keeps its
+  lowering for its own lifetime, outside the plan's equality, ``repr``,
+  digest and pickled bytes;
 * **batched == looped == unsliced** — property tests pin the batched
   kernel to the reference loop and to the unsliced contraction within
   1e-9 on every backend, including ragged final chunks
@@ -21,9 +22,10 @@ Three concerns, mirroring the layers of :mod:`repro.backends.xp`:
 """
 
 import dataclasses
-
+import pickle
 import subprocess
 import sys
+import threading
 import time
 import types
 from pathlib import Path
@@ -34,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import trace as T
 from repro.backends import (
     AUTO_SLICE_BATCH_BUDGET,
     DenseBackend,
@@ -48,11 +51,8 @@ from repro.backends import (
     registered_backends,
     resolve_namespace,
 )
-from repro.backends.base import DEFAULT_PLAN_MEMO
 from repro.backends.einsum import EinsumKernel
 from repro.backends.xp import (
-    _COMPILED_MEMO,
-    _COMPILED_MEMO_CAP,
     BLAS_MIN_FLOPS,
     batched_matmul,
     compile_plan,
@@ -213,12 +213,32 @@ class TestCompiledPlans:
             if cstep.out_batched:
                 assert out[0] == 0
 
-    def test_compiled_for_memoises_by_digest(self):
+    def test_compiled_for_keeps_the_lowering_on_the_plan(self):
         _, plan = _tiny_sliced_plan()
-        _COMPILED_MEMO.pop(plan.digest(), None)
         first = compiled_for(plan)
         assert compiled_for(plan) is first
-        assert plan.digest() in _COMPILED_MEMO
+        assert first == compile_plan(plan)
+        # an equal plan object with the same digest lowers on its own
+        twin = dataclasses.replace(plan)
+        assert twin.digest() == plan.digest()
+        assert compiled_for(twin) is not first
+        assert compiled_for(twin) == first
+
+    def test_steps_name_their_nodes(self):
+        # node i < n is input i, node n + k is step k's output; replaying
+        # the plan's positions over node ids gives each step's operands
+        network = _wide_network(5)
+        plan = build_plan(network)
+        compiled = compile_plan(plan)
+        count = len(plan.inputs)
+        nodes = list(range(count))
+        for k, (step, cstep) in enumerate(zip(plan.steps, compiled.steps)):
+            assert (cstep.lhs, cstep.rhs) == (nodes[step.lhs], nodes[step.rhs])
+            assert cstep.out == count + k
+            del nodes[step.rhs]
+            del nodes[step.lhs]
+            nodes.append(cstep.out)
+        assert nodes == [compiled.root] == [count + len(plan.steps) - 1]
 
     def test_einsum_path_reuses_compiled_plan(self):
         network, plan = _tiny_sliced_plan()
@@ -229,49 +249,108 @@ class TestCompiledPlans:
         assert abs(value - ref) < 1e-9
 
 
-@pytest.fixture
-def empty_compiled_memo():
-    """An empty process-wide compiled-plan memo, restored afterwards."""
-    saved = list(_COMPILED_MEMO.items())
-    _COMPILED_MEMO.clear()
-    yield _COMPILED_MEMO
-    _COMPILED_MEMO.clear()
-    _COMPILED_MEMO.update(saved)
+def _compile_spans(action):
+    """How many ``plan.compile`` spans ``action()`` records."""
+    recorder = T.TraceRecorder()
+    with T.recording(recorder):
+        action()
+    return sum(span.name == "plan.compile" for span in recorder.spans)
 
 
-def _distinct_plans(count):
-    """``count`` tiny plans with pairwise different digests."""
-    return [
-        build_plan(TensorNetwork([
-            Tensor(np.ones(dim), ["a"]), Tensor(np.ones(dim), ["a"]),
-        ]))
-        for dim in range(1, count + 1)
-    ]
+class TestLoweringLifetime:
+    """A lowering lives on its plan object: as long as the plan, never
+    in its pickled bytes, equality or ``repr``."""
 
+    @staticmethod
+    def fresh_plan():
+        return build_plan(_wide_network(11))
 
-class TestCompiledMemoLru:
-    def test_cap_matches_the_backend_plan_memo(self):
-        assert _COMPILED_MEMO_CAP == DEFAULT_PLAN_MEMO
+    def test_reset_drops_the_lowerings(self):
+        ideal = qft(3)
+        noisy = insert_random_noise(ideal, 2, seed=0)
+        backend = get_backend("einsum")
 
-    def test_overflow_keeps_exactly_the_cap(self, empty_compiled_memo):
-        plans = _distinct_plans(_COMPILED_MEMO_CAP + 5)
-        for plan in plans:
-            compiled_for(plan)
-        assert len(empty_compiled_memo) == _COMPILED_MEMO_CAP
-        assert list(empty_compiled_memo) == [p.digest() for p in plans[5:]]
+        def check():
+            fidelity_collective(noisy, ideal, backend=backend)
 
-    def test_a_hit_survives_and_the_least_recent_is_evicted(
-        self, empty_compiled_memo
-    ):
-        *plans, newcomer = _distinct_plans(_COMPILED_MEMO_CAP + 1)
-        for plan in plans:
-            compiled_for(plan)
-        hit = compiled_for(plans[0])  # now the most recently used
-        compiled_for(newcomer)
-        assert len(empty_compiled_memo) == _COMPILED_MEMO_CAP
-        assert compiled_for(plans[0]) is hit
-        assert plans[1].digest() not in empty_compiled_memo
-        assert newcomer.digest() in empty_compiled_memo
+        assert _compile_spans(check) == 1
+        assert _compile_spans(check) == 0
+        backend.reset()
+        assert _compile_spans(check) == 1
+
+    def test_pickled_bytes_carry_no_lowering(self):
+        plan = self.fresh_plan()
+        before = pickle.dumps(plan)
+        compiled_for(plan)
+        plan.digest()
+        assert pickle.dumps(plan) == before
+        restored = pickle.loads(before)
+        assert restored == plan
+        assert _compile_spans(lambda: compiled_for(restored)) == 1
+        assert compiled_for(restored) == compiled_for(plan)
+
+    def test_a_replaced_copy_starts_without_one(self):
+        plan = self.fresh_plan()
+        compiled_for(plan)
+        copy = dataclasses.replace(plan)
+        assert _compile_spans(lambda: compiled_for(copy)) == 1
+        assert _compile_spans(lambda: compiled_for(plan)) == 0
+
+    def test_alg1_sliced_plan_lowers_apart_from_its_term_plan(self):
+        from repro.core.miter import alg1_template
+
+        ideal = qft(3)
+        template = alg1_template(insert_random_noise(ideal, 2, seed=1), ideal)
+        term_plan = build_plan(template.representative())
+        term = compiled_for(term_plan)
+        sliced_plan = template.sliced_plan(term_plan)
+        assert _compile_spans(lambda: compiled_for(sliced_plan)) == 1
+        sliced = compiled_for(sliced_plan)
+        assert sliced is not term
+        assert not any(term.input_batched)
+        assert [
+            position for position, batched in enumerate(sliced.input_batched)
+            if batched
+        ] == template.site_slots
+        assert compiled_for(term_plan) is term
+
+    def test_equality_and_repr_ignore_the_lowering(self):
+        plan, twin = self.fresh_plan(), self.fresh_plan()
+        compiled_for(plan)
+        assert plan == twin and hash(plan) == hash(twin)
+        assert repr(plan) == repr(twin)
+        assert plan.digest() == twin.digest()
+
+    def test_concurrent_lowering_of_one_plan(self):
+        plan = self.fresh_plan()
+        threads = 8  # more than cores, switching as often as it can
+        barrier = threading.Barrier(threads, timeout=10)
+        results, errors = [None] * threads, []
+
+        def lower(index):
+            try:
+                barrier.wait()
+                results[index] = compiled_for(plan)
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        workers = [
+            threading.Thread(target=lower, args=(index,))
+            for index in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert all(result is results[0] for result in results)
+        assert results[0] == compile_plan(plan)
 
 
 class TestEffectiveSliceBatch:
@@ -490,19 +569,12 @@ def _einsum_only(compiled):
 
 def _execute(network, plan, compiled, slice_batch=None):
     """``contract_scalar``'s value and stats with ``compiled`` as lowering."""
-    digest = plan.digest()
-    saved = _COMPILED_MEMO.get(digest)
-    _COMPILED_MEMO[digest] = compiled
-    try:
-        stats = ContractionStats()
-        value = NumpyEinsumBackend(slice_batch=slice_batch).contract_scalar(
-            network, stats=stats, plan=plan
-        )
-    finally:
-        if saved is None:
-            _COMPILED_MEMO.pop(digest, None)
-        else:
-            _COMPILED_MEMO[digest] = saved
+    plan = dataclasses.replace(plan)  # a copy starts unlowered
+    plan.lowered(lambda _: compiled)
+    stats = ContractionStats()
+    value = NumpyEinsumBackend(slice_batch=slice_batch).contract_scalar(
+        network, stats=stats, plan=plan
+    )
     return value, stats
 
 

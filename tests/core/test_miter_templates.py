@@ -535,11 +535,12 @@ class TestFoldLayout:
         compiled = compiled_for(template.plan)
         count = len(compiled.input_batched)
         rewritten = 0
-        for lhs, rhs, out, step in fold.steps:
-            original = compiled.steps[out - count]
+        for step in fold.steps:
+            original = compiled.steps[step.out - count]
+            assert (step.lhs, step.rhs) == (original.lhs, original.rhs)
             assert step.subscripts[2] == original.subscripts[2]
             assert step.eliminated == original.eliminated
-            for side, node in enumerate((lhs, rhs)):
+            for side, node in enumerate((step.lhs, step.rhs)):
                 if node in fold.arrays and step.axes is not None:
                     array = fold.arrays[node]
                     assert not array.flags.writeable

@@ -166,10 +166,6 @@ class TestExecutePhaseOnEveryBackend:
     def test_execute_plan_and_compile_phases(
         self, backend, algorithm, max_intermediate_size
     ):
-        from repro.backends.xp import _COMPILED_MEMO
-
-        # A plan lowered by an earlier test would skip plan.compile.
-        _COMPILED_MEMO.clear()
         with Engine() as engine:
             response = engine.check(request(
                 backend=backend,
@@ -181,6 +177,23 @@ class TestExecutePhaseOnEveryBackend:
         phases = tree_phase_seconds(response.result.trace)
         assert phases.get("execute", 0.0) > 0
         assert {"plan", "compile"} <= set(phases)
+
+
+class TestCompileOncePerPlan:
+    """A plan is lowered once, by the Engine whose backend holds it: a
+    second Engine in the same process lowers its own plan."""
+
+    @staticmethod
+    def compiles(engine):
+        trace = engine.check(request(trace=True)).result.trace
+        return sum(name == "plan.compile" for name in span_names(trace))
+
+    def test_each_engine_lowers_its_own_plan(self):
+        with Engine() as first:
+            assert self.compiles(first) == 1
+            assert self.compiles(first) == 0
+        with Engine() as second:
+            assert self.compiles(second) == 1
 
 
 class TestBuildPhaseOnEveryBackend:
@@ -231,7 +244,7 @@ class TestCostOnSpans:
     ):
         from repro import trace as T
         from repro.backends import get_backend
-        from repro.backends.xp import _COMPILED_MEMO
+        from repro.backends.xp import compiled_for
         from repro.core.miter import alg2_trace_network
         from repro.library import qft
         from repro.noise import insert_random_noise
@@ -245,7 +258,6 @@ class TestCostOnSpans:
             backend, max_intermediate_size=max_intermediate_size
         )
         plan = engine.plan_for(network)
-        _COMPILED_MEMO.pop(plan.digest(), None)
         stats = ContractionStats()
         recorder = T.TraceRecorder()
         with T.recording(recorder):
@@ -257,7 +269,7 @@ class TestCostOnSpans:
             s for s in recorder.spans if s.name == "plan.execute"
         ]
         assert compile_span.attributes["blas_steps"] == (
-            _COMPILED_MEMO[plan.digest()].blas_steps
+            compiled_for(plan).blas_steps
         )
         if max_intermediate_size is None:
             assert compile_span.attributes["blas_steps"] > 0
