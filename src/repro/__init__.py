@@ -43,8 +43,13 @@ names no backend runs on :data:`repro.backends.DEFAULT_BACKEND`,
 paper's Tensor Decision Diagrams and their node counts
 (``stats.max_nodes``), or ``"dense"`` for the pairwise reference.  Every
 contraction goes through a backend's ``execute_chunks`` core; register
-your own via :func:`repro.backends.register_backend`.  See ``docs/api.md``
-for the wire-schema reference.
+your own via :func:`repro.backends.register_backend`.
+
+The one dense reference is :func:`process_fidelity` on a :class:`SuperOp`,
+the paper's Table I baseline; ``CheckConfig(algorithm="dense")`` runs it
+inside the paper's 8 GiB envelope and refuses with
+:class:`MemoryLimitExceeded` from 7 qubits on.  See ``docs/api.md`` for
+the wire-schema reference.
 """
 
 from .api import (
@@ -83,7 +88,6 @@ from .core import (
     fidelity_collective,
     fidelity_individual,
     jamiolkowski_distance,
-    jamiolkowski_fidelity_dense,
 )
 from .gates import Gate
 from .library import (
@@ -150,7 +154,6 @@ __all__ = [
     "grover",
     "insert_random_noise",
     "jamiolkowski_distance",
-    "jamiolkowski_fidelity_dense",
     "mod_mult_7x15",
     "pauli_channel",
     "phase_damping",

@@ -54,6 +54,11 @@ def process_fidelity(
         target_matrix = target.data
     else:
         target_matrix = np.asarray(target, dtype=COMPLEX)
+    if target_matrix.shape != (d, d):
+        raise ValueError(
+            f"target has shape {target_matrix.shape}, but the "
+            f"{channel.num_qubits}-qubit channel needs ({d}, {d})"
+        )
 
     # |Phi_U> = (I (x) U)|Psi>: amplitude U[m, i]/sqrt(d) on |i m>.
     phi = np.transpose(target_matrix).reshape(d * d) / np.sqrt(d)
@@ -62,7 +67,16 @@ def process_fidelity(
 
 
 def process_fidelity_choi(channel, target, **kwargs) -> float:
-    """General mixed-Choi path (matches Qiskit for non-unitary targets)."""
+    """General mixed-Choi path (matches Qiskit for non-unitary targets).
+
+    ``channel`` and ``target`` are each a circuit or a :class:`SuperOp`,
+    on the same number of qubits.
+    """
+    if channel.num_qubits != target.num_qubits:
+        raise ValueError(
+            f"channel is on {channel.num_qubits} qubits, "
+            f"target on {target.num_qubits}"
+        )
     if isinstance(channel, QuantumCircuit):
         channel = SuperOp(channel, **kwargs)
     if isinstance(target, QuantumCircuit):

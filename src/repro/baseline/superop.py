@@ -13,13 +13,12 @@ configured budget instead of thrashing the machine.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..circuits import QuantumCircuit
 from ..linalg import COMPLEX, dagger
-from ..noise import instruction_kraus
 
 #: The paper's experimental memory envelope.
 PAPER_MEMORY_BYTES = 8 * 1024**3
@@ -118,6 +117,13 @@ class SuperOp:
         choi = self.to_choi().reshape(d, d, d, d)
         partial = np.einsum("arbr->ab", choi)
         return bool(np.allclose(partial, np.eye(d), atol=atol))
+
+
+def instruction_kraus(inst) -> List[np.ndarray]:
+    """Kraus operators of an instruction (a unitary gate yields one)."""
+    if inst.is_noise:
+        return inst.operation.kraus_operators
+    return [inst.operation.matrix]
 
 
 def _evolve_circuit(circuit: QuantumCircuit) -> np.ndarray:

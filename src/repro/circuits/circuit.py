@@ -211,7 +211,7 @@ class QuantumCircuit:
         """Dense unitary of a noiseless circuit.
 
         Raises ``ValueError`` if the circuit contains noise channels; use
-        :mod:`repro.noise.superop` for the channel semantics.
+        :class:`repro.baseline.SuperOp` for the channel semantics.
         """
         if not self.is_unitary_circuit:
             raise ValueError(

@@ -17,7 +17,8 @@ Commands
     schema).
 ``fidelity``
     Print the Jamiolkowski fidelity with a chosen algorithm
-    ('alg1', 'alg2' or the dense-linalg baseline 'dense').
+    ('alg1', 'alg2' or 'dense', the Table I SuperOp baseline, which
+    refuses circuits of 7 or more qubits).
 ``batch``
     Check many pairs listed in a manifest through one shared
     :class:`~repro.api.Engine`, streaming one JSON wire record per line

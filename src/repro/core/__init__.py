@@ -7,9 +7,6 @@ from .jamiolkowski import (
     average_fidelity_from_jamiolkowski,
     fidelity_from_traces,
     jamiolkowski_distance,
-    jamiolkowski_fidelity_choi,
-    jamiolkowski_fidelity_circuits,
-    jamiolkowski_fidelity_dense,
     jamiolkowski_fidelity_kraus,
 )
 from .sampling import (
@@ -53,7 +50,6 @@ __all__ = [
     "check_unitary_equivalence",
     "fidelity_sampled",
     "unitary_equivalent",
-    "jamiolkowski_fidelity_circuits",
     "mixed_unitary_decomposition",
     "alg1_trace_network",
     "alg2_trace_network",
@@ -64,8 +60,6 @@ __all__ = [
     "fidelity_from_traces",
     "fidelity_individual",
     "jamiolkowski_distance",
-    "jamiolkowski_fidelity_choi",
-    "jamiolkowski_fidelity_dense",
     "jamiolkowski_fidelity_kraus",
     "lower_kraus_selection",
     "miter_circuit",

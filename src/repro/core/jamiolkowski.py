@@ -1,10 +1,10 @@
-"""Jamiolkowski fidelity: definitions and dense reference paths.
+"""Jamiolkowski fidelity: the paper's trace formula and derived metrics.
 
 ``F_J(E, U) = F(rho_E, rho_U) = (1/d^2) sum_i |tr(U† E_i)|^2``
 
-The dense routines here are the ground truth used by the test suite and
-the worked paper examples; the scalable computations live in
-:mod:`repro.core.algorithm1` and :mod:`repro.core.algorithm2`.
+The scalable computations live in :mod:`repro.core.algorithm1` and
+:mod:`repro.core.algorithm2`; the one dense reference is
+:func:`repro.baseline.process_fidelity`.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..circuits import QuantumCircuit
-from ..linalg import COMPLEX, dagger, state_fidelity
-from ..noise import KrausChannel, circuit_kraus_operators
+from ..linalg import COMPLEX, dagger
 
 
 def fidelity_from_traces(traces: Iterable[complex], dim: int) -> float:
@@ -36,54 +34,6 @@ def jamiolkowski_fidelity_kraus(
         (np.trace(udg @ np.asarray(op, dtype=COMPLEX)) for op in kraus_operators),
         dim,
     )
-
-
-def jamiolkowski_fidelity_choi(
-    channel: KrausChannel, unitary: np.ndarray
-) -> float:
-    """Fidelity via the Choi states ``F(rho_E, rho_U)`` (definitional path).
-
-    Exponentially expensive; used to validate the trace formula.
-    """
-    unitary_channel = KrausChannel([np.asarray(unitary, dtype=COMPLEX)],
-                                   "u", validate=False)
-    return state_fidelity(channel.choi_matrix(), unitary_channel.choi_matrix())
-
-
-def jamiolkowski_fidelity_dense(
-    noisy: QuantumCircuit,
-    ideal: QuantumCircuit,
-    max_terms: int | None = 4096,
-) -> float:
-    """Dense reference fidelity between a noisy circuit and an ideal one.
-
-    Enumerates the global Kraus operators of ``noisy`` (bounded by
-    ``max_terms``) and applies the trace formula.
-    """
-    unitary = ideal.to_matrix()
-    operators = circuit_kraus_operators(noisy, max_terms=max_terms)
-    return jamiolkowski_fidelity_kraus(operators, unitary)
-
-
-def jamiolkowski_fidelity_circuits(
-    circuit_a: QuantumCircuit,
-    circuit_b: QuantumCircuit,
-) -> float:
-    """Definition 1 in full generality: F_J between two *noisy* circuits.
-
-    Computes ``F(rho_E1, rho_E2)`` via dense Choi states — exponential,
-    meant for small widths (the scalable algorithms cover the
-    noisy-vs-unitary case the paper evaluates).
-    """
-    if circuit_a.num_qubits != circuit_b.num_qubits:
-        raise ValueError("circuits must have the same width")
-    chan_a = KrausChannel(
-        circuit_kraus_operators(circuit_a), "a", validate=False
-    )
-    chan_b = KrausChannel(
-        circuit_kraus_operators(circuit_b), "b", validate=False
-    )
-    return state_fidelity(chan_a.choi_matrix(), chan_b.choi_matrix())
 
 
 def average_fidelity_from_jamiolkowski(fidelity_j: float, dim: int) -> float:

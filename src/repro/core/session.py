@@ -32,13 +32,13 @@ from ..backends import (
     resolve_backend,
 )
 from ..backends.base import validate_plan_knobs
+from ..baseline import PAPER_MEMORY_BYTES, process_fidelity
 from ..cache import CheckCache
 from ..circuits import QuantumCircuit
 from ..tensornet.planner import DEFAULT_ORDER_METHOD
 from .. import trace as _trace
 from .algorithm1 import fidelity_individual
 from .algorithm2 import fidelity_collective
-from .jamiolkowski import jamiolkowski_fidelity_dense
 from .stats import CheckError, CheckResult, FidelityResult, RunStats
 
 #: Noise-site count at or below which 'auto' prefers Algorithm I.  Fig. 7
@@ -63,7 +63,7 @@ class CheckConfig:
 
     #: error threshold of the epsilon-equivalence decision
     epsilon: float = 0.01
-    #: 'auto', 'alg1', 'alg2' or 'dense' (the dense-linalg baseline)
+    #: 'auto', 'alg1', 'alg2' or 'dense' (the Table I SuperOp baseline)
     algorithm: str = "auto"
     #: registered backend name, or a ready ContractionBackend instance
     #: (default repro.backends.DEFAULT_BACKEND, "einsum")
@@ -584,7 +584,12 @@ class CheckSession:
     ) -> FidelityResult:
         cfg = self.config
         if algorithm == "dense":
-            fidelity = jamiolkowski_fidelity_dense(noisy, ideal)
+            # The Table I baseline, in the paper's memory envelope: from
+            # 7 qubits on it refuses (MemoryLimitExceeded) before allocating.
+            with _trace.span("baseline.superop", qubits=noisy.num_qubits):
+                fidelity = process_fidelity(
+                    noisy, ideal, memory_limit_bytes=PAPER_MEMORY_BYTES
+                )
             return FidelityResult(
                 fidelity=fidelity,
                 stats=RunStats(algorithm="dense", backend="dense-linalg"),

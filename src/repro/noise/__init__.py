@@ -1,4 +1,4 @@
-"""Noise channels, noise models and dense super-operator semantics."""
+"""Noise channels, noise models and channel-representation conversions."""
 
 from .channels import (
     KrausChannel,
@@ -19,13 +19,6 @@ from .convert import (
     thermal_relaxation,
 )
 from .model import NoiseModel, insert_random_noise
-from .superop import (
-    circuit_kraus_operators,
-    circuit_superoperator_matrix,
-    evolve_density,
-    instruction_kraus,
-    kraus_to_channel,
-)
 
 __all__ = [
     "KrausChannel",
@@ -37,13 +30,8 @@ __all__ = [
     "kraus_from_superop",
     "superop_to_choi",
     "thermal_relaxation",
-    "circuit_kraus_operators",
-    "circuit_superoperator_matrix",
     "depolarizing",
-    "evolve_density",
     "insert_random_noise",
-    "instruction_kraus",
-    "kraus_to_channel",
     "pauli_channel",
     "phase_damping",
     "phase_flip",

@@ -48,6 +48,7 @@ PHASE_BY_SPAN = {
     "plan.compile": "compile",
     "plan.fold": "execute",
     "plan.execute": "execute",
+    "baseline.superop": "execute",
     "slices.dispatch": "execute",
     "slices.worker": "execute",
     "slices.remote.dispatch": "execute",

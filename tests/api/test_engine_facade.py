@@ -406,6 +406,47 @@ class TestCacheSharing:
         assert engine.config.cache is False
 
 
+class TestDenseAlgorithm:
+    """``algorithm="dense"`` is the Table I SuperOp baseline: bounded by
+    the paper's 8 GiB envelope, not by a Kraus-term count."""
+
+    @staticmethod
+    def fidelity_request(num_qubits, noises, **config):
+        return CheckRequest(
+            ideal=CircuitSpec.from_library("qft", num_qubits=num_qubits),
+            noise=NoiseSpec(noises=noises, seed=0),
+            epsilon=0.05,
+            mode="fidelity",
+            config=config,
+        )
+
+    def test_answers_sixteen_thousand_kraus_terms(self):
+        # 7 depolarising sites: 4**7 global Kraus terms
+        with Engine() as engine:
+            dense = engine.check(self.fidelity_request(3, 7, algorithm="dense"))
+            alg2 = engine.check(self.fidelity_request(
+                3, 7, algorithm="alg2", backend="einsum"
+            ))
+        assert dense.result.stats.algorithm == "dense"
+        assert dense.result.stats.backend == "dense-linalg"
+        assert abs(dense.fidelity - alg2.fidelity) <= 1e-9
+
+    def test_refuses_seven_qubits_before_evolving(self, monkeypatch):
+        from repro.baseline import superop
+
+        def evolve(circuit):
+            raise AssertionError("the dense SuperOp was evolved")
+
+        monkeypatch.setattr(superop, "_evolve_circuit", evolve)
+        with Engine() as engine:
+            (response,) = engine.check_iter(
+                [self.fidelity_request(7, 2, algorithm="dense")]
+            )
+        assert response.verdict == Verdict.ERROR
+        assert response.error_code == "check_failed"
+        assert response.error.error_type == "MemoryLimitExceeded"
+
+
 class TestValidation:
     def test_jobs_validated(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baseline import process_fidelity
 from repro.backends import (
     ContractionBackend,
     DenseBackend,
@@ -20,7 +21,6 @@ from repro.core import (
     CheckSession,
     fidelity_collective,
     fidelity_individual,
-    jamiolkowski_fidelity_dense,
 )
 from repro.library import qft
 from repro.noise import depolarizing, insert_random_noise
@@ -177,14 +177,14 @@ class TestCrossBackendAgreement:
     @pytest.mark.parametrize("backend", ["tdd", "dense", "einsum"])
     def test_alg2_matches_dense_reference(self, pair, backend):
         ideal, noisy = pair
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         value = fidelity_collective(noisy, ideal, backend=backend).fidelity
         assert np.isclose(value, ref, atol=1e-9), backend
 
     @pytest.mark.parametrize("backend", ["tdd", "dense", "einsum"])
     def test_alg1_matches_dense_reference(self, pair, backend):
         ideal, noisy = pair
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         value = fidelity_individual(noisy, ideal, backend=backend).fidelity
         assert np.isclose(value, ref, atol=1e-9), backend
 

@@ -59,7 +59,8 @@ from repro.backends.xp import (
     compiled_for,
     tensordot_axes,
 )
-from repro.core import fidelity_collective, jamiolkowski_fidelity_dense
+from repro.baseline import process_fidelity
+from repro.core import fidelity_collective
 from repro.core.miter import algorithm_network
 from repro.core.session import CheckConfig
 from repro.library import qft
@@ -454,7 +455,7 @@ class TestBatchedAgreesWithLooped:
         noisy = insert_random_noise(
             ideal, 2, channel_factory=lambda: depolarizing(0.98), seed=13
         )
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         backend = get_backend(
             backend_name, max_intermediate_size=8, slice_batch=slice_batch
         )
@@ -687,7 +688,7 @@ class TestBlasLowering:
         noisy = insert_random_noise(
             ideal, 3, channel_factory=lambda: depolarizing(0.98), seed=4
         )
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         backend = get_backend(
             backend_name, max_intermediate_size=bound,
             slice_batch=slice_batch,
@@ -852,7 +853,7 @@ class TestTorchBackend:
         noisy = insert_random_noise(
             ideal, 2, channel_factory=lambda: depolarizing(0.98), seed=13
         )
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         for slice_batch in (1, None):
             backend = get_backend(
                 "einsum-torch",

@@ -13,9 +13,9 @@ from repro.baseline import (
     process_fidelity_choi,
 )
 from repro.circuits import QuantumCircuit
-from repro.core import jamiolkowski_fidelity_dense
+from repro.core import double_circuit, fidelity_collective
 from repro.library import qft
-from repro.noise import bit_flip, depolarizing, insert_random_noise
+from repro.noise import bit_flip, depolarizing, insert_random_noise, phase_flip
 
 
 class TestOperator:
@@ -48,14 +48,12 @@ class TestSuperOp:
         sop = SuperOp(QuantumCircuit(2))
         assert np.allclose(sop.data, np.eye(16))
 
-    def test_matches_reference_superoperator(self):
-        from repro.noise import circuit_superoperator_matrix
-
+    def test_matches_doubled_circuit(self):
         circuit = QuantumCircuit(2).h(0)
         circuit.append(depolarizing(0.9), [0])
         circuit.cx(0, 1)
         sop = SuperOp(circuit)
-        assert np.allclose(sop.data, circuit_superoperator_matrix(circuit))
+        assert np.allclose(sop.data, double_circuit(circuit).to_matrix())
 
     def test_trace_preserving(self):
         circuit = QuantumCircuit(2).h(0)
@@ -99,7 +97,7 @@ class TestProcessFidelity:
         ideal = qft(3)
         noisy = insert_random_noise(ideal, 3, seed=21)
         baseline = process_fidelity(noisy, ideal)
-        reference = jamiolkowski_fidelity_dense(noisy, ideal)
+        reference = fidelity_collective(noisy, ideal, backend="tdd").fidelity
         assert np.isclose(baseline, reference, atol=1e-9)
 
     def test_identity_target_default(self):
@@ -121,6 +119,18 @@ class TestProcessFidelity:
         f_choi = process_fidelity_choi(noisy, ideal)
         assert np.isclose(f_fast, f_choi, atol=1e-7)
 
+    def test_rejects_a_target_that_is_not_a_square_matrix(self):
+        with pytest.raises(ValueError, match=r"\(16,\).*\(4, 4\)"):
+            process_fidelity(QuantumCircuit(2), np.ones(16))
+
+    def test_rejects_a_target_of_another_width(self):
+        with pytest.raises(ValueError, match=r"\(8, 8\).*\(4, 4\)"):
+            process_fidelity(qft(2), qft(3))
+
+    def test_choi_path_rejects_channels_of_different_widths(self):
+        with pytest.raises(ValueError, match="2 qubits.* 3"):
+            process_fidelity_choi(qft(2), qft(3))
+
     def test_type_error(self):
         with pytest.raises(TypeError):
             process_fidelity("not a circuit")
@@ -132,6 +142,31 @@ class TestProcessFidelity:
                 QuantumCircuit(8),
                 memory_limit_bytes=8 * 1024**3,
             )
+
+
+class TestNoisyVsNoisy:
+    """``process_fidelity_choi``: Definition 1 between two noisy circuits."""
+
+    def test_identical_noisy_circuits(self):
+        noisy = insert_random_noise(qft(2), 2, seed=4)
+        assert np.isclose(
+            process_fidelity_choi(noisy, noisy), 1.0, atol=1e-7
+        )
+
+    def test_reduces_to_unitary_case(self):
+        ideal = qft(2)
+        noisy = insert_random_noise(ideal, 2, seed=4)
+        general = process_fidelity_choi(noisy, ideal)
+        special = fidelity_collective(noisy, ideal, backend="tdd").fidelity
+        assert np.isclose(general, special, atol=1e-6)
+
+    def test_two_different_noisy_circuits(self):
+        a = QuantumCircuit(1).h(0)
+        a.append(phase_flip(0.9), [0])
+        b = QuantumCircuit(1).h(0)
+        b.append(phase_flip(0.8), [0])
+        f = process_fidelity_choi(a, b)
+        assert 0.9 < f < 1.0
 
 
 class TestAverageGateFidelity:

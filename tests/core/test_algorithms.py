@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.baseline import process_fidelity
 from repro.backends import get_backend
 from repro.circuits import QuantumCircuit
 from repro.core import (
     enumerate_selections,
     fidelity_collective,
     fidelity_individual,
-    jamiolkowski_fidelity_dense,
 )
 from repro.library import bernstein_vazirani, qft
 from repro.noise import (
@@ -51,7 +51,7 @@ class TestAgreement:
         "name,ideal,noisy", noisy_cases(), ids=[c[0] for c in noisy_cases()]
     )
     def test_alg1_alg2_dense_agree(self, name, ideal, noisy):
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         f1 = fidelity_individual(noisy, ideal).fidelity
         f2 = fidelity_collective(noisy, ideal).fidelity
         assert np.isclose(f1, ref, atol=1e-8)
@@ -69,7 +69,7 @@ class TestAgreement:
     def test_order_methods_agree(self, order_method):
         ideal = bernstein_vazirani(4)
         noisy = insert_random_noise(ideal, 2, seed=8)
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         f2 = fidelity_collective(
             noisy, ideal,
             backend=get_backend("tdd", order_method=order_method),

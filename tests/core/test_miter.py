@@ -72,7 +72,7 @@ class TestDoubleCircuit:
 
     def test_doubled_implements_superoperator(self):
         """The doubled circuit's matrix equals M_E = sum_i E_i (x) E_i*."""
-        from repro.noise import circuit_superoperator_matrix
+        from repro.baseline import SuperOp
 
         circuit = QuantumCircuit(2).h(0)
         circuit.append(depolarizing(0.9), [0])
@@ -82,7 +82,7 @@ class TestDoubleCircuit:
         # Doubled qubit layout is (q0, q1, q0', q1'), i.e. row bits then
         # column bits of the row-stacked vectorisation — exactly M_E.
         assert np.allclose(
-            doubled.to_matrix(), circuit_superoperator_matrix(circuit)
+            doubled.to_matrix(), SuperOp(circuit).data
         )
 
 

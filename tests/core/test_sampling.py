@@ -6,18 +6,16 @@ import pytest
 from repro.circuits import QuantumCircuit
 from repro.core import (
     fidelity_sampled,
-    jamiolkowski_fidelity_circuits,
-    jamiolkowski_fidelity_dense,
     mixed_unitary_decomposition,
 )
 from repro.backends import NumpyEinsumBackend, get_backend
+from repro.baseline import process_fidelity
 from repro.library import qft
 from repro.noise import (
     amplitude_damping,
     bit_flip,
     depolarizing,
     insert_random_noise,
-    phase_flip,
 )
 
 
@@ -49,7 +47,7 @@ class TestFidelitySampled:
         noisy = insert_random_noise(
             ideal, 3, channel_factory=lambda: depolarizing(0.95), seed=17
         )
-        exact = jamiolkowski_fidelity_dense(noisy, ideal)
+        exact = process_fidelity(noisy, ideal)
         result = fidelity_sampled(
             noisy, ideal, num_samples=400, seed=5, backend=backend
         )
@@ -125,31 +123,3 @@ class TestFidelitySampled:
         result = fidelity_sampled(noisy, ideal, num_samples=15, seed=0)
         assert result.stats.terms_computed == 15
         assert result.num_samples == 15
-
-
-class TestNoisyVsNoisy:
-    def test_identical_noisy_circuits(self):
-        noisy = insert_random_noise(qft(2), 2, seed=4)
-        assert np.isclose(
-            jamiolkowski_fidelity_circuits(noisy, noisy), 1.0, atol=1e-7
-        )
-
-    def test_reduces_to_unitary_case(self):
-        ideal = qft(2)
-        noisy = insert_random_noise(ideal, 2, seed=4)
-        general = jamiolkowski_fidelity_circuits(noisy, ideal)
-        special = jamiolkowski_fidelity_dense(noisy, ideal)
-        assert np.isclose(general, special, atol=1e-6)
-
-    def test_two_different_noisy_circuits(self):
-        ideal = QuantumCircuit(1).h(0)
-        a = QuantumCircuit(1).h(0)
-        a.append(phase_flip(0.9), [0])
-        b = QuantumCircuit(1).h(0)
-        b.append(phase_flip(0.8), [0])
-        f = jamiolkowski_fidelity_circuits(a, b)
-        assert 0.9 < f < 1.0
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            jamiolkowski_fidelity_circuits(qft(2), qft(3))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.baseline import process_fidelity
 from repro.backends import (
     DEFAULT_BACKEND,
     DenseBackend,
@@ -16,7 +17,6 @@ from repro.core import (
     CheckConfig,
     CheckSession,
     fidelity_individual,
-    jamiolkowski_fidelity_dense,
 )
 from repro.library import qft
 from repro.noise import bit_flip, depolarizing, insert_random_noise
@@ -180,7 +180,7 @@ class TestCheckSession:
         pairs = make_pairs(2)
         session = CheckSession(CheckConfig(backend=backend))
         for result, (ideal, noisy) in zip(session.check_many(pairs), pairs):
-            ref = jamiolkowski_fidelity_dense(noisy, ideal)
+            ref = process_fidelity(noisy, ideal)
             assert result.backend == backend
             if not result.is_lower_bound:
                 assert np.isclose(result.fidelity, ref, atol=1e-9)
@@ -192,7 +192,7 @@ class TestCheckSession:
         session = CheckSession(CheckConfig(epsilon=0.05))
         value = session.fidelity(ideal, noisy)
         assert np.isclose(
-            value, jamiolkowski_fidelity_dense(noisy, ideal), atol=1e-9
+            value, process_fidelity(noisy, ideal), atol=1e-9
         )
 
     def test_dense_algorithm_branch(self):

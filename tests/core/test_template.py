@@ -5,11 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.baseline import process_fidelity
 from repro.circuits import QuantumCircuit
 from repro.core import (
     alg1_template,
     fidelity_individual,
-    jamiolkowski_fidelity_dense,
 )
 from repro.library import qft
 from repro.noise import bit_flip, depolarizing, insert_random_noise
@@ -97,7 +97,7 @@ class TestTemplateConstruction:
         (slot,) = template.site_slots
         assert template.network.tensors[slot].indices == ("kraus0",)
         result = fidelity_individual(noisy, ideal)
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         assert np.isclose(result.fidelity, ref, atol=1e-9)
 
 
@@ -109,7 +109,7 @@ class TestTemplatePathEquivalence:
             ideal, k, channel_factory=lambda: depolarizing(0.97), seed=k
         )
         result = fidelity_individual(noisy, ideal)
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         assert np.isclose(result.fidelity, ref, atol=1e-8)
 
     def test_local_optimisations_share_one_template(self):
@@ -125,7 +125,7 @@ class TestTemplatePathEquivalence:
     def test_without_shared_table_still_correct(self):
         ideal = qft(2)
         noisy = insert_random_noise(ideal, 2, seed=3)
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         result = fidelity_individual(
             noisy, ideal,
             backend=get_backend("tdd", share_computed_table=False),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baseline import process_fidelity
 from repro import (
     CheckConfig,
     CheckSession,
@@ -13,7 +14,6 @@ from repro import (
     fidelity_individual,
     grover,
     insert_random_noise,
-    jamiolkowski_fidelity_dense,
     mod_mult_7x15,
     process_fidelity,
     qft,
@@ -116,7 +116,7 @@ class TestScalability:
         ideal = qft(5)
         noisy = insert_random_noise(ideal, 3, seed=9)
         f2 = fidelity_collective(noisy, ideal).fidelity
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         assert np.isclose(f2, ref, atol=1e-8)
 
 

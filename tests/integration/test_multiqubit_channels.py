@@ -9,13 +9,13 @@ dense reference.
 import numpy as np
 import pytest
 
+from repro.baseline import process_fidelity
 from repro.circuits import QuantumCircuit
 from repro.core import (
     CheckConfig,
     CheckSession,
     fidelity_collective,
     fidelity_individual,
-    jamiolkowski_fidelity_dense,
 )
 from repro.linalg import random_kraus_set
 from repro.noise import KrausChannel, two_qubit_depolarizing
@@ -34,7 +34,7 @@ class TestTwoQubitDepolarizing:
         noisy = QuantumCircuit(3).h(0)
         noisy.append(two_qubit_depolarizing(0.98), [0, 1])
         noisy.cx(0, 1).cx(1, 2)
-        ref = jamiolkowski_fidelity_dense(noisy, ideal, max_terms=None)
+        ref = process_fidelity(noisy, ideal)
         result = fidelity_collective(noisy, ideal)
         assert np.isclose(result.fidelity, ref, atol=1e-8)
 
@@ -42,7 +42,7 @@ class TestTwoQubitDepolarizing:
         ideal = ghz(2)
         noisy = QuantumCircuit(2).h(0).cx(0, 1)
         noisy.append(two_qubit_depolarizing(0.95), [0, 1])
-        ref = jamiolkowski_fidelity_dense(noisy, ideal, max_terms=None)
+        ref = process_fidelity(noisy, ideal)
         result = fidelity_individual(noisy, ideal)
         assert result.stats.terms_total == 16
         assert np.isclose(result.fidelity, ref, atol=1e-8)
@@ -52,7 +52,7 @@ class TestTwoQubitDepolarizing:
         ideal = ghz(3)
         noisy = ghz(3)
         noisy.append(two_qubit_depolarizing(0.97), [0, 2])
-        ref = jamiolkowski_fidelity_dense(noisy, ideal, max_terms=None)
+        ref = process_fidelity(noisy, ideal)
         result = fidelity_collective(noisy, ideal)
         assert np.isclose(result.fidelity, ref, atol=1e-8)
 
@@ -60,7 +60,7 @@ class TestTwoQubitDepolarizing:
         ideal = ghz(2)
         noisy = ghz(2)
         noisy.append(two_qubit_depolarizing(0.97), [1, 0])
-        ref = jamiolkowski_fidelity_dense(noisy, ideal, max_terms=None)
+        ref = process_fidelity(noisy, ideal)
         result = fidelity_collective(noisy, ideal)
         assert np.isclose(result.fidelity, ref, atol=1e-8)
 
@@ -72,7 +72,7 @@ class TestArbitraryKrausChannels:
         ideal = ghz(2)
         noisy = ghz(2)
         noisy.append(channel, [0, 1])
-        ref = jamiolkowski_fidelity_dense(noisy, ideal, max_terms=None)
+        ref = process_fidelity(noisy, ideal)
         f1 = fidelity_individual(noisy, ideal).fidelity
         f2 = fidelity_collective(noisy, ideal).fidelity
         assert np.isclose(f1, ref, atol=1e-8)
@@ -87,7 +87,7 @@ class TestArbitraryKrausChannels:
         noisy.cx(0, 1)
         noisy.append(two_qubit_depolarizing(0.98), [1, 2])
         noisy.cx(1, 2)
-        ref = jamiolkowski_fidelity_dense(noisy, ideal, max_terms=None)
+        ref = process_fidelity(noisy, ideal)
         f2 = fidelity_collective(noisy, ideal).fidelity
         f1 = fidelity_individual(noisy, ideal).fidelity
         assert np.isclose(f2, ref, atol=1e-8)

@@ -103,12 +103,13 @@ class TestThermalRelaxation:
 
     def test_usable_in_equivalence_checking(self):
         from repro.circuits import QuantumCircuit
-        from repro.core import fidelity_collective, jamiolkowski_fidelity_dense
+        from repro.baseline import process_fidelity
+        from repro.core import fidelity_collective
 
         ideal = QuantumCircuit(2).h(0).cx(0, 1)
         noisy = QuantumCircuit(2).h(0)
         noisy.append(thermal_relaxation(100.0, 60.0, 2.0), [0])
         noisy.cx(0, 1)
-        ref = jamiolkowski_fidelity_dense(noisy, ideal)
+        ref = process_fidelity(noisy, ideal)
         result = fidelity_collective(noisy, ideal)
         assert np.isclose(result.fidelity, ref, atol=1e-8)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
-from repro.core import jamiolkowski_fidelity_dense, jamiolkowski_fidelity_kraus
+from repro.baseline import process_fidelity
+from repro.core import jamiolkowski_fidelity_kraus
 from repro.linalg import (
     is_density_matrix,
     random_density_matrix,
@@ -83,7 +84,7 @@ class TestFidelityInvariants:
         noisy = QuantumCircuit(1)
         noisy.append(depolarizing(p), [0])
         assert np.isclose(
-            jamiolkowski_fidelity_dense(noisy, QuantumCircuit(1)), p,
+            process_fidelity(noisy, QuantumCircuit(1)), p,
             atol=1e-9,
         )
 
@@ -94,6 +95,6 @@ class TestFidelityInvariants:
         ideal = QuantumCircuit(2).h(0).cx(0, 1)
         lighter = insert_random_noise(ideal, k, seed=seed)
         heavier = insert_random_noise(lighter, 1, seed=seed + 1)
-        f_light = jamiolkowski_fidelity_dense(lighter, ideal)
-        f_heavy = jamiolkowski_fidelity_dense(heavier, ideal)
+        f_light = process_fidelity(lighter, ideal)
+        f_heavy = process_fidelity(heavier, ideal)
         assert f_heavy <= f_light + 1e-9

@@ -232,6 +232,24 @@ class TestBuildPhaseOnEveryBackend:
         assert covered / cold["dur_ns"] >= 0.95
 
 
+class TestDensePhase:
+    """``algorithm="dense"`` runs the SuperOp baseline under one
+    ``baseline.superop`` span, so its time lands in the execute phase."""
+
+    def test_dense_check_is_attributed(self):
+        with Engine() as engine:
+            tree = engine.check(CheckRequest(
+                ideal=CircuitSpec.from_library("qft", num_qubits=3),
+                noise=NoiseSpec(noises=7, seed=0),
+                epsilon=0.05,
+                config={"algorithm": "dense", "trace": True},
+            )).result.trace
+        assert "baseline.superop" in span_names(tree)
+        phases = tree_phase_seconds(tree)
+        assert phases["execute"] > 0
+        assert sum(phases.values()) * 1e9 / tree["dur_ns"] >= 0.95
+
+
 class TestCostOnSpans:
     """plan.compile says how many steps go to BLAS, and plan.execute
     carries the predicted cost it ran, so seconds-per-flop can be read
