@@ -1,7 +1,7 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the checker's design choices.
 
-* contraction-order heuristic (sequential vs min-fill vs tree
-  decomposition) for Algorithm II;
+* plan builder (the min-fill elimination order vs the anneal search)
+  for Algorithm II;
 * TDD backend vs dense tensor backend;
 * local optimisations (gate cancellation + SWAP elimination) on/off;
 * early termination in Algorithm I.
@@ -15,25 +15,33 @@ import pytest
 
 from repro.backends import get_backend
 from repro.core import fidelity_collective, fidelity_individual
+from repro.core.miter import alg2_trace_network
+from repro.tensornet import ORDER_METHODS, build_plan
 
 from _common import TABLE1_BY_NAME
 
 WORKLOAD = TABLE1_BY_NAME["qft5"]
 
+#: Exact anneal trial count of the order row: a trial count, not a clock
+#: budget, so the searched plan is the same on every machine.
+PLAN_TRIALS = 64
 
-@pytest.mark.parametrize("order_method", ["sequential", "min_fill"])
-def test_contraction_order(benchmark, order_method):
-    """Alg II runtime under each contraction-order heuristic."""
+
+@pytest.mark.parametrize("order_method", ORDER_METHODS)
+def test_order_method(benchmark, order_method):
+    """Alg II on tdd under each plan builder, planning included."""
     ideal = WORKLOAD.ideal()
     noisy = WORKLOAD.noisy()
-    # a fresh backend per round: every round plans from scratch
-    result = benchmark(
-        lambda: fidelity_collective(
-            noisy, ideal,
-            backend=get_backend("tdd", order_method=order_method),
-        )
-    )
-    assert result.fidelity > 0.9
+    dim = 2**ideal.num_qubits
+
+    def plan_and_contract():
+        # plan from scratch every round
+        network = alg2_trace_network(noisy, ideal)
+        plan = build_plan(network, order_method, plan_trials=PLAN_TRIALS)
+        return get_backend("tdd").contract_scalar(network, plan=plan)
+
+    value = benchmark(plan_and_contract)
+    assert value.real / (dim * dim) > 0.9
 
 
 @pytest.mark.parametrize("backend", ["tdd", "dense"])

@@ -364,25 +364,24 @@ class ContractionBackend(abc.ABC):
     ----------
     order_method:
         How plans are built (see
-        :data:`repro.tensornet.planner.ORDER_METHODS`): an
-        elimination-order heuristic (``"sequential"``, ``"min_fill"``)
-        whose order induces the pairwise steps, ``"greedy"`` (cost-greedy
-        pairwise planner), or the budgeted search ``"anneal"``
-        (randomized restarts under ``plan_budget_seconds``, never worse
-        than the heuristic baseline).
+        :data:`repro.tensornet.planner.ORDER_METHODS`): the min-fill
+        elimination order ``"min_fill"``, whose order induces the
+        pairwise steps, or the budgeted search ``"anneal"`` (randomized
+        restarts under ``plan_budget_seconds``, never worse than the
+        min_fill baseline).
     share_computed_table:
         Allow the backend to reuse internal *numeric* state — computed
         tables, dense→TDD conversion caches — across calls.  The paper's
         Table II 'Ori.' ablation runs with this off.  Plans are pure
         structure and stay memoised either way.
     plan_budget_seconds:
-        Wall-clock budget for the anneal search (ignored by the heuristic
-        methods).  ``None`` (the default) uses
+        Wall-clock budget for the anneal search (ignored by
+        ``min_fill``).  ``None`` (the default) uses
         :data:`repro.planning.DEFAULT_PLAN_BUDGET_SECONDS`; ``0``
-        returns the heuristic baseline without searching.
+        returns the min_fill baseline without searching.
     plan_seed:
-        Seed for the anneal search's randomized trials (ignored by the
-        heuristic methods); identical seeds replay identical trial
+        Seed for the anneal search's randomized trials (ignored by
+        ``min_fill``); identical seeds replay identical trial
         sequences.
     max_intermediate_size:
         When set, plans are sliced so no intermediate tensor exceeds this
@@ -461,7 +460,7 @@ class ContractionBackend(abc.ABC):
         #: plan_for calls that had to run a planner despite the cache.
         self.plan_cache_misses = 0
         #: cumulative wall-clock seconds spent inside :meth:`plan_for`
-        #: (cache lookups, heuristics and search trials alike) — the
+        #: (cache lookups, min_fill and search trials alike) — the
         #: session turns deltas of this into ``RunStats.planning_seconds``.
         self.planning_seconds_total = 0.0
         #: cumulative search trials run by fresh plan builds; cache hits
@@ -651,7 +650,7 @@ class ContractionBackend(abc.ABC):
 
         A session checks many structurally identical networks (a noise
         sweep changes only tensor values); the (possibly expensive)
-        planning pass — ordering heuristic, pairwise simulation,
+        planning pass — min-fill ordering, pairwise simulation,
         slicing — runs once per structure+shape and the resulting plan
         is replayed.  The memo
         keeps the :data:`DEFAULT_PLAN_MEMO` most recently used plans.

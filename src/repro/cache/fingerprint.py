@@ -147,8 +147,8 @@ def plan_key(
     knobs its ``order_method`` actually consults: only the search
     (``anneal``) folds in the budget and seed — a zero-budget
     search stores its baseline under a different key than a funded one,
-    so it can never mask the searched plan — while the heuristic
-    methods ignore both, so those inert knobs stay out of their keys.
+    so it can never mask the searched plan — while min_fill ignores
+    both, so those inert knobs stay out of its keys.
     """
     digest = _new_hash("plan")
     digest.update(f"{order_method}:{max_intermediate_size}:".encode())

@@ -6,7 +6,7 @@ computed once by :func:`repro.cache.fingerprint.plan_key` from
 ``(structure fingerprint, order_method, max_intermediate_size,
 plan_budget_seconds, plan_seed)``, so every process that ever met a
 structurally identical network shares the (possibly expensive)
-min-fill / greedy / budgeted-search planning pass through
+min-fill / budgeted-search planning pass through
 the disk tier; searched plans carry their
 :class:`~repro.planning.PlanSearchReport` into the cache, so a warm
 replica knows how its plan was found without ever re-searching.

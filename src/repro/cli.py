@@ -355,9 +355,8 @@ def _add_engine_args(
     sub.add_argument(
         "--order-method", default=DEFAULT_ORDER_METHOD,
         choices=ORDER_METHODS,
-        help="how contraction plans are built: an elimination-order "
-        "heuristic, cost-greedy merging, or the budgeted anneal "
-        "search",
+        help="how contraction plans are built: the min-fill "
+        "elimination order or the budgeted anneal search",
     )
     sub.add_argument(
         "--max-intermediate", type=int, default=None, metavar="SIZE",
@@ -366,14 +365,14 @@ def _add_engine_args(
     sub.add_argument(
         "--plan-budget", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget of the anneal search; 0 returns "
-        "its heuristic baseline, default is the search default "
-        "budget; ignored by the other order methods",
+        "its min_fill baseline, default is the search default "
+        "budget; ignored by min_fill",
     )
     sub.add_argument(
         "--plan-seed", type=int, default=None, metavar="N",
         help="seed of the anneal search's randomized trials "
-        "(fixed seed = reproducible searched plans; ignored by the "
-        "other order methods)",
+        "(fixed seed = reproducible searched plans; ignored by "
+        "min_fill)",
     )
     if include_backend:
         sub.add_argument(
@@ -602,8 +601,8 @@ def cmd_plan(args) -> int:
 def _cmd_plan_compare(args, network, plan_seed: int) -> int:
     """Race every ``order_method`` value on one network (``plan --compare``).
 
-    The anneal search runs under ``--plan-budget``/``--plan-seed``; the
-    heuristic methods plan as usual.  The cheapest plan is starred.
+    The anneal search runs under ``--plan-budget``/``--plan-seed``;
+    min_fill plans as usual.  The cheapest plan is starred.
     Every row carries a span trace of its planning run (``trace`` in the
     JSON form, a summary section in the report) — the search's
     ``plan.search`` spans show where the budget went.

@@ -68,9 +68,8 @@ class CheckConfig:
     #: registered backend name, or a ready ContractionBackend instance
     #: (default repro.backends.DEFAULT_BACKEND, "einsum")
     backend: Union[str, ContractionBackend] = DEFAULT_BACKEND
-    #: how contraction plans are built: an elimination-order heuristic
-    #: ('sequential', 'min_fill'), the cost-greedy 'greedy', or a
-    #: budgeted search ('anneal', see repro.planning)
+    #: how contraction plans are built: the min-fill elimination order
+    #: ('min_fill') or a budgeted search ('anneal', see repro.planning)
     order_method: str = DEFAULT_ORDER_METHOD
     #: slice plans so no intermediate exceeds this many elements
     max_intermediate_size: Optional[int] = None
@@ -110,10 +109,10 @@ class CheckConfig:
     #: against the memory budget, 1 = per-slice reference loop)
     slice_batch: Optional[int] = None
     #: wall-clock budget for the 'anneal' search (None = its
-    #: default; 0 = heuristic baseline only; ignored by the heuristics)
+    #: default; 0 = min_fill baseline only; ignored by min_fill)
     plan_budget_seconds: Optional[float] = None
-    #: seed of the search's randomized trials (ignored by the
-    #: heuristics); fixed seed = reproducible searched plans
+    #: seed of the search's randomized trials (ignored by
+    #: min_fill); fixed seed = reproducible searched plans
     plan_seed: int = 0
     #: record a span trace of the run and attach it to the result
     #: (``CheckResult.trace``); see repro.trace / docs/observability.md

@@ -54,10 +54,10 @@ class RunStats:
     #: (0 whenever caching is disabled)
     plan_cache_hit: int = 0
     #: wall-clock seconds the backend spent planning (cache lookups,
-    #: heuristics, search trials); ~0 on plan-cache hits
+    #: min_fill, search trials); ~0 on plan-cache hits
     planning_seconds: float = 0.0
     #: randomized search trials run by the anneal search
-    #: (0 for the heuristic order methods and on plan-cache hits)
+    #: (0 for min_fill and on plan-cache hits)
     plan_trials: int = 0
     #: whole checks served from the result cache without contracting
     #: (0 or 1 per run; sums across a merged batch)

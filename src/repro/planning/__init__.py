@@ -5,9 +5,9 @@ The planning subsystem turns extra time into cheaper contraction plans:
 :class:`~repro.planning.anneal.AnnealSearcher` restarts — annealed
 random-greedy pair choices, resampling temperature and cost model per
 restart — under a strict wall-clock budget (or an exact trial count),
-always seeded with the best heuristic baseline.  ``budget=0`` therefore
-degrades to today's greedy/min_fill quality, and any positive budget can
-only improve on it ("anytime" semantics).  Every search records a
+always seeded with the min_fill baseline.  ``budget=0`` therefore costs
+exactly one min_fill build and returns its plan, and any positive budget
+can only improve on it ("anytime" semantics).  Every search records a
 :class:`PlanSearchReport` (trials, best-cost trajectory, seed, time
 spent) that rides along on the returned plan and into the plan cache,
 so one expensive search amortises across a fleet of replicas.

@@ -2,9 +2,9 @@
 
 Each trial rebuilds a full pairwise contraction from scratch, choosing
 among the *connected* candidate pairs with Boltzmann weights over a
-local cost score — at temperature → 0 this reproduces the deterministic
-cost-greedy planner, at higher temperatures it explores merge orders the
-greedy heuristic never considers.  Temperature and the score's
+local cost score — at temperature → 0 this is a deterministic
+cost-greedy choice, at higher temperatures it explores merge orders a
+greedy choice never considers.  Temperature and the score's
 input-size discount ``alpha`` are resampled per restart (the
 hyper-parameter sweep rides inside the restart loop, cotengra-style).
 

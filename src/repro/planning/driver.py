@@ -1,7 +1,7 @@
 """The anytime search driver: budgeted restarts of the anneal searcher.
 
 :func:`search_plan` owns everything around a single trial — the
-heuristic baseline floor, the wall-clock budget / exact-trial-count
+min_fill baseline floor, the wall-clock budget / exact-trial-count
 loop, per-trial deterministic seeding, best-so-far tracking, and the
 :class:`PlanSearchReport` provenance record.  Each randomized trial is
 one :meth:`~repro.planning.anneal.AnnealSearcher.trial`, which returns a
@@ -34,9 +34,7 @@ from .. import trace as _trace
 from ..tensornet.network import TensorNetwork
 from ..tensornet.planner import (
     ContractionPlan,
-    _plan_inputs,
     _steps_from_pairs,
-    greedy_plan,
     plan_from_order,
     slice_plan,
 )
@@ -60,7 +58,7 @@ class PlanSearchReport:
 
     ``trajectory`` holds one ``(trial, cost)`` entry per strict
     improvement over the baseline, in discovery order; an empty
-    trajectory means the heuristic baseline was never beaten and the
+    trajectory means the min_fill baseline was never beaten and the
     returned plan *is* the baseline (re-labelled with the search's
     ``order_method`` value).
     """
@@ -70,13 +68,13 @@ class PlanSearchReport:
     budget_seconds: Optional[float]
     #: trials actually run (0 under ``budget=0``)
     trials: int
-    #: which heuristic produced the anytime floor ("greedy" or "min_fill")
+    #: which planner produced the anytime floor (always "min_fill")
     baseline_planner: str
     baseline_cost: int
     best_cost: int
     #: trial index that produced the winning plan; None = baseline won
     best_trial: Optional[int]
-    #: wall-clock seconds spent searching (baselines included)
+    #: wall-clock seconds spent searching (baseline included)
     search_seconds: float
     trajectory: Tuple[Tuple[int, int], ...] = ()
 
@@ -85,16 +83,6 @@ class PlanSearchReport:
         record = asdict(self)
         record["trajectory"] = [list(point) for point in self.trajectory]
         return record
-
-
-def _baseline_plans(
-    network: TensorNetwork,
-) -> List[Tuple[str, ContractionPlan]]:
-    """The heuristic floor every search starts from."""
-    return [
-        ("greedy", greedy_plan(network)),
-        ("min_fill", plan_from_order(network, method="min_fill")),
-    ]
 
 
 def validate_plan_budget_seconds(value: Optional[float]) -> None:
@@ -130,14 +118,14 @@ def search_plan(
 ) -> ContractionPlan:
     """Budgeted anytime plan search (``order_method="anneal"``).
 
-    Computes the greedy and min_fill baselines, then runs randomized
+    Computes the min_fill baseline, then runs randomized
     :class:`~repro.planning.anneal.AnnealSearcher` trials until the
     wall-clock ``budget_seconds`` is spent — or, when ``trials`` is
     given, for exactly that many trials regardless of the clock (the
     deterministic mode: identical ``(network, seed, trials)`` inputs
     yield identical plans on any machine).  With neither given the
     budget defaults to :data:`DEFAULT_PLAN_BUDGET_SECONDS`;
-    ``budget_seconds=0`` runs no trials and returns the best baseline
+    ``budget_seconds=0`` runs no trials and returns the baseline
     unchanged (anytime floor).
 
     Trial ``t`` draws every random choice from
@@ -164,14 +152,8 @@ def search_plan(
     planner = "anneal"
     with _trace.span("plan.search", order_method=planner) as search_span:
         start = clock()
-        baselines = _baseline_plans(network)
-        base_name, base_plan = min(
-            baselines,
-            key=lambda pair: (
-                pair[1].total_cost(), pair[1].peak_size(), pair[0]
-            ),
-        )
-        inputs, dims = _plan_inputs(network)
+        base_plan = plan_from_order(network)
+        inputs, dims = base_plan.inputs, base_plan.dims
         searcher = AnnealSearcher(inputs, dims)
 
         best_cost = base_plan.total_cost()
@@ -231,7 +213,7 @@ def search_plan(
         seed=seed,
         budget_seconds=budget_seconds,
         trials=trial,
-        baseline_planner=base_name,
+        baseline_planner=base_plan.planner,
         baseline_cost=base_plan.total_cost(),
         best_cost=plan.total_cost(),
         best_trial=best_trial,

@@ -15,23 +15,15 @@ from .planner import (
     ContractionStep,
     SliceApplier,
     build_plan,
-    greedy_plan,
     iter_slice_assignments,
     plan_from_order,
     slice_plan,
 )
-from .ordering import (
-    ORDER_HEURISTICS,
-    contraction_order,
-    interaction_graph,
-    min_fill_order,
-    sequential_order,
-)
+from .ordering import interaction_graph, min_fill_order
 from .tensor import Tensor, gate_tensor, identity_tensor, scalar_tensor
 
 __all__ = [
     "DEFAULT_ORDER_METHOD",
-    "ORDER_HEURISTICS",
     "ORDER_METHODS",
     "SLICE_HARD_LIMIT",
     "CircuitNetwork",
@@ -46,8 +38,6 @@ __all__ = [
     "circuit_to_network",
     "close_trace",
     "connect",
-    "contraction_order",
-    "greedy_plan",
     "plan_from_order",
     "slice_plan",
     "gate_tensor",
@@ -55,5 +45,4 @@ __all__ = [
     "interaction_graph",
     "min_fill_order",
     "scalar_tensor",
-    "sequential_order",
 ]

@@ -1,4 +1,4 @@
-"""Contraction-order heuristics.
+"""The min-fill contraction order.
 
 The quality of a tensor-network contraction is governed by the order in
 which indices are eliminated; the optimal order derives from a minimum-width
@@ -7,12 +7,10 @@ Comput. 2008) — the approach the paper adopts.  An elimination order and a
 tree decomposition are two forms of the same object: eliminating the
 vertices in order, each vertex's closed neighbourhood at elimination time is
 one bag, and the bags form a tree decomposition whose width is the order's
-largest neighbourhood.  Exact treewidth is NP-hard, so we provide:
-
-* :func:`sequential_order` — first-occurrence (circuit time) order;
-* :func:`min_fill_order` — the classic greedy min-fill elimination
-  heuristic, i.e. the min-fill tree decomposition read directly as the
-  elimination order the contraction needs.
+largest neighbourhood.  Exact treewidth is NP-hard, so
+:func:`min_fill_order` uses the classic greedy min-fill elimination
+heuristic, i.e. the min-fill tree decomposition read directly as the
+elimination order the contraction needs.
 """
 
 from __future__ import annotations
@@ -21,11 +19,6 @@ import heapq
 from typing import Dict, List, Set
 
 from .network import TensorNetwork
-
-
-def sequential_order(network: TensorNetwork) -> List[str]:
-    """Indices in first-occurrence (construction/time) order."""
-    return network.all_indices()
 
 
 def interaction_graph(network: TensorNetwork) -> Dict[str, Set[str]]:
@@ -100,20 +93,3 @@ def min_fill_order(network: TensorNetwork) -> List[str]:
             heapq.heappush(heap, (fill[v], len(adjacency[v]), v))
     return order
 
-
-ORDER_HEURISTICS = {
-    "sequential": sequential_order,
-    "min_fill": min_fill_order,
-}
-
-
-def contraction_order(network: TensorNetwork, method: str) -> List[str]:
-    """Dispatch on a named ordering heuristic."""
-    try:
-        heuristic = ORDER_HEURISTICS[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown ordering method {method!r}; "
-            f"choose from {sorted(ORDER_HEURISTICS)}"
-        ) from None
-    return heuristic(network)

@@ -10,18 +10,15 @@ dense and einsum engines contract ndarrays along it — so planning cost is
 paid once per network structure and plan quality is measurable before any
 numerics run.
 
-The ``order_method`` plan knob picks one of four plan builders (see
-:data:`ORDER_METHODS`), all dispatched by :func:`build_plan`:
+The ``order_method`` plan knob picks one of two plan builders (see
+:data:`ORDER_METHODS`), both dispatched by :func:`build_plan`:
 
-* :func:`plan_from_order` — wraps the elimination-order heuristics of
-  :mod:`repro.tensornet.ordering` (``sequential``, ``min_fill``),
-  simulating the pairwise merge sequence the order induces;
-* :func:`greedy_plan` — a cost-greedy pairwise planner that repeatedly
-  merges the connected pair with the smallest output tensor;
+* :func:`plan_from_order` — simulates the pairwise merge sequence an
+  elimination order induces, by default the min-fill order of
+  :func:`repro.tensornet.ordering.min_fill_order` (``min_fill``);
 * :func:`repro.planning.search_plan` — budgeted anytime search
   (``anneal``) that spends a wall-clock budget on randomized
-  restarts and never returns a plan worse than the greedy/min_fill
-  baseline.
+  restarts and never returns a plan worse than the min_fill baseline.
 
 :func:`slice_plan` then rewrites any plan into a sum over index-fixed
 subplans so that no intermediate exceeds a ``max_intermediate_size``
@@ -47,17 +44,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .network import TensorNetwork
-from .ordering import ORDER_HEURISTICS, contraction_order
+from .ordering import min_fill_order
 from .tensor import Tensor
 
 #: Values of the ``order_method`` plan knob (backends, ``CheckConfig``,
-#: the wire config and the CLI), one per plan builder: the two
-#: elimination-order heuristics of :mod:`repro.tensornet.ordering`,
-#: ``"greedy"`` (smallest merged tensor first), and the budgeted anytime
-#: search ``"anneal"`` of :mod:`repro.planning`, which trades
+#: the wire config and the CLI), one per plan builder: the min-fill
+#: elimination order of :mod:`repro.tensornet.ordering`, and the budgeted
+#: anytime search ``"anneal"`` of :mod:`repro.planning`, which trades
 #: ``plan_budget_seconds`` for cheaper plans and carries a
 #: :class:`~repro.planning.PlanSearchReport` in ``search_report``.
-ORDER_METHODS = ("sequential", "min_fill", "greedy", "anneal")
+ORDER_METHODS = ("min_fill", "anneal")
 
 #: The ``order_method`` every entry point uses unless told otherwise.
 DEFAULT_ORDER_METHOD = "min_fill"
@@ -120,8 +116,8 @@ class ContractionPlan:
     #: (``"explicit"`` for a caller-supplied elimination order)
     planner: str = DEFAULT_ORDER_METHOD
     #: search provenance (a :class:`repro.planning.PlanSearchReport`)
-    #: when the plan came from a budgeted search; ``None`` for the
-    #: heuristic methods.  Provenance, not structure: excluded from
+    #: when the plan came from a budgeted search; ``None`` for
+    #: min_fill and explicit orders.  Provenance, not structure: excluded from
     #: equality and from :meth:`digest`, but pickled with the plan so
     #: plan-cache hits still report how the plan was found.
     search_report: Optional[object] = field(
@@ -410,16 +406,15 @@ def _steps_from_order(
 def plan_from_order(
     network: TensorNetwork,
     order: Optional[Sequence[str]] = None,
-    method: str = DEFAULT_ORDER_METHOD,
 ) -> ContractionPlan:
     """Plan the pairwise merge sequence an elimination order induces.
 
-    ``order`` wins when given; otherwise the ``method`` heuristic (one of
-    :data:`repro.tensornet.ordering.ORDER_HEURISTICS`) derives it.
+    ``order`` wins when given; otherwise
+    :func:`~repro.tensornet.ordering.min_fill_order` derives it.
     """
     inputs, dims = _plan_inputs(network)
     if order is None:
-        order, planner = contraction_order(network, method), method
+        order, planner = min_fill_order(network), "min_fill"
     else:
         order, planner = list(order), "explicit"
     seen = set(order)
@@ -428,62 +423,6 @@ def plan_from_order(
     return ContractionPlan(
         inputs=inputs, dims=dims, steps=tuple(steps),
         order=tuple(full), planner=planner,
-    )
-
-
-def greedy_plan(network: TensorNetwork) -> ContractionPlan:
-    """Cost-greedy pairwise planner.
-
-    Repeatedly merges the connected pair whose output tensor is smallest
-    (ties broken by position for determinism), then outer-products any
-    disconnected remainders.  Often beats order-derived plans on networks
-    whose interaction graph fools the ordering heuristics.  Each step
-    scans only the pairs that share a label, found through a
-    label -> holder-positions map, so a step costs time proportional to
-    the operands' legs rather than to all O(t^2) operand pairs.
-    """
-    inputs, dims = _plan_inputs(network)
-    ops: List[Tuple[str, ...]] = list(inputs)
-    steps: List[ContractionStep] = []
-    while True:
-        # Labels are unique within an operand (inputs are self-traced), so
-        # a pair's merged size is the product of both operands' sizes over
-        # the square of the product of their shared dimensions.
-        holders: Dict[str, List[int]] = {}
-        sizes: List[int] = []
-        for pos, labels in enumerate(ops):
-            size = 1
-            for label in labels:
-                holders.setdefault(label, []).append(pos)
-                size *= dims[label]
-            sizes.append(size)
-        shared: Dict[Tuple[int, int], int] = {}
-        for label, positions in holders.items():
-            for pair in itertools.combinations(positions, 2):
-                shared[pair] = shared.get(pair, 1) * dims[label]
-        best: Optional[Tuple[int, int, int]] = min(  # (size, i, j)
-            (
-                (sizes[i] * sizes[j] // (shared_size * shared_size), i, j)
-                for (i, j), shared_size in shared.items()
-            ),
-            default=None,
-        )
-        if best is None:
-            break
-        steps.append(_make_step(ops, best[1], best[2], dims))
-    while len(ops) > 1:
-        steps.append(_make_step(ops, 0, 1, dims))
-    # A global elimination order consistent with the merge sequence (the
-    # TDD manager needs one); leftovers are self-loop labels absent from
-    # the pairwise engine.
-    order: List[str] = []
-    for step in steps:
-        order.extend(sorted(step.eliminated))
-    eliminated = set(order)
-    remaining = [i for i in network.all_indices() if i not in eliminated]
-    return ContractionPlan(
-        inputs=inputs, dims=dims, steps=tuple(steps),
-        order=tuple(order + remaining), planner="greedy",
     )
 
 
@@ -503,17 +442,15 @@ def build_plan(
     (wall-clock search budget; ``None`` means the default budget, ``0``
     means baseline only), ``plan_seed`` (deterministic trial seeding)
     and ``plan_trials`` (exact trial count, overriding the clock — the
-    fully deterministic mode); the heuristic methods ignore all three.
+    fully deterministic mode); ``min_fill`` ignores all three.
     """
     if order_method not in ORDER_METHODS:
         raise ValueError(
             f"unknown order_method {order_method!r}; "
             f"choose from {list(ORDER_METHODS)}"
         )
-    if order_method in ORDER_HEURISTICS:
-        plan = plan_from_order(network, method=order_method)
-    elif order_method == "greedy":
-        plan = greedy_plan(network)
+    if order_method == "min_fill":
+        plan = plan_from_order(network)
     else:  # "anneal"
         from ..planning import search_plan
 

@@ -455,7 +455,7 @@ class TestValidation:
     def test_bad_override_is_config_error_listing_choices(self):
         with pytest.raises(ConfigError) as err:
             Engine().check(library_request(config={"order_method": "psychic"}))
-        assert "greedy" in str(err.value)
+        assert "anneal" in str(err.value)
 
     def test_qasm_loading(self, tmp_path):
         path = tmp_path / "c.qasm"

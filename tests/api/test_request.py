@@ -213,12 +213,15 @@ class TestCheckRequest:
         assert "order_method" in err.value.details["valid"]
         assert "planner" not in err.value.details["valid"]
 
-    @pytest.mark.parametrize("removed", ["tree_decomposition", "hyper"])
+    @pytest.mark.parametrize(
+        "removed", ["tree_decomposition", "hyper", "sequential", "greedy"]
+    )
     def test_removed_tree_decomposition_is_invalid_request(self, removed):
         # the ``tree_decomposition`` order method was folded into
-        # ``min_fill`` and the ``hyper`` search was deleted; there is no
-        # alias, so the wire value is rejected with the typed config
-        # error listing the surviving choices
+        # ``min_fill``, and the ``hyper`` search and the ``sequential``
+        # and ``greedy`` planners were deleted; there is no alias, so the
+        # wire value is rejected with the typed config error listing the
+        # surviving choices
         from repro import Engine
         from repro.tensornet import ORDER_METHODS
 
@@ -244,10 +247,10 @@ class TestCheckRequest:
 
     def test_resolve_config_applies_overrides(self):
         config = self.request(
-            config={"backend": "einsum", "order_method": "greedy"}
+            config={"backend": "einsum", "order_method": "anneal"}
         ).resolve_config()
         assert config.backend == "einsum"
-        assert config.order_method == "greedy"
+        assert config.order_method == "anneal"
         assert config.epsilon == 0.05
 
     def test_resolve_config_bad_value_is_typed(self):

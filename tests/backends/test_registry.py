@@ -33,10 +33,10 @@ class TestRegistry:
         assert names == sorted(names)
 
     def test_get_backend_instantiates(self):
-        backend = get_backend("tdd", order_method="sequential")
+        backend = get_backend("tdd", order_method="anneal")
         assert isinstance(backend, TddBackend)
         assert backend.name == "tdd"
-        assert backend.order_method == "sequential"
+        assert backend.order_method == "anneal"
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(ValueError) as excinfo:
@@ -284,6 +284,8 @@ class TestPlanKnobValidation:
             ("order_method", "tree_decompositon"),
             ("order_method", "gredy"),
             ("order_method", "hyper"),
+            ("order_method", "sequential"),
+            ("order_method", "greedy"),
             ("max_intermediate_size", 0),
             ("slice_batch", 0),
             ("plan_budget_seconds", -1.0),

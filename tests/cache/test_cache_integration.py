@@ -111,10 +111,11 @@ class TestPlanCacheThroughBackends:
         network = alg2_trace_network(noisy, ideal)
         get_backend("dense", plan_cache=tmp_path).plan_for(network)
         other = get_backend(
-            "dense", order_method="greedy", plan_cache=tmp_path
+            "dense", order_method="anneal", plan_budget_seconds=0,
+            plan_cache=tmp_path,
         )
         other.plan_for(network)
-        assert other.plan_cache_hits == 0  # greedy key is its own
+        assert other.plan_cache_hits == 0  # anneal key is its own
         assert other.plan_cache_misses == 1
 
     def test_no_cache_keeps_counters_at_zero(self, monkeypatch):

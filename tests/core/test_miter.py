@@ -12,7 +12,7 @@ from repro.core import (
     miter_circuit,
 )
 from repro.noise import bit_flip, depolarizing
-from repro.tensornet import DEFAULT_ORDER_METHOD, contraction_order
+from repro.tensornet import min_fill_order
 
 
 class TestLowerKrausSelection:
@@ -90,14 +90,14 @@ class TestTraceNetworks:
     def test_alg1_trace_value(self):
         circuit = QuantumCircuit(2).h(0).cx(0, 1)
         net = alg1_trace_network(circuit, circuit)
-        order = contraction_order(net, DEFAULT_ORDER_METHOD)
+        order = min_fill_order(net)
         value = net.contract(order=order).scalar()
         assert np.isclose(value, 4.0)  # tr(I) on 2 qubits
 
     def test_alg2_equivalence_value(self):
         circuit = QuantumCircuit(2).h(0).cx(0, 1).t(1)
         net = alg2_trace_network(circuit, circuit)
-        order = contraction_order(net, DEFAULT_ORDER_METHOD)
+        order = min_fill_order(net)
         value = net.contract(order=order).scalar()
         assert np.isclose(value, 16.0)  # |tr(I)|^2 on 2 qubits
 
@@ -106,7 +106,7 @@ class TestTraceNetworks:
         net = alg1_trace_network(
             circuit, circuit, use_local_optimisations=True
         )
-        order = contraction_order(net, DEFAULT_ORDER_METHOD)
+        order = min_fill_order(net)
         value = net.contract(order=order).scalar()
         assert np.isclose(value, 4.0)
 

@@ -55,6 +55,8 @@ class TestCheckConfig:
             {"alg1_max_noises": -1},
             {"order_method": "gredy"},  # typo
             {"planner": "greedy"},  # folded into order_method
+            {"order_method": "sequential"},  # removed planner
+            {"order_method": "greedy"},  # removed planner
             {"max_intermediate_size": 0},
         ],
     )
@@ -72,7 +74,7 @@ class TestCheckConfig:
             CheckConfig(backend=42)
         with pytest.raises(ValueError, match="min_fill"):
             CheckConfig(order_method="bogus")
-        with pytest.raises(ValueError, match="greedy"):
+        with pytest.raises(ValueError, match="anneal"):
             CheckConfig(order_method="bogus")
         with pytest.raises(ValueError, match="tdd"):
             resolve_backend("bogus")
@@ -87,18 +89,16 @@ class TestCheckConfig:
         """Instance backends keep their own config; silent knob loss is
         an error, matching instances that already agree are fine."""
         with pytest.raises(ValueError, match="order_method"):
-            CheckConfig(backend=DenseBackend(), order_method="greedy")
+            CheckConfig(backend=DenseBackend(), order_method="anneal")
         with pytest.raises(ValueError, match="share_computed_table"):
             CheckConfig(backend=DenseBackend(), share_computed_table=False)
         with pytest.raises(ValueError, match="max_intermediate_size"):
             CheckConfig(backend=DenseBackend(), max_intermediate_size=4)
-        with pytest.raises(ValueError, match="order_method"):
-            CheckConfig(backend=DenseBackend(), order_method="sequential")
         config = CheckConfig(
             backend=DenseBackend(
-                order_method="greedy", max_intermediate_size=4
+                order_method="anneal", max_intermediate_size=4
             ),
-            order_method="greedy",
+            order_method="anneal",
             max_intermediate_size=4,
         )
         assert config.backend.max_intermediate_size == 4
@@ -106,11 +106,11 @@ class TestCheckConfig:
     def test_plan_knobs_reach_the_backend(self):
         session = CheckSession(
             CheckConfig(
-                backend="dense", order_method="greedy",
+                backend="dense", order_method="anneal",
                 max_intermediate_size=64, share_computed_table=False,
             )
         )
-        assert session.backend.order_method == "greedy"
+        assert session.backend.order_method == "anneal"
         assert session.backend.max_intermediate_size == 64
         assert session.backend.share_computed_table is False
 

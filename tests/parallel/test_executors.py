@@ -213,11 +213,11 @@ class TestWorkerTransport:
 
         for name in available_backends():
             spec = get_backend(
-                name, order_method="greedy", max_intermediate_size=64
+                name, order_method="anneal", max_intermediate_size=64
             ).describe()
             rebuilt = backend_for_spec(spec)
             assert rebuilt.name == name
-            assert rebuilt.order_method == "greedy"
+            assert rebuilt.order_method == "anneal"
             assert rebuilt.max_intermediate_size == 64
             assert rebuilt.executor is None  # workers run slices inline
             assert backend_for_spec(spec) is rebuilt  # per-worker cache

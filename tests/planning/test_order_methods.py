@@ -1,7 +1,7 @@
 """The one plan knob: every ``order_method`` value, end to end.
 
-``order_method`` names all four plan builders (two elimination-order
-heuristics, cost-greedy merging and the budgeted anneal search).  Every
+``order_method`` names both plan builders (the min-fill elimination
+order and the budgeted anneal search).  Every
 value must give the same fidelity on every host backend as the dense
 superoperator baseline, and the default must keep building exactly the
 min-fill plan.
@@ -32,8 +32,8 @@ def reference():
     return process_fidelity(NOISE.apply(ideal), ideal)
 
 
-def test_order_methods_are_the_four_plan_builders():
-    assert ORDER_METHODS == ("sequential", "min_fill", "greedy", "anneal")
+def test_order_methods_are_the_two_plan_builders():
+    assert ORDER_METHODS == ("min_fill", "anneal")
 
 
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
@@ -66,7 +66,7 @@ def test_default_plan_is_the_min_fill_plan(ideal):
     noisy = insert_random_noise(ideal, 2, seed=0)
     network = alg2_trace_network(noisy, ideal)
     default = build_plan(network)
-    reference = plan_from_order(network, method="min_fill")
+    reference = plan_from_order(network)
     assert default.steps == reference.steps
     assert default.total_cost() == reference.total_cost()
     assert default.planner == "min_fill"

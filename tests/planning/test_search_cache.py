@@ -81,15 +81,17 @@ class TestBackendPlanCache:
         other.plan_for(network)
         assert other.plan_cache_hits == 0
 
-    def test_heuristic_methods_ignore_the_search_knobs(self, tmp_path):
-        """For greedy the knobs are inert and must not split the cache."""
+    def test_min_fill_ignores_the_search_knobs(self, tmp_path):
+        """For min_fill the knobs are inert and must not split the cache."""
         ideal, noisy = pair()
         network = alg2_trace_network(noisy, ideal)
         get_backend(
-            "einsum", order_method="greedy", plan_seed=0, plan_cache=tmp_path,
+            "einsum", order_method="min_fill", plan_seed=0,
+            plan_cache=tmp_path,
         ).plan_for(network)
         warm = get_backend(
-            "einsum", order_method="greedy", plan_seed=9, plan_cache=tmp_path,
+            "einsum", order_method="min_fill", plan_seed=9,
+            plan_cache=tmp_path,
         )
         warm.plan_for(network)
         assert warm.plan_cache_hits == 1

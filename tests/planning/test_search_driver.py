@@ -1,9 +1,9 @@
 """Unit tests for the anytime search driver (:mod:`repro.planning`).
 
 The contract under test: ``search_plan`` never returns anything worse
-than the heuristic baselines (anytime floor), a zero budget runs zero
-trials, an exact ``trials`` count is deterministic and machine
-independent, and every plan carries a faithful
+than the min_fill baseline (anytime floor), a zero budget runs zero
+trials and builds only that baseline, an exact ``trials`` count is
+deterministic and machine independent, and every plan carries a faithful
 :class:`~repro.planning.PlanSearchReport`.
 """
 
@@ -21,14 +21,8 @@ from repro.library import (
 from repro.noise import insert_random_noise
 from repro.planning import DEFAULT_PLAN_BUDGET_SECONDS, search_plan
 from repro.planning.anneal import merge_cost
-from repro.tensornet import (
-    ORDER_HEURISTICS,
-    build_plan,
-    greedy_plan,
-    plan_from_order,
-)
+from repro.tensornet import build_plan, plan_from_order
 from repro.tensornet.planner import (
-    ORDER_METHODS,
     _make_step,
     _plan_inputs,
     _steps_from_pairs,
@@ -41,10 +35,7 @@ def network(qubits=3, noises=2, seed=0):
 
 
 def baseline_cost(net):
-    return min(
-        greedy_plan(net).total_cost(),
-        plan_from_order(net, method="min_fill").total_cost(),
-    )
+    return plan_from_order(net).total_cost()
 
 
 class TestValidation:
@@ -78,14 +69,9 @@ class TestValidation:
         with pytest.raises(ValueError, match=">= 0 or None"):
             search_plan(network(), trials=trials)
 
-    def test_anneal_is_the_only_search_order_method(self):
-        assert set(ORDER_METHODS) == (
-            set(ORDER_HEURISTICS) | {"greedy", "anneal"}
-        )
-
 
 class TestAnytimeSemantics:
-    def test_zero_budget_returns_the_best_baseline(self):
+    def test_zero_budget_returns_the_baseline(self):
         net = network()
         plan = search_plan(net, budget_seconds=0)
         report = plan.search_report
@@ -96,8 +82,34 @@ class TestAnytimeSemantics:
         assert plan.total_cost() == baseline_cost(net)
         plan.validate()
 
+    def test_zero_budget_builds_exactly_one_min_fill_plan(
+        self, monkeypatch
+    ):
+        """``budget_seconds=0`` costs one min_fill build and returns that
+        plan, relabelled: no other planner runs as a floor."""
+        import repro.tensornet.planner as planner
+
+        ideal = qft(7)
+        net = alg2_trace_network(insert_random_noise(ideal, 3, seed=1), ideal)
+        reference = plan_from_order(net)
+        calls = []
+        real = planner.min_fill_order
+        monkeypatch.setattr(
+            planner, "min_fill_order",
+            lambda network: calls.append(network) or real(network),
+        )
+        plan = search_plan(net, budget_seconds=0)
+        assert calls == [net]
+        assert plan.steps == reference.steps
+        assert plan.order == reference.order
+        assert plan.planner == "anneal"
+        report = plan.search_report
+        assert report.trials == 0
+        assert report.baseline_planner == "min_fill"
+        assert report.baseline_cost == reference.total_cost()
+
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_search_never_loses_to_the_baselines(self, seed):
+    def test_search_never_loses_to_the_baseline(self, seed):
         net = network()
         plan = search_plan(net, trials=10, seed=seed)
         assert plan.total_cost() <= baseline_cost(net)
@@ -190,10 +202,10 @@ class TestPinnedSearches:
 
 
 class TestSearchImprovement:
-    def test_anneal_beats_both_baselines_on_a_noisy_qft(self):
+    def test_anneal_beats_the_baseline_on_a_noisy_qft(self):
         """The acceptance workload in miniature: anneal finds a strictly
-        cheaper contraction than greedy and min_fill within a modest
-        deterministic trial count."""
+        cheaper contraction than min_fill within a modest deterministic
+        trial count."""
         net = network(qubits=4, noises=2, seed=0)
         plan = search_plan(net, trials=40, seed=0)
         assert plan.total_cost() < baseline_cost(net)
@@ -215,7 +227,7 @@ class TestReport:
         assert report.seed == 11
         assert report.budget_seconds is None
         assert report.trials == 5
-        assert report.baseline_planner in ("greedy", "min_fill")
+        assert report.baseline_planner == "min_fill"
         assert report.best_cost == plan.total_cost()
         assert report.best_cost <= report.baseline_cost
         assert report.search_seconds >= 0
@@ -240,8 +252,8 @@ class TestReport:
     def test_plan_to_dict_carries_the_search_record(self):
         plan = search_plan(network(), trials=5)
         assert plan.to_dict()["search"]["trials"] == 5
-        heuristic = greedy_plan(network())
-        assert heuristic.to_dict()["search"] is None
+        min_fill = plan_from_order(network())
+        assert min_fill.to_dict()["search"] is None
 
     def test_report_does_not_perturb_the_digest(self):
         """The digest hashes plan *structure*; provenance must not

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.backends import get_backend
 from repro.parallel import ProcessSliceExecutor, SerialExecutor
-from repro.tensornet import Tensor, TensorNetwork, greedy_plan, slice_plan
+from repro.tensornet import Tensor, TensorNetwork, plan_from_order, slice_plan
 
 BACKENDS = ("tdd", "dense", "einsum")
 
@@ -56,7 +56,7 @@ class TestParallelAgreement:
         self, pool, network
     ):
         reference = network.contract().scalar()
-        plan = slice_plan(greedy_plan(network), 2)
+        plan = slice_plan(plan_from_order(network), 2)
         for name in BACKENDS:
             inline = get_backend(name).contract_scalar(network, plan=plan)
             serial = get_backend(

@@ -19,7 +19,6 @@ from repro.tensornet import (
     Tensor,
     TensorNetwork,
     build_plan,
-    greedy_plan,
     plan_from_order,
     slice_plan,
 )
@@ -62,9 +61,9 @@ def all_pairwise_labels(network):
 
 
 PLAN_BUILDERS = [
-    lambda net: plan_from_order(net, method="sequential"),
-    lambda net: plan_from_order(net, method="min_fill"),
-    greedy_plan,
+    lambda net: plan_from_order(net, order=net.all_indices()),
+    plan_from_order,
+    lambda net: build_plan(net, "anneal", plan_trials=4),
 ]
 
 
@@ -108,7 +107,7 @@ class TestPlanInvariants:
         self, network, bound
     ):
         reference = network.contract().scalar()
-        plan = slice_plan(greedy_plan(network), bound)
+        plan = slice_plan(build_plan(network, "anneal", plan_trials=4), bound)
         for executor in (DenseBackend(), NumpyEinsumBackend()):
             value = executor.contract_scalar(network, plan=plan)
             assert np.isclose(value, reference, atol=1e-9)
@@ -119,7 +118,10 @@ class TestPlanInvariants:
         """The backends' own plan_for path (no explicit plan) agrees too."""
         reference = network.contract().scalar()
         for backend in (
-            DenseBackend(order_method="greedy", max_intermediate_size=8),
+            DenseBackend(
+                order_method="anneal", plan_budget_seconds=0.01,
+                max_intermediate_size=8,
+            ),
             NumpyEinsumBackend(order_method="min_fill"),
         ):
             value = backend.contract_scalar(network)

@@ -1,9 +1,9 @@
 """Property-based tests for the budgeted anneal search.
 
-Searched plans are held to exactly the invariants of the heuristic
-planners (see ``test_planner_properties``) — validity, single
+Searched plans are held to exactly the invariants of the min_fill
+planner (see ``test_planner_properties``) — validity, single
 elimination, backend agreement with direct dense contraction — plus the
-search-specific ones: the anytime floor against the heuristic baselines
+search-specific ones: the anytime floor against the min_fill baseline
 and bitwise determinism of fixed ``(network, seed, trials)`` inputs.
 """
 
@@ -15,7 +15,7 @@ from test_planner_properties import all_pairwise_labels, closed_networks
 
 from repro.backends import get_backend
 from repro.planning import search_plan
-from repro.tensornet import greedy_plan, plan_from_order
+from repro.tensornet import plan_from_order
 
 TRIALS = 4  # exact deterministic trial count (clock never consulted)
 
@@ -33,11 +33,8 @@ class TestSearchedPlanInvariants:
 
     @settings(max_examples=20, deadline=None)
     @given(closed_networks())
-    def test_search_never_loses_to_the_heuristic_floor(self, network):
-        floor = min(
-            greedy_plan(network).total_cost(),
-            plan_from_order(network, method="min_fill").total_cost(),
-        )
+    def test_search_never_loses_to_the_min_fill_floor(self, network):
+        floor = plan_from_order(network).total_cost()
         plan = search_plan(network, trials=TRIALS)
         assert plan.total_cost() <= floor
 

@@ -1,4 +1,4 @@
-"""Unit tests for contraction-order heuristics."""
+"""Unit tests for the min-fill contraction order."""
 
 import numpy as np
 import pytest
@@ -16,17 +16,14 @@ from repro.library import (
 )
 from repro.noise import insert_random_noise
 from repro.tensornet import (
-    ORDER_HEURISTICS,
     ContractionStats,
     Tensor,
     TensorNetwork,
     circuit_to_network,
     close_trace,
-    contraction_order,
     identity_tensor,
     interaction_graph,
     min_fill_order,
-    sequential_order,
 )
 
 
@@ -45,31 +42,21 @@ def disconnected_network():
 
 
 class TestOrders:
-    @pytest.mark.parametrize("method", sorted(ORDER_HEURISTICS))
     @pytest.mark.parametrize(
         "network", [sample_network, disconnected_network],
         ids=["connected", "disconnected"],
     )
-    def test_order_is_permutation_of_indices(self, method, network):
+    def test_order_is_permutation_of_indices(self, network):
         net = network()
-        order = contraction_order(net, method)
+        order = min_fill_order(net)
         assert sorted(order) == sorted(net.all_indices())
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            contraction_order(sample_network(), "magic")
-
-    @pytest.mark.parametrize("method", sorted(ORDER_HEURISTICS))
-    def test_all_orders_give_same_trace(self, method):
+    def test_order_gives_the_trace(self):
         circuit = qft(3)
         net = close_trace(circuit_to_network(circuit))
-        order = contraction_order(net, method)
+        order = min_fill_order(net)
         value = net.contract(order=order).scalar()
         assert np.isclose(value, np.trace(circuit.to_matrix()))
-
-    def test_sequential_is_first_occurrence(self):
-        net = sample_network()
-        assert sequential_order(net) == net.all_indices()
 
 
 def edge_set(graph):
@@ -110,12 +97,13 @@ class TestInteractionGraph:
 class TestMinFillQuality:
     def test_quality_on_ladder(self):
         """On a QFT trace network the min-fill order should not be worse
-        than sequential by more than the intermediate-size metric."""
+        than first-occurrence order by more than the intermediate-size
+        metric."""
         circuit = qft(4)
         net = close_trace(circuit_to_network(circuit))
         seq_stats, fill_stats = ContractionStats(), ContractionStats()
         net.copy().contract(
-            order=sequential_order(net), stats=seq_stats
+            order=net.all_indices(), stats=seq_stats
         )
         net.copy().contract(
             order=min_fill_order(net), stats=fill_stats

@@ -1,7 +1,5 @@
 """Unit tests for the contraction-plan IR and planners."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -22,12 +20,10 @@ from repro.tensornet import (
     build_plan,
     circuit_to_network,
     close_trace,
-    greedy_plan,
     plan_from_order,
     slice_plan,
 )
 from repro.tensornet.planner import (
-    ContractionPlan,
     _make_step,
     _plan_inputs,
     _steps_from_order,
@@ -61,11 +57,11 @@ class TestPlanConstruction:
         assert list(plan.order) == order
         assert plan.planner == "explicit"
 
-    def test_greedy_plan_valid_and_distinct(self):
+    def test_anneal_plan_valid_and_covers_every_index(self):
         net = qft_network()
-        plan = greedy_plan(net)
+        plan = build_plan(net, order_method="anneal", plan_trials=4)
         plan.validate()
-        assert plan.planner == "greedy"
+        assert plan.planner == "anneal"
         # its order must still cover every index (TDD manager seed)
         assert sorted(plan.order) == sorted(net.all_indices())
 
@@ -75,7 +71,8 @@ class TestPlanConstruction:
             plan_from_order(net)
 
     @pytest.mark.parametrize(
-        "method", ["magic", "hyper", "tree_decomposition"]
+        "method",
+        ["magic", "hyper", "tree_decomposition", "sequential", "greedy"],
     )
     def test_unknown_order_method_rejected(self, method):
         """Removed planners are unknown values like any other, and the
@@ -96,66 +93,14 @@ class TestPlanConstruction:
         assert record["peak_intermediate_size"] <= 8
 
 
-def _greedy_plan_reference(network):
-    """The original all-pairs greedy planner.
-
-    Kept verbatim (modulo renames) as the oracle for the connected-pair
-    scan of :func:`greedy_plan`: same ``(size, i, j)`` selection key,
-    testing every operand pair each step.
-    """
-    inputs, dims = _plan_inputs(network)
-    ops = list(inputs)
-    steps = []
-    while True:
-        best = None  # (size, i, j)
-        for i, j in itertools.combinations(range(len(ops)), 2):
-            shared = frozenset(ops[i]) & frozenset(ops[j])
-            if not shared:
-                continue
-            size = 1
-            for label in ops[i] + ops[j]:
-                if label not in shared:
-                    size *= dims[label]
-            if best is None or (size, i, j) < best:
-                best = (size, i, j)
-        if best is None:
-            break
-        steps.append(_make_step(ops, best[1], best[2], dims))
-    while len(ops) > 1:
-        steps.append(_make_step(ops, 0, 1, dims))
-    order = []
-    for step in steps:
-        order.extend(sorted(step.eliminated))
-    remaining = [i for i in network.all_indices() if i not in set(order)]
-    return ContractionPlan(
-        inputs=inputs, dims=dims, steps=tuple(steps),
-        order=tuple(order + remaining), planner="greedy",
-    )
-
-
-class TestGreedyPlan:
-    @pytest.mark.parametrize("n", [3, 5])
-    def test_byte_identical_to_reference_on_qft(self, n):
-        net = qft_network(n)
-        assert greedy_plan(net) == _greedy_plan_reference(net)
-
-    def test_byte_identical_on_noisy_doubled_networks(self):
-        from repro.core.miter import alg2_trace_network
-        from repro.noise import insert_random_noise
-
-        for seed in range(3):
-            ideal = qft(3)
-            noisy = insert_random_noise(ideal, 2, seed=seed)
-            net = alg2_trace_network(noisy, ideal)
-            assert greedy_plan(net) == _greedy_plan_reference(net)
-
+class TestDisconnectedNetworks:
     def test_disconnected_components_are_outer_producted(self):
         net = TensorNetwork([
             Tensor(np.eye(2), ["a", "b"]), Tensor(np.eye(2), ["b", "a"]),
             Tensor(np.eye(2), ["c", "d"]), Tensor(np.eye(2), ["d", "c"]),
         ])
-        plan = greedy_plan(net)
-        assert plan == _greedy_plan_reference(net)
+        plan = plan_from_order(net)
+        plan.validate()
         assert [step.eliminated for step in plan.steps] == [
             frozenset("ab"), frozenset("cd"), frozenset(),
         ]
@@ -377,10 +322,10 @@ class TestPlanExecution:
     def test_every_registered_backend_accepts_plan_knobs(self, name):
         assert name in available_backends()
         backend = get_backend(
-            name, order_method="greedy", max_intermediate_size=64
+            name, order_method="anneal", max_intermediate_size=64
         )
         description = backend.describe()
-        assert description["order_method"] == "greedy"
+        assert description["order_method"] == "anneal"
         assert description["max_intermediate_size"] == 64
 
 
@@ -541,9 +486,10 @@ class TestSliceDeterminism:
         code = (
             "from repro.library import qft\n"
             "from repro.tensornet import (circuit_to_network, close_trace,"
-            " greedy_plan, plan_from_order, slice_plan)\n"
+            " build_plan, plan_from_order, slice_plan)\n"
             "net = close_trace(circuit_to_network(qft(4)))\n"
-            "for plan in (plan_from_order(net), greedy_plan(net)):\n"
+            "for plan in (plan_from_order(net),"
+            " build_plan(net, 'anneal', plan_trials=8)):\n"
             "    print(slice_plan(plan, 4).digest())\n"
         )
         src = str(Path(__file__).resolve().parents[2] / "src")

@@ -228,11 +228,11 @@ class TestPlanCommand:
     def test_plan_json_fields(self, qasm_file, capsys):
         code = main([
             "plan", qasm_file, "--noises", "1", "--algorithm", "alg1",
-            "--order-method", "greedy", "--json",
+            "--order-method", "anneal", "--plan-budget", "0.01", "--json",
         ])
         record = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert record["planner"] == "greedy"
+        assert record["planner"] == "anneal"
         assert record["algorithm"] == "alg1"
         assert record["num_steps"] == len(record["steps"])
         assert record["num_slices"] == 1
@@ -261,7 +261,9 @@ class TestPlanCommand:
         assert exit_info.value.code == 2
         assert "--planner" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("removed", ["tree_decomposition", "hyper"])
+    @pytest.mark.parametrize(
+        "removed", ["tree_decomposition", "hyper", "sequential", "greedy"]
+    )
     @pytest.mark.parametrize("command", ["check", "plan"])
     def test_removed_tree_decomposition_is_rejected(
         self, qasm_file, capsys, command, removed
@@ -276,8 +278,8 @@ class TestPlanCommand:
     def test_check_accepts_plan_flags(self, qasm_file, capsys):
         code = main([
             "check", qasm_file, "--noises", "2", "--epsilon", "0.05",
-            "--order-method", "greedy", "--max-intermediate", "64",
-            "--backend", "dense", "--json",
+            "--order-method", "anneal", "--plan-budget", "0.01",
+            "--max-intermediate", "64", "--backend", "dense", "--json",
         ])
         record = json.loads(capsys.readouterr().out)
         assert code == 0

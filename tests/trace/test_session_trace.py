@@ -1,5 +1,6 @@
 """Cross-layer tracing through sessions, the engine and worker pools."""
 
+import gc
 import json
 
 import pytest
@@ -153,7 +154,7 @@ class TestEngineTrace:
         b = CheckRequest.from_json(a.to_json())
         assert a.trace_id() == b.trace_id()
         assert len(a.trace_id()) == 16
-        assert a.trace_id() != request(order_method="greedy").trace_id()
+        assert a.trace_id() != request(order_method="anneal").trace_id()
 
 
 class TestExecutePhaseOnEveryBackend:
@@ -214,11 +215,17 @@ class TestBuildPhaseOnEveryBackend:
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     @pytest.mark.parametrize("backend", ["tdd", "dense", "einsum"])
     def test_build_phase_and_wall_coverage(self, backend, algorithm):
-        with Engine() as engine:
-            cold, warm = (
-                self.traced(engine, backend, algorithm, p)
-                for p in (0.99, 0.98)
-            )
+        # A cyclic-GC pass landing between two spans is wall time no span
+        # owns; keep the collector out of the coverage measurement.
+        gc.disable()
+        try:
+            with Engine() as engine:
+                cold, warm = (
+                    self.traced(engine, backend, algorithm, p)
+                    for p in (0.99, 0.98)
+                )
+        finally:
+            gc.enable()
         for tree, hit in ((cold, False), (warm, True)):
             nodes = list(walk(tree))
             (build,) = [n for n in nodes if n["name"] == "network.build"]
