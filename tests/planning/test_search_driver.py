@@ -82,14 +82,18 @@ class TestAnytimeSemantics:
         assert plan.total_cost() == baseline_cost(net)
         plan.validate()
 
+    @pytest.mark.parametrize(
+        "ideal",
+        [qft(7), bernstein_vazirani(9), quantum_volume(7, 5, seed=0)],
+        ids=["qft7", "bv9", "qv_n7d5"],
+    )
     def test_zero_budget_builds_exactly_one_min_fill_plan(
-        self, monkeypatch
+        self, monkeypatch, ideal
     ):
         """``budget_seconds=0`` costs one min_fill build and returns that
         plan, relabelled: no other planner runs as a floor."""
         import repro.tensornet.planner as planner
 
-        ideal = qft(7)
         net = alg2_trace_network(insert_random_noise(ideal, 3, seed=1), ideal)
         reference = plan_from_order(net)
         calls = []
