@@ -36,33 +36,45 @@ def test_order_methods_are_the_two_plan_builders():
     assert ORDER_METHODS == ("min_fill", "anneal")
 
 
-@pytest.mark.parametrize("bound", [None, 16], ids=["unsliced", "sliced16"])
+def check(engine, order_method, backend, algorithm, **knobs):
+    return engine.check(CheckRequest(
+        ideal=CircuitSpec.from_library("qft", num_qubits=3),
+        noise=NOISE,
+        mode="fidelity",
+        config={
+            "backend": backend,
+            "algorithm": algorithm,
+            "order_method": order_method,
+            "plan_budget_seconds": 0.01,
+            **knobs,
+        },
+    ))
+
+
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
 @pytest.mark.parametrize("backend", ["tdd", "dense", "einsum"])
 @pytest.mark.parametrize("order_method", ORDER_METHODS)
 def test_every_order_method_agrees_with_the_superop_baseline(
-    engine, reference, order_method, backend, algorithm, bound
+    engine, reference, order_method, backend, algorithm
 ):
-    """Unsliced, and sliced under a bound of 16 entries: the unsliced
-    qft3 plans peak at 64, so the bound binds on every array backend."""
-    config = {
-        "backend": backend,
-        "algorithm": algorithm,
-        "order_method": order_method,
-        "plan_budget_seconds": 0.01,
-    }
-    if bound is not None:
-        config["max_intermediate_size"] = bound
-    response = engine.check(CheckRequest(
-        ideal=CircuitSpec.from_library("qft", num_qubits=3),
-        noise=NOISE,
-        mode="fidelity",
-        config=config,
-    ))
+    response = check(engine, order_method, backend, algorithm)
     assert response.ok, response.error
     assert abs(response.fidelity - reference) < 1e-9
-    if bound is not None:
-        assert response.stats.max_intermediate_size <= bound
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+@pytest.mark.parametrize("backend", ["tdd", "dense", "einsum"])
+@pytest.mark.parametrize("order_method", ORDER_METHODS)
+def test_every_sliced_order_method_agrees_with_the_superop_baseline(
+    engine, reference, order_method, backend, algorithm
+):
+    """A bound of 16 entries binds: the unsliced qft3 plans peak at 64."""
+    response = check(
+        engine, order_method, backend, algorithm, max_intermediate_size=16
+    )
+    assert response.ok, response.error
+    assert abs(response.fidelity - reference) < 1e-9
+    assert response.stats.max_intermediate_size <= 16
 
 
 @pytest.mark.parametrize(
