@@ -44,7 +44,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from .. import trace as _trace
 from ..backends import ContractionBackend, available_backends
@@ -53,6 +53,7 @@ from ..cache.fingerprint import request_fingerprint
 from ..circuits import QuantumCircuit
 from ..core.session import CheckConfig, CheckSession
 from ..core.stats import CheckError
+from ..noise import NoisePlacement
 from .errors import (
     CheckFailedError,
     ConfigError,
@@ -62,8 +63,9 @@ from .errors import (
 from .request import CheckRequest, CircuitSpec, apply_noise
 from .response import CheckResponse
 
-#: Resolved-circuit memo bound (pure specs only: inline QASM and
-#: library generators; path specs re-read their file every time).
+#: Resolved-circuit memo bound: circuits and noise placements of pure
+#: specs only (inline QASM and library generators; path specs re-read
+#: their file every time, and live circuits may be mutated).
 _CIRCUIT_MEMO_ENTRIES = 128
 
 #: Session memo bound.  A long-lived service sweeping epsilons or
@@ -158,9 +160,9 @@ class Engine:
         self._resolved: "OrderedDict[tuple, Tuple[CheckConfig, CheckSession]]" = (
             OrderedDict()
         )
-        self._circuits: "OrderedDict[CircuitSpec, QuantumCircuit]" = (
-            OrderedDict()
-        )
+        #: CircuitSpec -> QuantumCircuit, and (base spec, noise spec
+        #: fields but ``p``) -> NoisePlacement; one LRU for both
+        self._circuits: "OrderedDict[object, object]" = OrderedDict()
         self._pool = None
         self._job_ids = itertools.count(1)
         #: job id -> (request, (kind, payload), submitted_at); ordered
@@ -204,45 +206,76 @@ class Engine:
                     self._session_locks.pop(old_config, None)
             return entry
 
+    def _memoised(
+        self, key, build: Callable[[], object]
+    ) -> Tuple[object, bool]:
+        """(``build()`` memoised under ``key`` in the circuit LRU, hit)."""
+        with self._lock:
+            value = self._circuits.get(key)
+            if value is not None:
+                self._circuits.move_to_end(key)
+                return value, True
+        # build outside the lock: QASM parsing, generator calls and noise
+        # placement can be slow, and purity makes a duplicate race-build
+        # harmless
+        value = build()
+        with self._lock:
+            self._circuits[key] = value
+            while len(self._circuits) > _CIRCUIT_MEMO_ENTRIES:
+                self._circuits.popitem(last=False)
+        return value, False
+
     def _circuit(self, spec: CircuitSpec) -> QuantumCircuit:
         if spec.circuit is not None:
             return spec.circuit
         if spec.path is not None:  # files mutate; never memoised
             with _trace.span("circuit.load", source="path"):
                 return spec.resolve()
+
+        def load() -> QuantumCircuit:
+            with _trace.span(
+                "circuit.load",
+                source="library" if spec.library is not None else "qasm",
+            ):
+                return spec.resolve()
+
         # inline-QASM and library specs are pure (specs validate
         # hashability and random generators require a pinned seed)
-        with self._lock:
-            circuit = self._circuits.get(spec)
-            if circuit is not None:
-                self._circuits.move_to_end(spec)
-                return circuit
-        # resolve outside the lock: QASM parsing / generator calls can
-        # be slow, and purity makes a duplicate race-resolve harmless
-        with _trace.span(
-            "circuit.load",
-            source="library" if spec.library is not None else "qasm",
-        ):
-            circuit = spec.resolve()
-        with self._lock:
-            self._circuits[spec] = circuit
-            while len(self._circuits) > _CIRCUIT_MEMO_ENTRIES:
-                self._circuits.popitem(last=False)
-        return circuit
+        return self._memoised(spec, load)[0]
 
     def _resolve(
         self, request: CheckRequest
     ) -> Tuple[CheckConfig, QuantumCircuit, QuantumCircuit]:
-        """Request -> (config, ideal, noisy); failures carry typed codes."""
-        with _trace.span("request.resolve"):
+        """Request -> (config, ideal, noisy); failures carry typed codes.
+
+        The noise's placement (where its channels go, which ``p`` does
+        not change) is memoised next to the circuits for pure base
+        specs, so a request that differs from an earlier one only in
+        ``p`` builds one channel and fills its k sites.
+        """
+        with _trace.span("request.resolve") as span:
             config = self._config_for(request)
             ideal = self._circuit(request.ideal)
-            base = (
-                self._circuit(request.noisy)
-                if request.noisy is not None
-                else ideal
-            )
-            return config, ideal, apply_noise(request.noise, base)
+            if request.noisy is None:
+                spec, base = request.ideal, ideal
+            else:
+                spec = request.noisy
+                base = self._circuit(spec)
+            noise = request.noise
+
+            def placement() -> NoisePlacement:
+                if spec.circuit is not None or spec.path is not None:
+                    placed, hit = noise.placement(base), False
+                else:
+                    placed, hit = self._memoised(
+                        (spec, noise.channel, noise.noises,
+                         noise.every_gate, noise.seed),
+                        lambda: noise.placement(base),
+                    )
+                span.set(placement_hit=hit)
+                return placed
+
+            return config, ideal, apply_noise(noise, base, placement)
 
     def _session(self, config: CheckConfig) -> CheckSession:
         with self._lock:

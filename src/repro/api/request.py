@@ -31,7 +31,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..circuits import QuantumCircuit, qasm
 from ..core.session import RUN_MODES, CheckConfig
@@ -45,12 +45,11 @@ from ..library import (
     randomized_benchmarking,
 )
 from ..noise import (
-    NoiseModel,
+    NoisePlacement,
     amplitude_damping,
     bit_flip,
     bit_phase_flip,
     depolarizing,
-    insert_random_noise,
     phase_damping,
     phase_flip,
 )
@@ -359,14 +358,21 @@ class NoiseSpec:
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._WIRE_FIELDS}
 
+    def placement(self, circuit: QuantumCircuit) -> NoisePlacement:
+        """Where this spec puts its channels in ``circuit``; ``p`` plays
+        no part."""
+        if self.every_gate:
+            return NoisePlacement.every_gate(circuit)
+        return NoisePlacement.random(circuit, self.noises, seed=self.seed)
+
+    def fill(self, placement: NoisePlacement) -> QuantumCircuit:
+        """``placement`` with this spec's channel, built once, in every
+        site."""
+        return placement.fill(CHANNELS[self.channel](self.p))
+
     def apply(self, circuit: QuantumCircuit) -> QuantumCircuit:
         """The noisy copy of ``circuit`` this spec describes."""
-        factory = lambda: CHANNELS[self.channel](self.p)  # noqa: E731
-        if self.every_gate:
-            return NoiseModel().set_default_error(factory).apply(circuit)
-        return insert_random_noise(
-            circuit, self.noises, channel_factory=factory, seed=self.seed
-        )
+        return self.fill(self.placement(circuit))
 
 
 @dataclass(frozen=True)
@@ -574,18 +580,27 @@ class CheckRequest:
         return ideal, apply_noise(self.noise, base)
 
 
-def apply_noise(noise: Optional[NoiseSpec], circuit: QuantumCircuit):
+def apply_noise(
+    noise: Optional[NoiseSpec],
+    circuit: QuantumCircuit,
+    placement: Optional[Callable[[], NoisePlacement]] = None,
+):
     """Apply a (possibly absent) noise spec with typed failures.
 
     The one noise-application path for request resolution — the Engine
     and :meth:`CheckRequest.resolve_circuits` both use it, so a bad
     spec surfaces as ``circuit_load_failed`` everywhere instead of a
-    raw exception on one path.
+    raw exception on one path.  It places the noise
+    (:meth:`NoiseSpec.placement`, or ``placement()`` when the caller
+    memoises placements, as the Engine does) and fills it with the
+    spec's channel (:meth:`NoiseSpec.fill`); both steps are inside the
+    guard, so a bad ``p`` fails the same way on a warm placement.
     """
     if noise is None:
         return circuit
     try:
-        return noise.apply(circuit)
+        placed = noise.placement(circuit) if placement is None else placement()
+        return noise.fill(placed)
     except Exception as exc:
         raise CircuitLoadError(
             f"noise application failed: {exc}",

@@ -75,7 +75,15 @@ def circuit_fingerprint(circuit: "QuantumCircuit") -> str:
 
     Covers the qubit count and, per instruction, the kind marker, the
     qubit tuple and the operator data (gate matrix / Kraus operators).
+    Memoised on the circuit until its next append, under the current
+    :data:`CACHE_VERSION`.
     """
+    return circuit.memoised(
+        ("fingerprint", CACHE_VERSION), _circuit_fingerprint
+    )
+
+
+def _circuit_fingerprint(circuit: "QuantumCircuit") -> str:
     digest = _new_hash("circuit")
     digest.update(str(circuit.num_qubits).encode())
     for inst in circuit:

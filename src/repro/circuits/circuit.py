@@ -13,13 +13,14 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Sequence
+import hashlib
+from typing import Any, Callable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..gates import Gate, standard
 from ..linalg import COMPLEX, embed_operator
-from .instruction import Instruction
+from .instruction import Instruction, is_channel
 
 
 class QuantumCircuit:
@@ -31,6 +32,14 @@ class QuantumCircuit:
         self.num_qubits = int(num_qubits)
         self.name = name
         self._instructions: List[Instruction] = []
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop every memoised value (see :meth:`memoised`)."""
+        self._memo: dict = {}
+        #: the values that ignore channel values; :meth:`with_channel`
+        #: copies share this dict, so it is replaced here, never cleared
+        self._layout_memo: dict = {}
 
     # --- container protocol -------------------------------------------------
 
@@ -58,6 +67,7 @@ class QuantumCircuit:
                 f"qubits {inst.qubits} out of range for {self.num_qubits}-qubit circuit"
             )
         self._instructions.append(inst)
+        self._forget()
         return self
 
     def extend(self, instructions: Iterable[Instruction]) -> "QuantumCircuit":
@@ -160,6 +170,71 @@ class QuantumCircuit:
         gate = standard.unitary_gate(np.asarray(matrix, dtype=COMPLEX), name)
         return self.append(gate, qubits)
 
+    def with_channel(self, channel, slots: Sequence[int]) -> "QuantumCircuit":
+        """A copy with ``channel`` at each of ``slots``, on the same qubits.
+
+        Every slot must already hold a channel.  Only the new
+        instructions are validated (the rest were when they were
+        appended), and the copy shares this circuit's channel-free memo
+        (:meth:`noise_slots`, :meth:`layout_digest`), which a change of
+        channel values leaves valid.  So filling a noise placement costs
+        one list copy plus O(len(slots)).
+        """
+        if not is_channel(channel):
+            raise ValueError(f"{channel!r} is not a noise channel")
+        instructions = list(self._instructions)
+        for slot in slots:
+            old = instructions[slot]
+            if not old.is_noise:
+                raise ValueError(
+                    f"slot {slot} holds {old.name!r}, not a channel"
+                )
+            instructions[slot] = Instruction(channel, old.qubits)
+        out = QuantumCircuit(self.num_qubits, self.name)
+        out._instructions = instructions
+        out._layout_memo = self._layout_memo
+        return out
+
+    # --- memoised views -----------------------------------------------------
+
+    def memoised(
+        self,
+        key,
+        compute: Callable[["QuantumCircuit"], Any],
+        channel_free: bool = False,
+    ) -> Any:
+        """``compute(self)``, computed once and kept until the next append.
+
+        With ``channel_free`` the value must not depend on channel values;
+        it is then shared with every :meth:`with_channel` copy.
+        """
+        memo = self._layout_memo if channel_free else self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = compute(self)
+            return value
+
+    def noise_slots(self) -> Tuple[int, ...]:
+        """Positions of the noise-channel instructions, in circuit order."""
+        return self.memoised(
+            "noise_slots",
+            lambda circuit: tuple(
+                i for i, inst in enumerate(circuit) if inst.is_noise
+            ),
+            channel_free=True,
+        )
+
+    def layout_digest(self) -> bytes:
+        """A 16-byte digest of the circuit with channel values left out.
+
+        It covers the width and, per instruction, its qubits and either
+        a channel marker or the gate's name, parameters and matrix bytes.
+        Circuits that differ only in channel values share it, which is
+        what keys a miter template (:func:`repro.core.miter.miter_key`).
+        """
+        return self.memoised("layout", _layout_digest, channel_free=True)
+
     # --- inspection -----------------------------------------------------------
 
     @property
@@ -170,24 +245,24 @@ class QuantumCircuit:
     @property
     def num_noise_sites(self) -> int:
         """Number of noise-channel instructions (paper's k)."""
-        return sum(1 for inst in self._instructions if inst.is_noise)
+        return len(self.noise_slots())
 
     @property
     def is_unitary_circuit(self) -> bool:
         """True if the circuit contains no noise channels."""
-        return self.num_noise_sites == 0
+        return not self.noise_slots()
 
     @property
     def num_kraus_terms(self) -> int:
         """Product of Kraus counts across noise sites (Alg I term count)."""
         total = 1
-        for inst in self._instructions:
+        for inst in self.noise_instructions():
             total *= inst.num_kraus
         return total
 
     def noise_instructions(self) -> List[Instruction]:
         """All channel instructions, in circuit order."""
-        return [inst for inst in self._instructions if inst.is_noise]
+        return [self._instructions[slot] for slot in self.noise_slots()]
 
     def count_ops(self) -> dict:
         """Histogram of instruction names."""
@@ -320,6 +395,22 @@ class QuantumCircuit:
             f"QuantumCircuit({self.name!r}, n={self.num_qubits}, "
             f"|G|={self.num_gates}, k={self.num_noise_sites})"
         )
+
+
+def _layout_digest(circuit: QuantumCircuit) -> bytes:
+    layout: List[object] = [circuit.num_qubits]
+    matrices: List[np.ndarray] = []
+    for inst in circuit:
+        op = inst.operation
+        if inst.is_noise:
+            layout.append(("~", inst.qubits))
+        else:
+            layout.append((op.name, op.params, inst.qubits))
+            matrices.append(op.matrix)
+    # the layout fixes every matrix's size, so the joined bytes parse
+    # one way only
+    content = repr(layout).encode() + b"".join(matrices)
+    return hashlib.blake2b(content, digest_size=16).digest()
 
 
 def random_pauli_layer(

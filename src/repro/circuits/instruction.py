@@ -27,10 +27,10 @@ class Instruction:
     qubits: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        qubits = tuple(int(q) for q in self.qubits)
+        qubits = tuple(map(int, self.qubits))
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"duplicate qubits in instruction: {qubits}")
-        if any(q < 0 for q in qubits):
+        if qubits and min(qubits) < 0:
             raise ValueError(f"negative qubit index in {qubits}")
         expected = getattr(self.operation, "num_qubits", None)
         if expected is not None and expected != len(qubits):

@@ -51,6 +51,7 @@ from .miter import (
     kraus_order,
     kraus_stack,
     memoised_miter,
+    noise_site_data,
 )
 from .stats import FidelityResult, RunStats
 
@@ -151,10 +152,12 @@ def fidelity_individual(
             use_local_optimisations=use_local_optimisations,
         ).network,
         plan=plan_terms,
-        site_data=lambda: [
-            kraus_stack(inst.operation.kraus_operators, dominant_first)
-            for inst in noisy.noise_instructions()
-        ],
+        site_data=lambda: noise_site_data(
+            noisy,
+            lambda channel: kraus_stack(
+                channel.kraus_operators, dominant_first
+            ),
+        ),
     )
     plan, term_plan = template.plan, template.term_plan
     per_term = term_plan.num_slices()  # memory slices of one term

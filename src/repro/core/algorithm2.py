@@ -23,7 +23,13 @@ from .. import trace as _trace
 from ..backends import DEFAULT_BACKEND, ContractionBackend, resolve_backend
 from ..circuits import QuantumCircuit
 from ..tensornet import ContractionStats
-from .miter import MiterTemplate, alg2_trace_network, gate_data, memoised_miter
+from .miter import (
+    MiterTemplate,
+    alg2_trace_network,
+    gate_data,
+    memoised_miter,
+    noise_site_data,
+)
 from .stats import FidelityResult, RunStats
 
 
@@ -57,10 +63,9 @@ def fidelity_collective(
             noisy, ideal, use_local_optimisations=use_local_optimisations
         ),
         plan=lambda network: MiterTemplate(network, engine.plan_for(network)),
-        site_data=lambda: [
-            gate_data(inst.operation.matrix_rep())
-            for inst in noisy.noise_instructions()
-        ],
+        site_data=lambda: noise_site_data(
+            noisy, lambda channel: gate_data(channel.matrix_rep())
+        ),
     )
     cstats = ContractionStats()
     with _trace.span("alg2.contract"):

@@ -399,36 +399,43 @@ def miter_key(
 ) -> bytes:
     """Content key of everything a request fixes about its miter.
 
-    It covers both circuits' widths, the qubits and matrix bytes of every
-    unitary gate of either circuit, each noise site's position and
-    qubits, and ``use_local_optimisations``.  Channel values are left
-    out: requests that differ only in them share one template and refill
-    its noise tensors.  Algorithm I's key adds each site's Kraus count,
-    which sizes its stacked axis.  With ``use_local_optimisations`` the
-    gates' names and parameters join the key, because rotation merging
-    reads them.
+    It joins both circuits'
+    :meth:`~repro.circuits.QuantumCircuit.layout_digest` (widths, every
+    gate's name, parameters, qubits and matrix bytes, and each noise
+    site's position and qubits) with the algorithm and
+    ``use_local_optimisations``.  Channel values are left out: requests
+    that differ only in them share one template and refill its noise
+    tensors.  Algorithm I's key adds each site's Kraus count, which
+    sizes its stacked axis.  The digests are memoised on the circuits,
+    so keying a memoised ideal and a noisy circuit filled from a
+    memoised placement costs O(noise sites).
     """
-    layout: List[object] = [
-        algorithm, bool(use_local_optimisations),
-        ideal.num_qubits, noisy.num_qubits, len(ideal),
-    ]
-    matrices: List[np.ndarray] = []
-    for circuit in (ideal, noisy):
-        for inst in circuit:
-            op = inst.operation
-            if inst.is_noise:
-                terms = len(op.kraus_operators) if algorithm == "alg1" else 0
-                layout.append(("~", inst.qubits, terms))
-            else:
-                layout.append(
-                    (op.name, op.params, inst.qubits)
-                    if use_local_optimisations else inst.qubits
-                )
-                matrices.append(op.matrix)
-    # the layout fixes every matrix's size, so the joined bytes parse
-    # one way only
-    content = repr(layout).encode() + b"".join(matrices)
+    terms = (
+        [inst.num_kraus for inst in noisy.noise_instructions()]
+        if algorithm == "alg1" else []
+    )
+    head = repr((algorithm, bool(use_local_optimisations), terms)).encode()
+    content = head + ideal.layout_digest() + noisy.layout_digest()
     return hashlib.blake2b(content, digest_size=16).digest()
+
+
+def noise_site_data(
+    noisy: QuantumCircuit, data: Callable[[object], np.ndarray]
+) -> List[np.ndarray]:
+    """``data(channel)`` of each noise site of ``noisy``, in circuit order.
+
+    Computed once per distinct channel object: the sites of a filled
+    noise placement share one channel, and so one array, which a refill
+    only reads.
+    """
+    computed = {}
+    arrays = []
+    for inst in noisy.noise_instructions():
+        channel = inst.operation
+        if id(channel) not in computed:
+            computed[id(channel)] = data(channel)
+        arrays.append(computed[id(channel)])
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -493,7 +500,7 @@ def memoised_miter(
         )
     if template is None:
         template = plan(network)
-        if len(network.noise_sites) == len(noisy.noise_instructions()):
+        if len(network.noise_sites) == noisy.num_noise_sites:
             engine.store_template(key, template)
     elif not template.fold_tried:
         template = replace(

@@ -18,11 +18,12 @@ from .convert import (
     superop_to_choi,
     thermal_relaxation,
 )
-from .model import NoiseModel, insert_random_noise
+from .model import NoiseModel, NoisePlacement, insert_random_noise
 
 __all__ = [
     "KrausChannel",
     "NoiseModel",
+    "NoisePlacement",
     "amplitude_damping",
     "bit_flip",
     "bit_phase_flip",

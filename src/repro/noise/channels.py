@@ -63,9 +63,16 @@ class KrausChannel:
         return self._ops[0].shape[0]
 
     def is_cptp(self, atol: float = 1e-8) -> bool:
-        """Check the completeness relation (trace preservation)."""
-        acc = sum(dagger(op) @ op for op in self._ops)
-        return bool(np.allclose(acc, np.eye(self.dim), atol=atol))
+        """Check the completeness relation (trace preservation).
+
+        The test is ``np.allclose(sum_i K_i† K_i, I, atol=atol)`` written
+        out: on these small matrices allclose's generality costs several
+        times the product itself.
+        """
+        stacked = np.array(self._ops).reshape(-1, self.dim)  # K_i on top
+        acc = stacked.conj().T @ stacked  # = sum_i K_i† K_i
+        eye = np.eye(self.dim)
+        return bool((np.abs(acc - eye) <= atol + 1e-5 * eye).all())
 
     def is_unitary_channel(self, atol: float = 1e-8) -> bool:
         """True when the channel is a single unitary Kraus operator."""

@@ -4,11 +4,13 @@ The paper's experiments "randomly insert some depolarisation noises" into
 benchmark circuits; :func:`insert_random_noise` reproduces that workload
 generator.  :class:`NoiseModel` additionally supports the realistic
 every-gate-suffers-noise regime the paper motivates for Algorithm II.
+A :class:`NoisePlacement` separates where the noise goes from which
+channel it is, so a sweep over a channel parameter places once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,7 +125,8 @@ class NoiseModel:
             if channel.num_qubits == len(inst.qubits):
                 noisy.append(channel, inst.qubits)
             elif channel.num_qubits == 1:
-                for q in inst.qubits:
+                noisy.append(channel, inst.qubits[:1])
+                for q in inst.qubits[1:]:
                     noisy.append(factory(), [q])
             else:
                 raise ValueError(
@@ -137,3 +140,50 @@ def _as_factory(channel: KrausChannel | ChannelFactory) -> ChannelFactory:
     if isinstance(channel, KrausChannel):
         return lambda: channel
     return channel
+
+
+#: What a placement's sites hold until :meth:`NoisePlacement.fill`.
+_UNFILLED = KrausChannel([np.eye(2)], name="unfilled")
+
+
+class NoisePlacement(NamedTuple):
+    """A noisy circuit whose single-qubit noise sites are not filled yet.
+
+    ``circuit`` holds a placeholder channel at each of ``slots``.
+    Where the noise sits does not depend on the channel's parameter, so
+    a parameter sweep places once and then only fills (:meth:`fill`).
+    """
+
+    circuit: QuantumCircuit
+    slots: Tuple[int, ...]
+
+    @classmethod
+    def random(
+        cls, circuit: QuantumCircuit, num_noises: int, seed: int | None = None
+    ) -> "NoisePlacement":
+        """The sites :func:`insert_random_noise` draws for ``seed``."""
+        return cls._of(insert_random_noise(
+            circuit, num_noises, channel_factory=lambda: _UNFILLED, seed=seed
+        ))
+
+    @classmethod
+    def every_gate(cls, circuit: QuantumCircuit) -> "NoisePlacement":
+        """One site after every gate on each of its qubits, as a
+        :class:`NoiseModel` default single-qubit error places them."""
+        model = NoiseModel().set_default_error(_UNFILLED)
+        return cls._of(model.apply(circuit))
+
+    @classmethod
+    def _of(cls, placed: QuantumCircuit) -> "NoisePlacement":
+        return cls(placed, tuple(
+            slot for slot in placed.noise_slots()
+            if placed[slot].operation is _UNFILLED
+        ))
+
+    def fill(self, channel: KrausChannel) -> QuantumCircuit:
+        """The noisy circuit with ``channel`` at every site.
+
+        Sites share the one channel object; only the new instructions
+        are validated (:meth:`QuantumCircuit.with_channel`).
+        """
+        return self.circuit.with_channel(channel, self.slots)
