@@ -25,8 +25,8 @@ Design rules:
   contraction move once, not 8192 times.
 
 The module also owns plan lowering: :func:`compile_plan` computes every
-step's operand and output nodes, integer einsum subscripts (unbatched
-and batch-labelled), ``tensordot`` axes for unbatched steps of at least
+step's output node, integer einsum subscripts (unbatched and
+batch-labelled), ``tensordot`` axes for unbatched steps of at least
 :data:`BLAS_MIN_FLOPS` predicted flops that are plain matrix products,
 and a :class:`BatchedMatmul` for every batched step that is one;
 :func:`compiled_for` keeps it on the plan, for as long as the plan lives.
@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import trace as _trace
-from ..tensornet.planner import ContractionPlan, apply_steps
+from ..tensornet.planner import ContractionPlan
 
 #: Names :func:`resolve_namespace` understands, in documentation order.
 NAMESPACES = ("numpy", "torch", "cupy")
@@ -369,9 +369,9 @@ class BatchedMatmul:
 class CompiledStep:
     """One plan step lowered to einsum subscripts, BLAS axes or a matmul.
 
-    For a plan of ``n`` inputs, node ``i < n`` is its ``i``-th input and
-    node ``n + k`` is the output of its ``k``-th step: the step merges
-    nodes ``lhs`` and ``rhs`` (in that orientation) into node ``out``.
+    The step merges nodes ``lhs`` and ``rhs`` (in that orientation) into
+    node ``out``, numbered as in
+    :class:`~repro.tensornet.planner.ContractionStep`.
     ``subscripts`` is the ``(lhs, rhs, out)`` sublist triple for the
     per-slice (unbatched) call; ``batched_subscripts`` is the same triple
     with the reserved batch label ``0`` prepended wherever the operand —
@@ -484,30 +484,26 @@ def batched_matmul(
 
 
 def compile_plan(plan: ContractionPlan) -> CompiledPlan:
-    """Lower a plan's steps to nodes and einsum subscripts, BLAS axes or
-    matmuls.
+    """Lower a plan's steps to einsum subscripts, BLAS axes or matmuls.
 
-    Steps are named by the nodes they merge (:class:`CompiledStep`), so
-    execution walks no step positions.  Labels are remapped to a dense
-    integer range *per step* (so the global index count never hits the
-    52-symbol einsum alphabet), with ``0`` reserved for the batch axis
-    of batched slice chunks; unbatched steps of at least
+    Each compiled step keeps its plan step's nodes.  Labels are remapped
+    to a dense integer range *per step* (so the global index count never
+    hits the 52-symbol einsum alphabet), with ``0`` reserved for the
+    batch axis of batched slice chunks; unbatched steps of at least
     :data:`BLAS_MIN_FLOPS` flops also get :func:`tensordot_axes`, and
     every batched step gets :func:`batched_matmul`.
     """
     sliced = set(plan.slices)
-    inputs = [
-        (
-            tuple(lab for lab in labs if lab not in sliced),
-            any(lab in sliced for lab in labs),
-            node,
-        )
-        for node, labs in enumerate(plan.inputs)
+    # per node: its per-slice labels, and whether it varies across slices
+    labels = [
+        tuple(lab for lab in labs if lab not in sliced) for labs in plan.inputs
     ]
+    batched = [any(lab in sliced for lab in labs) for labs in plan.inputs]
+    input_batched = tuple(batched)
     steps: List[CompiledStep] = []
-
-    def lower(lhs, rhs, step):
-        (a, a_batched, a_node), (b, b_batched, b_node) = lhs, rhs
+    for out, step in enumerate(plan.steps, start=len(plan.inputs)):
+        a, b = labels[step.lhs], labels[step.rhs]
+        a_batched, b_batched = batched[step.lhs], batched[step.rhs]
         mapping: Dict[str, int] = {}
         for label in a + b:
             mapping.setdefault(label, len(mapping) + 1)  # 0 = batch axis
@@ -516,10 +512,9 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
         out_subs = tuple(mapping[lab] for lab in step.output)
         out_batched = a_batched or b_batched
         subscripts = (lhs_subs, rhs_subs, out_subs)
-        out = len(plan.inputs) + len(steps)
         steps.append(CompiledStep(
-            lhs=a_node,
-            rhs=b_node,
+            lhs=step.lhs,
+            rhs=step.rhs,
             out=out,
             subscripts=subscripts,
             # an unbatched step shares the per-slice triple
@@ -544,12 +539,9 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
                 if out_batched else None
             ),
         ))
-        return step.output, out_batched, out
-
-    input_batched = tuple(batched for _, batched, _ in inputs)
-    apply_steps(plan.steps, inputs, lower)
-    ((_, _, root),) = inputs
-    return CompiledPlan(tuple(steps), input_batched, root)
+        labels.append(step.output)
+        batched.append(out_batched)
+    return CompiledPlan(tuple(steps), input_batched, len(labels) - 1)
 
 
 def compiled_for(plan: ContractionPlan) -> CompiledPlan:

@@ -43,7 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: ``search_report`` provenance field and plan keys the search knobs.
 #: v3: the ``planner`` knob folded into ``order_method``, so plans
 #: record the ``order_method`` value as their ``planner`` provenance.
-CACHE_VERSION = 3
+#: v4: plan steps name nodes, not einsum-path positions.
+CACHE_VERSION = 4
 
 
 def _new_hash(kind: str) -> "hashlib._Hash":

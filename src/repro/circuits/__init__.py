@@ -1,6 +1,6 @@
 """Circuit IR: instructions, circuits, DAG view, QASM I/O, optimisations."""
 
-from .circuit import QuantumCircuit, random_pauli_layer
+from .circuit import QuantumCircuit
 from .dag import CircuitDag, DagNode
 from .draw import draw
 from .instruction import Instruction, is_channel
@@ -20,5 +20,4 @@ __all__ = [
     "eliminate_final_swaps",
     "is_channel",
     "permutation_matrix",
-    "random_pauli_layer",
 ]

@@ -374,16 +374,6 @@ class QuantumCircuit:
                 out.append(inst.operation, inst.qubits)
         return out
 
-    def map_instructions(
-        self, func: Callable[[Instruction], Iterable[Instruction]]
-    ) -> "QuantumCircuit":
-        """Rebuild the circuit by expanding each instruction through ``func``."""
-        out = QuantumCircuit(self.num_qubits, self.name)
-        for inst in self._instructions:
-            for new in func(inst):
-                out.append(new.operation, new.qubits)
-        return out
-
     def draw(self) -> str:
         """Fixed-width text rendering (see :mod:`repro.circuits.draw`)."""
         from .draw import draw
@@ -411,13 +401,3 @@ def _layout_digest(circuit: QuantumCircuit) -> bytes:
     # one way only
     content = repr(layout).encode() + b"".join(matrices)
     return hashlib.blake2b(content, digest_size=16).digest()
-
-
-def random_pauli_layer(
-    circuit: QuantumCircuit, rng: np.random.Generator
-) -> QuantumCircuit:
-    """Append a uniformly random Pauli on every qubit (RB helper)."""
-    paulis = [standard.i_gate, standard.x_gate, standard.y_gate, standard.z_gate]
-    for q in range(circuit.num_qubits):
-        circuit.append(paulis[int(rng.integers(4))](), [q])
-    return circuit

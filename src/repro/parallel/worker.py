@@ -27,7 +27,7 @@ lookup for all the others.
 from __future__ import annotations
 
 import pickle
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .. import trace as _trace
 from ..tensornet import ContractionStats, TensorNetwork
@@ -154,14 +154,3 @@ def run_check_item(
         if not isolate_errors:
             raise
         return index, None, (type(exc).__name__, str(exc))
-
-
-def reset_worker_caches() -> None:
-    """Drop all per-worker cached state (test hook)."""
-    _WORKER_BACKENDS.clear()
-    _WORKER_SESSIONS.clear()
-
-
-def _list_worker_cache_keys() -> Tuple[List[tuple], List[object]]:
-    """Snapshot of the worker's cache keys (test/diagnostic hook)."""
-    return list(_WORKER_BACKENDS), list(_WORKER_SESSIONS)

@@ -22,6 +22,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..tensornet.planner import merge_cost
+
 #: Per-restart temperature is drawn log-uniformly from this range (log10).
 TEMPERATURE_LOG10_RANGE = (-2.0, 1.0)
 
@@ -29,31 +31,9 @@ TEMPERATURE_LOG10_RANGE = (-2.0, 1.0)
 #: ``log2(size(out)) - alpha * (log2(size(a)) + log2(size(b)))``.
 ALPHA_CHOICES = (0.0, 0.5, 1.0)
 
-#: Merge pairs over stable operand ids (the trial output format, see
-#: :mod:`repro.planning.driver`).
+#: Merge pairs over plan nodes (the trial output format; nodes as in
+#: :class:`~repro.tensornet.planner.ContractionStep`).
 MergePairs = List[Tuple[int, int]]
-
-
-def merge_cost(
-    a: Tuple[str, ...], b: Tuple[str, ...], dims: Dict[str, int]
-) -> Tuple[Tuple[str, ...], int, int]:
-    """Output labels, output size and flops of merging two operands.
-
-    The trial cost model, kept identical to
-    :func:`~repro.tensornet.planner._make_step` so trial costs compare
-    exactly against baseline ``total_cost()`` values.
-    """
-    shared = frozenset(a) & frozenset(b)
-    output = tuple(lab for lab in a if lab not in shared) + tuple(
-        lab for lab in b if lab not in shared
-    )
-    size = 1
-    for label in output:
-        size *= dims[label]
-    flops = size
-    for label in shared:
-        flops *= dims[label]
-    return output, size, flops
 
 
 class AnnealSearcher:
@@ -93,7 +73,7 @@ class AnnealSearcher:
         """Run one randomized restart.
 
         Returns ``(cost, pairs)`` — the predicted flop total and the
-        merge sequence over stable ids — or ``None`` when the trial
+        merge sequence over plan nodes — or ``None`` when the trial
         aborted early because its running cost already reached
         ``best_cost`` (pruning keeps hopeless restarts cheap).
         """

@@ -5,20 +5,11 @@ min_fill baseline floor, the wall-clock budget / exact-trial-count
 loop, per-trial deterministic seeding, best-so-far tracking, and the
 :class:`PlanSearchReport` provenance record.  Each randomized trial is
 one :meth:`~repro.planning.anneal.AnnealSearcher.trial`, which returns a
-candidate contraction as ``(cost, merge pairs)`` over *stable operand
-ids* (see below), or ``None`` when the trial pruned itself against the
-best cost so far.
-
-Stable-id convention
---------------------
-Plan steps address operands by *position* in a shrinking list (the
-einsum-path convention), which is awkward to produce incrementally.
-Trials instead name operands by stable integer ids: input ``k`` is id
-``k``, and every merge allocates the next id in sequence (``len(inputs)``,
-``len(inputs) + 1``, ...) in the order the merges appear in the returned
-pair list.  The driver converts the winning trial's id pairs into
-positional :class:`~repro.tensornet.planner.ContractionStep`\\ s once, at
-the end — losing trials never pay the conversion.
+candidate contraction as ``(cost, merge pairs)`` over the plan's nodes
+(input ``k`` is node ``k``, and each merge writes the next node; see
+:class:`~repro.tensornet.planner.ContractionStep`), or ``None`` when
+the trial pruned itself against the best cost so far.  Only the winning
+trial's pairs become plan steps.
 """
 
 from __future__ import annotations

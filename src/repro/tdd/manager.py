@@ -57,10 +57,6 @@ class TddManager:
 
     # --- bookkeeping --------------------------------------------------------
 
-    def num_unique_nodes(self) -> int:
-        """Distinct nodes currently hash-consed (terminal excluded)."""
-        return len(self._unique)
-
     def clear_computed_tables(self) -> None:
         """Drop the add/contract caches (the "w/o computed table" ablation).
 
@@ -302,11 +298,6 @@ class Tdd:
             stack.append(node.low)
             stack.append(node.high)
         return support
-
-    def support_labels(self) -> set:
-        """Index labels the diagram depends on."""
-        order = self.manager.var_order
-        return {order[p] for p in self.support_positions()}
 
     def add(self, other: "Tdd") -> "Tdd":
         """Pointwise sum."""

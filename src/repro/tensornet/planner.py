@@ -25,12 +25,11 @@ subplans so that no intermediate exceeds a ``max_intermediate_size``
 bound (memory-bounded contraction, the standard slicing trick of
 large-scale tensor-network simulators).
 
-Step positions follow the ``np.einsum_path`` convention: each step names
-two positions in the *current* operand list; both operands are removed
-(higher position first) and the merged operand is appended at the end.
-:func:`apply_steps` is the one implementation of that convention, shared
-by plan construction and plan lowering, which names each step by the
-nodes it merges for execution (:class:`repro.backends.xp.CompiledStep`).
+Every step names the two nodes it merges.  For a plan of ``n`` inputs,
+node ``i < n`` is input ``i`` and step ``k`` writes node ``n + k``
+(:class:`ContractionStep`).  Planners, slicing, lowering
+(:class:`repro.backends.xp.CompiledStep`) and the kernels all read steps
+this one way.
 """
 
 from __future__ import annotations
@@ -75,11 +74,13 @@ SLICE_HARD_LIMIT = 1 << 24
 class ContractionStep:
     """One pairwise contraction of a plan.
 
-    ``lhs``/``rhs`` are positions in the operand list *at step time*
-    (einsum-path convention — see module docstring).  ``eliminated`` are
-    the labels summed over in this step; ``output`` is the merged
-    operand's label tuple (lhs survivors first, then rhs survivors, the
-    order :meth:`Tensor.contract` produces).
+    ``lhs < rhs`` are the nodes the step merges: for a plan of ``n``
+    inputs, node ``i < n`` is input ``i`` and step ``k`` writes node
+    ``n + k``, so each node is consumed at most once and the last step
+    writes the root.  ``eliminated`` are the labels summed over in this
+    step; ``output`` is the merged operand's label tuple (lhs survivors
+    first, then rhs survivors, the order :meth:`Tensor.contract`
+    produces).
     """
 
     lhs: int
@@ -277,25 +278,6 @@ class ContractionPlan:
             )
 
 
-# --- the step-position protocol --------------------------------------------
-
-
-def apply_steps(steps: Sequence, operands: list, merge) -> None:
-    """Run pairwise steps over ``operands``, in place.
-
-    Each step takes the operands at positions ``lhs < rhs`` of the
-    *current* list, removes both (``rhs`` first, so ``lhs`` still names
-    its operand) and appends ``merge(a, b, step)``.  A fully executed
-    plan leaves its result as the list's only operand.  Operands are
-    opaque.
-    """
-    for step in steps:
-        a, b = operands[step.lhs], operands[step.rhs]
-        del operands[step.rhs]
-        del operands[step.lhs]
-        operands.append(merge(a, b, step))
-
-
 # --- plan construction ------------------------------------------------------
 
 
@@ -329,11 +311,15 @@ def _plan_inputs(
     return tuple(inputs), dims
 
 
-def _make_step(
-    ops: List[Tuple[str, ...]], i: int, j: int, dims: Dict[str, int]
-) -> ContractionStep:
-    """Merge operands ``i < j`` in-place and record the step."""
-    a, b = ops[i], ops[j]
+def merge_cost(
+    a: Tuple[str, ...], b: Tuple[str, ...], dims: Dict[str, int]
+) -> Tuple[Tuple[str, ...], int, int]:
+    """Output labels, output size and flops of merging operands ``a``, ``b``.
+
+    The one merge cost model: plan steps and the anneal trials of
+    :mod:`repro.planning.anneal` both price merges with it, so trial
+    costs compare exactly against plan ``total_cost()`` values.
+    """
     shared = frozenset(a) & frozenset(b)
     output = tuple(lab for lab in a if lab not in shared) + tuple(
         lab for lab in b if lab not in shared
@@ -344,16 +330,7 @@ def _make_step(
     flops = size
     for label in shared:
         flops *= dims[label]
-    step = ContractionStep(
-        lhs=i, rhs=j, eliminated=shared, output=output,
-        output_size=size, flops=flops,
-    )
-    apply_steps((step,), ops, _merged_labels)
-    return step
-
-
-def _merged_labels(a, b, step: ContractionStep) -> Tuple[str, ...]:
-    return step.output
+    return output, size, flops
 
 
 def _steps_from_pairs(
@@ -361,18 +338,22 @@ def _steps_from_pairs(
     dims: Dict[str, int],
     pairs: Sequence[Tuple[int, int]],
 ) -> List[ContractionStep]:
-    """Positional steps for stable-id merge pairs (the convention of
-    :mod:`repro.planning.driver`), then outer products of what is left."""
-    ops: List[Tuple[str, ...]] = list(inputs)
-    ids: List[int] = list(range(len(inputs)))
+    """Steps merging the node pairs ``pairs`` in order, then outer products
+    of what is left, lowest nodes first (nodes as in
+    :class:`ContractionStep`)."""
+    ops: Dict[int, Tuple[str, ...]] = dict(enumerate(inputs))
     steps: List[ContractionStep] = []
-    for a, b in pairs:
-        i, j = sorted((ids.index(a), ids.index(b)))
-        steps.append(_make_step(ops, i, j, dims))
-        del ids[j], ids[i]
-        ids.append(len(inputs) + len(steps) - 1)
-    while len(ops) > 1:  # disconnected components
-        steps.append(_make_step(ops, 0, 1, dims))
+    pending = iter(pairs)
+    while len(ops) > 1:
+        # past the last pair, disconnected components are left
+        a, b = next(pending, None) or sorted(ops)[:2]
+        lhs, rhs = (a, b) if a < b else (b, a)
+        x, y = ops.pop(lhs), ops.pop(rhs)
+        output, size, flops = merge_cost(x, y, dims)
+        ops[len(inputs) + len(steps)] = output
+        steps.append(ContractionStep(
+            lhs, rhs, frozenset(x) & frozenset(y), output, size, flops
+        ))
     return steps
 
 
@@ -470,18 +451,6 @@ def build_plan(
 # --- slicing ----------------------------------------------------------------
 
 
-def _resliced_steps(
-    plan: ContractionPlan, sliced: Set[str]
-) -> List[ContractionStep]:
-    """Replay the plan's merge positions with ``sliced`` labels removed."""
-    ops: List[Tuple[str, ...]] = [
-        tuple(lab for lab in labs if lab not in sliced) for labs in plan.inputs
-    ]
-    return [
-        _make_step(ops, step.lhs, step.rhs, plan.dims) for step in plan.steps
-    ]
-
-
 def slice_plan(
     plan: ContractionPlan,
     max_intermediate_size: int,
@@ -492,7 +461,7 @@ def slice_plan(
     Greedily picks slice labels — the label occurring in the most
     oversized intermediates, largest dimension first — until no step's
     output exceeds ``max_intermediate_size``, and rewrites the plan into a
-    sum over index-fixed subplans: execution runs the same step positions
+    sum over index-fixed subplans: execution runs the same merges
     once per joint slice-index assignment and sums the scalars.  Returns
     ``plan`` unchanged when it already fits the bound.
 
@@ -511,6 +480,7 @@ def slice_plan(
         return plan
     sliced: Set[str] = set(plan.slices)
     steps = list(plan.steps)
+    pairs = [(step.lhs, step.rhs) for step in plan.steps]
     while True:
         oversized = [
             step for step in steps
@@ -534,7 +504,12 @@ def slice_plan(
             key=lambda lab: (-occurrences[lab], -plan.dims[lab], lab),
         )
         sliced.add(best)
-        steps = _resliced_steps(plan, sliced)
+        steps = _steps_from_pairs(
+            [tuple(lab for lab in labs if lab not in sliced)
+             for labs in plan.inputs],
+            plan.dims,
+            pairs,
+        )
     result = replace(
         plan, steps=tuple(steps), slices=tuple(sorted(sliced))
     )

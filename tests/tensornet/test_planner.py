@@ -24,7 +24,7 @@ from repro.tensornet import (
     slice_plan,
 )
 from repro.tensornet.planner import (
-    _make_step,
+    ContractionStep,
     _plan_inputs,
     _steps_from_order,
     iter_slice_assignments,
@@ -109,18 +109,30 @@ class TestDisconnectedNetworks:
 def _steps_from_order_reference(inputs, dims, order):
     """The original operand-scanning merge simulation.
 
-    Kept verbatim (modulo renames) as the oracle for the holder map of
-    :func:`_steps_from_order`: each label's holders are found by
-    scanning the whole current operand list.
+    The oracle for the holder map of :func:`_steps_from_order`: each
+    label's holders are found by scanning every live operand.  Operands
+    are ``(node, labels)`` pairs kept in node order; a merge drops both
+    and appends the step's node ``len(inputs) + k``.
     """
-    ops = list(inputs)
+    ops = list(enumerate(inputs))
     steps = []
+
+    def merge(i, j):
+        (lhs, a), (rhs, b) = ops[i], ops[j]
+        shared = frozenset(a) & frozenset(b)
+        output = tuple(lab for lab in a + b if lab not in shared)
+        size = int(np.prod([dims[lab] for lab in output]))
+        flops = size * int(np.prod([dims[lab] for lab in shared]))
+        del ops[j], ops[i]
+        ops.append((len(inputs) + len(steps), output))
+        steps.append(ContractionStep(lhs, rhs, shared, output, size, flops))
+
     for label in order:
-        holders = [idx for idx, labs in enumerate(ops) if label in labs]
+        holders = [idx for idx, (_, labs) in enumerate(ops) if label in labs]
         if len(holders) == 2:
-            steps.append(_make_step(ops, holders[0], holders[1], dims))
+            merge(*holders)
     while len(ops) > 1:
-        steps.append(_make_step(ops, 0, 1, dims))
+        merge(0, 1)
     return steps
 
 
@@ -170,19 +182,19 @@ class TestStepsFromOrder:
 #: row's alg2 network (3 noises, noise seed 0), as computed before
 #: min-fill selection moved to a heap and fill counts to deltas.
 PINNED_MIN_FILL = {
-    "7x1mod15": ("fcab8e8740048a79ee4d1873dcace427b01810a1", 23632),
-    "bv13": ("bfb68ade37cbaeda11284830a567b7da4c263902", 5088),
-    "bv16": ("4e5496eb4e6cdc8758450b86bf9109b357957977", 5200),
-    "bv5": ("b78ac309531930c7002eff681f0a13cb78638168", 2400),
-    "bv9": ("0df99857373bcf4811412a74e9444ed6fe2770b6", 2928),
-    "grover3": ("fc08d1dbaf02cb31f80e634ef922ff93baa2ae41", 2528),
-    "qft3": ("2db807139551af758ee202ef300933ef8c89a7c9", 2352),
-    "qft4": ("f86903301c032578df8d0140e685dde1702ab5cc", 25296),
-    "qft5": ("1008c9307566f74d967201ee200a96b3da650edc", 80528),
-    "qft7": ("26baa9605c21ff605e050cf9038d52628b8d54bf", 3597776),
-    "qft9": ("b168976c3611553e6a6886223d8220698ac60c3b", 69980560),
-    "qv_n5d5": ("65e4d25df2b34339ddf1ce495c20ce252895d372", 24000),
-    "qv_n7d5": ("b3bb7cfc633535ba8c5e59677bf0c8f2eeea7f77", 990624),
+    "7x1mod15": ("c9e595cd91e1a99e3130cb9194c7d9dd6de511e7", 23632),
+    "bv13": ("f52f638592713e506e9d46e550696cb4059c5efb", 5088),
+    "bv16": ("6c957ea39306f1af111ce23162ea183f446f3ac0", 5200),
+    "bv5": ("86d222c4703a36329b7ed5905c70b3a028791b95", 2400),
+    "bv9": ("182a216a58c30e80b24f1080f8d5e3e287c30c06", 2928),
+    "grover3": ("05e404ff1410536c150584b8be18ca813204082c", 2528),
+    "qft3": ("4c9d6ed820fbda054580aa1fbcfea72040950154", 2352),
+    "qft4": ("854f340ac70c9b51aa5dacaacfa03d772a41873d", 25296),
+    "qft5": ("89e52492650a092a92c762e35ed87b7ed96ac1fe", 80528),
+    "qft7": ("b196eba0cae21ba8c2d231fc97b272638d08ead8", 3597776),
+    "qft9": ("77dfbff1479215d3b98e6961e2fc5d2762f2f143", 69980560),
+    "qv_n5d5": ("5fd85f0b3edfad9f0e80630dad5cdb9ce384ae1f", 24000),
+    "qv_n7d5": ("921457dc76491aef304fc65eb7cc63094a922a10", 990624),
 }
 
 
@@ -195,13 +207,13 @@ class TestPinnedMinFillPlans:
         assert plan.total_cost() == cost
 
     def test_sliced_min_fill_plan_is_pinned(self):
-        """slice_plan replays the merge positions of the unsliced plan."""
+        """slice_plan replays the merges of the unsliced plan."""
         plan = build_plan(
             table_one_network(TABLE_ONE["qft5"]), "min_fill",
             max_intermediate_size=256,
         )
         assert plan.slices == ("q1.7", "q3.2", "q5.8", "q6.13")
-        assert plan.digest() == "3725d3755d48dc936dd76f31cb85e2353172e88e"
+        assert plan.digest() == "108bdbabd5f89fc57897817d7e67118292d4c784"
         assert plan.total_cost() == 431616
         assert plan.peak_size() <= 256
 
