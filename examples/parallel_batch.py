@@ -1,53 +1,70 @@
 """Parallel checking: batch-level workers and slice-level executors.
 
-Checks a batch of noisy QFT variants serially and with ``jobs=2`` worker
-processes (same results, same order), shows how ``isolate_errors`` turns
-a poisoned batch item into an ERROR record instead of a crash, and runs
-one memory-sliced contraction through a process-backed slice executor.
+Checks a batch of noisy QFT variants through ``Engine.check_iter``
+serially and with ``jobs=2`` worker processes (same results, same
+order), shows a poisoned batch item coming back as an ERROR response
+instead of a crash, and runs one memory-sliced contraction through a
+process-backed slice executor.
 
 Run: ``python examples/parallel_batch.py``
 """
 
 import time
 
-from repro import CheckConfig, CheckSession, insert_random_noise, qft
+from repro import (
+    CheckRequest,
+    CircuitSpec,
+    Engine,
+    insert_random_noise,
+    qft,
+)
 from repro.backends import get_backend
-from repro.core import RunStats
+from repro.core import StatsAggregator
 from repro.core.miter import algorithm_network
 from repro.parallel import ProcessSliceExecutor
 from repro.tensornet import build_plan, slice_plan
 
 
+def request(ideal, noisy) -> CheckRequest:
+    return CheckRequest(
+        ideal=CircuitSpec.from_circuit(ideal),
+        noisy=CircuitSpec.from_circuit(noisy),
+        epsilon=0.01,
+    )
+
+
 def main() -> None:
     ideal = qft(5)
-    pairs = [
-        (ideal, insert_random_noise(ideal, num_noises=2, seed=seed))
+    requests = [
+        request(ideal, insert_random_noise(ideal, num_noises=2, seed=seed))
         for seed in range(6)
     ]
-    session = CheckSession(CheckConfig(epsilon=0.01, backend="tdd"))
 
     # --- batch-level parallelism: whole checks on worker processes ----------
     for jobs in (1, 2):
-        start = time.perf_counter()
-        results = list(session.check_many(pairs, jobs=jobs))
-        wall = time.perf_counter() - start
-        merged = RunStats.merge((r.stats for r in results),
-                                wall_seconds=wall)
-        verdicts = ", ".join(r.verdict for r in results)
-        print(f"jobs={jobs}: wall {merged.time_seconds:.3f}s, "
-              f"cpu {merged.cpu_seconds:.3f}s  [{verdicts}]")
+        aggregate = StatsAggregator()
+        with Engine(jobs=jobs, backend="tdd") as engine:
+            start = time.perf_counter()
+            responses = list(engine.check_iter(requests))
+            wall = time.perf_counter() - start
+        for response in responses:
+            aggregate.add(response.stats)
+        verdicts = ", ".join(r.verdict for r in responses)
+        print(f"jobs={jobs}: wall {wall:.3f}s, "
+              f"cpu {aggregate.snapshot()['cpu_seconds']:.3f}s  [{verdicts}]")
 
     # --- error isolation: one bad item cannot take down the batch ----------
-    poisoned = pairs[:2] + [(qft(2), qft(3))] + pairs[2:3]  # width mismatch
-    outcomes = list(
-        session.check_many(poisoned, jobs=2, isolate_errors=True)
-    )
-    for index, outcome in enumerate(outcomes):
+    # item 2 pairs a 2-qubit ideal with a 3-qubit noisy circuit
+    poisoned = requests[:2] + [request(qft(2), qft(3))] + requests[2:3]
+    with Engine(jobs=2, backend="tdd") as engine:
+        responses = list(engine.check_iter(poisoned))
+    for response in responses:
         detail = (
-            f"F={outcome.fidelity:.6f}" if outcome.verdict != "ERROR"
-            else f"{outcome.error_type}: {outcome.error}"
+            f"F={response.fidelity:.6f}" if response.ok
+            else f"[{response.error_code}] {response.error.error_type}: "
+                 f"{response.error}"
         )
-        print(f"item {index}: {outcome.verdict:14s} {detail}")
+        print(f"item {response.index}: {response.verdict:14s} {detail}")
 
     # --- slice-level parallelism: one big sliced contraction ----------------
     noisy = insert_random_noise(ideal, num_noises=2, seed=0)

@@ -31,7 +31,7 @@ templates) warm across pairs:
 >>> ideal = qft(5)
 >>> session = CheckSession(CheckConfig(epsilon=0.01))
 >>> pairs = [(ideal, insert_random_noise(ideal, 2, seed=s)) for s in (1, 2)]
->>> [r.verdict for r in session.check_many(pairs)]
+>>> [session.check(a, b).verdict for a, b in pairs]
 ['EQUIVALENT', 'EQUIVALENT']
 
 Below the session, the paper's two algorithms
@@ -80,7 +80,6 @@ from .baseline import (
 from .circuits import QuantumCircuit
 from .core import (
     CheckConfig,
-    CheckError,
     CheckResult,
     CheckSession,
     FidelityResult,
@@ -118,7 +117,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CheckCache",
     "CheckConfig",
-    "CheckError",
     "CheckRequest",
     "CheckResponse",
     "CheckResult",

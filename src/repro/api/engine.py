@@ -52,7 +52,6 @@ from ..cache import CheckCache
 from ..cache.fingerprint import request_fingerprint
 from ..circuits import QuantumCircuit
 from ..core.session import CheckConfig, CheckSession
-from ..core.stats import CheckError
 from ..noise import NoisePlacement
 from .errors import (
     CheckFailedError,
@@ -343,36 +342,18 @@ class Engine:
             # maps the same failure to a typed ERROR response
             trace_on = False
         if not trace_on or _trace.current_recorder() is not None:
-            return self._execute_inner(request, index)
+            return self._finish(request, self._start(request, False), index)
         recorder = _trace.TraceRecorder()
         with _trace.recording(recorder):
             with _trace.span(
                 "engine.request", trace_id=request.trace_id()
             ):
-                response = self._execute_inner(request, index)
+                response = self._finish(
+                    request, self._start(request, False), index
+                )
         if response.result is not None:
             response.result.trace = _trace.span_tree(recorder)
         return response
-
-    def _execute_inner(
-        self, request: CheckRequest, index: Optional[int]
-    ) -> CheckResponse:
-        try:
-            config, ideal, noisy = self._resolve(request)
-            session = self._config_session_for(request)[1]
-            try:
-                # one check at a time per session: warm backend state
-                # (TDD tables, plan memos) is not contraction-safe
-                # under concurrent mutation.  Other configs overlap.
-                with self._session_lock(config):
-                    result = session.run(ideal, noisy, request.mode)
-            except Exception as exc:
-                raise CheckFailedError.wrap(exc) from exc
-        except ReproError as error:
-            return CheckResponse.from_error(
-                error, request=request, index=index
-            )
-        return CheckResponse.from_result(result, request=request, index=index)
 
     def check(self, request: CheckRequest) -> CheckResponse:
         """Answer one request in-process; typed errors raise."""
@@ -414,46 +395,87 @@ class Engine:
                 self._execute(request, index)
                 for index, request in enumerate(requests)
             )
-        return self._check_iter_parallel(list(requests))
+        return self._drain(list(requests))
 
-    def _check_iter_parallel(
-        self, requests
-    ) -> Iterator[CheckResponse]:
-        from ..parallel.batch import iter_parallel_items
+    def _drain(self, requests) -> Iterator[CheckResponse]:
+        """Start every request on the pool, then finish each in order."""
+        states = [self._start(request, True) for request in requests]
+        for index, (request, state) in enumerate(zip(requests, states)):
+            yield self._finish(request, state, index)
 
-        entries = []  # (request, resolved-or-None, error-or-None)
-        for request in requests:
-            try:
-                config, ideal, noisy = self._resolve(request)
-                entries.append(
-                    (request,
-                     (self._worker_config(config), ideal, noisy,
-                      request.mode),
-                     None)
-                )
-            except ReproError as error:
-                entries.append((request, None, error))
-        outcomes = iter_parallel_items(
-            [item for _, item, _ in entries if item is not None],
-            self.jobs,
-            isolate_errors=True,
-            pool=self._ensure_pool(),
-        )
-        for index, (request, item, error) in enumerate(entries):
+    # --- one dispatch: start a request, finish it into a response ------------
+
+    def _start(
+        self, request: CheckRequest, pooled: bool
+    ) -> Tuple[str, object]:
+        """Resolve ``request`` and start its check.
+
+        Returns the job state ``(kind, payload)``: ``("error", error)``
+        when resolution failed, ``("future", future)`` when ``pooled``
+        put the check on the pool, else ``("deferred", (config, ideal,
+        noisy))`` for :meth:`_finish` to run in-process.
+        """
+        try:
+            config, ideal, noisy = self._resolve(request)
+            if not pooled:
+                return "deferred", (config, ideal, noisy)
+            from ..parallel.worker import run_check_item
+
+            return "future", self._ensure_pool().submit(
+                run_check_item,
+                self._worker_config(config),
+                ideal,
+                noisy,
+                request.mode,
+            )
+        except ReproError as error:
+            return "error", error
+
+    def _finish(
+        self,
+        request: CheckRequest,
+        state: Tuple[str, object],
+        index: Optional[int],
+        timeout: Optional[float] = None,
+    ) -> CheckResponse:
+        """Turn a :meth:`_start` state into the request's response.
+
+        Waits up to ``timeout`` for a pool future; on expiry
+        ``TimeoutError`` propagates and the state stays valid.
+        """
+        kind, payload = state
+        if kind == "error":
+            return CheckResponse.from_error(
+                payload, request=request, index=index
+            )
+        if kind == "future":
+            result, error = payload.result(timeout)
             if error is not None:
-                yield CheckResponse.from_error(
-                    error, request=request, index=index
+                error_type, message = error
+                return CheckResponse.from_error(
+                    CheckFailedError(message, error_type=error_type),
+                    request=request,
+                    index=index,
                 )
-                continue
-            outcome = next(outcomes)
-            if isinstance(outcome, CheckError):
-                yield CheckResponse.from_check_error(
-                    outcome, request=request, index=index
-                )
-            else:
-                yield CheckResponse.from_result(
-                    outcome, request=request, index=index
-                )
+            return CheckResponse.from_result(
+                result, request=request, index=index
+            )
+        config, ideal, noisy = payload
+        session = self._config_session_for(request)[1]
+        try:
+            # one check at a time per session: warm backend state (TDD
+            # tables, plan memos) is not contraction-safe under
+            # concurrent mutation.  Other configs overlap.
+            with self._session_lock(config):
+                result = session.run(ideal, noisy, request.mode)
+        except Exception as exc:
+            error = CheckFailedError.wrap(exc)
+            if error is not exc:  # check() re-raises it: keep the cause
+                error.__cause__ = exc
+            return CheckResponse.from_error(
+                error, request=request, index=index
+            )
+        return CheckResponse.from_result(result, request=request, index=index)
 
     # --- job handles ----------------------------------------------------------
 
@@ -482,25 +504,7 @@ class Engine:
             # a circuit-backed spec that cannot serialise has no wire
             # identity; fall back to the bare counter
             job_id = f"job-{next(self._job_ids)}"
-        try:
-            config, ideal, noisy = self._resolve(request)
-            if self.jobs > 1:
-                from ..parallel.worker import run_check_item
-
-                future = self._ensure_pool().submit(
-                    run_check_item,
-                    self._worker_config(config),
-                    0,
-                    ideal,
-                    noisy,
-                    True,
-                    request.mode,
-                )
-                state = ("future", future)
-            else:
-                state = ("deferred", (config, ideal, noisy))
-        except ReproError as error:
-            state = ("error", error)
+        state = self._start(request, self.jobs > 1)
         with self._lock:
             self._jobs_pending[job_id] = (
                 request, state, time.monotonic()
@@ -595,35 +599,15 @@ class Engine:
             raise JobNotFoundError(
                 f"unknown, already-collected or evicted job {job_id!r}"
             )
-        request, (kind, payload), _submitted = entry
-        if kind == "error":
-            return CheckResponse.from_error(payload, request=request)
-        if kind == "future":
-            try:
-                _, result, error = payload.result(timeout)
-            except (TimeoutError, _FuturesTimeout):
-                # concurrent.futures.TimeoutError only became an alias
-                # of the builtin in 3.11; catch both for the 3.10 CI leg
-                with self._lock:  # still collectable
-                    self._jobs_pending[job_id] = entry
-                raise
-            if error is not None:
-                error_type, message = error
-                return CheckResponse.from_error(
-                    CheckFailedError(message, error_type=error_type),
-                    request=request,
-                )
-            return CheckResponse.from_result(result, request=request)
-        config, ideal, noisy = payload
-        session = self._session(config)
+        request, state, _submitted = entry
         try:
-            with self._session_lock(config):
-                result = session.run(ideal, noisy, request.mode)
-        except Exception as exc:
-            return CheckResponse.from_error(
-                CheckFailedError.wrap(exc), request=request
-            )
-        return CheckResponse.from_result(result, request=request)
+            return self._finish(request, state, None, timeout)
+        except (TimeoutError, _FuturesTimeout):
+            # concurrent.futures.TimeoutError only became an alias of the
+            # builtin in 3.11; catch both for the 3.10 CI leg
+            with self._lock:  # still collectable
+                self._jobs_pending[job_id] = entry
+            raise
 
     def pending_jobs(self) -> Tuple[str, ...]:
         """Ids of submitted-but-uncollected jobs, oldest first."""

@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from ..core.stats import SCHEMA_VERSION, CheckError, CheckResult, RunStats
+from ..core.stats import SCHEMA_VERSION, CheckResult, RunStats
 from .errors import ReproError, SchemaVersionError, error_from_code
 from .request import CheckRequest
 
@@ -104,24 +104,6 @@ class CheckResponse:
             error.index = index
         return cls(
             verdict=Verdict.ERROR, error=error, index=index, request=request
-        )
-
-    @classmethod
-    def from_check_error(
-        cls,
-        record: CheckError,
-        request: Optional[CheckRequest] = None,
-        index: Optional[int] = None,
-    ) -> "CheckResponse":
-        """Adopt a batch-worker :class:`CheckError` record."""
-        return cls.from_error(
-            error_from_code(
-                record.error_code,
-                record.error,
-                error_type=record.error_type,
-                index=record.index if index is None else index,
-            ),
-            request=request,
         )
 
     # --- ergonomics -----------------------------------------------------------

@@ -24,7 +24,6 @@ from .miter import (
     miter_circuit,
 )
 from .stats import (
-    CheckError,
     CheckResult,
     FidelityResult,
     RunStats,
@@ -39,7 +38,6 @@ from .unitary_check import (
 __all__ = [
     "AUTO_ALG1_MAX_NOISES",
     "CheckConfig",
-    "CheckError",
     "CheckResult",
     "CheckSession",
     "FidelityResult",

@@ -12,9 +12,12 @@ Quick start
 -----------
 >>> from repro import CheckConfig, CheckSession
 >>> session = CheckSession(CheckConfig(epsilon=0.01))
->>> for result in session.check_many([(ideal_a, noisy_a),
-...                                   (ideal_b, noisy_b)]):
+>>> for ideal, noisy in [(ideal_a, noisy_a), (ideal_b, noisy_b)]:
+...     result = session.check(ideal, noisy)
 ...     print(result.verdict, result.fidelity)
+
+Batches of requests — with a worker pool, error isolation and one
+shared cache — go through :meth:`repro.api.Engine.check_iter`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Optional, Union
 
 from ..backends import (
     DEFAULT_BACKEND,
@@ -39,7 +42,7 @@ from ..tensornet.planner import DEFAULT_ORDER_METHOD
 from .. import trace as _trace
 from .algorithm1 import fidelity_individual
 from .algorithm2 import fidelity_collective
-from .stats import CheckError, CheckResult, FidelityResult, RunStats
+from .stats import CheckResult, FidelityResult, RunStats
 
 #: Noise-site count at or below which 'auto' prefers Algorithm I.  Fig. 7
 #: shows the crossover at roughly one noise for small circuits; we keep a
@@ -249,10 +252,9 @@ class CheckSession:
     """A reusable checking session with shared backend state.
 
     The backend instance is created lazily on first use and kept for the
-    session's lifetime, so consecutive :meth:`check` calls — and the whole
-    of :meth:`check_many` — reuse warm contraction state (one
-    :class:`~repro.tdd.TddManager`, cached elimination orders, cached
-    einsum paths).
+    session's lifetime, so consecutive :meth:`check` calls reuse warm
+    contraction state (one :class:`~repro.tdd.TddManager`, cached
+    elimination orders, cached einsum paths).
 
     Accepts a :class:`CheckConfig`, keyword overrides, or both::
 
@@ -401,9 +403,8 @@ class CheckSession:
                 cached.stats.plan_trials = 0
                 # This hit did no contraction work; the stored run's
                 # work counters would otherwise re-inflate aggregate
-                # metrics (StatsAggregator sums cpu/term/slice counts)
-                # on every warm request.
-                cached.stats.cpu_seconds = 0.0
+                # metrics (StatsAggregator sums term/slice counts) on
+                # every warm request.
                 cached.stats.batched_slice_calls = 0
                 cached.stats.terms_computed = 0
                 cached.stats.result_cache_hit = 1
@@ -453,64 +454,6 @@ class CheckSession:
             backend=result.stats.backend,
             note=note,
         )
-
-    def check_many(
-        self,
-        pairs: Iterable[Tuple[QuantumCircuit, QuantumCircuit]],
-        *,
-        jobs: int = 1,
-        isolate_errors: bool = False,
-    ) -> Iterator[Union[CheckResult, CheckError]]:
-        """Check each ``(ideal, noisy)`` pair, streaming the results.
-
-        Yields one outcome per pair, always in input order.  With the
-        default ``jobs=1`` pairs run serially in-process and the shared
-        backend state carries over from pair to pair, which is the point
-        of batching.  With ``jobs > 1`` whole checks fan out to a pool
-        of worker processes (each worker keeps its own warm session);
-        this requires the config's backend to be a registry *name*, not
-        a live instance, and materialises ``pairs`` up front.
-
-        ``isolate_errors`` turns a raising check into a
-        :class:`~repro.core.stats.CheckError` record (carrying the
-        item's index and the exception) instead of aborting the batch;
-        without it the first failure propagates, in serial and parallel
-        runs alike.
-
-        With caching enabled, byte-identical rows dedup to one real
-        check: the first occurrence computes and stores, the rest are
-        result-cache hits (serial runs guarantee this; parallel runs
-        dedup best-effort, since identical rows may be in flight on
-        two workers at once — both compute, both store the same
-        verdict).  Workers share the disk tier, so a pool warms itself.
-        """
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if jobs > 1:
-            from ..parallel.batch import iter_parallel_checks
-
-            return iter_parallel_checks(
-                self.config, pairs, jobs, isolate_errors
-            )
-        return self._check_many_serial(pairs, isolate_errors)
-
-    def _check_many_serial(
-        self,
-        pairs: Iterable[Tuple[QuantumCircuit, QuantumCircuit]],
-        isolate_errors: bool,
-    ) -> Iterator[Union[CheckResult, CheckError]]:
-        for index, (ideal, noisy) in enumerate(pairs):
-            if not isolate_errors:
-                yield self.check(ideal, noisy)
-                continue
-            try:
-                yield self.check(ideal, noisy)
-            except Exception as exc:
-                yield CheckError(
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                    index=index,
-                )
 
     def fidelity(
         self, ideal: QuantumCircuit, noisy: QuantumCircuit

@@ -11,24 +11,24 @@ the contraction-plan IR exposes:
   chunks and sums the partial scalars;
 * **batch-level** — a batch of equivalence checks is a set of
   independent whole computations;
-  :func:`~repro.parallel.batch.iter_parallel_checks` (behind
-  ``CheckSession.check_many(jobs=N)`` and the CLI's ``batch --jobs N``)
-  runs each check in a worker pool with deterministic result ordering
-  and per-item error isolation.
+  :meth:`Engine.check_iter <repro.api.engine.Engine.check_iter>` and
+  :meth:`Engine.submit <repro.api.engine.Engine.submit>` (behind the
+  CLI's ``batch --jobs N`` and the service) run each check in the
+  engine's worker pool through
+  :func:`~repro.parallel.worker.run_check_item`, with deterministic
+  result ordering and per-item error isolation.
 
 Both levels transport plain picklable payloads and keep per-worker
 state (backend instances, sessions, TDD managers, plan caches) warm in
 module-global caches inside each worker process.
 """
 
-from .batch import iter_parallel_checks, iter_parallel_items
 from .executors import (
     CHUNKS_PER_JOB,
     ProcessSliceExecutor,
     SerialExecutor,
     SliceExecutor,
     chunk_assignments,
-    make_executor,
 )
 
 __all__ = [
@@ -37,7 +37,4 @@ __all__ = [
     "SerialExecutor",
     "SliceExecutor",
     "chunk_assignments",
-    "iter_parallel_checks",
-    "iter_parallel_items",
-    "make_executor",
 ]

@@ -314,16 +314,3 @@ class ProcessSliceExecutor(ChunkedSliceExecutor):
             f"chunk_size={self.chunk_size})"
         )
 
-
-def make_executor(
-    jobs: Optional[int], chunk_size: Optional[int] = None
-) -> Optional[SliceExecutor]:
-    """Executor for a ``jobs`` knob: None/1 → None (inline), N → process.
-
-    Returning ``None`` for the serial case keeps single-job backends on
-    the zero-overhead inline slice loop rather than the decomposed
-    executor path.
-    """
-    if jobs is None or jobs == 1:
-        return None
-    return ProcessSliceExecutor(jobs=jobs, chunk_size=chunk_size)

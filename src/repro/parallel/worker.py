@@ -130,27 +130,16 @@ def session_for_config(config):
 
 
 def run_check_item(
-    config,
-    index: int,
-    ideal,
-    noisy,
-    isolate_errors: bool,
-    mode: str = "check",
-) -> Tuple[int, Optional[object], Optional[Tuple[str, str]]]:
+    config, ideal, noisy, mode: str
+) -> Tuple[Optional[object], Optional[Tuple[str, str]]]:
     """Run one equivalence check in a worker process.
 
-    Returns ``(index, CheckResult, None)`` on success and — when
-    ``isolate_errors`` — ``(index, None, (error_type, message))`` on
-    failure, so one bad item surfaces as a record instead of poisoning
-    the whole pool.  Without ``isolate_errors`` the exception propagates
-    through the future to the parent.  ``mode`` follows
-    :meth:`~repro.core.session.CheckSession.run` ("check"/"fidelity"),
-    so request-driven batches can mix both.
+    Returns ``(CheckResult, None)`` on success and ``(None, (error_type,
+    message))`` on failure, so one bad item surfaces as a record instead
+    of poisoning the whole pool.  ``mode`` follows
+    :meth:`~repro.core.session.CheckSession.run` ("check"/"fidelity").
     """
-    session = session_for_config(config)
     try:
-        return index, session.run(ideal, noisy, mode), None
+        return session_for_config(config).run(ideal, noisy, mode), None
     except Exception as exc:
-        if not isolate_errors:
-            raise
-        return index, None, (type(exc).__name__, str(exc))
+        return None, (type(exc).__name__, str(exc))

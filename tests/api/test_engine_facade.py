@@ -229,6 +229,64 @@ class TestJobs:
         assert handle.id in engine.pending_jobs()
 
 
+def width_mismatch_request():
+    """Resolves cleanly, then the session raises: a worker-side failure."""
+    return library_request(
+        num_qubits=2, noisy=CircuitSpec.from_library("qft", num_qubits=3)
+    )
+
+
+def run_batch(engine, requests, method):
+    if method == "check_iter":
+        return list(engine.check_iter(requests))
+    handles = [engine.submit(request) for request in requests]
+    return [engine.result(handle) for handle in handles]
+
+
+class TestOnePoolPath:
+    """check_iter and submit/result share one start/finish dispatch, so a
+    failure inside the check is the same ERROR response on all four
+    (jobs, call shape) paths."""
+
+    BATCHES = {
+        "mixed": lambda: [
+            library_request(num_qubits=2),
+            width_mismatch_request(),
+            library_request(num_qubits=2, seed=1),
+        ],
+        "all_bad": lambda: [width_mismatch_request()] * 2,
+        "empty": lambda: [],
+    }
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("method", ["check_iter", "submit"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_check_failure_is_an_error_at_its_position(
+        self, jobs, method, batch
+    ):
+        requests = self.BATCHES[batch]()
+        with Engine(jobs=jobs) as engine:
+            responses = run_batch(engine, requests, method)
+        assert len(responses) == len(requests)
+        for position, (request, response) in enumerate(
+            zip(requests, responses)
+        ):
+            assert response.request is request
+            # stream responses carry their position; job responses none
+            expected_index = position if method == "check_iter" else None
+            assert response.index == expected_index
+            if request.noisy is None:
+                assert response.verdict == Verdict.EQUIVALENT
+                continue
+            assert response.verdict == Verdict.ERROR
+            assert response.error_code == "check_failed"
+            assert response.error.error_type == "ValueError"
+            assert str(response.error) == (
+                "circuits must have the same number of qubits"
+            )
+            assert response.to_dict()["index"] == expected_index
+
+
 class TestJobLifecycle:
     def test_ttl_evicts_abandoned_jobs(self):
         engine = Engine(job_ttl_seconds=0.01)

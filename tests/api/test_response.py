@@ -14,7 +14,7 @@ from repro.api import (
     SchemaVersionError,
     error_from_code,
 )
-from repro.core import CheckError, CheckResult, RunStats
+from repro.core import CheckResult, RunStats
 
 
 def sample_result(equivalent=True):
@@ -136,21 +136,6 @@ class TestCheckResponse:
         assert ok.raise_for_error() is ok
         with pytest.raises(CircuitLoadError):
             CheckResponse.from_error(CircuitLoadError("gone")).raise_for_error()
-
-    def test_adopts_batch_check_error_records(self):
-        record = CheckError(
-            error="boom", error_type="ValueError", index=5
-        )
-        response = CheckResponse.from_check_error(record)
-        assert response.verdict == Verdict.ERROR
-        assert response.error_code == "check_failed"
-        assert response.error.error_type == "ValueError"
-        assert response.index == 5
-
-    def test_check_error_wire_carries_schema_and_code(self):
-        record = CheckError(error="boom").to_dict()
-        assert record["schema_version"] == SCHEMA_VERSION
-        assert record["error_code"] == "check_failed"
 
     def test_responses_pickle(self):
         for response in (

@@ -262,27 +262,14 @@ class TestResultCacheThroughSessions:
         assert again.stats.result_cache_hit == 0
         assert list(tmp_path.rglob("result-*.blob")) == []
 
-    def test_check_many_dedups_byte_identical_rows(self, tmp_path):
+    def test_repeated_checks_dedup_to_one_computation(self, tmp_path):
         ideal, noisy = pair()
         session = CheckSession(self.config("einsum", tmp_path))
-        results = list(
-            session.check_many([(ideal, noisy)] * 3)
-        )
+        results = [session.check(ideal, noisy) for _ in range(3)]
         hits = [r.stats.result_cache_hit for r in results]
         assert hits == [0, 1, 1]  # first computes, the rest are lookups
         fidelities = {r.fidelity for r in results}
         assert len(fidelities) == 1
-
-    def test_parallel_workers_share_the_disk_tier(self, tmp_path):
-        """check_many(jobs=2) workers re-open the same cache directory,
-        so a pre-warmed pool serves hits from every worker."""
-        ideal, noisy = pair()
-        config = self.config("einsum", tmp_path)
-        CheckSession(config).check(ideal, noisy)  # warm the disk tier
-        outcomes = list(
-            CheckSession(config).check_many([(ideal, noisy)] * 2, jobs=2)
-        )
-        assert [r.stats.result_cache_hit for r in outcomes] == [1, 1]
 
     def test_backend_instance_is_never_mutated(self, tmp_path):
         """A caching session must not attach its plan cache to a

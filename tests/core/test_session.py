@@ -155,31 +155,24 @@ class TestCheckSession:
         assert result.equivalent == (direct.fidelity > 0.95)
         assert np.isclose(result.fidelity, direct.fidelity, atol=1e-12)
 
-    def test_check_many_streams_results(self):
-        pairs = make_pairs(3)
-        session = CheckSession(CheckConfig(epsilon=0.05))
-        results = list(session.check_many(pairs))
-        assert len(results) == 3
-        for result in results:
-            assert result.equivalent
-            assert result.backend == "einsum"
-
-    def test_check_many_shares_backend_state(self):
+    def test_consecutive_checks_share_backend_state(self):
         pairs = make_pairs(2)
         session = CheckSession(CheckConfig(algorithm="alg2", backend="tdd"))
-        list(session.check_many(pairs))
+        for ideal, noisy in pairs:
+            session.check(ideal, noisy)
         manager = session.backend.manager
         assert manager is not None
-        list(session.check_many(pairs))
+        for ideal, noisy in pairs:
+            session.check(ideal, noisy)
         assert session.backend.manager is manager
         session.reset()
         assert session.backend.manager is None
 
     @pytest.mark.parametrize("backend", ["tdd", "dense", "einsum"])
-    def test_check_many_every_backend(self, backend):
-        pairs = make_pairs(2)
+    def test_check_every_backend(self, backend):
         session = CheckSession(CheckConfig(backend=backend))
-        for result, (ideal, noisy) in zip(session.check_many(pairs), pairs):
+        for ideal, noisy in make_pairs(2):
+            result = session.check(ideal, noisy)
             ref = process_fidelity(noisy, ideal)
             assert result.backend == backend
             if not result.is_lower_bound:

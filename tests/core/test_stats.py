@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.core import CheckConfig, CheckError, CheckResult, CheckSession, RunStats
+from repro.core import CheckConfig, CheckResult, CheckSession, RunStats
 from repro.library import qft
 from repro.noise import insert_random_noise
 from repro.tensornet import build_plan
@@ -17,88 +17,16 @@ def checked_result() -> CheckResult:
     return CheckSession(CheckConfig(epsilon=0.05)).check(ideal, noisy)
 
 
-class TestRunStatsMerge:
-    def test_merge_sums_cpu_and_takes_wall_clock(self):
-        runs = [
-            RunStats(algorithm="alg2", backend="tdd", time_seconds=2.0,
-                     max_nodes=10, predicted_cost=100, terms_total=4),
-            RunStats(algorithm="alg2", backend="tdd", time_seconds=3.0,
-                     max_nodes=40, predicted_cost=50, terms_total=2),
-        ]
-        merged = RunStats.merge(runs, wall_seconds=3.5)
-        assert merged.cpu_seconds == 5.0   # summed compute
-        assert merged.time_seconds == 3.5  # what the user waited
-        assert merged.max_nodes == 40      # peak, not sum
-        assert merged.predicted_cost == 150  # counter, summed
-        assert merged.terms_total == 6
-        assert merged.algorithm == "alg2"
-        assert merged.backend == "tdd"
-
-    def test_merge_without_wall_clock_is_serial(self):
-        runs = [RunStats(time_seconds=1.0), RunStats(time_seconds=2.0)]
-        merged = RunStats.merge(runs)
-        assert merged.time_seconds == merged.cpu_seconds == 3.0
-
-    def test_merge_mixed_provenance(self):
-        runs = [
-            RunStats(algorithm="alg1", backend="tdd", early_stopped=True),
-            RunStats(algorithm="alg2", backend="dense", timed_out=True),
-        ]
-        merged = RunStats.merge(runs)
-        assert merged.algorithm == "mixed"
-        assert merged.backend == "mixed"
-        assert merged.early_stopped and merged.timed_out
-
-    def test_merge_sums_cache_counters(self):
-        runs = [
-            RunStats(plan_cache_hit=3, result_cache_hit=1),
-            RunStats(plan_cache_hit=2, result_cache_hit=0),
-            RunStats(),
-        ]
-        merged = RunStats.merge(runs)
-        assert merged.plan_cache_hit == 5
-        assert merged.result_cache_hit == 1
-
+class TestRunStats:
     def test_cache_counters_default_zero_and_serialise(self):
         record = RunStats().to_dict()
         assert record["plan_cache_hit"] == 0
         assert record["result_cache_hit"] == 0
 
-    def test_merge_sums_planning_counters(self):
-        runs = [
-            RunStats(planning_seconds=0.25, plan_trials=40),
-            RunStats(planning_seconds=0.5, plan_trials=2),
-            RunStats(),
-        ]
-        merged = RunStats.merge(runs)
-        assert merged.planning_seconds == 0.75
-        assert merged.plan_trials == 42
-
     def test_planning_counters_default_zero_and_serialise(self):
         record = RunStats().to_dict()
         assert record["planning_seconds"] == 0.0
         assert record["plan_trials"] == 0
-
-    def test_merge_of_merged_stats_keeps_cpu_totals(self):
-        """Re-merging batch aggregates must not lose summed CPU time."""
-        first = RunStats.merge(
-            [RunStats(time_seconds=1.0), RunStats(time_seconds=1.0)],
-            wall_seconds=1.2,
-        )
-        again = RunStats.merge([first, RunStats(time_seconds=3.0)],
-                               wall_seconds=4.0)
-        assert again.cpu_seconds == 5.0
-        assert again.time_seconds == 4.0
-
-    def test_merge_empty(self):
-        merged = RunStats.merge([])
-        assert merged.time_seconds == 0.0
-        merged = RunStats.merge([], wall_seconds=1.5)
-        assert merged.time_seconds == 1.5
-
-    def test_merge_skips_none_entries(self):
-        merged = RunStats.merge([None, RunStats(time_seconds=2.0)])
-        assert merged.cpu_seconds == 2.0
 
 
 class TestPickleRoundTrip:
@@ -115,12 +43,6 @@ class TestPickleRoundTrip:
         assert clone == result
         assert clone.verdict == result.verdict
         assert clone.stats.max_nodes == result.stats.max_nodes
-
-    def test_check_error(self):
-        error = CheckError(error="boom", error_type="ValueError", index=2)
-        clone = pickle.loads(pickle.dumps(error))
-        assert clone == error
-        assert clone.verdict == "ERROR"
 
     def test_check_config_hashable_and_picklable(self):
         config = CheckConfig(epsilon=0.05, backend="einsum")
@@ -145,11 +67,11 @@ class TestStatsAggregator:
         from repro.core import StatsAggregator
 
         aggregate = StatsAggregator()
-        aggregate.add(RunStats(time_seconds=1.0, cpu_seconds=2.0,
+        aggregate.add(RunStats(time_seconds=1.0,
                                plan_cache_hit=1, result_cache_hit=0,
                                max_nodes=10, terms_computed=3,
                                planning_seconds=0.25, plan_trials=12))
-        aggregate.add(RunStats(time_seconds=0.5, cpu_seconds=0.0,
+        aggregate.add(RunStats(time_seconds=0.5,
                                plan_cache_hit=0, result_cache_hit=1,
                                max_nodes=4, terms_computed=1,
                                early_stopped=True,
@@ -158,8 +80,8 @@ class TestStatsAggregator:
         snapshot = aggregate.snapshot()
         assert snapshot["checks"] == 2
         assert snapshot["wall_seconds"] == 1.5
-        # the second run never recorded cpu: wall stands in (merge rule)
-        assert snapshot["cpu_seconds"] == 2.5
+        # each run's wall time is its compute time
+        assert snapshot["cpu_seconds"] == 1.5
         assert snapshot["plan_cache_hits"] == 1
         assert snapshot["result_cache_hits"] == 1
         assert snapshot["planning_seconds"] == 0.3

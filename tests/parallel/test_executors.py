@@ -13,7 +13,6 @@ from repro.parallel import (
     ProcessSliceExecutor,
     SerialExecutor,
     chunk_assignments,
-    make_executor,
 )
 from repro.parallel.executors import fold_measured_stats
 from repro.parallel.worker import run_slice_chunk
@@ -144,14 +143,6 @@ class TestProcessSliceExecutor:
     def test_close_is_idempotent(self):
         executor = ProcessSliceExecutor(jobs=1)
         executor.close()
-        executor.close()
-
-    def test_make_executor_resolves_jobs(self):
-        assert make_executor(None) is None
-        assert make_executor(1) is None
-        executor = make_executor(3)
-        assert isinstance(executor, ProcessSliceExecutor)
-        assert executor.jobs == 3
         executor.close()
 
 
