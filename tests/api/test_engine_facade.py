@@ -5,6 +5,7 @@ import pytest
 from repro import (
     CheckConfig,
     CheckRequest,
+    CheckResponse,
     CheckSession,
     CircuitSpec,
     Engine,
@@ -168,6 +169,45 @@ class TestCheckIter:
         assert out[0].verdict == Verdict.ERROR
         assert out[0].error_code == "invalid_config"
         assert "tdd" in str(out[0].error)  # names the registry choices
+
+    def test_parallel_stream_yields_in_input_order(self):
+        requests = [library_request(seed=s, num_qubits=2) for s in range(3)]
+        with Engine(jobs=2) as engine:
+            iterator = engine.check_iter(requests)
+            first = next(iterator)
+            assert first.index == 0
+            assert first.request is requests[0]
+            assert [r.index for r in iterator] == [1, 2]
+
+    def test_parallel_worker_failure_serialises(self):
+        with Engine(jobs=2) as engine:
+            out = list(engine.check_iter(
+                [library_request(num_qubits=2), width_mismatch_request()]
+            ))
+        record = out[1].to_dict()
+        assert record["verdict"] == "ERROR"
+        assert record["equivalent"] is False
+        assert record["index"] == 1
+        assert record["error_type"] == "ValueError"
+        parsed = CheckResponse.from_json(out[1].to_json())
+        assert parsed == out[1]
+        assert str(parsed.error) == (
+            "circuits must have the same number of qubits"
+        )
+
+    @pytest.mark.parametrize("backend", ["tdd", "dense", "einsum"])
+    def test_parallel_every_backend(self, backend):
+        requests = [
+            library_request(seed=s, num_qubits=2, config={"backend": backend})
+            for s in range(2)
+        ]
+        serial = list(Engine().check_iter(requests))
+        with Engine(jobs=2) as engine:
+            parallel = list(engine.check_iter(requests))
+        for a, b in zip(serial, parallel):
+            assert b.result.backend == backend
+            assert b.verdict == a.verdict
+            assert abs(b.fidelity - a.fidelity) <= 1e-12
 
 
 class TestJobs:
@@ -434,6 +474,25 @@ class TestCacheSharing:
             list(engine.check_iter(requests))
             warm = list(engine.check_iter(requests))
         assert [r.stats.result_cache_hit for r in warm] == [1, 1]
+
+    def test_in_process_warmth_serves_pool_workers(self, tmp_path):
+        """A verdict the engine computed in-process is a disk-tier hit
+        for every pool worker."""
+        request = library_request(num_qubits=2)
+        with Engine(jobs=2, cache=True,
+                    cache_dir=str(tmp_path / "cache")) as engine:
+            cold = engine.check(request)
+            warm = list(engine.check_iter([request, request]))
+        assert cold.stats.result_cache_hit == 0
+        assert [r.stats.result_cache_hit for r in warm] == [1, 1]
+        assert {r.fidelity for r in warm} == {cold.fidelity}
+
+    def test_stream_dedups_byte_identical_rows(self, tmp_path):
+        engine = Engine(cache=True, cache_dir=str(tmp_path / "cache"))
+        out = list(engine.check_iter([library_request()] * 3))
+        hits = [r.stats.result_cache_hit for r in out]
+        assert hits == [0, 1, 1]  # first computes, the rest are lookups
+        assert len({r.fidelity for r in out}) == 1
 
     def test_fingerprint_is_the_result_cache_key(self, tmp_path):
         engine = Engine(cache=True, cache_dir=str(tmp_path / "cache"))

@@ -137,6 +137,21 @@ class TestCheckResponse:
         with pytest.raises(CircuitLoadError):
             CheckResponse.from_error(CircuitLoadError("gone")).raise_for_error()
 
+    def test_check_failed_wire_carries_schema_code_and_index(self):
+        """The record a pool worker's failure becomes on the wire."""
+        response = CheckResponse.from_error(
+            CheckFailedError("boom", error_type="ValueError"), index=5
+        )
+        record = response.to_dict()
+        assert record["schema_version"] == SCHEMA_VERSION
+        assert record["verdict"] == "ERROR"
+        assert record["error_code"] == "check_failed"
+        assert record["error_type"] == "ValueError"
+        assert record["index"] == 5
+        parsed = CheckResponse.from_dict(record)
+        assert isinstance(parsed.error, CheckFailedError)
+        assert parsed == response
+
     def test_responses_pickle(self):
         for response in (
             CheckResponse.from_result(sample_result(), index=1),

@@ -91,6 +91,31 @@ class TestStatsAggregator:
         assert snapshot["early_stopped"] == 1
         assert snapshot["timed_out"] == 0
 
+    def test_empty_snapshot_is_all_zero(self):
+        from repro.core import StatsAggregator
+
+        aggregate = StatsAggregator()
+        aggregate.add(None)
+        snapshot = aggregate.snapshot()
+        assert snapshot["checks"] == 0
+        assert not any(snapshot.values())
+
+    def test_slicing_counters_and_timeouts_accumulate(self):
+        from repro.core import StatsAggregator
+
+        aggregate = StatsAggregator()
+        aggregate.add(RunStats(max_intermediate_size=64,
+                               batched_slice_calls=3, timed_out=True))
+        aggregate.add(RunStats(max_intermediate_size=16,
+                               batched_slice_calls=2, timed_out=True))
+        aggregate.add(RunStats())
+        snapshot = aggregate.snapshot()
+        assert snapshot["checks"] == 3
+        assert snapshot["max_intermediate_size"] == 64  # peak, not sum
+        assert snapshot["batched_slice_calls"] == 5
+        assert snapshot["timed_out"] == 2
+        assert snapshot["early_stopped"] == 0
+
     def test_snapshot_is_a_point_in_time_copy(self):
         from repro.core import StatsAggregator
 
