@@ -3,7 +3,7 @@
 * plan builder (the min-fill elimination order vs the anneal search)
   for Algorithm II;
 * TDD backend vs dense tensor backend;
-* local optimisations (gate cancellation + SWAP elimination) on/off;
+* local optimisations (the miter shrink, on by default) on/off;
 * early termination in Algorithm I.
 
 Run: ``pytest benchmarks/bench_ablation.py --benchmark-only``
@@ -55,7 +55,7 @@ def test_backend(benchmark, backend):
 
 @pytest.mark.parametrize("optimised", [False, True])
 def test_local_optimisations(benchmark, optimised):
-    """Gate cancellation + SWAP elimination (excluded from Table I runs)."""
+    """The miter shrink on and off (the Table I scripts turn it off)."""
     workload = TABLE1_BY_NAME["qft7"]
     ideal = workload.ideal()
     noisy = workload.noisy()

@@ -5,7 +5,8 @@ qft3-5: Algorithm I wins at one noise, Algorithm II wins as noises
 accumulate, with the log-ratio growing roughly linearly.  These cases
 time both algorithms at the sweep's end points; the report script
 produces the full series.  Both algorithms run on the paper's ``tdd``
-backend, whatever the library default.
+backend and contract the paper's unshrunk networks
+(``use_local_optimisations=False``), whatever the library defaults.
 
 Run: ``pytest benchmarks/bench_fig7.py --benchmark-only``
 Full series: ``python benchmarks/report_fig7.py``
@@ -40,7 +41,10 @@ def _pair(name: str, k: int):
 def test_alg1_noise_scaling(benchmark, name, k):
     """t1: Algorithm I, full enumeration (4^k terms)."""
     ideal, noisy = _pair(name, k)
-    result = benchmark(fidelity_individual, noisy, ideal, backend="tdd")
+    result = benchmark(
+        fidelity_individual, noisy, ideal, backend="tdd",
+        use_local_optimisations=False,
+    )
     assert result.stats.terms_computed == 4**k
 
 
@@ -49,5 +53,8 @@ def test_alg1_noise_scaling(benchmark, name, k):
 def test_alg2_noise_scaling(benchmark, name, k):
     """t2: Algorithm II, one doubled contraction regardless of k."""
     ideal, noisy = _pair(name, k)
-    result = benchmark(fidelity_collective, noisy, ideal, backend="tdd")
+    result = benchmark(
+        fidelity_collective, noisy, ideal, backend="tdd",
+        use_local_optimisations=False,
+    )
     assert result.stats.terms_computed == 1

@@ -4,7 +4,9 @@ Each pytest-benchmark case times one (circuit, method) cell of the paper's
 Table I.  Cells the paper reports as MO (dense baseline beyond 6 qubits)
 or TO (Alg I with many noises) are skipped with an explanatory reason —
 exactly the cells our report script marks MO/TO.  Both algorithms run
-on the paper's ``tdd`` backend, whatever the library default.
+on the paper's ``tdd`` backend and contract the paper's unshrunk
+networks (``use_local_optimisations=False``), whatever the library
+defaults.
 
 Run: ``pytest benchmarks/bench_table1.py --benchmark-only``
 Full table: ``python benchmarks/report_table1.py``
@@ -48,7 +50,10 @@ def test_alg2(benchmark, name):
     workload = TABLE1_BY_NAME[name]
     ideal = workload.ideal()
     noisy = workload.noisy()
-    result = benchmark(fidelity_collective, noisy, ideal, backend="tdd")
+    result = benchmark(
+        fidelity_collective, noisy, ideal, backend="tdd",
+        use_local_optimisations=False,
+    )
     assert 0.9 < result.fidelity <= 1.0
 
 
@@ -58,5 +63,8 @@ def test_alg1(benchmark, name):
     workload = TABLE1_BY_NAME[name]
     ideal = workload.ideal()
     noisy = workload.noisy()
-    result = benchmark(fidelity_individual, noisy, ideal, backend="tdd")
+    result = benchmark(
+        fidelity_individual, noisy, ideal, backend="tdd",
+        use_local_optimisations=False,
+    )
     assert 0.9 < result.fidelity <= 1.0

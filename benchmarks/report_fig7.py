@@ -3,7 +3,9 @@
 For bv3-5 and qft3-5 with 1..max noises, time Algorithm I (t1) and
 Algorithm II (t2) and print ``log10(t1 / t2)`` — the paper's vertical
 axis.  Positive values mean Algorithm II wins; the series grows roughly
-linearly with the noise count because t1 scales with 4^k.
+linearly with the noise count because t1 scales with 4^k.  Both
+algorithms contract the paper's unshrunk networks
+(``use_local_optimisations=False``).
 
 Usage::
 
@@ -33,10 +35,14 @@ def measure(build, k, budget, backend):
         channel_factory=lambda: depolarizing(NOISE_P),
         seed=NOISE_SEED,
     )
+    # the paper's unshrunk networks
     r1 = fidelity_individual(
-        noisy, ideal, time_budget_seconds=budget, backend=backend
+        noisy, ideal, time_budget_seconds=budget, backend=backend,
+        use_local_optimisations=False,
     )
-    r2 = fidelity_collective(noisy, ideal, backend=backend)
+    r2 = fidelity_collective(
+        noisy, ideal, backend=backend, use_local_optimisations=False
+    )
     t1 = r1.stats.time_seconds
     t2 = r2.stats.time_seconds
     return t1, t2, r1.stats.timed_out

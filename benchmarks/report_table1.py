@@ -3,7 +3,8 @@
 For every benchmark row: run the dense baseline (with the paper's 8 GB
 memory envelope), Algorithm II, and Algorithm I, reporting wall-clock
 seconds and peak TDD node counts (both algorithms run on the ``tdd``
-backend, whatever the library default).  Cells print MO when the baseline
+backend and contract the paper's unshrunk networks, whatever the library
+defaults).  Cells print MO when the baseline
 refuses the dense allocation and TO when Algorithm I exceeds its
 wall-clock budget — the same failure modes the paper tabulates.
 
@@ -47,13 +48,16 @@ def run_baseline(ideal, noisy, max_qubits):
 
 
 def run_alg2(ideal, noisy):
-    result = fidelity_collective(noisy, ideal, backend="tdd")
+    result = fidelity_collective(
+        noisy, ideal, backend="tdd", use_local_optimisations=False
+    )
     return f"{result.stats.time_seconds:.2f}", result.stats.max_nodes
 
 
 def run_alg1(ideal, noisy, budget):
     result = fidelity_individual(
-        noisy, ideal, time_budget_seconds=budget, backend="tdd"
+        noisy, ideal, time_budget_seconds=budget, backend="tdd",
+        use_local_optimisations=False,
     )
     if result.stats.timed_out:
         return "TO", "TO"

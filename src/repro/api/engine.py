@@ -398,10 +398,19 @@ class Engine:
         return self._drain(list(requests))
 
     def _drain(self, requests) -> Iterator[CheckResponse]:
-        """Start every request on the pool, then finish each in order."""
+        """Start every request on the pool, then finish each in order.
+
+        Closing the stream early cancels the checks that have not
+        started, so :meth:`close` does not wait for them.
+        """
         states = [self._start(request, True) for request in requests]
-        for index, (request, state) in enumerate(zip(requests, states)):
-            yield self._finish(request, state, index)
+        try:
+            for index, (request, state) in enumerate(zip(requests, states)):
+                yield self._finish(request, state, index)
+        finally:
+            for kind, payload in states:
+                if kind == "future":
+                    payload.cancel()
 
     # --- one dispatch: start a request, finish it into a response ------------
 
@@ -461,21 +470,26 @@ class Engine:
                 result, request=request, index=index
             )
         config, ideal, noisy = payload
-        session = self._config_session_for(request)[1]
-        try:
-            # one check at a time per session: warm backend state (TDD
-            # tables, plan memos) is not contraction-safe under
-            # concurrent mutation.  Other configs overlap.
-            with self._session_lock(config):
-                result = session.run(ideal, noisy, request.mode)
-        except Exception as exc:
-            error = CheckFailedError.wrap(exc)
-            if error is not exc:  # check() re-raises it: keep the cause
-                error.__cause__ = exc
-            return CheckResponse.from_error(
-                error, request=request, index=index
+        # one span over the in-process run (session lookup and lock, the
+        # check, the response), so a fast check's wall stays covered
+        with _trace.span("request.run"):
+            session = self._config_session_for(request)[1]
+            try:
+                # one check at a time per session: warm backend state
+                # (TDD tables, plan memos) is not contraction-safe under
+                # concurrent mutation.  Other configs overlap.
+                with self._session_lock(config):
+                    result = session.run(ideal, noisy, request.mode)
+            except Exception as exc:
+                error = CheckFailedError.wrap(exc)
+                if error is not exc:  # check() re-raises it: keep the cause
+                    error.__cause__ = exc
+                return CheckResponse.from_error(
+                    error, request=request, index=index
+                )
+            return CheckResponse.from_result(
+                result, request=request, index=index
             )
-        return CheckResponse.from_result(result, request=request, index=index)
 
     # --- job handles ----------------------------------------------------------
 

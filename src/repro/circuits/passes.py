@@ -1,14 +1,20 @@
 """Local optimisation passes from Sec. IV-C of the paper.
 
-* :func:`cancel_adjacent_gates` removes neighbouring gate pairs whose
-  product is the identity (e.g. H·H, S·S†, CX·CX) and merges adjacent
-  same-axis rotations (``rz(a)·rz(b) → rz(a+b)``, likewise ``rx``/``ry``
-  and the phase gate ``p``), dropping the merged gate outright when its
-  angle lands on the identity (``≡ 0 mod 4π`` for the rotations, mod 2π
-  for ``p``).  In approximate equivalence checking the miter ``U† E``
-  shares most unitary gates between the two halves, so both rules fire a
-  lot — and a shorter miter also fingerprints, plans and contracts
-  faster.
+* :func:`cancel_on_wire_stacks` is the one cancellation pass: a single
+  walk over an operation list with a stack of kept operations per wire.
+  An operation whose wires all have the same kept operation on top, on
+  the same qubit tuple, is offered to a ``rewrite`` rule that may cancel
+  the pair or replace it by one operation.  Popping exposes the
+  operation below, so nested pairs (``a b b† a†``) vanish in the same
+  pass.  The miter shrink (:func:`repro.core.miter.shrink_miter`) runs
+  it with an inverse-pair rule on the undoubled miter.
+* :func:`cancel_adjacent_gates` runs it on a circuit with two rules:
+  neighbouring gate pairs whose product is the identity (e.g. H·H, S·S†,
+  CX·CX) cancel, and adjacent same-axis rotations merge
+  (``rz(a)·rz(b) → rz(a+b)``, likewise ``rx``/``ry`` and the phase gate
+  ``p``), dropping the merged gate outright when its angle lands on the
+  identity (``≡ 0 mod 4π`` for the rotations, mod 2π for ``p``).
+  :func:`~repro.core.unitary_check.check_unitary_equivalence` uses it.
 * :func:`eliminate_final_swaps` removes trailing SWAP gates and returns the
   output permutation they implement; when computing ``tr(...)`` the trace
   closure simply reconnects inputs to the permuted outputs instead.
@@ -16,14 +22,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from ..gates import Gate, standard
+from ..gates import standard
 from ..linalg import ATOL
 from .circuit import QuantumCircuit
-from .dag import CircuitDag
+from .instruction import Instruction
 
 #: Gate families that compose additively in their single angle
 #: parameter: ``g(a) · g(b) = g(a + b)``.  Keyed by the *exact* gate
@@ -35,6 +41,47 @@ _ROTATION_FACTORIES = {
     "rz": standard.rz_gate,
     "p": standard.p_gate,
 }
+
+Op = TypeVar("Op")
+
+
+def cancel_on_wire_stacks(
+    ops: Sequence[Op],
+    rewrite: Callable[[Op, Op], Optional[Tuple[Op, ...]]],
+) -> List[Op]:
+    """One O(ops) cancellation pass; the kept operations, in order.
+
+    Each operation carries its qubit tuple as ``.qubits``.
+    ``rewrite(top, op)`` is asked only when ``top`` is the last kept
+    operation on every wire of ``op`` and acts on the same qubit tuple.
+    It returns ``None`` to keep both, or what replaces the pair: ``()``
+    drops both, ``(merged,)`` puts one operation on the same qubits in
+    their place (offered in turn to the operation below, so merge chains
+    collapse too).  Operations that a rule never pairs are barriers:
+    nothing moves across them.
+    """
+    kept: List[Optional[Op]] = []
+    stacks: Dict[int, List[int]] = {}
+    for op in ops:
+        while op is not None:
+            wires = [stacks.setdefault(q, []) for q in op.qubits]
+            top = wires[0][-1] if wires and wires[0] else None
+            if top is not None and (
+                any(not wire or wire[-1] != top for wire in wires)
+                or kept[top].qubits != op.qubits
+            ):
+                top = None
+            result = None if top is None else rewrite(kept[top], op)
+            if result is None:
+                for wire in wires:
+                    wire.append(len(kept))
+                kept.append(op)
+                break
+            for wire in wires:
+                wire.pop()
+            kept[top] = None
+            op = result[0] if result else None
+    return [op for op in kept if op is not None]
 
 
 def _merge_rotations(inst_i, inst_j, product, atol: float):
@@ -69,12 +116,13 @@ def _merge_rotations(inst_i, inst_j, product, atol: float):
 
 
 def cancel_adjacent_gates(
-    circuit: QuantumCircuit, atol: float = ATOL, max_rounds: int = 10_000
+    circuit: QuantumCircuit, atol: float = ATOL
 ) -> QuantumCircuit:
-    """Iteratively cancel inverse pairs and merge adjacent rotations.
+    """Cancel inverse pairs and merge adjacent rotations in one pass.
 
-    Two rewrite rules per round, applied to pairs acting on *identical*
-    qubit tuples with no interposing operation on any shared wire:
+    Two rewrite rules, applied by :func:`cancel_on_wire_stacks` to pairs
+    acting on *identical* qubit tuples with no interposing operation on
+    any shared wire:
 
     * **cancellation** — adjacent unitaries whose product is the
       identity are both removed;
@@ -82,47 +130,26 @@ def cancel_adjacent_gates(
       on the same wire fuse into one gate carrying the summed angle
       (dropped entirely when the sum is the identity — ``0 mod 4π``
       for the rotations, whose period is 4π, and ``0 mod 2π`` for
-      ``p``), so chains like ``rz(a)·rz(b)·rz(c)`` collapse over
-      successive rounds.
+      ``p``), so chains like ``rz(a)·rz(b)·rz(c)`` collapse.
 
     Both rules are exactly functionality-preserving (no global-phase
     slack; noise channels are never touched and act as barriers).
     """
-    current = circuit
-    for _ in range(max_rounds):
-        dag = CircuitDag(current)
-        to_remove: set = set()
-        replacements: Dict[int, Gate] = {}
-        for i, j in dag.adjacent_pairs():
-            if (
-                i in to_remove or j in to_remove
-                or i in replacements or j in replacements
-            ):
-                continue
-            inst_i, inst_j = current[i], current[j]
-            if not (inst_i.is_unitary and inst_j.is_unitary):
-                continue
-            product = inst_j.operation.matrix @ inst_i.operation.matrix
-            if np.allclose(product, np.eye(product.shape[0]), atol=atol):
-                to_remove.update((i, j))
-                continue
-            merged, drops = _merge_rotations(inst_i, inst_j, product, atol)
-            if merged is None:
-                continue
-            if drops:
-                to_remove.update((i, j))
-            else:
-                replacements[i] = merged
-                to_remove.add(j)
-        if not to_remove and not replacements:
-            return current
-        out = QuantumCircuit(current.num_qubits, current.name)
-        for idx, inst in enumerate(current):
-            if idx in to_remove:
-                continue
-            out.append(replacements.get(idx, inst.operation), inst.qubits)
-        current = out
-    return current
+
+    def rewrite(top: Instruction, inst: Instruction):
+        if not (top.is_unitary and inst.is_unitary):
+            return None
+        product = inst.operation.matrix @ top.operation.matrix
+        if np.allclose(product, np.eye(product.shape[0]), atol=atol):
+            return ()
+        merged, drops = _merge_rotations(top, inst, product, atol)
+        if merged is None:
+            return None
+        return () if drops else (Instruction(merged, top.qubits),)
+
+    out = QuantumCircuit(circuit.num_qubits, circuit.name)
+    out.extend(cancel_on_wire_stacks(circuit.instructions, rewrite))
+    return out
 
 
 def eliminate_final_swaps(

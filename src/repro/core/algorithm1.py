@@ -53,7 +53,7 @@ from .miter import (
     memoised_miter,
     noise_site_data,
 )
-from .stats import FidelityResult, RunStats
+from .stats import FidelityResult, RunStats, TermTimes
 
 
 def enumerate_selections(
@@ -76,7 +76,7 @@ def fidelity_individual(
     ideal: QuantumCircuit,
     epsilon: Optional[float] = None,
     backend: Union[str, ContractionBackend] = DEFAULT_BACKEND,
-    use_local_optimisations: bool = False,
+    use_local_optimisations: bool = True,
     dominant_first: bool = True,
     max_terms: Optional[int] = None,
     time_budget_seconds: Optional[float] = None,
@@ -106,10 +106,9 @@ def fidelity_individual(
         share_computed_table=False)``.  A backend's slice executor, if
         any, spreads each memory-sliced term over its workers.
     use_local_optimisations:
-        Apply SWAP-tail elimination and adjacent-gate cancellation to
-        the channel-bearing miter, once for all terms (excluded from the
-        paper's headline tables for baseline parity, but a strict win in
-        practice).
+        Shrink the channel-bearing miter once for all terms
+        (:func:`~repro.core.miter.shrink_miter`).  The paper's table
+        scripts turn it off, so they contract the paper's networks.
     dominant_first:
         Enumerate Kraus selections largest-norm-first.
     max_terms:
@@ -134,6 +133,7 @@ def fidelity_individual(
         backend=engine.name,
         device=getattr(engine, "resolved_device", None) or "cpu",
         terms_total=noisy.num_kraus_terms,
+        term_times=TermTimes(),
     )
     start = time.perf_counter()
 
@@ -245,7 +245,7 @@ def fidelity_individual(
                 continue  # a piece of a term bigger than one chunk
             now = time.perf_counter()
             # amortised: the chunk's wall time split over its terms
-            stats.term_times += [(now - mark) / len(traces)] * len(traces)
+            stats.term_times.add_run((now - mark) / len(traces), len(traces))
             mark = now
             stats.terms_computed += len(traces)
             total += float(np.sum(np.abs(traces) ** 2))

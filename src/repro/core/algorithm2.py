@@ -37,7 +37,7 @@ def fidelity_collective(
     noisy: QuantumCircuit,
     ideal: QuantumCircuit,
     backend: Union[str, ContractionBackend] = DEFAULT_BACKEND,
-    use_local_optimisations: bool = False,
+    use_local_optimisations: bool = True,
 ) -> FidelityResult:
     """Jamiolkowski fidelity via one doubled-network contraction.
 

@@ -14,6 +14,16 @@ two algorithms:
   becomes its matrix representation ``M_N = sum_k N_k (x) N_k*`` spanning
   both copies.
 
+Both networks are lowered straight from the miter's operation list
+(:func:`miter_ops`), never through an intermediate circuit.  With
+``use_local_optimisations`` (the default) that list is first *shrunk*
+in one O(gates) pass: it is rotated to start at the first noise site
+(the trace is cyclic), and every gate of ``E`` that meets its own
+inverse in ``U†`` cancels with it (:func:`shrink_miter`).  Noise
+channels are barriers and are never removed, so every site survives in
+circuit order.  Shrinking the undoubled miter shrinks both copies of
+the doubled one.
+
 Both networks are :class:`MiterNetwork` objects that record where their
 noise tensors sit.  :func:`memoised_miter` keeps one per structure in
 the backend's template memo, so a request that changes only channel
@@ -23,6 +33,7 @@ values refills those tensors instead of rebuilding the network.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -37,10 +48,10 @@ from typing import (
 import numpy as np
 
 from .. import trace as _trace
-from ..circuits import QuantumCircuit, cancel_adjacent_gates, eliminate_final_swaps
+from ..circuits import QuantumCircuit, cancel_on_wire_stacks, is_channel
 from ..gates import Gate
-from ..tensornet import Tensor, TensorNetwork, circuit_to_network, close_trace
-from ..tensornet.circuit_tn import CircuitNetwork, trace_closure
+from ..linalg import ATOL
+from ..tensornet import Tensor, TensorNetwork
 from ..tensornet.planner import ContractionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -89,25 +100,6 @@ class MiterNetwork(TensorNetwork):
         for site, data in zip(self.noise_sites, site_data):
             tensors[site.slot] = Tensor(data, site.labels).self_trace()
         return MiterNetwork(tensors, self.noise_sites)
-
-
-def _close_miter(
-    cnet: CircuitNetwork,
-    permutation: Optional[Sequence[int]],
-    slots: Sequence[int],
-) -> MiterNetwork:
-    """:func:`close_trace`, recording the noise tensors at ``slots``."""
-    patched, relabel = trace_closure(cnet, permutation)
-    sites = [
-        NoiseSite(
-            slot, tuple(relabel.get(label, label)
-                        for label in patched[slot].indices)
-        )
-        for slot in slots
-    ]
-    return MiterNetwork(
-        [tensor.relabel(relabel).self_trace() for tensor in patched], sites
-    )
 
 
 def gate_data(matrix: np.ndarray) -> np.ndarray:
@@ -169,27 +161,168 @@ def double_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
     ``N`` is replaced by the (generally non-unitary) gate ``M_N`` acting on
     the original qubits followed by their primed copies.
     """
-    return _doubled(circuit)[0]
-
-
-def _doubled(circuit: QuantumCircuit) -> Tuple[QuantumCircuit, List[Gate]]:
-    """:func:`double_circuit` plus its ``M_N`` gates, in circuit order."""
     n = circuit.num_qubits
     doubled = QuantumCircuit(2 * n, f"{circuit.name}_doubled")
-    noise_gates: List[Gate] = []
     for inst in circuit:
         primed = [q + n for q in inst.qubits]
         if inst.is_noise:
             channel = inst.operation
-            noise_gates.append(
-                Gate(f"M[{channel.name}]", channel.matrix_rep())
+            doubled.append(
+                Gate(f"M[{channel.name}]", channel.matrix_rep()),
+                list(inst.qubits) + primed,
             )
-            doubled.append(noise_gates[-1], list(inst.qubits) + primed)
         else:
-            gate = inst.operation
-            doubled.append(gate, inst.qubits)
-            doubled.append(gate.conjugate(), primed)
-    return doubled, noise_gates
+            doubled.append(inst.operation, inst.qubits)
+            doubled.append(inst.operation.conjugate(), primed)
+    return doubled
+
+
+class MiterOp(NamedTuple):
+    """One operation of the undoubled miter ``E · U†``."""
+
+    #: a :class:`~repro.gates.Gate` or a noise channel
+    operation: object
+    qubits: Tuple[int, ...]
+    #: whether the gate enters daggered (the gates of ``U†``)
+    adjoint: bool = False
+
+    def matrix(self) -> np.ndarray:
+        """The gate's matrix as it acts in the miter."""
+        matrix = self.operation.matrix
+        return matrix.conj().T if self.adjoint else matrix
+
+
+def _inverse_pair(top: MiterOp, op: MiterOp) -> Optional[tuple]:
+    """``()`` (drop both) when ``op · top`` is the identity, else ``None``.
+
+    The same gate under opposite adjoint flags (one object, or equal
+    matrices) is decided without arithmetic; anything else by the
+    matrix product.  Channels never pair.
+    """
+    first, second = top.operation, op.operation
+    if not (isinstance(first, Gate) and isinstance(second, Gate)):
+        return None
+    if top.adjoint != op.adjoint and (
+        first is second or np.array_equal(first.matrix, second.matrix)
+    ):
+        return ()
+    product = op.matrix() @ top.matrix()
+    if np.allclose(product, np.eye(product.shape[0]), atol=ATOL):
+        return ()
+    return None
+
+
+def miter_ops(
+    noisy: QuantumCircuit,
+    ideal: QuantumCircuit,
+    use_local_optimisations: bool = True,
+) -> List[MiterOp]:
+    """The operations of the miter ``E · U†`` whose trace is contracted.
+
+    ``noisy``'s instructions in order, then ``ideal``'s reversed and
+    daggered.  With ``use_local_optimisations`` the list is shrunk
+    (:func:`shrink_miter`).
+    """
+    if ideal.num_qubits != noisy.num_qubits:
+        raise ValueError("ideal and noisy circuits must have the same width")
+    if not ideal.is_unitary_circuit:
+        raise ValueError("cannot invert a circuit containing noise channels")
+    ops = [MiterOp(inst.operation, inst.qubits) for inst in noisy]
+    ops.extend(
+        MiterOp(inst.operation, inst.qubits, True)
+        for inst in reversed(ideal.instructions)
+    )
+    return shrink_miter(ops) if use_local_optimisations else ops
+
+
+def shrink_miter(ops: Sequence[MiterOp]) -> List[MiterOp]:
+    """The miter's operations with every inverse pair cancelled.
+
+    The list is first rotated to start at its first noise site, if any:
+    ``tr(A B) = tr(B A)``, so the gates before the first noise move
+    behind ``U†`` and meet their inverses there, and the sites stay in
+    circuit order.  Then one :func:`~repro.circuits.cancel_on_wire_stacks`
+    pass drops every pair of adjacent gates whose product is the
+    identity; channels are barriers.
+    """
+    first = next(
+        (i for i, op in enumerate(ops) if is_channel(op.operation)), 0
+    )
+    return cancel_on_wire_stacks(
+        list(ops[first:]) + list(ops[:first]), _inverse_pair
+    )
+
+
+def _miter_network(
+    ops: Sequence[MiterOp],
+    num_qubits: int,
+    doubled: bool,
+    site_data: Optional[Callable[[object], np.ndarray]] = None,
+) -> MiterNetwork:
+    """The closed trace network of ``ops``, lowered directly.
+
+    Each gate becomes one tensor (plus its conjugate twin on the primed
+    wires ``q + num_qubits`` when ``doubled``); each noise site ``s``
+    becomes one tensor with data ``site_data(channel)`` over its output
+    and input wires (both copies when ``doubled``; undoubled, the data
+    is a Kraus stack on a leading ``kraus{s}`` axis).  Wire ``w`` is
+    labelled ``q{w}.{t}`` after its ``t``-th operation, and its last
+    output is labelled ``q{w}.0``, its input, which closes the trace;
+    an untouched wire closes on an identity tensor.  Labels are
+    interned: every network of a miter, and every plan memoised for it,
+    shares one copy of each label.
+    """
+    width = 2 * num_qubits if doubled else num_qubits
+    closing = [sys.intern(f"q{w}.0") for w in range(width)]
+    touches = [0] * num_qubits
+    for op in ops:
+        for q in op.qubits:
+            touches[q] += 1
+    labels = list(closing)
+    time = [0] * num_qubits
+    tensors: List[Tensor] = []
+    sites: List[NoiseSite] = []
+    computed: dict = {}
+    for op in ops:
+        wires = list(op.qubits)
+        if doubled:
+            wires += [q + num_qubits for q in op.qubits]
+        for q in op.qubits:
+            time[q] += 1
+        single = any(touches[q] == 1 for q in op.qubits)
+        ins = [labels[w] for w in wires]
+        outs = []
+        for w in wires:
+            q = w % num_qubits
+            outs.append(
+                closing[w] if time[q] == touches[q]
+                else sys.intern(f"q{w}.{time[q]}")
+            )
+            labels[w] = outs[-1]
+        if is_channel(op.operation):
+            channel = op.operation
+            if id(channel) not in computed:
+                computed[id(channel)] = site_data(channel)
+            site_labels = tuple(outs + ins)
+            if not doubled:
+                site_labels = (f"kraus{len(sites)}",) + site_labels
+            sites.append(NoiseSite(len(tensors), site_labels))
+            tensor = Tensor(computed[id(channel)], site_labels)
+            tensors.append(tensor.self_trace() if single else tensor)
+            continue
+        matrix = op.matrix()
+        k = len(op.qubits)
+        shape = (2,) * (2 * k)
+        tensor = Tensor(matrix.reshape(shape), outs[:k] + ins[:k])
+        tensors.append(tensor.self_trace() if single else tensor)
+        if doubled:
+            tensor = Tensor(matrix.conj().reshape(shape), outs[k:] + ins[k:])
+            tensors.append(tensor.self_trace() if single else tensor)
+    for w in range(width):
+        if not touches[w % num_qubits]:
+            eye = Tensor(np.eye(2), (closing[w], closing[w]))
+            tensors.append(eye.self_trace())
+    return MiterNetwork(tensors, sites)
 
 
 def alg1_trace_network(
@@ -199,16 +332,17 @@ def alg1_trace_network(
 ) -> TensorNetwork:
     """Closed network whose scalar is ``tr(U† E_i)``.
 
-    With ``use_local_optimisations`` the miter is first simplified by
-    adjacent-gate cancellation and trailing-SWAP elimination (Sec. IV-C);
-    the SWAP permutation is folded into the trace closure.
+    ``noisy_selected`` holds gates only (one Kraus selection, see
+    :func:`lower_kraus_selection`).  With ``use_local_optimisations`` the
+    miter is shrunk first (:func:`shrink_miter`).
     """
-    miter = miter_circuit(noisy_selected, ideal)
-    permutation = None
-    if use_local_optimisations:
-        miter, permutation = eliminate_final_swaps(miter)
-        miter = cancel_adjacent_gates(miter)
-    return close_trace(circuit_to_network(miter), permutation=permutation)
+    if not noisy_selected.is_unitary_circuit:
+        raise ValueError(
+            "lower noise channels (select Kraus operators) before "
+            "building a trace network"
+        )
+    ops = miter_ops(noisy_selected, ideal, use_local_optimisations)
+    return _miter_network(ops, ideal.num_qubits, doubled=False)
 
 
 def kraus_order(
@@ -307,74 +441,55 @@ def alg1_template(
     noisy: QuantumCircuit,
     ideal: QuantumCircuit,
     dominant_first: bool = True,
-    use_local_optimisations: bool = False,
+    use_local_optimisations: bool = True,
 ) -> Alg1Template:
     """Build Algorithm I's Kraus-stacked miter network.
 
-    With ``use_local_optimisations`` the SWAP-tail and adjacent-gate
-    cancellation passes run once on the channel-bearing miter (noise
-    channels are barriers to cancellation), so every term shares the
-    simplified network.  Stacking happens before the trace closure, so a
-    noise on an otherwise untouched wire self-traces to a vector over its
-    Kraus axis like any other contraction.
+    With ``use_local_optimisations`` the channel-bearing miter is shrunk
+    once (:func:`shrink_miter`; noise channels are barriers), so every
+    term shares the smaller network.  Noise site ``s``'s tensor is its
+    :func:`kraus_stack` with a leading ``kraus{s}`` axis.  Stacking
+    happens before the trace closure, so a noise on an otherwise
+    untouched wire self-traces to a vector over its Kraus axis like any
+    other contraction.
     """
-    miter = miter_circuit(noisy, ideal)
-    permutation = None
-    if use_local_optimisations:
-        miter, permutation = eliminate_final_swaps(miter)
-        miter = cancel_adjacent_gates(miter)
-    lowered = QuantumCircuit(miter.num_qubits, f"{miter.name}_stacked")
-    stacks: List[np.ndarray] = []
-    slots: List[int] = []
-    for position, inst in enumerate(miter):
-        if inst.is_noise:
-            ops = inst.operation.kraus_operators
-            stacks.append(kraus_stack(ops, dominant_first))
-            slots.append(position)
-            # a placeholder of the right shape: the stack replaces it
-            lowered.append(Gate(f"kraus{len(slots) - 1}", ops[0]), inst.qubits)
-        else:
-            lowered.append(inst.operation, inst.qubits)
-    cnet = circuit_to_network(lowered)
-    # circuit_to_network keeps one tensor per instruction, in order
-    tensors = cnet.network.tensors
-    for site, (slot, stack) in enumerate(zip(slots, stacks)):
-        tensors[slot] = Tensor(stack, (f"kraus{site}",) + tensors[slot].indices)
-    return Alg1Template(_close_miter(cnet, permutation, slots))
+    return Alg1Template(_miter_network(
+        miter_ops(noisy, ideal, use_local_optimisations),
+        ideal.num_qubits,
+        doubled=False,
+        site_data=lambda channel: kraus_stack(
+            channel.kraus_operators, dominant_first
+        ),
+    ))
 
 
 def alg2_trace_network(
     noisy: QuantumCircuit,
     ideal: QuantumCircuit,
-    use_local_optimisations: bool = False,
+    use_local_optimisations: bool = True,
 ) -> MiterNetwork:
     """Closed doubled network whose scalar is ``sum_i |tr(U† E_i)|^2``.
 
     This is ``tr((U† (x) U^T) M_E)`` contracted as one network of width
     ``2n``.  Its :attr:`~MiterNetwork.noise_sites` locate the ``M_N``
-    tensors.  Adjacent-gate cancellation may drop a pair of ``M_N``
-    whose product is the identity (mutually inverse unitary channels);
-    the network then has fewer sites than ``noisy`` has noises.
+    tensors, one per noise site of ``noisy``, in circuit order.  With
+    ``use_local_optimisations`` the undoubled miter is shrunk first
+    (:func:`shrink_miter`), which drops both copies of every cancelled
+    pair.
     """
-    if ideal.num_qubits != noisy.num_qubits:
-        raise ValueError("ideal and noisy circuits must have the same width")
-    doubled_noisy, noise_gates = _doubled(noisy)
-    doubled_miter = doubled_noisy.compose(double_circuit(ideal.inverse()))
-    permutation = None
-    if use_local_optimisations:
-        doubled_miter, permutation = eliminate_final_swaps(doubled_miter)
-        doubled_miter = cancel_adjacent_gates(doubled_miter)
-    # the passes keep every surviving operation object
-    marked = {id(gate) for gate in noise_gates}
-    slots = [
-        position for position, inst in enumerate(doubled_miter)
-        if id(inst.operation) in marked
-    ]
-    return _close_miter(circuit_to_network(doubled_miter), permutation, slots)
+    return _miter_network(
+        miter_ops(noisy, ideal, use_local_optimisations),
+        ideal.num_qubits,
+        doubled=True,
+        site_data=lambda channel: gate_data(channel.matrix_rep()),
+    )
 
 
 def algorithm_network(
-    noisy: QuantumCircuit, ideal: QuantumCircuit, algorithm: str
+    noisy: QuantumCircuit,
+    ideal: QuantumCircuit,
+    algorithm: str,
+    use_local_optimisations: bool = True,
 ) -> TensorNetwork:
     """The network the chosen algorithm contracts.
 
@@ -385,9 +500,11 @@ def algorithm_network(
     purposes).  The CLI ``plan`` command reports on it.
     """
     if algorithm == "alg1":
-        return alg1_template(noisy, ideal).representative()
+        return alg1_template(
+            noisy, ideal, use_local_optimisations=use_local_optimisations
+        ).representative()
     if algorithm == "alg2":
-        return alg2_trace_network(noisy, ideal)
+        return alg2_trace_network(noisy, ideal, use_local_optimisations)
     raise ValueError(f"unknown algorithm {algorithm!r}; choose alg1 or alg2")
 
 
@@ -474,8 +591,8 @@ def memoised_miter(
     copies the template's tensor list and replaces only the noise
     tensors with ``site_data()`` (:meth:`MiterNetwork.refill`); its
     plan comes with it.  A miss runs ``build()`` and then ``plan(network)``
-    and memoises the result, unless cancellation dropped a noise site
-    (see :func:`alg2_trace_network`): such a network cannot be refilled.
+    and memoises the result: the shrink keeps every noise site, so every
+    network can be refilled.
 
     The entry's first hit also asks the backend to fold the plan: every
     step no noise tensor (and no sliced label) reaches is contracted once
@@ -500,8 +617,7 @@ def memoised_miter(
         )
     if template is None:
         template = plan(network)
-        if len(network.noise_sites) == noisy.num_noise_sites:
-            engine.store_template(key, template)
+        engine.store_template(key, template)
     elif not template.fold_tried:
         template = replace(
             template,

@@ -76,8 +76,9 @@ class CheckConfig:
     order_method: str = DEFAULT_ORDER_METHOD
     #: slice plans so no intermediate exceeds this many elements
     max_intermediate_size: Optional[int] = None
-    #: adjacent-gate cancellation + trailing-SWAP elimination per miter
-    use_local_optimisations: bool = False
+    #: shrink the miter before planning: rotate it to the first noise
+    #: site and cancel every inverse gate pair (repro.core.miter)
+    use_local_optimisations: bool = True
     #: noise-site count at or below which 'auto' picks Algorithm I
     alg1_max_noises: int = AUTO_ALG1_MAX_NOISES
     #: hard cap on Algorithm I trace terms (None = unlimited)
@@ -381,8 +382,6 @@ class CheckSession:
         self, ideal: QuantumCircuit, noisy: QuantumCircuit
     ) -> CheckResult:
         cfg = self.config
-        self._validate_pair(ideal, noisy)
-        algorithm = self.select_algorithm(noisy)
         key = None
         if self.cache is not None and self._result_cacheable():
             lookup_start = time.perf_counter()
@@ -413,11 +412,17 @@ class CheckSession:
         plan_hits_before = (
             self.backend.plan_cache_hits if self.cache is not None else 0
         )
-        with _trace.span("session.check", algorithm=algorithm):
+        # the span covers the session's own work too (validation, the
+        # algorithm choice, the verdict), so a fast check's wall stays
+        # attributed; a result-cache hit above opens none
+        with _trace.span("session.check") as check_span:
+            self._validate_pair(ideal, noisy)
+            algorithm = self.select_algorithm(noisy)
+            check_span.set(algorithm=algorithm)
             result = self._fidelity_result(
                 ideal, noisy, algorithm, cfg.epsilon
             )
-        outcome = self._verdict(result, algorithm)
+            outcome = self._verdict(result, algorithm)
         if self.cache is not None:
             outcome.stats.plan_cache_hit = (
                 self.backend.plan_cache_hits - plan_hits_before

@@ -9,10 +9,12 @@ plain dicts / JSON so batch runs can stream machine-readable results.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 #: Version tag of the JSON wire schema emitted by ``CheckResult.to_dict``
 #: and the :mod:`repro.api` request/response types.
@@ -20,6 +22,47 @@ from typing import List, Optional
 #: CLI and API payloads cannot drift apart.  Bump it only on a breaking
 #: field change; additive fields keep the version.
 SCHEMA_VERSION = "1"
+
+
+class TermTimes(Sequence):
+    """Algorithm I's per-term seconds, held as one run per chunk.
+
+    Each chunk's wall time is amortised over its terms, so the terms of
+    one chunk share one value: a result keeps ``(seconds, terms)`` per
+    chunk, not a float per term, and a caller that holds many results
+    (a batch, a benchmark) does not pay 8 bytes per term for each.  It
+    reads as the per-term list (``len``, indexing, iteration, ``==``
+    against any sequence), and :meth:`RunStats.to_dict` writes that list.
+    """
+
+    def __init__(self) -> None:
+        self._runs: List[Tuple[float, int]] = []
+        self._terms = 0
+
+    def add_run(self, seconds: float, terms: int) -> None:
+        """Record ``terms`` more terms that took ``seconds`` each."""
+        self._runs.append((seconds, terms))
+        self._terms += terms
+
+    def __len__(self) -> int:
+        return self._terms
+
+    def __iter__(self) -> Iterator[float]:
+        for seconds, terms in self._runs:
+            yield from itertools.repeat(seconds, terms)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass
@@ -72,12 +115,15 @@ class RunStats:
     timed_out: bool = False
     #: per-term wall-clock seconds (Alg I, for the Table II experiment),
     #: amortised: each term gets its chunk's wall time divided by the
-    #: chunk's terms, so ``len(term_times) == terms_computed``
-    term_times: List[float] = field(default_factory=list)
+    #: chunk's terms, so ``len(term_times) == terms_computed`` (Alg I
+    #: fills a :class:`TermTimes`; any sequence of floats is accepted)
+    term_times: Sequence = field(default_factory=list)
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-safe)."""
-        return asdict(self)
+        record = asdict(self)
+        record["term_times"] = list(self.term_times)
+        return record
 
     def to_json(self, **kwargs) -> str:
         """JSON form; ``kwargs`` forward to :func:`json.dumps`."""

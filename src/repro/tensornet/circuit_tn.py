@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..circuits import QuantumCircuit
 from .network import TensorNetwork
@@ -71,22 +71,6 @@ def close_trace(
     ``permutation[q]`` — i.e. the trace of the original circuit before the
     SWAPs were stripped.
     """
-    patched, relabel = trace_closure(cnet, permutation)
-    return TensorNetwork(
-        [tensor.relabel(relabel).self_trace() for tensor in patched]
-    )
-
-
-def trace_closure(
-    cnet: CircuitNetwork, permutation: Optional[Sequence[int]] = None
-) -> Tuple[List[Tensor], Dict[str, str]]:
-    """What :func:`close_trace` does before its per-tensor self-trace.
-
-    Returns the network's tensors followed by one identity tensor per
-    untouched wire, and the output → input relabelling that closes the
-    trace.  Tensor ``i`` of the closed network is
-    ``tensors[i].relabel(relabel).self_trace()``.
-    """
     n = len(cnet.input_labels)
     perm = list(permutation) if permutation is not None else list(range(n))
     if sorted(perm) != list(range(n)):
@@ -103,7 +87,9 @@ def trace_closure(
             output_labels[q] = out_label
     # tr(P C): identify output of wire q with input of wire perm[q].
     relabel = {output_labels[q]: cnet.input_labels[perm[q]] for q in range(n)}
-    return patched, relabel
+    return TensorNetwork(
+        [tensor.relabel(relabel).self_trace() for tensor in patched]
+    )
 
 
 def connect(

@@ -134,6 +134,21 @@ class ContractionPlan:
             count *= self.dims[label]
         return count
 
+    def _step_totals(self) -> Tuple[int, int]:
+        """``(flops of one slice, peak_size)``, walked once per plan object.
+
+        Kept outside the plan's fields like :meth:`lowered`'s value: a
+        ``dataclasses.replace`` copy or an unpickled plan walks its own
+        steps once.
+        """
+        totals = self.__dict__.get("_totals")
+        if totals is None:
+            totals = self.__dict__["_totals"] = (
+                sum(step.flops for step in self.steps),
+                max((step.output_size for step in self.steps), default=1),
+            )
+        return totals
+
     def peak_size(self) -> int:
         """Largest intermediate tensor any single subplan materialises.
 
@@ -141,7 +156,7 @@ class ContractionPlan:
         ``ContractionStats.max_intermediate_size``); the caller's input
         tensors are not the plan's to bound.
         """
-        return max((step.output_size for step in self.steps), default=1)
+        return self._step_totals()[1]
 
     def width(self) -> int:
         """Largest intermediate rank (the contraction-tree width)."""
@@ -149,7 +164,7 @@ class ContractionPlan:
 
     def total_cost(self) -> int:
         """Predicted scalar multiply-adds across *all* slices."""
-        return self.num_slices() * sum(step.flops for step in self.steps)
+        return self.num_slices() * self._step_totals()[0]
 
     def all_labels(self) -> Set[str]:
         """Every label the pairwise engine sees (sliced ones included)."""
@@ -191,7 +206,10 @@ class ContractionPlan:
         return value
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_lowered"}
+        return {
+            k: v for k, v in self.__dict__.items()
+            if k not in ("_lowered", "_totals")
+        }
 
     # --- reporting ------------------------------------------------------------
 

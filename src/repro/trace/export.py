@@ -31,9 +31,9 @@ from typing import Dict, Iterable, List, Optional
 from .recorder import Span, TraceRecorder
 
 #: Span name → phase for ``repro_phase_seconds``.  Structural spans
-#: (``engine.request``, ``session.check``, ``alg1.terms``,
-#: ``alg2.contract``) stay unmapped: they wrap the phases rather than
-#: being one.
+#: (``engine.request``, ``request.run``, ``session.check``,
+#: ``alg1.terms``, ``alg2.contract``) stay unmapped: they wrap the
+#: phases rather than being one.
 PHASE_BY_SPAN = {
     "request.resolve": "resolve",
     "circuit.load": "resolve",

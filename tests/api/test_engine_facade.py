@@ -179,6 +179,41 @@ class TestCheckIter:
             assert first.request is requests[0]
             assert [r.index for r in iterator] == [1, 2]
 
+    def test_closing_a_parallel_stream_cancels_queued_checks(
+        self, monkeypatch
+    ):
+        """One fast check, then seven slow ones on two workers: after the
+        first response, at most five slow checks have left the queue
+        (two running, three in the pool's call queue); closing the
+        stream cancels the rest instead of leaving them to run."""
+        slow = dict(
+            ideal=CircuitSpec.from_library("qft", num_qubits=6),
+            noise=NoiseSpec(noises=4, seed=1),
+            mode="fidelity",
+            config={
+                "algorithm": "alg1", "backend": "tdd",
+                "use_local_optimisations": False,
+            },
+        )
+        requests = [library_request(num_qubits=2)] + [
+            library_request(**slow) for _ in range(7)
+        ]
+        with Engine(jobs=2) as engine:
+            futures = []
+            start = engine._start
+
+            def recording_start(request, pooled):
+                state = start(request, pooled)
+                futures.append(state[1])
+                return state
+
+            monkeypatch.setattr(engine, "_start", recording_start)
+            iterator = engine.check_iter(requests)
+            assert next(iterator).ok
+            iterator.close()
+            assert len(futures) == 8
+            assert sum(future.cancelled() for future in futures) >= 2
+
     def test_parallel_worker_failure_serialises(self):
         with Engine(jobs=2) as engine:
             out = list(engine.check_iter(

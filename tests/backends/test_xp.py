@@ -495,7 +495,9 @@ class TestBatchedSpeedup:
         per side, both sides in this process)."""
         ideal = qft(3)
         noisy = insert_random_noise(ideal, 2, seed=0)
-        network = algorithm_network(noisy, ideal, "alg2")
+        network = algorithm_network(
+            noisy, ideal, "alg2", use_local_optimisations=False
+        )
         plan = build_plan(network)
         sliced = slice_plan(plan, max(1, plan.peak_size() // 8))
         reference = DenseBackend().contract_scalar(network, plan=plan)
@@ -689,16 +691,23 @@ class TestBlasLowering:
             backend_name, max_intermediate_size=bound,
             slice_batch=slice_batch,
         )
-        # unsliced and sliced plans alike keep steps on both paths, and
-        # every large step is lowered
-        plan = backend.plan_for(algorithm_network(noisy, ideal, algorithm))
+        # unsliced and sliced plans of the unshrunk miter alike keep
+        # steps on both paths, and every large step is lowered
+        plan = backend.plan_for(algorithm_network(
+            noisy, ideal, algorithm, use_local_optimisations=False
+        ))
         large = sum(step.flops >= BLAS_MIN_FLOPS for step in plan.steps)
         assert 0 < compile_plan(plan).blas_steps == large < len(plan.steps)
         fidelity = (
             fidelity_collective if algorithm == "alg2"
             else fidelity_individual
         )
-        assert abs(fidelity(noisy, ideal, backend=backend).fidelity - ref) < 1e-9
+        for shrink in (False, True):
+            result = fidelity(
+                noisy, ideal, backend=backend,
+                use_local_optimisations=shrink,
+            )
+            assert abs(result.fidelity - ref) < 1e-9
 
 
 # --- batched matmul lowering -----------------------------------------------
@@ -717,7 +726,7 @@ class TestBatchedMatmulLowering:
             insert_random_noise(
                 ideal, 2, channel_factory=lambda: depolarizing(0.98), seed=6
             ),
-            ideal, "alg2",
+            ideal, "alg2", use_local_optimisations=False,
         )
         return network, build_plan(network, max_intermediate_size=64)
 

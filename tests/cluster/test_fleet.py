@@ -29,8 +29,9 @@ from cluster_helpers import BACKENDS
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
-#: Slicing bound small enough that qft(3) checks fan out many chunks.
-SLICING = {"max_intermediate_size": 16}
+#: Slicing bound small enough that qft(3) checks fan out many chunks
+#: (of the unshrunk miter: a shrunk qft(3) miter may not slice at all).
+SLICING = {"max_intermediate_size": 16, "use_local_optimisations": False}
 
 
 def daemon_env(**extra):

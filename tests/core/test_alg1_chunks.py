@@ -259,11 +259,14 @@ class TestOneContraction:
         ideal = qft(3)
         noisy = insert_random_noise(ideal, 2, seed=1)
         engine = get_backend(backend, max_intermediate_size=8)
-        result = fidelity_individual(noisy, ideal, backend=engine)
-        stats = result.stats
-        term_plan = engine.plan_for(
-            alg1_template(noisy, ideal).representative()
+        # the unshrunk miter, which the bound slices
+        result = fidelity_individual(
+            noisy, ideal, backend=engine, use_local_optimisations=False
         )
+        stats = result.stats
+        term_plan = engine.plan_for(alg1_template(
+            noisy, ideal, use_local_optimisations=False
+        ).representative())
         assert stats.predicted_cost == term_plan.total_cost() * 16
         assert stats.slice_count == term_plan.num_slices() > 1
         assert stats.predicted_peak_size == term_plan.peak_size()

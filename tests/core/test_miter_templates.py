@@ -71,6 +71,7 @@ def _cases():
     ideal = qft(3)
     untouched = QuantumCircuit(3).h(0).cx(0, 1)
     explicit = QuantumCircuit(3).h(0).cx(0, 1).rz(0.4, 2)
+    swap_tail = QuantumCircuit(3).h(0).cx(0, 1).swap(0, 2).swap(1, 2)
 
     def explicit_noisy(p):
         # not ideal + noise: one gate differs and one is missing
@@ -97,6 +98,9 @@ def _cases():
             _with_noise(untouched, {1}, bit_flip(p), [2]), untouched
         ),
         "noise_free": lambda p: (ideal.copy(), ideal),
+        "swap_tail": lambda p: (
+            _with_noise(swap_tail, {2}, depolarizing(p), [1]), swap_tail
+        ),
         "explicit_noisy": lambda p: (explicit_noisy(p), explicit),
     }
 
@@ -226,11 +230,12 @@ class TestRefillIsBitIdentical:
         assert hit is (algorithm == "alg2")
         assert abs(result.fidelity - process_fidelity(noisy, ideal)) < 1e-9
 
-    def test_cancelled_noise_sites_are_never_memoised(self):
-        """Local optimisations cancel adjacent mutually inverse unitary
-        channels in the doubled miter: that network has no slot for them,
-        so it is not stored.  A stored template of the same structure
-        still refills them, with the same value."""
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_mutually_inverse_channels_are_kept_and_memoised(self, algorithm):
+        """The shrink never pairs channels, even two adjacent unitary
+        channels whose product is the identity: both sites stay in the
+        network, in circuit order, so the template is stored and any
+        channels refill it."""
         s = np.diag([1, 1j])
         ideal = qft(3)
 
@@ -238,20 +243,17 @@ class TestRefillIsBitIdentical:
             noisy = _with_noise(ideal, {2}, first, [1])
             return _with_noise(noisy, {3}, second, [1]), ideal
 
-        options = dict(use_local_optimisations=True)
-        cancelling = make(KrausChannel([s]), KrausChannel([s.conj().T]))
+        inverse = make(KrausChannel([s]), KrausChannel([s.conj().T]))
         engine = get_backend("einsum")
-        for _ in range(2):
-            result, hit = run("alg2", engine, *cancelling, **options)
-            assert hit is False
-            assert abs(
-                result.fidelity - process_fidelity(*cancelling)
-            ) < 1e-9
-        assert len(engine._templates) == 0
-        run("alg2", engine, *make(bit_flip(0.9), bit_flip(0.9)), **options)
-        result, hit = run("alg2", engine, *cancelling, **options)
-        assert hit is True
-        assert abs(result.fidelity - process_fidelity(*cancelling)) < 1e-9
+        result, hit = run(algorithm, engine, *inverse)
+        assert hit is False
+        assert abs(result.fidelity - process_fidelity(*inverse)) < 1e-9
+        (template,) = engine._templates.values()
+        assert len(template.network.noise_sites) == 2
+        for pair in (make(bit_flip(0.9), depolarizing(0.8)), inverse):
+            result, hit = run(algorithm, engine, *pair)
+            assert hit is (algorithm == "alg2" or pair is inverse)
+            assert abs(result.fidelity - process_fidelity(*pair)) < 1e-9
 
     @pytest.mark.parametrize("epsilon", [None, 0.5])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -285,7 +287,7 @@ class TestMemoBound:
         return noisy, ideal
 
     def key(self, angle):
-        return miter_key("alg2", *self.pair(angle), False)
+        return miter_key("alg2", *self.pair(angle), True)
 
     def test_cap_plus_five_keep_the_last_cap(self):
         engine = get_backend("einsum")
@@ -346,6 +348,52 @@ class TestMemoBound:
                 result.fidelity - process_fidelity(noisy, ideal)
             ) < 1e-9
         assert calls == {"build_plan": 1, "alg2_trace_network": 1}
+
+
+class TestPlanTotalsOnATemplateHit:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_warm_checks_walk_the_plan_steps_at_most_once(
+        self, monkeypatch, algorithm
+    ):
+        """``total_cost`` and ``peak_size`` walk a plan's steps once per
+        plan object; a warm check reads the kept totals."""
+        from repro.tensornet.planner import ContractionPlan
+
+        walks, reads = [], []
+        real = ContractionPlan._step_totals
+
+        def counting(plan):
+            reads.append(id(plan))
+            if "_totals" not in plan.__dict__:
+                walks.append(id(plan))
+            return real(plan)
+
+        monkeypatch.setattr(ContractionPlan, "_step_totals", counting)
+        engine = get_backend("einsum")
+        make = CASES["random"]
+        run(algorithm, engine, *make(0.97))
+        for p in np.linspace(0.9, 0.99, 10):
+            _, hit = run(algorithm, engine, *make(p))
+            assert hit is True
+        assert len(reads) > len(walks) > 0
+        assert len(walks) == len(set(walks))
+
+    def test_copies_and_unpickled_plans_walk_their_own_steps(self):
+        import pickle
+
+        from repro.core.miter import algorithm_network
+
+        plan = get_backend("einsum").plan_for(
+            algorithm_network(*CASES["random"](0.9), "alg2")
+        )
+        totals = (plan.total_cost(), plan.peak_size())
+        assert "_totals" in plan.__dict__
+        copy = replace(plan, slices=())
+        assert "_totals" not in copy.__dict__
+        restored = pickle.loads(pickle.dumps(plan))
+        assert "_totals" not in restored.__dict__
+        assert restored == plan
+        assert (restored.total_cost(), restored.peak_size()) == totals
 
 
 class TestStatsOnATemplateHit:
@@ -514,10 +562,13 @@ class TestFoldLayout:
     """A held operand that a BLAS step would transpose and copy on every
     hit is held in that copy's layout, and the step reads it as is."""
 
+    #: the unshrunk miter: the shrink leaves no BLAS-sized step here
+    OPTIONS = dict(use_local_optimisations=False)
+
     @staticmethod
     def make(p):
         # qft_dagger(3), the other cases' circuit, has no BLAS-sized step
-        # on a held operand; this placement has four
+        # on a held operand; this placement's unshrunk miter has four
         return (
             insert_random_noise(
                 qft_dagger(5), 3,
@@ -529,7 +580,7 @@ class TestFoldLayout:
     def test_held_blas_operands_are_read_without_a_copy(self):
         engine = get_backend("einsum")
         for p in (0.97, 0.9):
-            run("alg2", engine, *self.make(p))
+            run("alg2", engine, *self.make(p), **self.OPTIONS)
         _, template = only_template(engine)
         fold = template.fold
         compiled = compiled_for(template.plan)
@@ -550,17 +601,22 @@ class TestFoldLayout:
         assert rewritten > 0
 
     def test_a_rewritten_step_stays_bit_identical(self):
+        options = self.OPTIONS
         warm = get_backend("einsum")
-        run("alg2", warm, *self.make(0.97))
+        run("alg2", warm, *self.make(0.97), **options)
         for p in (0.9, 0.8):
-            folded, hit = run("alg2", warm, *self.make(p))
+            folded, hit = run("alg2", warm, *self.make(p), **options)
             assert hit
             key, template = only_template(warm)
-            fresh, _ = run("alg2", get_backend("einsum"), *self.make(p))
+            fresh, _ = run(
+                "alg2", get_backend("einsum"), *self.make(p), **options
+            )
             warm._templates[key] = replace(template, fold=None)
-            unfolded, _ = run("alg2", warm, *self.make(p))
+            unfolded, _ = run("alg2", warm, *self.make(p), **options)
             warm._templates[key] = template
-            reference, _ = run("alg2", get_backend("dense"), *self.make(p))
+            reference, _ = run(
+                "alg2", get_backend("dense"), *self.make(p), **options
+            )
             assert repr(folded.fidelity) == repr(fresh.fidelity)
             assert repr(folded.fidelity) == repr(unfolded.fidelity)
             assert abs(folded.fidelity - reference.fidelity) < 1e-9
@@ -638,14 +694,16 @@ class TestFoldLifetime:
         assert hit is False
 
     def test_a_fold_larger_than_the_memory_bound_is_not_kept(self):
-        """qft_dagger(3)'s alg2 fold holds 256 elements; neither bound
-        slices the plan, but only the larger one keeps the fold."""
+        """qft_dagger(3)'s unshrunk alg2 fold holds 256 elements; neither
+        bound slices the plan, but only the larger one keeps the fold."""
         make = CASES["random"]
         sizes = {}
         for bound in (128, 256):
             engine = get_backend("einsum", max_intermediate_size=bound)
             for p in (0.97, 0.9):
-                result, spans = traced("alg2", engine, *make(p))
+                result, spans = traced(
+                    "alg2", engine, *make(p), use_local_optimisations=False
+                )
             _, template = only_template(engine)
             assert template.plan.num_slices() == 1
             assert template.fold_tried

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.core import CheckConfig, CheckResult, CheckSession, RunStats
+from repro.core.stats import TermTimes
 from repro.library import qft
 from repro.noise import insert_random_noise
 from repro.tensornet import build_plan
@@ -27,6 +28,35 @@ class TestRunStats:
         record = RunStats().to_dict()
         assert record["planning_seconds"] == 0.0
         assert record["plan_trials"] == 0
+
+
+class TestTermTimes:
+    def test_reads_as_the_per_term_list(self):
+        times = TermTimes()
+        times.add_run(0.5, 1)
+        times.add_run(0.25, 3)
+        expected = [0.5, 0.25, 0.25, 0.25]
+        assert len(times) == 4 and list(times) == expected
+        assert times == expected and expected == times
+        assert times[1:] == expected[1:] and times[-1] == 0.25
+        assert max(times) == 0.5
+        assert times != [0.5, 0.25, 0.25]
+
+    def test_alg1_keeps_one_run_per_chunk_and_serialises_a_list(self):
+        from repro.core import fidelity_individual
+
+        ideal = qft(3)
+        noisy = insert_random_noise(ideal, 3, seed=1)  # 64 terms
+        stats = fidelity_individual(noisy, ideal).stats
+        assert isinstance(stats.term_times, TermTimes)
+        assert len(stats.term_times) == stats.terms_computed == 64
+        assert len(stats.term_times._runs) < 64
+        record = stats.to_dict()
+        assert record["term_times"] == list(stats.term_times)
+        assert type(record["term_times"]) is list
+        clone = pickle.loads(pickle.dumps(stats))
+        assert clone == stats
+        assert RunStats(**record) == stats
 
 
 class TestPickleRoundTrip:

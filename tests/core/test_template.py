@@ -76,7 +76,7 @@ class TestTemplateConstruction:
     def test_sliced_plan_leads_with_the_kraus_labels(self):
         ideal = qft(3)
         noisy = insert_random_noise(ideal, 2, seed=1)
-        template = alg1_template(noisy, ideal)
+        template = alg1_template(noisy, ideal, use_local_optimisations=False)
         term_plan = get_backend(
             "einsum", max_intermediate_size=16
         ).plan_for(template.representative())

@@ -31,7 +31,9 @@ def sliced_workload():
     """A qft(3) alg2 network plus a plan sliced into many subplans."""
     ideal = qft(3)
     noisy = insert_random_noise(ideal, 2, seed=0)
-    network = algorithm_network(noisy, ideal, "alg2")
+    network = algorithm_network(  # unshrunk: large enough to slice
+        noisy, ideal, "alg2", use_local_optimisations=False
+    )
     plan = build_plan(network)
     sliced = slice_plan(plan, max(1, plan.peak_size() // 4))
     assert sliced.num_slices() > 4  # parallelism must have work to split

@@ -28,9 +28,10 @@ from repro.tensornet.planner import (
 )
 
 def network(qubits=3, noises=2, seed=0):
+    """An unshrunk alg2 network: enough steps for a search to improve."""
     ideal = qft(qubits)
     noisy = insert_random_noise(ideal, noises, seed=seed)
-    return alg2_trace_network(noisy, ideal)
+    return alg2_trace_network(noisy, ideal, use_local_optimisations=False)
 
 
 def baseline_cost(net):
@@ -190,7 +191,8 @@ class TestPinnedSearches:
         digest, best_cost, best_trial, trajectory = expected
         ideal = make()
         net = alg2_trace_network(
-            insert_random_noise(ideal, noises, seed=noise_seed), ideal
+            insert_random_noise(ideal, noises, seed=noise_seed), ideal,
+            use_local_optimisations=False,
         )
         plan = search_plan(net, trials=trials, seed=seed)
         report = plan.search_report

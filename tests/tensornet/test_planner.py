@@ -137,9 +137,11 @@ def _steps_from_order_reference(inputs, dims, order):
 
 
 def table_one_network(make, noises=3, seed=0):
+    """A Table I row's unshrunk alg2 network (the paper's network)."""
     ideal = make()
     return alg2_trace_network(
-        insert_random_noise(ideal, noises, seed=seed), ideal
+        insert_random_noise(ideal, noises, seed=seed), ideal,
+        use_local_optimisations=False,
     )
 
 

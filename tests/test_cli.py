@@ -239,11 +239,12 @@ class TestPlanCommand:
         assert record["total_cost"] > 0
 
     def test_plan_slicing_caps_peak(self, qasm_file, capsys):
-        main(["plan", qasm_file, "--noises", "1", "--json"])
+        # three noises: one leaves a shrunk qft3 miter of scalars only
+        main(["plan", qasm_file, "--noises", "3", "--json"])
         unsliced = json.loads(capsys.readouterr().out)
         bound = unsliced["peak_intermediate_size"] // 4
         main([
-            "plan", qasm_file, "--noises", "1", "--json",
+            "plan", qasm_file, "--noises", "3", "--json",
             "--max-intermediate", str(bound),
         ])
         sliced = json.loads(capsys.readouterr().out)

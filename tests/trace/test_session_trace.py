@@ -276,8 +276,9 @@ class TestCostOnSpans:
         from repro.tensornet import ContractionStats
 
         ideal = qft(5)
-        network = alg2_trace_network(
-            insert_random_noise(ideal, 3, seed=4), ideal
+        network = alg2_trace_network(  # unshrunk: it has BLAS steps
+            insert_random_noise(ideal, 3, seed=4), ideal,
+            use_local_optimisations=False,
         )
         engine = get_backend(
             backend, max_intermediate_size=max_intermediate_size
@@ -311,7 +312,9 @@ class TestWorkerSpanPropagation:
         from repro.parallel import ProcessSliceExecutor
 
         ideal, noisy = pair()
-        network = alg2_trace_network(noisy, ideal)
+        network = alg2_trace_network(  # unshrunk: the bound slices it
+            noisy, ideal, use_local_optimisations=False
+        )
         with ProcessSliceExecutor(jobs=2) as executor:
             backend = get_backend(
                 "einsum", max_intermediate_size=8, executor=executor

@@ -149,6 +149,8 @@ def traced_check_tree():
             "backend": "einsum",
             "max_intermediate_size": 64,
             "slice_batch": 4,
+            # the unshrunk miter, which the bound slices
+            "use_local_optimisations": False,
             "trace": True,
         },
     )
