@@ -332,11 +332,15 @@ class Engine:
         """Answer one request, opening a trace when its config asks.
 
         The recorder is created here — above the session — so the root
-        ``engine.request`` span covers resolution, caching and the check
-        itself; the finished span tree lands on ``result.trace``.
+        ``engine.request`` span covers resolution (a fresh config's
+        session construction included), caching and the check itself;
+        the finished span tree lands on ``result.trace``.
         """
+        with self._lock:
+            entry = self._resolved.get((request.epsilon, request.config))
         try:
-            trace_on = self._config_for(request).trace
+            config = entry[0] if entry else request.resolve_config(self.config)
+            trace_on = config.trace
         except ReproError:
             # invalid config: the untraced path below resolves again and
             # maps the same failure to a typed ERROR response

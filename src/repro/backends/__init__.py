@@ -8,9 +8,10 @@ built in and pre-registered:
 * ``"dense"`` — pairwise :meth:`Tensor.contract` along the contraction
   plan, with batched sliced execution: the independent reference the
   array kernel is checked against;
-* ``"einsum"`` — the array kernel on numpy: large plan steps contract
-  through ``tensordot`` (BLAS), small ones through compiled
-  integer-subscript einsum, with batched sliced execution by default.
+* ``"einsum"`` — the array kernel on numpy: each plan step is lowered
+  once, large plain matrix products to a precomputed ``matmul`` (BLAS)
+  and every other step to an einsum equation string run through
+  numpy's C einsum, with batched sliced execution by default.
   It is :data:`DEFAULT_BACKEND`, the backend of every config, CLI
   command and ``fidelity_*`` helper that names none;
 * ``"einsum-torch"`` / ``"einsum-cupy"`` — the same array kernel on

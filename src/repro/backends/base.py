@@ -165,6 +165,11 @@ class ContractionKernel(abc.ABC):
     batch axis wherever an operand varies across slices.
     """
 
+    #: Whether a chunk's intermediates are exactly the plan steps'
+    #: outputs, so the driver records the steps' static per-slice
+    #: figures as the chunk's ``ContractionStats`` (the array kernels).
+    plan_stats: ClassVar[bool] = False
+
     @abc.abstractmethod
     def load(
         self, applier: SliceApplier, chunk: Sequence[Dict[str, int]]
@@ -196,11 +201,13 @@ class PlanFold:
     runs only the residual steps: the same
     :class:`~repro.backends.xp.CompiledStep` calls, in plan order, each
     with its own lhs and rhs, so its values equal the whole plan's bit
-    for bit.  A held operand that a BLAS step would transpose and copy
-    on every run is held in that copy's layout instead, and its step
-    reads it as is (:func:`_blas_ready`).  Built by
+    for bit.  A held operand that a matmul step would transpose and
+    copy on every run is held in that copy's matrix layout instead, and
+    its step reads it as is (:func:`_blas_ready`).  The fold also
+    carries the static per-slice figures of the steps it runs, which
+    the driver records as the run's contraction stats.  Built by
     :meth:`ContractionBackend.fold_constants`; a whole-plan execution
-    is the fold that holds nothing.
+    is the fold that holds nothing, with its figures read off the plan.
     """
 
     #: the residual steps, in plan order
@@ -215,6 +222,9 @@ class PlanFold:
     folded_steps: int
     #: predicted flops per slice of the residual steps
     cost: int
+    #: largest per-slice output size and rank of the residual steps (or 0)
+    peak_size: int
+    width: int
 
     def run(self, operands: Sequence, merge) -> object:
         """The final operand, from the varying inputs' ``operands``."""
@@ -236,45 +246,37 @@ def _read_only(operand):
 
 
 def _blas_ready(operand, step: CompiledStep, side: int):
-    """A held ``operand`` already in the layout ``np.tensordot`` copies
-    it into on ``side`` (0 = lhs, 1 = rhs) of ``step``, and the step
-    rewritten to read it as is; ``None`` when that call copies nothing.
+    """A held ``operand`` already in the matrix layout ``step``'s
+    :class:`~repro.backends.xp.Matmul` copies it into on ``side`` (0 =
+    lhs, 1 = rhs), and the step rewritten to read it as is; ``None`` when
+    that call copies nothing.
 
-    ``tensordot`` transposes each operand to (kept axes, summed axes) on
-    the lhs and (summed axes, kept axes) on the rhs, and reshapes it to a
+    The matmul transposes each operand to (kept axes, summed axes) on the
+    lhs and (summed axes, kept axes) on the rhs and reshapes it to a
     matrix, which copies a permuted operand on every execution; for qft9
     that is a strided 4 MB copy per check.  The held copy is that same
-    C-contiguous matrix, so ``dot`` reads the same values in the same
-    order and the step's value stays bit for bit the same.
+    C-contiguous matrix, so ``matmul`` reads the same values in the same
+    order and the step's value stays bit for bit the same.  (The step,
+    which no sliced label reaches, never reads its equation.)
     """
+    lowered = step.matmul
     if (
         not isinstance(operand, np.ndarray)
-        or step.axes is None
+        or lowered is None
         or step.out_batched
     ):
         return None
-    summed = list(step.axes[side])
-    kept = [axis for axis in range(operand.ndim) if axis not in summed]
-    order = kept + summed if side == 0 else summed + kept
-    transposed = operand.transpose(order)
-    groups = (kept, summed) if side == 0 else (summed, kept)
-    matrix = transposed.reshape(tuple(
-        math.prod(operand.shape[axis] for axis in group) for group in groups
-    ))
+    axes, shape = (
+        (lowered.lhs_axes, lowered.lhs_shape) if side == 0
+        else (lowered.rhs_axes, lowered.rhs_shape)
+    )
+    if axes is not None:
+        operand = operand.transpose(axes)
+    matrix = operand.reshape(shape)
     if np.may_share_memory(matrix, operand):
-        return None  # tensordot reads a view: nothing to save
-    axes = list(step.axes)
-    axes[side] = tuple(
-        range(len(kept), operand.ndim) if side == 0 else range(len(summed))
-    )
-    subscripts = list(step.subscripts)
-    subscripts[side] = tuple(step.subscripts[side][axis] for axis in order)
-    return matrix.reshape(transposed.shape), replace(
-        step,
-        axes=tuple(axes),
-        subscripts=tuple(subscripts),
-        batched_subscripts=tuple(subscripts),
-    )
+        return None  # the matmul reads a view: nothing to save
+    held = replace(lowered, **{("lhs_axes", "rhs_axes")[side]: None})
+    return matrix, replace(step, matmul=held, batched_matmul=held)
 
 
 def fold_plan(
@@ -345,6 +347,7 @@ def fold_plan(
                     operands[node], step = ready
             steps.append(step)
         fold_span.set(steps=folded, arrays=len(kept), size=size)
+    ran = [plan.steps[step.out - count] for step in residual]
     return PlanFold(
         steps=tuple(steps),
         inputs=tuple(
@@ -353,7 +356,9 @@ def fold_plan(
         arrays={node: _read_only(operands[node]) for node in kept},
         root=compiled.root,
         folded_steps=folded,
-        cost=sum(plan.steps[step.out - count].flops for step in residual),
+        cost=sum(step.flops for step in ran),
+        peak_size=max((step.output_size for step in ran), default=0),
+        width=max((len(step.output) for step in ran), default=0),
     )
 
 
@@ -494,10 +499,12 @@ class ContractionBackend(abc.ABC):
         network:
             A closed tensor network (no open indices).
         stats:
-            Optional collector; kernels fill the fields they can
-            (``max_nodes`` for decision diagrams,
-            ``max_intermediate_size`` for dense engines), and the driver
-            adds the plan-derived ``predicted_cost``/
+            Optional collector; kernels that measure their operands fill
+            what they measure (``max_nodes`` for decision diagrams), the
+            driver records the steps' static per-slice figures
+            (``num_pairwise_contractions``, ``max_intermediate_rank``,
+            ``max_intermediate_size``) for the array kernels, and adds
+            the plan-derived ``predicted_cost``/
             ``predicted_peak_size``/``slice_count`` predictions.
         plan:
             Execute this :class:`ContractionPlan` instead of planning —
@@ -577,15 +584,20 @@ class ContractionBackend(abc.ABC):
         when the stream is exhausted or closed; its ``slices``,
         ``steps`` (steps each slice ran), ``folded_steps`` and
         ``predicted_cost`` (per-slice flops of the steps run times
-        slices run) describe the work that actually ran.  ``network``
-        may keep open legs exactly on the plan's sliced labels: every
-        chunk fixes them.
+        slices run) describe the work that actually ran.  For a kernel
+        with :attr:`~ContractionKernel.plan_stats`, each chunk adds the
+        fold's step count to ``stats.num_pairwise_contractions`` and its
+        per-slice peak size and width to the ``max_intermediate_*``
+        fields.  ``network`` may keep open legs exactly on the plan's
+        sliced labels: every chunk fixes them.
         """
         compiled = compiled_for(plan)
         if fold is None:
             fold = PlanFold(
                 compiled.steps, tuple(range(len(compiled.input_batched))),
-                {}, compiled.root, 0, sum(step.flops for step in plan.steps),
+                {}, compiled.root, 0,
+                plan.total_cost() // plan.num_slices(),
+                plan.peak_size() if plan.steps else 0, plan.width(),
             )
         with _trace.span("plan.execute") as execute_span:
             applier = SliceApplier(
@@ -593,6 +605,8 @@ class ContractionBackend(abc.ABC):
                 plan.slices,
             )
             kernel = self.kernel(network, plan, compiled, stats)
+            # static per-slice figures: a batched chunk counts once
+            plan_stats = stats is not None and kernel.plan_stats
             ran = 0
             try:
                 for chunk in chunks:
@@ -601,6 +615,14 @@ class ContractionBackend(abc.ABC):
                     ran += len(chunk)
                     if len(chunk) > 1 and stats is not None:
                         stats.batched_slice_calls += 1
+                    if plan_stats:
+                        stats.num_pairwise_contractions += len(fold.steps)
+                        stats.max_intermediate_rank = max(
+                            stats.max_intermediate_rank, fold.width
+                        )
+                        stats.max_intermediate_size = max(
+                            stats.max_intermediate_size, fold.peak_size
+                        )
                     yield kernel.values(result)
             finally:
                 execute_span.set(

@@ -9,8 +9,10 @@ reference implementation for cross-backend tests.
 Sliced plans batch by default: slice assignments are chunked and each
 multi-slice chunk contracts through the einsum backend's batched kernel
 (batched matmul or einsum over a leading batch axis).  One-slice chunks —
-unsliced plans, and every chunk under ``slice_batch=1`` — use tensordot,
-the reference the property tests pin the batched path against.
+unsliced plans, and every chunk under ``slice_batch=1`` — use
+:meth:`Tensor.contract`, the reference the property tests pin the
+batched path against.  Like the einsum kernel's, its contraction stats
+are the plan's static per-slice figures.
 """
 
 from __future__ import annotations
@@ -42,10 +44,7 @@ class DenseKernel(EinsumKernel):
     def merge(self, a, b, step: CompiledStep):
         if self.batch > 1:
             return super().merge(a, b, step)
-        merged = a.contract(b)
-        if self.stats is not None:
-            self.stats.observe(merged)
-        return merged
+        return a.contract(b)
 
     def values(self, operand) -> np.ndarray:
         if self.batch > 1:
@@ -71,4 +70,4 @@ class DenseBackend(ContractionBackend):
         return self.xp.device
 
     def kernel(self, network, plan, compiled, stats):
-        return DenseKernel(self.xp, stats)
+        return DenseKernel(self.xp)

@@ -5,8 +5,10 @@ Each pairwise step of the shared
 :class:`~repro.backends.xp.ArrayNamespace` — numpy for ``einsum``,
 torch or cupy for ``einsum-torch`` / ``einsum-cupy``.  Steps are
 lowered once per plan object (:func:`repro.backends.xp.compiled_for`):
-large plain matrix products run as ``tensordot`` (BLAS), every other
-step as an integer-sublist ``einsum``.
+large plain matrix products run as a precomputed ``matmul`` (BLAS),
+every other step as its einsum equation.  The kernel keeps no stats:
+the driver records the plan's static per-slice figures once per chunk
+(:attr:`~repro.backends.base.ContractionKernel.plan_stats`).
 
 Sliced plans run in chunks of ``slice_batch`` assignments: a chunk of
 one slice contracts like an unsliced plan, and a longer chunk gains a
@@ -26,23 +28,21 @@ hint, while the registry entry itself always imports and lists.
 
 from __future__ import annotations
 
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
-from ..tensornet import ContractionStats
 from .base import ContractionBackend, ContractionKernel, fold_plan
 from .xp import ArrayNamespace, CompiledStep, resolve_namespace
 
 
 class EinsumKernel(ContractionKernel):
-    """Compiled tensordot/matmul/einsum steps on one array namespace."""
+    """Compiled matmul/einsum steps on one array namespace."""
 
-    def __init__(
-        self, xp: ArrayNamespace, stats: Optional[ContractionStats]
-    ):
+    plan_stats = True
+
+    def __init__(self, xp: ArrayNamespace):
         self.xp = xp
-        self.stats = stats
         #: slices in the chunk being contracted
         self.batch = 1
 
@@ -51,36 +51,14 @@ class EinsumKernel(ContractionKernel):
         return applier.gather(chunk, self.xp)
 
     def merge(self, a, b, step: CompiledStep):
-        batched = self.batch > 1 and step.out_batched
-        if batched and step.matmul is not None:
-            merged = step.matmul(self.xp, a, b)
-        elif not batched and step.axes is not None:
-            merged = self.xp.tensordot(a, b, step.axes)
+        # a step no sliced label reaches has the same batched fields
+        if self.batch > 1:
+            matmul, equation = step.batched_matmul, step.batched_equation
         else:
-            lhs_subs, rhs_subs, out_subs = (
-                step.batched_subscripts if batched else step.subscripts
-            )
-            merged = self.xp.einsum(
-                a, list(lhs_subs), b, list(rhs_subs), list(out_subs)
-            )
-        stats = self.stats
-        if stats is not None:
-            # Stats keep their established *per-slice* semantics (the
-            # slicing bound and plan.peak_size() are per-slice figures):
-            # divide the batch axis back out and drop its rank.  The
-            # batch memory multiplier is visible via slice_batch and
-            # batched_slice_calls.
-            size = self.xp.size_of(merged)
-            if batched:
-                size //= self.batch
-            stats.num_pairwise_contractions += 1
-            stats.max_intermediate_rank = max(
-                stats.max_intermediate_rank, len(step.subscripts[2])
-            )
-            stats.max_intermediate_size = max(
-                stats.max_intermediate_size, size
-            )
-        return merged
+            matmul, equation = step.matmul, step.equation
+        if matmul is not None:
+            return matmul(self.xp, a, b)
+        return self.xp.einsum(equation, a, b)
 
     def values(self, operand) -> np.ndarray:
         values = self.xp.to_host(operand)
@@ -93,7 +71,7 @@ class EinsumKernel(ContractionKernel):
 
 
 class NumpyEinsumBackend(ContractionBackend):
-    """Compiled tensordot/einsum execution of a shared contraction plan."""
+    """Compiled matmul/einsum execution of a shared contraction plan."""
 
     name = "einsum"
     #: array namespace the backend contracts with; subclasses override.
@@ -112,7 +90,7 @@ class NumpyEinsumBackend(ContractionBackend):
         return self.xp.device
 
     def kernel(self, network, plan, compiled, stats):
-        return EinsumKernel(self.xp, stats)
+        return EinsumKernel(self.xp)
 
     def fold_constants(self, network, plan, varying):
         """The plan's constant steps on this namespace (:func:`fold_plan`)."""

@@ -1,11 +1,10 @@
 """The array-namespace portability layer: one contraction kernel, any array library.
 
-The array backends bottom out in ``einsum``, ``tensordot`` and
-``matmul`` calls over ndarrays.  Nothing about those calls is
-numpy-specific — torch and cupy implement the same interleaved
-integer-sublist ``einsum``, the same ``tensordot`` and batched
-``matmul``, advanced indexing and transposes — so this module puts
-the handful of array operations the execution path needs behind an
+The array backends bottom out in ``einsum`` and ``matmul`` calls over
+ndarrays.  Nothing about those calls is numpy-specific — torch and
+cupy implement the same equation-string ``einsum`` and batched
+``matmul``, advanced indexing and transposes — so this module puts the
+handful of array operations the execution path needs behind an
 :class:`ArrayNamespace`, and the one kernel (:mod:`repro.backends.einsum`)
 runs the *same* :class:`~repro.tensornet.planner.ContractionPlan` on
 numpy arrays, torch tensors (CPU or CUDA) or cupy arrays.
@@ -23,13 +22,17 @@ Design rules:
   come back (:meth:`ArrayNamespace.to_host`).  Slice gathering happens
   on-device via advanced indexing, so the inputs of an 8192-slice
   contraction move once, not 8192 times.
+* **Steps cost their call, not their set-up.**  Shrunk networks run
+  tens of tiny steps per check, so everything a step needs is computed
+  when its plan is lowered, and numpy's einsum is its C entry point.
 
-The module also owns plan lowering: :func:`compile_plan` computes every
-step's output node, integer einsum subscripts (unbatched and
-batch-labelled), ``tensordot`` axes for unbatched steps of at least
-:data:`BLAS_MIN_FLOPS` predicted flops that are plain matrix products,
-and a :class:`BatchedMatmul` for every batched step that is one;
-:func:`compiled_for` keeps it on the plan, for as long as the plan lives.
+The module also owns plan lowering: :func:`compile_plan` lowers every
+step once, to its output node and either an einsum equation string
+(per slice, and batch-lettered for batched slice chunks) or, for a
+plain matrix product, a precomputed transpose/reshape/``matmul``
+(:class:`Matmul`): per slice at :data:`BLAS_MIN_FLOPS` predicted flops
+or more, and in every batched chunk.  :func:`compiled_for` keeps the
+lowering on the plan, for as long as the plan lives.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import abc
 import importlib.util
 import math
 from dataclasses import dataclass
+from string import ascii_letters
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,11 +58,15 @@ NAMESPACES = ("numpy", "torch", "cupy")
 #: elements (2M complex128 elements ≈ 32 MiB of batched intermediate).
 AUTO_SLICE_BATCH_BUDGET = 1 << 21
 
-#: Unbatched plan steps of at least this many predicted flops
+#: Per-slice plan steps of at least this many predicted flops
 #: (:attr:`~repro.tensornet.planner.ContractionStep.flops`) that are plain
-#: matrix products run as ``tensordot`` (BLAS on numpy); below it einsum's
-#: lower call overhead wins.  Fitted on the perfbench rows (ROADMAP item 3).
-BLAS_MIN_FLOPS = 4096
+#: matrix products run as a precomputed :class:`Matmul` (BLAS on numpy);
+#: below it the C einsum's lower call overhead wins.  Refit on a 2-CPU
+#: x86-64 host over the 5,386 such steps of ten Table I rows' alg2
+#: plans, shrunk and unshrunk: the matmul wins 3% of the 64-255 flop
+#: steps, 65% at 256-511 and 93-100% from 1024, and the summed step
+#: time is least at 256 (4.3% above it at the old 4096).
+BLAS_MIN_FLOPS = 256
 
 #: pip extras installing each optional namespace (the error-message hint).
 _INSTALL_HINTS = {
@@ -130,12 +138,8 @@ class ArrayNamespace(abc.ABC):
         """Integer gather-index array on the device."""
 
     @abc.abstractmethod
-    def einsum(self, *operands_and_subscripts):
-        """Interleaved integer-sublist einsum (the numpy calling form)."""
-
-    @abc.abstractmethod
-    def tensordot(self, a, b, axes):
-        """Contract ``axes[0]`` of ``a`` with ``axes[1]`` of ``b``."""
+    def einsum(self, equation: str, a, b):
+        """``equation`` (such as ``"bc,cd->bd"``) applied to ``a`` and ``b``."""
 
     @abc.abstractmethod
     def transpose(self, operand, axes):
@@ -149,13 +153,19 @@ class ArrayNamespace(abc.ABC):
     def to_host(self, operand) -> np.ndarray:
         """``operand`` as a host ndarray (the one device→host exit)."""
 
-    @staticmethod
-    def size_of(operand) -> int:
-        """Element count of an operand (works on ndarray/tensor alike)."""
-        return int(math.prod(operand.shape)) if operand.shape else 1
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(device={self.device!r})"
+
+
+def _c_einsum():
+    """numpy's C einsum: what ``np.einsum`` forwards to without
+    ``optimize``, so a call skips its Python front end."""
+    for module in ("numpy._core.multiarray", "numpy.core.multiarray"):
+        try:  # numpy 2.x, then 1.x
+            return importlib.import_module(module).c_einsum
+        except (ImportError, AttributeError):
+            continue
+    return np.einsum  # pragma: no cover - no C entry point exposed
 
 
 class NumpyNamespace(ArrayNamespace):
@@ -178,11 +188,7 @@ class NumpyNamespace(ArrayNamespace):
     def index_array(self, values: Sequence[int]):
         return np.asarray(values, dtype=np.intp)
 
-    def einsum(self, *operands_and_subscripts):
-        return np.asarray(np.einsum(*operands_and_subscripts))
-
-    def tensordot(self, a, b, axes):
-        return np.tensordot(a, b, axes)
+    einsum = staticmethod(_c_einsum())
 
     def transpose(self, operand, axes):
         return operand.transpose(axes)
@@ -226,11 +232,8 @@ class TorchNamespace(ArrayNamespace):
             np.asarray(values, dtype=np.int64), device=self.device
         )
 
-    def einsum(self, *operands_and_subscripts):
-        return self._torch.einsum(*operands_and_subscripts)
-
-    def tensordot(self, a, b, axes):
-        return self._torch.tensordot(a, b, axes)
+    def einsum(self, equation: str, a, b):
+        return self._torch.einsum(equation, a, b)
 
     def transpose(self, operand, axes):
         return operand.permute(axes)
@@ -280,11 +283,8 @@ class CupyNamespace(ArrayNamespace):
         with self._cupy.cuda.Device(self._device_id()):
             return self._cupy.asarray(np.asarray(values, dtype=np.intp))
 
-    def einsum(self, *operands_and_subscripts):
-        return self._cupy.einsum(*operands_and_subscripts)
-
-    def tensordot(self, a, b, axes):
-        return self._cupy.tensordot(a, b, axes)
+    def einsum(self, equation: str, a, b):
+        return self._cupy.einsum(equation, a, b)
 
     def transpose(self, operand, axes):
         return operand.transpose(axes)
@@ -339,14 +339,15 @@ def resolve_namespace(
 
 
 @dataclass(frozen=True, slots=True)
-class BatchedMatmul:
-    """A batched step as one ``matmul``: ``(batch, m, k) × (batch, k, n)``.
+class Matmul:
+    """A plain matrix-product step as one ``matmul``: ``(m, k) × (k, n)``,
+    or ``(batch, m, k) × (batch, k, n)`` in a batched slice chunk.
 
     Each operand is transposed (when its axes are not already in order)
     to its free labels then the shared ones (lhs) or the shared labels
-    then its free ones (rhs), reshaped to a stack of matrices — an
-    operand without a batch axis stays one matrix and broadcasts — and
-    the product is reshaped to the step's batched output.
+    then its free ones (rhs) and reshaped to a matrix — to a stack of
+    matrices when it carries the batch axis; a stack and one matrix
+    broadcast — and the product is reshaped to the step's output.
     """
 
     lhs_axes: Optional[Tuple[int, ...]]
@@ -367,34 +368,30 @@ class BatchedMatmul:
 
 @dataclass(frozen=True, slots=True)
 class CompiledStep:
-    """One plan step lowered to einsum subscripts, BLAS axes or a matmul.
+    """One plan step lowered to an einsum equation or a :class:`Matmul`.
 
     The step merges nodes ``lhs`` and ``rhs`` (in that orientation) into
     node ``out``, numbered as in
-    :class:`~repro.tensornet.planner.ContractionStep`.
-    ``subscripts`` is the ``(lhs, rhs, out)`` sublist triple for the
-    per-slice (unbatched) call; ``batched_subscripts`` is the same triple
-    with the reserved batch label ``0`` prepended wherever the operand —
-    or the output — varies across slices; ``axes`` is the ``tensordot``
-    axes pair of an unbatched step lowered to BLAS (``None``: einsum);
-    ``matmul`` is the batched step's :class:`BatchedMatmul` (``None``:
-    batched einsum).
+    :class:`~repro.tensornet.planner.ContractionStep`.  ``equation`` is
+    the per-slice (unbatched) einsum equation, such as ``"bc,cd->bd"``;
+    ``batched_equation`` is the same equation with the reserved batch
+    letter ``a`` leading every operand — and the output — that varies
+    across slices.  ``matmul`` and ``batched_matmul`` are the same two
+    calls as a :class:`Matmul` (``None``: the equation runs).  A step no
+    sliced label reaches has one form: its batched fields are its
+    per-slice ones.
     """
 
     lhs: int
     rhs: int
     out: int
-    subscripts: Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
-    batched_subscripts: Tuple[
-        Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]
-    ]
+    equation: str
+    batched_equation: str
     out_batched: bool
     #: labels summed over in this step (engines that contract by label)
     eliminated: frozenset
-    #: ``tensordot`` axes of an unbatched call (``None`` = einsum)
-    axes: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
-    #: the batched call as one ``matmul`` (``None`` = batched einsum)
-    matmul: Optional[BatchedMatmul]
+    matmul: Optional[Matmul]
+    batched_matmul: Optional[Matmul]
 
 
 @dataclass(frozen=True)
@@ -409,54 +406,56 @@ class CompiledPlan:
 
     @property
     def blas_steps(self) -> int:
-        """How many steps an unbatched chunk contracts with ``tensordot``."""
-        return sum(step.axes is not None for step in self.steps)
+        """How many steps an unbatched chunk contracts with ``matmul``."""
+        return sum(step.matmul is not None for step in self.steps)
 
 
 def tensordot_axes(
     lhs: Tuple[str, ...], rhs: Tuple[str, ...], output: Tuple[str, ...]
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """``tensordot`` axes merging ``lhs`` and ``rhs`` into ``output``.
+    """The summed axes of ``lhs`` and ``rhs`` merging into ``output``.
 
     ``None`` unless the merge is a plain matrix product: no operand
     repeats a label, and ``output`` is exactly the unshared lhs labels
     then the unshared rhs labels (``tensordot``'s order, so no transpose
     follows) — no label survives from both operands or is summed from one.
     """
-    if len(set(lhs)) != len(lhs) or len(set(rhs)) != len(rhs):
-        return None
-    shared = [label for label in lhs if label in rhs]
-    if tuple(output) != tuple(
-        label for label in lhs + rhs if label not in shared
+    shared = set(lhs).intersection(rhs)
+    if (
+        len(set(lhs)) != len(lhs) or len(set(rhs)) != len(rhs)
+        or tuple(output) != tuple(
+            label for label in lhs + rhs if label not in shared
+        )
     ):
         return None
-    return (
-        tuple(lhs.index(label) for label in shared),
-        tuple(rhs.index(label) for label in shared),
-    )
+    lhs_axes = tuple(ax for ax, label in enumerate(lhs) if label in shared)
+    return lhs_axes, tuple(rhs.index(lhs[ax]) for ax in lhs_axes)
 
 
-def batched_matmul(
+def matmul_for(
     lhs: Tuple[str, ...],
     rhs: Tuple[str, ...],
     output: Tuple[str, ...],
     lhs_batched: bool,
     rhs_batched: bool,
     dims: Dict[str, int],
-) -> Optional[BatchedMatmul]:
-    """The :class:`BatchedMatmul` of a batched step, if it is a matrix product.
+) -> Optional[Matmul]:
+    """The :class:`Matmul` of a step, if it is a plain matrix product.
 
     ``lhs``/``rhs``/``output`` are the per-slice labels; the flags say
-    which operands carry the leading batch axis (the output always
-    does).  ``None`` when :func:`tensordot_axes` finds no plain matrix
-    product.
+    which operands carry the leading batch axis (the output does when
+    either does).  ``None`` when :func:`tensordot_axes` finds no plain
+    matrix product.
     """
     contracted = tensordot_axes(lhs, rhs, output)
     if contracted is None:
         return None
     lhs_shared, rhs_shared = contracted
-    lhs_free = [ax for ax in range(len(lhs)) if ax not in lhs_shared]
-    rhs_free = [ax for ax in range(len(rhs)) if ax not in rhs_shared]
+    # the output is the lhs's free labels, then the rhs's
+    out_shape = tuple([dims[label] for label in output])
+    free = len(lhs) - len(lhs_shared)
+    m, n = math.prod(out_shape[:free]), math.prod(out_shape[free:])
+    k = math.prod([dims[lhs[ax]] for ax in lhs_shared])
 
     def layout(order, batched, rows, cols):
         # (batch,) rows x cols, with None for an axis order already in place
@@ -464,80 +463,73 @@ def batched_matmul(
         shape = (-1, rows, cols) if batched else (rows, cols)
         return (None if axes == tuple(range(len(axes))) else axes), shape
 
-    def size(labels, axes):
-        return math.prod(dims[labels[ax]] for ax in axes)
-
-    m, k, n = size(lhs, lhs_free), size(lhs, lhs_shared), size(rhs, rhs_free)
     lhs_axes, lhs_shape = layout(
-        tuple(lhs_free) + lhs_shared, lhs_batched, m, k
+        tuple(ax for ax in range(len(lhs)) if ax not in lhs_shared)
+        + lhs_shared, lhs_batched, m, k,
     )
     rhs_axes, rhs_shape = layout(
-        rhs_shared + tuple(rhs_free), rhs_batched, k, n
+        rhs_shared
+        + tuple(ax for ax in range(len(rhs)) if ax not in rhs_shared),
+        rhs_batched, k, n,
     )
-    return BatchedMatmul(
-        lhs_axes=lhs_axes,
-        lhs_shape=lhs_shape,
-        rhs_axes=rhs_axes,
-        rhs_shape=rhs_shape,
-        out_shape=(-1,) + tuple(dims[label] for label in output),
+    batched = lhs_batched or rhs_batched
+    return Matmul(
+        lhs_axes, lhs_shape, rhs_axes, rhs_shape,
+        (-1,) + out_shape if batched else out_shape,
     )
 
 
 def compile_plan(plan: ContractionPlan) -> CompiledPlan:
-    """Lower a plan's steps to einsum subscripts, BLAS axes or matmuls.
+    """Lower each of a plan's steps once, to an equation or a matmul.
 
-    Each compiled step keeps its plan step's nodes.  Labels are remapped
-    to a dense integer range *per step* (so the global index count never
-    hits the 52-symbol einsum alphabet), with ``0`` reserved for the
-    batch axis of batched slice chunks; unbatched steps of at least
-    :data:`BLAS_MIN_FLOPS` flops also get :func:`tensordot_axes`, and
-    every batched step gets :func:`batched_matmul`.
+    Each compiled step keeps its plan step's nodes.  Labels become
+    letters *per step* (so the global index count never hits the
+    52-letter einsum alphabet), with ``a`` reserved for the batch axis
+    of batched slice chunks.  A plain matrix product
+    (:func:`tensordot_axes`) of at least :data:`BLAS_MIN_FLOPS` flops
+    runs as a :class:`Matmul` in every chunk, and any plain matrix
+    product does in a batched chunk; every other call runs its equation.
     """
     sliced = set(plan.slices)
     # per node: its per-slice labels, and whether it varies across slices
     labels = [
         tuple(lab for lab in labs if lab not in sliced) for labs in plan.inputs
-    ]
-    batched = [any(lab in sliced for lab in labs) for labs in plan.inputs]
+    ] if sliced else list(plan.inputs)
+    batched = [not sliced.isdisjoint(labs) for labs in plan.inputs]
     input_batched = tuple(batched)
     steps: List[CompiledStep] = []
     for out, step in enumerate(plan.steps, start=len(plan.inputs)):
         a, b = labels[step.lhs], labels[step.rhs]
         a_batched, b_batched = batched[step.lhs], batched[step.rhs]
-        mapping: Dict[str, int] = {}
-        for label in a + b:
-            mapping.setdefault(label, len(mapping) + 1)  # 0 = batch axis
-        lhs_subs = tuple(mapping[lab] for lab in a)
-        rhs_subs = tuple(mapping[lab] for lab in b)
-        out_subs = tuple(mapping[lab] for lab in step.output)
         out_batched = a_batched or b_batched
-        subscripts = (lhs_subs, rhs_subs, out_subs)
+        # "a" is the batch axis
+        letter = dict(zip(dict.fromkeys(a + b), ascii_letters[1:])).get
+        lhs = "".join(map(letter, a))
+        rhs = "".join(map(letter, b))
+        res = "".join(map(letter, step.output))
+        equation = f"{lhs},{rhs}->{res}"
+        matmul = batched_matmul = None
+        if step.flops >= BLAS_MIN_FLOPS:
+            matmul = batched_matmul = matmul_for(
+                a, b, step.output, False, False, plan.dims
+            )
+        if out_batched:
+            batched_matmul = matmul_for(
+                a, b, step.output, a_batched, b_batched, plan.dims
+            )
+        # positional, the cheaper call: a cold plan lowers each step on
+        # its way to running it once
         steps.append(CompiledStep(
-            lhs=step.lhs,
-            rhs=step.rhs,
-            out=out,
-            subscripts=subscripts,
-            # an unbatched step shares the per-slice triple
-            batched_subscripts=(
-                (
-                    (0,) + lhs_subs if a_batched else lhs_subs,
-                    (0,) + rhs_subs if b_batched else rhs_subs,
-                    (0,) + out_subs,
-                )
-                if out_batched else subscripts
-            ),
-            out_batched=out_batched,
-            eliminated=step.eliminated,
-            axes=(
-                tensordot_axes(a, b, step.output)
-                if step.flops >= BLAS_MIN_FLOPS else None
-            ),
-            matmul=(
-                batched_matmul(
-                    a, b, step.output, a_batched, b_batched, plan.dims
-                )
-                if out_batched else None
-            ),
+            step.lhs,
+            step.rhs,
+            out,
+            equation,
+            f"{'a' * a_batched}{lhs},{'a' * b_batched}{rhs}->a{res}"
+            if out_batched else equation,
+            out_batched,
+            step.eliminated,
+            matmul,
+            batched_matmul,
         ))
         labels.append(step.output)
         batched.append(out_batched)

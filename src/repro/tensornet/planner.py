@@ -134,8 +134,9 @@ class ContractionPlan:
             count *= self.dims[label]
         return count
 
-    def _step_totals(self) -> Tuple[int, int]:
-        """``(flops of one slice, peak_size)``, walked once per plan object.
+    def _step_totals(self) -> Tuple[int, int, int]:
+        """``(flops of one slice, peak_size, width)``, walked once per
+        plan object.
 
         Kept outside the plan's fields like :meth:`lowered`'s value: a
         ``dataclasses.replace`` copy or an unpickled plan walks its own
@@ -146,6 +147,7 @@ class ContractionPlan:
             totals = self.__dict__["_totals"] = (
                 sum(step.flops for step in self.steps),
                 max((step.output_size for step in self.steps), default=1),
+                max((len(step.output) for step in self.steps), default=0),
             )
         return totals
 
@@ -160,7 +162,7 @@ class ContractionPlan:
 
     def width(self) -> int:
         """Largest intermediate rank (the contraction-tree width)."""
-        return max((len(step.output) for step in self.steps), default=0)
+        return self._step_totals()[2]
 
     def total_cost(self) -> int:
         """Predicted scalar multiply-adds across *all* slices."""

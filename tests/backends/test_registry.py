@@ -89,7 +89,7 @@ class TestDenseIsIndependent:
             raise AssertionError("dense ran the array kernel")
 
         monkeypatch.setattr(NumpyNamespace, "einsum", refuse)
-        monkeypatch.setattr(NumpyNamespace, "tensordot", refuse)
+        monkeypatch.setattr(NumpyNamespace, "matmul", refuse)
         ideal = qft(4)
         network = algorithm_network(
             insert_random_noise(ideal, 2, seed=5), ideal, "alg2"
@@ -99,8 +99,9 @@ class TestDenseIsIndependent:
         assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
-class TestNamespaceTensordot:
-    """Every usable array namespace contracts BLAS steps the same way."""
+class TestNamespaceSteps:
+    """Every usable array namespace contracts a step's equation and its
+    matmul the same way."""
 
     @staticmethod
     def _usable_namespaces():
@@ -118,7 +119,9 @@ class TestNamespaceTensordot:
             except ValueError:  # installed, but no device to run on
                 continue
 
-    def test_tensordot_matches_numpy(self):
+    def test_equation_and_matmul_match_numpy(self):
+        from repro.backends.xp import matmul_for
+
         rng = np.random.default_rng(0)
         a = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal(
             (2, 3, 4)
@@ -126,16 +129,22 @@ class TestNamespaceTensordot:
         b = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal(
             (4, 5, 3)
         )
-        axes = ((1, 2), (2, 0))
-        expected = np.tensordot(a, b, axes)
+        expected = np.einsum(a, [0, 1, 2], b, [2, 3, 1], [0, 3])
+        lowered = matmul_for(
+            ("i", "j", "k"), ("k", "l", "j"), ("i", "l"), False, False,
+            {"i": 2, "j": 3, "k": 4, "l": 5},
+        )
         names = []
         for xp in self._usable_namespaces():
             names.append(xp.name)
-            merged = xp.tensordot(xp.from_host(a), xp.from_host(b), axes)
-            assert tuple(merged.shape) == expected.shape
-            assert abs(
-                complex(xp.to_host(merged).sum()) - complex(expected.sum())
-            ) < 1e-12 * np.abs(expected).sum()
+            for merged in (
+                xp.einsum("ijk,klj->il", xp.from_host(a), xp.from_host(b)),
+                lowered(xp, xp.from_host(a), xp.from_host(b)),
+            ):
+                assert tuple(merged.shape) == expected.shape
+                np.testing.assert_allclose(
+                    xp.to_host(merged), expected, rtol=0, atol=1e-12
+                )
         assert "numpy" in names
 
 

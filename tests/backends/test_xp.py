@@ -15,10 +15,13 @@ Three concerns, mirroring the layers of :mod:`repro.backends.xp`:
   (``num_slices % slice_batch != 0``) and the ``slice_batch=1``
   degenerate chunking; on einsum the batched kernel must also beat the
   loop by at least ``MIN_BATCHED_SPEEDUP``;
-* **BLAS lowering** — steps at or above ``BLAS_MIN_FLOPS`` that are
-  plain matrix products run through ``tensordot`` and agree with the
-  pure-einsum kernel to 1e-12, with identical contraction stats; every
-  other step stays on einsum.
+* **step lowering** — steps at or above ``BLAS_MIN_FLOPS`` that are
+  plain matrix products run as a precomputed ``matmul`` and agree with
+  the pure-einsum kernel to 1e-12, with identical contraction stats;
+  every other step runs its einsum equation.  Every lowered form (the
+  equation and the matmul, unbatched and batched, and a fold's held
+  matrix) agrees with a sublist ``np.einsum`` on random networks, and
+  the stats the driver reads off the plan equal a per-step walk.
 """
 
 import dataclasses
@@ -51,12 +54,13 @@ from repro.backends import (
     registered_backends,
     resolve_namespace,
 )
+from repro.backends.base import _blas_ready
 from repro.backends.einsum import EinsumKernel
 from repro.backends.xp import (
     BLAS_MIN_FLOPS,
-    batched_matmul,
     compile_plan,
     compiled_for,
+    matmul_for,
     tensordot_axes,
 )
 from repro.baseline import process_fidelity
@@ -74,6 +78,7 @@ from repro.tensornet import (
     build_plan,
     slice_plan,
 )
+from repro.tensornet.planner import SliceApplier, iter_slice_assignments
 
 TORCH_MISSING = namespace_available("torch")
 
@@ -205,14 +210,15 @@ class TestCompiledPlans:
         compiled = compile_plan(plan)
         assert any(compiled.input_batched)
         for cstep in compiled.steps:
-            for subs in cstep.subscripts:
-                assert 0 not in subs
-            lhs, rhs, out = cstep.batched_subscripts
-            assert (0 in lhs or 0 in rhs) == cstep.out_batched or (
-                not cstep.out_batched
-            )
-            if cstep.out_batched:
-                assert out[0] == 0
+            assert "a" not in cstep.equation
+            operands, out = cstep.batched_equation.split("->")
+            lhs, rhs = operands.split(",")
+            assert out.startswith("a") == cstep.out_batched
+            assert (
+                lhs.startswith("a") or rhs.startswith("a")
+            ) == cstep.out_batched
+            if not cstep.out_batched:
+                assert cstep.batched_equation == cstep.equation
 
     def test_compiled_for_keeps_the_lowering_on_the_plan(self):
         _, plan = _tiny_sliced_plan()
@@ -518,7 +524,7 @@ class TestBatchedSpeedup:
         assert looped / batched >= MIN_BATCHED_SPEEDUP
 
 
-# --- BLAS lowering ----------------------------------------------------------
+# --- matmul lowering --------------------------------------------------------
 
 
 def _wide_network(seed):
@@ -561,7 +567,7 @@ wide_networks = st.integers(min_value=0, max_value=2**32 - 1).map(
 def _einsum_only(compiled):
     """``compiled`` with every step left on einsum (the reference path)."""
     return dataclasses.replace(compiled, steps=tuple(
-        dataclasses.replace(step, axes=None, matmul=None)
+        dataclasses.replace(step, matmul=None, batched_matmul=None)
         for step in compiled.steps
     ))
 
@@ -590,7 +596,7 @@ class TestBlasLowering:
         plan = build_plan(network, max_intermediate_size=bound)
         lowered = compile_plan(plan)
         for step, cstep in zip(plan.steps, lowered.steps):
-            assert (cstep.axes is not None) == (
+            assert (cstep.matmul is not None) == (
                 step.flops >= BLAS_MIN_FLOPS
             )
         value, stats = _execute(network, plan, lowered, slice_batch)
@@ -658,8 +664,8 @@ class TestBlasLowering:
         )
         compiled = compile_plan(plan)
         assert compiled.blas_steps == 0
-        assert batched_matmul(lhs, rhs, out, True, True, dims) is None
-        kernel = EinsumKernel(resolve_namespace("numpy"), None)
+        assert matmul_for(lhs, rhs, out, True, True, dims) is None
+        kernel = EinsumKernel(resolve_namespace("numpy"))
         merged = kernel.merge(a, b, compiled.steps[0])
         symbols = {label: chr(ord("i") + n) for n, label in enumerate(dims)}
         spec = "{},{}->{}".format(*(
@@ -734,9 +740,11 @@ class TestBatchedMatmulLowering:
         _, plan = self._sliced_alg2()
         compiled = compile_plan(plan)
         batched = [step for step in compiled.steps if step.out_batched]
-        assert batched and all(step.matmul is not None for step in batched)
+        assert batched and all(
+            step.batched_matmul is not None for step in batched
+        )
         assert all(
-            step.matmul is None
+            step.batched_matmul is step.matmul
             for step in compiled.steps if not step.out_batched
         )
 
@@ -774,7 +782,7 @@ class TestBatchedMatmulLowering:
             )
 
         a, b = operand(lhs, lhs_batched), operand(rhs, rhs_batched)
-        lowered = batched_matmul(
+        lowered = matmul_for(
             lhs, rhs, out, lhs_batched, rhs_batched, dims
         )
         assert lowered.lhs_axes is not None and lowered.rhs_axes is None
@@ -788,6 +796,256 @@ class TestBatchedMatmulLowering:
             np.einsum(spec, a, b),
             rtol=1e-12,
         )
+
+
+# --- every lowered form against a sublist einsum ---------------------------
+
+
+@st.composite
+def mixed_dim_networks(draw):
+    """A random closed network whose bonds have dimensions 1 to 5."""
+    num_tensors = draw(st.integers(min_value=3, max_value=6))
+    num_edges = draw(st.integers(min_value=4, max_value=10))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    slots = [[] for _ in range(num_tensors)]
+    dims = {}
+    for e in range(num_edges):
+        label = f"e{e}"
+        dims[label] = int(rng.integers(1, 6))
+        a, b = rng.integers(0, num_tensors, size=2)
+        slots[int(a)].append(label)
+        slots[int(b)].append(label)
+    tensors = []
+    for labels in slots:
+        shape = tuple(dims[lab] for lab in labels)
+        data = rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(
+            -1, 1, size=shape
+        )
+        tensors.append(Tensor(data, labels))
+    return TensorNetwork(tensors)
+
+
+def _sublist_walk(plan, inputs):
+    """Every node's array for one slice's ``inputs``: each step is one
+    interleaved-sublist ``np.einsum`` over global label numbers."""
+    number = {label: n for n, label in enumerate(sorted(plan.dims))}
+    sliced = set(plan.slices)
+    labels = [
+        tuple(lab for lab in labs if lab not in sliced)
+        for labs in plan.inputs
+    ]
+    nodes = list(inputs)
+    for step in plan.steps:
+        nodes.append(np.einsum(
+            nodes[step.lhs], [number[lab] for lab in labels[step.lhs]],
+            nodes[step.rhs], [number[lab] for lab in labels[step.rhs]],
+            [number[lab] for lab in step.output],
+        ))
+        labels.append(step.output)
+    return nodes
+
+
+def _slice_walks(network, plan):
+    """Per slice: its node arrays, and an entrywise bound on each (the
+    same walk over the inputs' absolute values)."""
+    applier = SliceApplier(network.tensors, plan.slices)
+    walks = []
+    for assignment in iter_slice_assignments(plan):
+        inputs = applier.gather([assignment])
+        walks.append((
+            _sublist_walk(plan, inputs),
+            _sublist_walk(plan, [np.abs(x) for x in inputs]),
+        ))
+    return walks
+
+
+def _assert_matches(got, expected, bound):
+    got = np.asarray(got)
+    assert got.shape == np.shape(expected)
+    scale = max(1.0, float(np.max(bound, initial=0.0)))
+    assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12 * scale
+
+
+class TestLoweredForms:
+    """Each form a step lowers to agrees with a sublist einsum: the
+    equation and the matmul, on one slice and on a batch of slices, and
+    a matmul reading a fold's held matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        network=mixed_dim_networks(),
+        shrink=st.sampled_from([None, 2, 4]),
+    )
+    def test_every_form_agrees_with_a_sublist_einsum(self, network, shrink):
+        xp = resolve_namespace("numpy")
+        plan = build_plan(network)
+        if shrink is not None:  # slice to a fraction of the peak
+            plan = slice_plan(plan, max(1, plan.peak_size() // shrink))
+        compiled = compile_plan(plan)
+        walks = _slice_walks(network, plan)
+        nodes, bounds = walks[0]
+        varies = list(compiled.input_batched) + [
+            step.out_batched for step in compiled.steps
+        ]
+
+        def stacked(node, which=0):
+            if not varies[node]:
+                return walks[0][which][node]
+            return np.stack([walk[which][node] for walk in walks])
+
+        sliced = set(plan.slices)
+        labels = [
+            tuple(lab for lab in labs if lab not in sliced)
+            for labs in plan.inputs
+        ] + [step.output for step in plan.steps]
+        for step, cstep in zip(plan.steps, compiled.steps):
+            a, b = nodes[step.lhs], nodes[step.rhs]
+            expected, limit = nodes[cstep.out], bounds[cstep.out]
+            _assert_matches(xp.einsum(cstep.equation, a, b), expected, limit)
+            product = matmul_for(
+                labels[step.lhs], labels[step.rhs], step.output,
+                False, False, plan.dims,
+            )
+            assert (cstep.matmul is not None) == (
+                product is not None and step.flops >= BLAS_MIN_FLOPS
+            )
+            if product is not None:
+                _assert_matches(product(xp, a, b), expected, limit)
+                forced = dataclasses.replace(
+                    cstep, matmul=product, batched_matmul=product
+                )
+                for side in (0, 1):
+                    ready = _blas_ready((a, b)[side], forced, side)
+                    if ready is None:
+                        continue
+                    matrix, held = ready
+                    assert matrix.ndim == 2 and matrix.flags.c_contiguous
+                    operands = [a, b]
+                    operands[side] = matrix
+                    _assert_matches(
+                        held.matmul(xp, *operands), expected, limit
+                    )
+            if len(walks) > 1 and cstep.out_batched:
+                pair = stacked(step.lhs), stacked(step.rhs)
+                want, limit = stacked(cstep.out), stacked(cstep.out, 1)
+                _assert_matches(
+                    xp.einsum(cstep.batched_equation, *pair), want, limit
+                )
+                assert (cstep.batched_matmul is None) == (product is None)
+                if product is not None:
+                    _assert_matches(
+                        cstep.batched_matmul(xp, *pair), want, limit
+                    )
+
+    def test_a_permuted_operand_is_held_as_its_matrix(self):
+        # lhs (a, c, b) sums c: its matrix is (a b) x c, a copy
+        lhs, rhs, out = ("a", "c", "b"), ("c", "d"), ("a", "b", "d")
+        dims = {"a": 2, "b": 3, "c": 4, "d": 5}
+        plan = ContractionPlan(
+            inputs=(lhs, rhs), dims=dims, order=(),
+            steps=(ContractionStep(
+                0, 1, frozenset("c"), out, 30, max(120, BLAS_MIN_FLOPS),
+            ),),
+        )
+        (step,) = compile_plan(plan).steps
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal(
+            (2, 4, 3)
+        )
+        b = rng.standard_normal((4, 5)) + 0j
+        matrix, held = _blas_ready(a, step, 0)
+        assert matrix.shape == (6, 4) and held.matmul.lhs_axes is None
+        assert held.batched_matmul is held.matmul
+        assert _blas_ready(b, step, 1) is None  # already a (k, n) view
+        xp = resolve_namespace("numpy")
+        assert np.array_equal(
+            held.matmul(xp, matrix, b), step.matmul(xp, a, b)
+        )
+        np.testing.assert_allclose(
+            held.matmul(xp, matrix, b), np.einsum("acb,cd->abd", a, b),
+            rtol=0, atol=1e-12 * 4,
+        )
+
+
+def _stats_walk(network, plan, varying):
+    """``(steps, rank, size)`` of the steps one slice runs, from a
+    sublist walk: a step runs when a varying input or a sliced label is
+    below it."""
+    nodes, _ = _slice_walks(network, plan)[0]
+    sliced = set(plan.slices)
+    dirty = [
+        position in varying or not sliced.isdisjoint(labels)
+        for position, labels in enumerate(plan.inputs)
+    ]
+    ran = []
+    for node, step in enumerate(plan.steps, start=len(plan.inputs)):
+        dirty.append(dirty[step.lhs] or dirty[step.rhs])
+        if dirty[node]:
+            ran.append(nodes[node])
+    return (
+        len(ran),
+        max((x.ndim for x in ran), default=0),
+        max((x.size for x in ran), default=0),
+    )
+
+
+class TestStatsFromThePlan:
+    """The array kernels' contraction stats are the plan's static
+    per-slice figures, recorded once per chunk; they equal what a walk
+    of the actual intermediates observes."""
+
+    @staticmethod
+    def network():
+        ideal = qft(3)
+        return algorithm_network(
+            insert_random_noise(ideal, 2, seed=2), ideal, "alg2",
+            use_local_optimisations=False,
+        )
+
+    @pytest.mark.parametrize("backend_name", ["einsum", "dense"])
+    @pytest.mark.parametrize("run", [
+        "unsliced", "slice_batch=1", "batched", "folded",
+    ])
+    def test_stats_equal_a_per_step_walk(self, backend_name, run):
+        from repro.backends.base import fold_plan
+
+        network = self.network()
+        plan = build_plan(network)
+        count = len(plan.inputs)
+        varying = set(range(count))
+        slice_batch, fold = None, None
+        if run in ("slice_batch=1", "batched"):
+            plan = slice_plan(plan, max(1, plan.peak_size() // 4))
+            assert plan.num_slices() > 3
+            slice_batch = 1 if run == "slice_batch=1" else 3  # ragged
+        backend = get_backend(backend_name, slice_batch=slice_batch)
+        if run == "folded":
+            varying = {1, count // 2}
+            fold = fold_plan(backend, network, plan, varying)
+            assert 0 < fold.folded_steps < len(plan.steps)
+        stats = ContractionStats()
+        value = backend.contract_scalar(
+            network, stats=stats, plan=plan, fold=fold
+        )
+        reference = network.contract().scalar()
+        assert abs(value - reference) < 1e-9 * max(1.0, abs(reference))
+        steps, rank, size = _stats_walk(network, plan, varying)
+        chunks = -(-plan.num_slices() // (slice_batch or 1))
+        assert stats.num_pairwise_contractions == steps * chunks
+        assert stats.max_intermediate_rank == rank
+        assert stats.max_intermediate_size == size
+        assert (stats.batched_slice_calls > 0) == (run == "batched")
+
+    def test_tdd_reports_no_size_stats(self):
+        stats = ContractionStats()
+        TddBackend().contract_scalar(self.network(), stats=stats)
+        assert stats.max_nodes > 0
+        assert (
+            stats.num_pairwise_contractions,
+            stats.max_intermediate_rank,
+            stats.max_intermediate_size,
+        ) == (0, 0, 0)
 
 
 # --- the torch path ---------------------------------------------------------
@@ -829,7 +1087,6 @@ def _install_fake_torch(monkeypatch):
         _Tensor
     )
     fake.einsum = tensors(np.einsum)
-    fake.tensordot = tensors(np.tensordot)
     fake.matmul = tensors(np.matmul)
     monkeypatch.setitem(sys.modules, "torch", fake)
     return fake

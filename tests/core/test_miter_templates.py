@@ -559,8 +559,9 @@ class TestFoldIsBitIdentical:
 
 
 class TestFoldLayout:
-    """A held operand that a BLAS step would transpose and copy on every
-    hit is held in that copy's layout, and the step reads it as is."""
+    """A held operand that a matmul step would transpose and copy on
+    every hit is held in that copy's layout, and the step reads it as
+    is."""
 
     #: the unshrunk miter: the shrink leaves no BLAS-sized step here
     OPTIONS = dict(use_local_optimisations=False)
@@ -589,13 +590,16 @@ class TestFoldLayout:
         for step in fold.steps:
             original = compiled.steps[step.out - count]
             assert (step.lhs, step.rhs) == (original.lhs, original.rhs)
-            assert step.subscripts[2] == original.subscripts[2]
+            assert step.equation == original.equation
             assert step.eliminated == original.eliminated
+            if step.matmul is not None:
+                assert step.matmul.out_shape == original.matmul.out_shape
+                assert step.batched_matmul is step.matmul
             for side, node in enumerate((step.lhs, step.rhs)):
-                if node in fold.arrays and step.axes is not None:
+                if node in fold.arrays and step.matmul is not None:
                     array = fold.arrays[node]
                     assert not array.flags.writeable
-                    # tensordot's matrix of it is a view: no per-hit copy
+                    # the matmul's matrix of it is a view: no per-hit copy
                     assert _blas_ready(array, step, side) is None
             rewritten += step != original
         assert rewritten > 0

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import time
 
 import pytest
 
@@ -237,6 +238,37 @@ class TestBuildPhaseOnEveryBackend:
         # the acceptance bar: spans cover >= 95% of the traced wall
         covered = sum(child["dur_ns"] for child in cold["children"])
         assert covered / cold["dur_ns"] >= 0.95
+
+
+class TestRootSpan:
+    def test_a_fresh_engine_builds_its_session_inside_the_root_span(
+        self, monkeypatch
+    ):
+        # the first request on an Engine builds its CheckSession; that
+        # time belongs to the traced request, under request.resolve
+        delay = 0.05
+        build = CheckSession.__init__
+
+        def slow_build(self, *args, **kwargs):
+            time.sleep(delay)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(CheckSession, "__init__", slow_build)
+        with Engine() as engine:
+            started = time.perf_counter()
+            tree = engine.check(CheckRequest(
+                ideal=CircuitSpec.from_library("qft", num_qubits=3),
+                noise=NoiseSpec(noises=2, seed=0),
+                config={"trace": True},
+            )).result.trace
+            wall = time.perf_counter() - started
+        assert tree["name"] == "engine.request"
+        (resolve,) = [
+            node for node in tree["children"]
+            if node["name"] == "request.resolve"
+        ]
+        assert resolve["dur_ns"] >= delay * 1e9
+        assert tree["dur_ns"] >= 0.95 * wall * 1e9
 
 
 class TestDensePhase:
