@@ -883,22 +883,25 @@ def registered_backends() -> List[str]:
     return sorted(_REGISTRY)
 
 
+def missing_dependency(name: str) -> Optional[str]:
+    """Why the registered backend ``name`` is unavailable (``None`` = usable).
+
+    The probe is an ``importlib.util.find_spec`` check on the backend's
+    own optional dependency, if it has one — cheap (no import) and
+    truthful (``einsum-torch`` without torch maps to the install hint
+    instead of raising).  A backend without one probes nothing.
+    """
+    requires = _REQUIRES.get(name)
+    return None if requires is None else namespace_available(requires)
+
+
 def backend_availability() -> Dict[str, Optional[str]]:
     """Why each registered backend is unavailable (``None`` = usable).
 
-    The probe is an ``importlib.util.find_spec`` check on the backend's
-    optional dependency — cheap (no import), truthful (``einsum-torch``
-    without torch maps to the install hint instead of raising), and the
-    single source for the CLI's available/missing markers.
+    :func:`missing_dependency` of every registered name: the single
+    source for the CLI's available/missing markers.
     """
-    return {
-        name: (
-            namespace_available(_REQUIRES[name])
-            if name in _REQUIRES
-            else None
-        )
-        for name in sorted(_REGISTRY)
-    }
+    return {name: missing_dependency(name) for name in sorted(_REGISTRY)}
 
 
 def available_backends() -> List[str]:

@@ -374,12 +374,6 @@ class QuantumCircuit:
                 out.append(inst.operation, inst.qubits)
         return out
 
-    def draw(self) -> str:
-        """Fixed-width text rendering (see :mod:`repro.circuits.draw`)."""
-        from .draw import draw
-
-        return draw(self)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"QuantumCircuit({self.name!r}, n={self.num_qubits}, "

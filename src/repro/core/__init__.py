@@ -17,11 +17,7 @@ from .sampling import (
 from .miter import (
     Alg1Template,
     alg1_template,
-    alg1_trace_network,
     alg2_trace_network,
-    double_circuit,
-    lower_kraus_selection,
-    miter_circuit,
 )
 from .stats import (
     CheckResult,
@@ -32,7 +28,6 @@ from .stats import (
 from .unitary_check import (
     UnitaryCheckResult,
     check_unitary_equivalence,
-    unitary_equivalent,
 )
 
 __all__ = [
@@ -47,18 +42,13 @@ __all__ = [
     "UnitaryCheckResult",
     "check_unitary_equivalence",
     "fidelity_sampled",
-    "unitary_equivalent",
     "mixed_unitary_decomposition",
-    "alg1_trace_network",
     "alg2_trace_network",
     "average_fidelity_from_jamiolkowski",
-    "double_circuit",
     "enumerate_selections",
     "fidelity_collective",
     "fidelity_from_traces",
     "fidelity_individual",
     "jamiolkowski_distance",
     "jamiolkowski_fidelity_kraus",
-    "lower_kraus_selection",
-    "miter_circuit",
 ]

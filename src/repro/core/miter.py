@@ -6,9 +6,9 @@ two algorithms:
 * Algorithm I contracts the miter ``U† E_i`` for every Kraus selection
   ``E_i``.  :func:`alg1_template` builds it once with every noise site's
   Kraus operators stacked on an open axis, so the terms are the slices
-  of one plan; :func:`lower_kraus_selection` materialises one selection
-  as a plain matrix-gate circuit (the sampling estimator's path) and
-  :func:`miter_circuit` appends the reversed ideal circuit.
+  of one plan; :meth:`Alg1Template.term` fixes one selection (the
+  sampling estimator's path).  A noise-free pair gives the plain miter
+  ``B† A`` of the exact unitary check.
 * Algorithm II contracts a single *doubled* miter where each unitary ``V``
   is accompanied by ``V*`` on a primed qubit copy and each noise ``N``
   becomes its matrix representation ``M_N = sum_k N_k (x) N_k*`` spanning
@@ -108,75 +108,6 @@ def gate_data(matrix: np.ndarray) -> np.ndarray:
     return np.reshape(matrix, (2,) * (2 * qubits))
 
 
-def lower_kraus_selection(
-    circuit: QuantumCircuit, selection: Sequence[int]
-) -> QuantumCircuit:
-    """Replace each noise channel with one of its Kraus operators.
-
-    ``selection[k]`` picks the Kraus operator of the k-th noise site (in
-    circuit order).  The result contains only matrix gates, so it can be
-    converted to a tensor network directly.
-    """
-    sites = [i for i, inst in enumerate(circuit) if inst.is_noise]
-    if len(selection) != len(sites):
-        raise ValueError(
-            f"selection length {len(selection)} != {len(sites)} noise sites"
-        )
-    lowered = QuantumCircuit(circuit.num_qubits, f"{circuit.name}_sel")
-    site = 0
-    for inst in circuit:
-        if inst.is_noise:
-            ops = inst.operation.kraus_operators
-            j = selection[site]
-            if not 0 <= j < len(ops):
-                raise ValueError(
-                    f"Kraus index {j} out of range at site {site} "
-                    f"({len(ops)} operators)"
-                )
-            lowered.append(Gate(f"kraus{site}.{j}", ops[j]), inst.qubits)
-            site += 1
-        else:
-            lowered.append(inst.operation, inst.qubits)
-    return lowered
-
-
-def miter_circuit(
-    noisy: QuantumCircuit, ideal: QuantumCircuit
-) -> QuantumCircuit:
-    """The circuit ``U† . E`` whose trace Algorithm I needs.
-
-    ``noisy`` may contain channels (they survive into the miter); ``ideal``
-    must be unitary.
-    """
-    if ideal.num_qubits != noisy.num_qubits:
-        raise ValueError("ideal and noisy circuits must have the same width")
-    return noisy.compose(ideal.inverse())
-
-
-def double_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Algorithm II's doubled circuit on ``2n`` qubits.
-
-    Qubit ``q`` keeps its label; its primed copy is ``q + n``.  Unitary
-    gates get a conjugated twin on the primed copy; each noise channel
-    ``N`` is replaced by the (generally non-unitary) gate ``M_N`` acting on
-    the original qubits followed by their primed copies.
-    """
-    n = circuit.num_qubits
-    doubled = QuantumCircuit(2 * n, f"{circuit.name}_doubled")
-    for inst in circuit:
-        primed = [q + n for q in inst.qubits]
-        if inst.is_noise:
-            channel = inst.operation
-            doubled.append(
-                Gate(f"M[{channel.name}]", channel.matrix_rep()),
-                list(inst.qubits) + primed,
-            )
-        else:
-            doubled.append(inst.operation, inst.qubits)
-            doubled.append(inst.operation.conjugate(), primed)
-    return doubled
-
-
 class MiterOp(NamedTuple):
     """One operation of the undoubled miter ``E · U†``."""
 
@@ -192,8 +123,8 @@ class MiterOp(NamedTuple):
         return matrix.conj().T if self.adjoint else matrix
 
 
-def _inverse_pair(top: MiterOp, op: MiterOp) -> Optional[tuple]:
-    """``()`` (drop both) when ``op · top`` is the identity, else ``None``.
+def _inverse_pair(top: MiterOp, op: MiterOp) -> bool:
+    """Whether ``op · top`` is the identity, so both can be dropped.
 
     The same gate under opposite adjoint flags (one object, or equal
     matrices) is decided without arithmetic; anything else by the
@@ -201,15 +132,13 @@ def _inverse_pair(top: MiterOp, op: MiterOp) -> Optional[tuple]:
     """
     first, second = top.operation, op.operation
     if not (isinstance(first, Gate) and isinstance(second, Gate)):
-        return None
+        return False
     if top.adjoint != op.adjoint and (
         first is second or np.array_equal(first.matrix, second.matrix)
     ):
-        return ()
+        return True
     product = op.matrix() @ top.matrix()
-    if np.allclose(product, np.eye(product.shape[0]), atol=ATOL):
-        return ()
-    return None
+    return np.allclose(product, np.eye(product.shape[0]), atol=ATOL)
 
 
 def miter_ops(
@@ -325,26 +254,6 @@ def _miter_network(
     return MiterNetwork(tensors, sites)
 
 
-def alg1_trace_network(
-    noisy_selected: QuantumCircuit,
-    ideal: QuantumCircuit,
-    use_local_optimisations: bool = False,
-) -> TensorNetwork:
-    """Closed network whose scalar is ``tr(U† E_i)``.
-
-    ``noisy_selected`` holds gates only (one Kraus selection, see
-    :func:`lower_kraus_selection`).  With ``use_local_optimisations`` the
-    miter is shrunk first (:func:`shrink_miter`).
-    """
-    if not noisy_selected.is_unitary_circuit:
-        raise ValueError(
-            "lower noise channels (select Kraus operators) before "
-            "building a trace network"
-        )
-    ops = miter_ops(noisy_selected, ideal, use_local_optimisations)
-    return _miter_network(ops, ideal.num_qubits, doubled=False)
-
-
 def kraus_order(
     kraus_operators: Sequence[np.ndarray], dominant_first: bool
 ) -> List[int]:
@@ -403,16 +312,25 @@ class Alg1Template:
             self.network.tensors[slot].indices[0] for slot in self.site_slots
         )
 
+    def term(self, selection: Sequence[int]) -> TensorNetwork:
+        """The closed network of one trace term ``tr(U† E_i)``.
+
+        ``selection[s]`` indexes site ``s``'s Kraus stack, whose
+        operators are in :func:`kraus_order` (channel order when the
+        template was built with ``dominant_first=False``).
+        """
+        tensors = list(self.network.tensors)
+        for slot, j in zip(self.site_slots, selection):
+            stacked = tensors[slot]
+            tensors[slot] = Tensor(stacked.data[j], stacked.indices[1:])
+        return TensorNetwork(tensors)
+
     def representative(self) -> TensorNetwork:
         """The closed network of the first trace term (every Kraus label at 0).
 
         Every term shares its structure, so its plan serves them all.
         """
-        tensors = list(self.network.tensors)
-        for slot in self.site_slots:
-            stacked = tensors[slot]
-            tensors[slot] = Tensor(stacked.data[0], stacked.indices[1:])
-        return TensorNetwork(tensors)
+        return self.term([0] * len(self.network.noise_sites))
 
     def sliced_plan(self, plan: ContractionPlan) -> ContractionPlan:
         """``plan`` (built for :meth:`representative`) over every trace term.

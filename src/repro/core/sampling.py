@@ -10,8 +10,12 @@ experiments' depolarising noise), the trace sum is exactly an expectation:
 
 where each site's index is drawn independently with probability ``w_k``
 and ``V_i`` is the circuit with the sampled *unitary* Kraus parts plugged
-in.  Each sample lies in [0, 1], so a Hoeffding bound gives a rigorous
-confidence radius after ``m`` samples.
+in.  Each sample is one term of Algorithm I's template
+(:meth:`~repro.core.miter.Alg1Template.term`): its trace is
+``tr(U† E_i) = sqrt(prod w) tr(U† V_i)``, so dividing ``|tr|²`` by the
+product of the sampled weights gives the sample.  Each sample lies in
+[0, 1], so a Hoeffding bound gives a rigorous confidence radius after
+``m`` samples.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ import numpy as np
 
 from ..backends import DEFAULT_BACKEND, ContractionBackend, resolve_backend
 from ..circuits import QuantumCircuit
-from ..gates import Gate
 from ..linalg import dagger
 from ..tensornet import ContractionStats
-from .miter import alg1_trace_network
+from .miter import alg1_template
 from .stats import RunStats
 
 
@@ -89,8 +92,9 @@ def fidelity_sampled(
     """Estimate ``F_J`` by sampling Kraus selections (mixed-unitary noise).
 
     ``backend`` is a registered backend name (built with defaults) or a
-    ready :class:`~repro.backends.ContractionBackend` instance; every
-    sample's miter shares one structure, so the plan is built once.
+    ready :class:`~repro.backends.ContractionBackend` instance.  The
+    template is built once, in channel order, and every sample is one of
+    its terms, so they share one structure and the plan is built once.
     Raises ``ValueError`` if any noise site is not mixed-unitary.
     """
     if num_samples < 1:
@@ -112,19 +116,22 @@ def fidelity_sampled(
                      terms_total=noisy.num_kraus_terms)
     start = time.perf_counter()
 
+    template = alg1_template(noisy, ideal, dominant_first=False)
     values = []
     for _ in range(num_samples):
-        selection = tuple(
+        selection = [
             int(rng.choice(len(pairs), p=[w for w, _ in pairs]))
             for pairs in sites
+        ]
+        weight = math.prod(
+            pairs[j][0] for pairs, j in zip(sites, selection)
         )
-        sampled = _plug_unitaries(noisy, sites, selection)
         cstats = ContractionStats()
         trace = engine.contract_scalar(
-            alg1_trace_network(sampled, ideal), stats=cstats
+            template.term(selection), stats=cstats
         )
         stats.max_nodes = max(stats.max_nodes, cstats.max_nodes)
-        values.append(min(abs(trace) ** 2 / dim**2, 1.0))
+        values.append(min(abs(trace) ** 2 / weight / dim**2, 1.0))
         stats.terms_computed += 1
 
     stats.time_seconds = time.perf_counter() - start
@@ -140,18 +147,3 @@ def fidelity_sampled(
         stats=stats,
     )
 
-
-def _plug_unitaries(
-    noisy: QuantumCircuit, sites: List[List[tuple]], selection: tuple
-) -> QuantumCircuit:
-    """Replace each channel with the sampled (unit-weight) unitary part."""
-    out = QuantumCircuit(noisy.num_qubits, f"{noisy.name}_sample")
-    site = 0
-    for inst in noisy:
-        if inst.is_noise:
-            _, unitary = sites[site][selection[site]]
-            out.append(Gate(f"sample{site}", unitary), inst.qubits)
-            site += 1
-        else:
-            out.append(inst.operation, inst.qubits)
-    return out

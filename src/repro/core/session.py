@@ -31,10 +31,10 @@ from ..backends import (
     DEFAULT_BACKEND,
     ContractionBackend,
     available_backends,
-    backend_availability,
+    registered_backends,
     resolve_backend,
 )
-from ..backends.base import validate_plan_knobs
+from ..backends.base import missing_dependency, validate_plan_knobs
 from ..baseline import PAPER_MEMORY_BYTES, process_fidelity
 from ..cache import CheckCache
 from ..circuits import QuantumCircuit
@@ -131,13 +131,12 @@ class CheckConfig:
                 f"choose from {list(_ALGORITHMS)}"
             )
         if isinstance(self.backend, str):
-            availability = backend_availability()
-            if self.backend not in availability:
+            if self.backend not in registered_backends():
                 raise ValueError(
                     f"unknown backend {self.backend!r}; "
                     f"available: {', '.join(available_backends())}"
                 )
-            missing = availability[self.backend]
+            missing = missing_dependency(self.backend)
             if missing is not None:
                 raise ValueError(
                     f"backend {self.backend!r} is registered but "

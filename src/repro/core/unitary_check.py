@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from ..backends import DEFAULT_BACKEND, ContractionBackend, resolve_backend
-from ..circuits import QuantumCircuit, cancel_adjacent_gates, eliminate_final_swaps
-from ..tensornet import ContractionStats, circuit_to_network, close_trace
+from ..circuits import QuantumCircuit
+from ..tensornet import ContractionStats
+from .miter import alg1_template
 from .stats import RunStats
 
 
@@ -45,12 +46,14 @@ def check_unitary_equivalence(
 ) -> UnitaryCheckResult:
     """Decide whether two noiseless circuits implement the same unitary.
 
-    Builds the reversible miter ``B† A``, closes the trace, contracts it
-    on ``backend`` (a registered name or a ready
-    :class:`~repro.backends.ContractionBackend`) and tests ``|tr| == d``.
-    Local optimisations (gate cancellation across the miter seam,
-    trailing-SWAP elimination) are on by default — for equal circuits the
-    miter typically cancels to nothing before any contraction happens.
+    Builds the reversible miter ``B† A`` on the path every check takes
+    (:func:`~repro.core.miter.alg1_template` with no noise sites: one
+    closed trace network), contracts it on ``backend`` (a registered
+    name or a ready :class:`~repro.backends.ContractionBackend`) and
+    tests ``|tr| == d``.  With ``use_local_optimisations`` (the default)
+    the miter is shrunk first (:func:`~repro.core.miter.shrink_miter`):
+    for equal circuits every gate meets its inverse and nothing is left
+    to contract.
     """
     if circuit_a.num_qubits != circuit_b.num_qubits:
         raise ValueError("circuits must have the same number of qubits")
@@ -63,14 +66,9 @@ def check_unitary_equivalence(
     stats = RunStats(algorithm="unitary_miter", backend=engine.name)
     start = time.perf_counter()
 
-    miter = circuit_a.compose(circuit_b.inverse())
-    permutation = None
-    if use_local_optimisations:
-        miter, permutation = eliminate_final_swaps(miter)
-        miter = cancel_adjacent_gates(miter)
-    network = close_trace(
-        circuit_to_network(miter), permutation=permutation
-    )
+    network = alg1_template(
+        circuit_a, circuit_b, use_local_optimisations=use_local_optimisations
+    ).network
     cstats = ContractionStats()
     trace = engine.contract_scalar(network, stats=cstats)
     stats.max_nodes = cstats.max_nodes
@@ -86,14 +84,3 @@ def check_unitary_equivalence(
         stats=stats,
     )
 
-
-def unitary_equivalent(
-    circuit_a: QuantumCircuit,
-    circuit_b: QuantumCircuit,
-    atol: float = 1e-9,
-    **kwargs,
-) -> bool:
-    """Boolean convenience wrapper around the exact check."""
-    return check_unitary_equivalence(
-        circuit_a, circuit_b, atol=atol, **kwargs
-    ).equivalent

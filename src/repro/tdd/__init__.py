@@ -1,6 +1,5 @@
 """Tensor Decision Diagrams: canonical DD representation of tensors."""
 
-from .export import node_count_by_level, to_dot
 from .manager import Tdd, TddManager, ensure_recursion_limit
 from .node import TERMINAL_VAR, TddNode, count_nodes, round_weight
 
@@ -11,7 +10,5 @@ __all__ = [
     "TddNode",
     "count_nodes",
     "ensure_recursion_limit",
-    "node_count_by_level",
     "round_weight",
-    "to_dot",
 ]

@@ -1,11 +1,5 @@
-"""Tensor-network substrate: tensors, networks, orders, circuit conversion."""
+"""Tensor-network substrate: tensors, networks, orders and plans."""
 
-from .circuit_tn import (
-    CircuitNetwork,
-    circuit_to_network,
-    close_trace,
-    connect,
-)
 from .network import ContractionStats, TensorNetwork
 from .planner import (
     DEFAULT_ORDER_METHOD,
@@ -26,7 +20,6 @@ __all__ = [
     "DEFAULT_ORDER_METHOD",
     "ORDER_METHODS",
     "SLICE_HARD_LIMIT",
-    "CircuitNetwork",
     "ContractionPlan",
     "ContractionStats",
     "ContractionStep",
@@ -35,9 +28,6 @@ __all__ = [
     "TensorNetwork",
     "build_plan",
     "iter_slice_assignments",
-    "circuit_to_network",
-    "close_trace",
-    "connect",
     "plan_from_order",
     "slice_plan",
     "gate_tensor",

@@ -15,7 +15,12 @@ from repro.backends import (
     resolve_backend,
     unregister_backend,
 )
-from repro.backends.base import DEFAULT_PLAN_MEMO
+from repro.backends.base import (
+    DEFAULT_PLAN_MEMO,
+    backend_availability,
+    missing_dependency,
+)
+from repro.backends.xp import namespace_available
 from repro.core import (
     CheckConfig,
     CheckSession,
@@ -75,6 +80,37 @@ class TestRegistry:
     def test_bad_order_method_rejected_at_construction(self):
         with pytest.raises(ValueError):
             DenseBackend(order_method="tree_decompositon")  # typo
+
+
+class TestMissingDependency:
+    @pytest.mark.parametrize(
+        "name", ["dense", "einsum", "einsum-cupy", "einsum-torch", "tdd"]
+    )
+    def test_matches_backend_availability(self, name):
+        assert missing_dependency(name) == backend_availability()[name]
+
+    def test_a_declared_dependency_is_probed(self):
+        register_backend("null-needs-torch", NumpyEinsumBackend,
+                         requires="torch")
+        try:
+            assert missing_dependency("null-needs-torch") == (
+                namespace_available("torch")
+            )
+        finally:
+            unregister_backend("null-needs-torch")
+        assert missing_dependency("null-needs-torch") is None
+
+    def test_a_backend_without_a_dependency_probes_nothing(
+        self, monkeypatch
+    ):
+        import importlib.util
+
+        def probe(name, *args):
+            raise AssertionError(f"probed {name}")
+
+        monkeypatch.setattr(importlib.util, "find_spec", probe)
+        for name in ("tdd", "dense", "einsum", "never-registered"):
+            assert missing_dependency(name) is None
 
 
 class TestDenseIsIndependent:

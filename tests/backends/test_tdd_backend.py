@@ -10,9 +10,8 @@ from repro.tensornet import (
     ContractionStats,
     Tensor,
     TensorNetwork,
-    circuit_to_network,
-    close_trace,
 )
+from oracles import trace_network
 
 
 class TestScalarAgreementWithDense:
@@ -23,7 +22,7 @@ class TestScalarAgreementWithDense:
         lambda: QuantumCircuit(3).h(0).cx(0, 1).t(1).cx(1, 2).s(2),
     ])
     def test_closed_trace(self, build):
-        net = close_trace(circuit_to_network(build()))
+        net = trace_network(build())
         assert np.isclose(
             TddBackend().contract_scalar(net), net.contract().scalar()
         )
@@ -56,7 +55,7 @@ class TestScalarAgreementWithDense:
 
 class TestManagerReuse:
     def test_shared_manager_across_contractions(self):
-        net = close_trace(circuit_to_network(qft(3)))
+        net = trace_network(qft(3))
         backend = TddBackend()
         v1 = backend.contract_scalar(net)
         manager = backend.manager
@@ -67,13 +66,13 @@ class TestManagerReuse:
         assert manager.stats["cont_cache_hits"] > hits_before
 
     def test_unshared_mode_keeps_no_manager(self):
-        net = close_trace(circuit_to_network(qft(3)))
+        net = trace_network(qft(3))
         backend = TddBackend(share_computed_table=False)
         backend.contract_scalar(net)
         assert backend.manager is None
 
     def test_stats_max_nodes_positive(self):
-        net = close_trace(circuit_to_network(qft(3)))
+        net = trace_network(qft(3))
         stats = ContractionStats()
         TddBackend().contract_scalar(net, stats=stats)
         assert stats.max_nodes >= 2

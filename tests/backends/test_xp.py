@@ -176,6 +176,23 @@ class TestConfigValidation:
             CheckConfig(backend=unavailable[0])
         assert "unavailable" in str(excinfo.value)
 
+    @pytest.mark.parametrize("backend", ["tdd", "dense", "einsum"])
+    def test_numpy_backend_config_probes_nothing(self, backend, monkeypatch):
+        """Only the configured backend's own dependency is probed, and
+        the numpy backends have none."""
+        import importlib.util
+
+        calls = []
+        probe = importlib.util.find_spec
+        monkeypatch.setattr(
+            importlib.util, "find_spec",
+            lambda *args, **kwargs: calls.append(args) or probe(
+                *args, **kwargs
+            ),
+        )
+        CheckConfig(backend=backend)
+        assert calls == []
+
     def test_slice_batch_must_be_positive(self):
         with pytest.raises(ValueError):
             CheckConfig(slice_batch=0)

@@ -13,9 +13,10 @@ from repro.baseline import (
     process_fidelity_choi,
 )
 from repro.circuits import QuantumCircuit
-from repro.core import double_circuit, fidelity_collective
+from repro.core import fidelity_collective
 from repro.library import qft
 from repro.noise import bit_flip, depolarizing, insert_random_noise, phase_flip
+from oracles import double_circuit
 
 
 class TestOperator:

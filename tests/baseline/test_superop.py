@@ -4,9 +4,9 @@ import numpy as np
 
 from repro.baseline import SuperOp
 from repro.circuits import QuantumCircuit
-from repro.core import double_circuit
 from repro.linalg import is_density_matrix, projector
 from repro.noise import bit_flip, depolarizing
+from oracles import double_circuit
 
 
 def evolve(circuit, rho=None):

@@ -1,156 +1,171 @@
-"""Unit tests for the optimisation passes (Sec. IV-C)."""
+"""Unit tests for the wire-stack cancellation pass (Sec. IV-C).
+
+The pass runs under the miter shrink's inverse-pair rule, as every
+check runs it; ``tests/core/test_miter_shrink.py`` covers the rotation
+to the first noise and the miter-level edge cases.  Rotations are
+paired like any other gate, by their product: the shrink never merges
+two rotations into one.
+"""
 
 import numpy as np
 import pytest
 
-from repro.circuits import (
-    QuantumCircuit,
-    cancel_adjacent_gates,
-    eliminate_final_swaps,
-    permutation_matrix,
-)
-from repro.linalg import allclose_up_to_global_phase
+from repro.circuits import QuantumCircuit, cancel_on_wire_stacks
+from repro.core.miter import alg1_template, miter_ops, shrink_miter
+from repro.gates.standard import rz_gate
 from repro.noise import bit_flip
 
 
-class TestCancelAdjacentGates:
+def kept(circuit):
+    """Names of the gates the shrink keeps of ``circuit`` (empty ``U``)."""
+    ops = miter_ops(
+        circuit, QuantumCircuit(circuit.num_qubits),
+        use_local_optimisations=False,
+    )
+    return [op.operation.name for op in shrink_miter(ops)]
+
+
+class TestInversePairs:
     def test_hh_cancels(self):
-        circuit = QuantumCircuit(1).h(0).h(0)
-        assert len(cancel_adjacent_gates(circuit)) == 0
+        assert kept(QuantumCircuit(1).h(0).h(0)) == []
 
     def test_ssdg_cancels(self):
-        circuit = QuantumCircuit(1).s(0).sdg(0)
-        assert len(cancel_adjacent_gates(circuit)) == 0
-
-    def test_cxcx_cancels(self):
-        circuit = QuantumCircuit(2).cx(0, 1).cx(0, 1)
-        assert len(cancel_adjacent_gates(circuit)) == 0
+        assert kept(QuantumCircuit(1).s(0).sdg(0)) == []
 
     def test_cx_different_direction_kept(self):
-        circuit = QuantumCircuit(2).cx(0, 1).cx(1, 0)
-        assert len(cancel_adjacent_gates(circuit)) == 2
+        assert kept(QuantumCircuit(2).cx(0, 1).cx(1, 0)) == ["cx", "cx"]
 
     def test_cascading_cancellation(self):
         # h x x h collapses completely once the inner pair goes.
-        circuit = QuantumCircuit(1).h(0).x(0).x(0).h(0)
-        assert len(cancel_adjacent_gates(circuit)) == 0
+        assert kept(QuantumCircuit(1).h(0).x(0).x(0).h(0)) == []
 
     def test_interposed_gate_blocks(self):
-        circuit = QuantumCircuit(1).h(0).t(0).h(0)
-        assert len(cancel_adjacent_gates(circuit)) == 3
+        assert kept(QuantumCircuit(1).h(0).t(0).h(0)) == ["h", "t", "h"]
 
     def test_noise_blocks_cancellation(self):
-        circuit = QuantumCircuit(1).h(0)
+        # the first channel leads, so the rotation keeps the order
+        circuit = QuantumCircuit(1)
         circuit.append(bit_flip(0.9), [0])
         circuit.h(0)
-        assert len(cancel_adjacent_gates(circuit)) == 3
-
-    def test_functionality_preserved(self):
-        circuit = (
-            QuantumCircuit(2).h(0).h(0).cx(0, 1).t(1).tdg(1).cx(0, 1).s(0)
-        )
-        optimised = cancel_adjacent_gates(circuit)
-        assert np.allclose(optimised.to_matrix(), circuit.to_matrix())
-        assert len(optimised) < len(circuit)
+        circuit.append(bit_flip(0.8), [0])
+        circuit.h(0)
+        assert kept(circuit) == ["bit_flip", "h", "bit_flip", "h"]
 
     def test_partial_shared_wire_not_cancelled(self):
-        # cx(0,1) and cx(0,2): share wire 0 only; must not merge.
-        circuit = QuantumCircuit(3).cx(0, 1).cx(0, 2)
-        assert len(cancel_adjacent_gates(circuit)) == 2
+        # cx(0,1) and cx(0,2): share wire 0 only; must not pair.
+        assert kept(QuantumCircuit(3).cx(0, 1).cx(0, 2)) == ["cx", "cx"]
 
 
-class TestRotationMerging:
+class TestWireStacks:
+    def test_rule_sees_only_same_tuple_tops(self):
+        asked = []
+
+        def cancels(top, op):
+            asked.append((top.name, op.name))
+            return top.name == op.name == "h"
+
+        circuit = QuantumCircuit(2).h(0).cx(0, 1).cx(1, 0).t(1).h(1).h(1)
+        out = cancel_on_wire_stacks(circuit.instructions, cancels)
+        assert [inst.name for inst in out] == ["h", "cx", "cx", "t"]
+        # never asked about the cx pair: their qubit tuples differ
+        assert asked == [("t", "h"), ("h", "h")]
+
+    def test_popping_exposes_the_operation_below(self):
+        circuit = QuantumCircuit(2).x(0).cx(0, 1).cx(0, 1).x(0)
+        out = cancel_on_wire_stacks(
+            circuit.instructions, lambda top, op: top.name == op.name
+        )
+        assert out == []
+
+
+def shrunk_trace(circuit):
+    """``tr(C)``, contracted from what the shrink keeps of ``C``."""
+    empty = QuantumCircuit(circuit.num_qubits)
+    return alg1_template(circuit, empty).network.contract().scalar()
+
+
+def rotations(gate, angles):
+    """One-qubit circuit of ``gate`` rotations by ``angles``, in order."""
+    circuit = QuantumCircuit(1)
+    for angle in angles:
+        getattr(circuit, gate)(angle, 0)
+    return circuit
+
+
+class TestRotationPairs:
+    """Rotations pair only when their product is the identity.
+
+    The shrink never merges two rotations into one: a pair whose angles
+    do not cancel stays as two tensors, and the trace is unchanged.
+    """
+
     @pytest.mark.parametrize("gate", ["rx", "ry", "rz", "p"])
-    def test_adjacent_rotations_merge_to_summed_angle(self, gate):
-        circuit = QuantumCircuit(1)
-        getattr(circuit, gate)(0.3, 0)
-        getattr(circuit, gate)(0.4, 0)
-        merged = cancel_adjacent_gates(circuit)
-        assert len(merged) == 1
-        assert merged[0].name == gate
-        assert merged[0].operation.params == pytest.approx((0.7,))
-        assert np.allclose(merged.to_matrix(), circuit.to_matrix())
+    def test_opposite_angles_cancel(self, gate):
+        assert kept(rotations(gate, [0.3, -0.3])) == []
+
+    @pytest.mark.parametrize("gate", ["rx", "ry", "rz", "p"])
+    def test_adjacent_rotations_are_kept_unmerged(self, gate):
+        circuit = rotations(gate, [0.3, 0.4])
+        assert kept(circuit) == [gate, gate]
+        assert np.isclose(shrunk_trace(circuit), np.trace(circuit.to_matrix()))
 
     @pytest.mark.parametrize("gate", ["rx", "ry", "rz"])
-    def test_merged_angle_zero_mod_4pi_drops_both(self, gate):
-        circuit = QuantumCircuit(1)
-        getattr(circuit, gate)(np.pi, 0)
-        getattr(circuit, gate)(3 * np.pi, 0)  # sum 4π ≡ identity
-        assert len(cancel_adjacent_gates(circuit)) == 0
+    def test_angles_summing_to_4pi_cancel(self, gate):
+        assert kept(rotations(gate, [np.pi, 3 * np.pi])) == []
 
     @pytest.mark.parametrize("gate", ["rx", "ry", "rz"])
-    def test_merged_angle_2pi_is_minus_identity_and_kept(self, gate):
-        # rotations have period 4π: a 2π sum is -I, a global phase the
-        # strict pass must preserve — one merged gate, not zero gates.
-        circuit = QuantumCircuit(1)
-        getattr(circuit, gate)(np.pi, 0)
-        getattr(circuit, gate)(np.pi, 0)
-        merged = cancel_adjacent_gates(circuit)
-        assert len(merged) == 1
-        assert np.allclose(merged.to_matrix(), circuit.to_matrix())
+    def test_angles_summing_to_2pi_are_minus_identity_and_kept(self, gate):
+        # rotations have period 4π: a 2π sum is -I, whose trace is -2
+        circuit = rotations(gate, [np.pi, np.pi])
+        assert kept(circuit) == [gate, gate]
+        assert np.isclose(shrunk_trace(circuit), -2.0)
 
     def test_p_gate_period_is_2pi(self):
-        circuit = QuantumCircuit(1).p(np.pi / 2, 0).p(3 * np.pi / 2, 0)
-        assert len(cancel_adjacent_gates(circuit)) == 0
+        assert kept(rotations("p", [np.pi / 2, 3 * np.pi / 2])) == []
 
-    def test_rotation_chain_collapses_over_rounds(self):
-        circuit = (
-            QuantumCircuit(1).rz(0.1, 0).rz(0.2, 0).rz(0.3, 0).rz(0.4, 0)
-        )
-        merged = cancel_adjacent_gates(circuit)
-        assert len(merged) == 1
-        assert merged[0].operation.params == pytest.approx((1.0,))
+    def test_nested_inverse_rotations_cancel_in_one_pass(self):
+        assert kept(rotations("rz", [0.1, 0.2, -0.2, -0.1])) == []
 
-    def test_merge_then_cancel_with_neighbour(self):
-        # rz(0.2) rz(0.3) rz(-0.5): merging enables full cancellation.
-        circuit = QuantumCircuit(1).rz(0.2, 0).rz(0.3, 0).rz(-0.5, 0)
-        assert len(cancel_adjacent_gates(circuit)) == 0
+    def test_a_summed_angle_is_not_cancelled(self):
+        # rz(0.2) rz(0.3) rz(-0.5) is the identity, but no adjacent pair is
+        circuit = rotations("rz", [0.2, 0.3, -0.5])
+        assert kept(circuit) == ["rz", "rz", "rz"]
+        assert np.isclose(shrunk_trace(circuit), 2.0)
 
-    def test_different_axes_do_not_merge(self):
-        circuit = QuantumCircuit(1).rx(0.3, 0).rz(0.4, 0)
-        assert len(cancel_adjacent_gates(circuit)) == 2
+    def test_different_axes_are_kept(self):
+        assert kept(QuantumCircuit(1).rx(0.3, 0).rz(-0.3, 0)) == ["rx", "rz"]
 
-    def test_different_wires_do_not_merge(self):
-        circuit = QuantumCircuit(2).rz(0.3, 0).rz(0.4, 1)
-        assert len(cancel_adjacent_gates(circuit)) == 2
+    def test_different_wires_are_kept(self):
+        assert kept(QuantumCircuit(2).rz(0.3, 0).rz(-0.3, 1)) == ["rz", "rz"]
 
-    def test_noise_blocks_merging(self):
-        circuit = QuantumCircuit(1).rz(0.3, 0)
+    def test_noise_blocks_pairing(self):
+        circuit = QuantumCircuit(1)
         circuit.append(bit_flip(0.9), [0])
-        circuit.rz(0.4, 0)
-        assert len(cancel_adjacent_gates(circuit)) == 3
+        circuit.rz(0.3, 0)
+        circuit.append(bit_flip(0.8), [0])
+        circuit.rz(-0.3, 0)
+        assert kept(circuit) == ["bit_flip", "rz", "bit_flip", "rz"]
 
-    def test_interposed_gate_blocks_merging(self):
-        circuit = QuantumCircuit(1).rz(0.3, 0).h(0).rz(0.4, 0)
-        assert len(cancel_adjacent_gates(circuit)) == 3
+    def test_interposed_gate_blocks_pairing(self):
+        circuit = QuantumCircuit(1).rz(0.3, 0).h(0).rz(-0.3, 0)
+        assert kept(circuit) == ["rz", "h", "rz"]
 
-    def test_daggered_rotation_names_are_not_merged_by_params(self):
-        # rz_dg keeps params=(θ,) but its matrix is rz(-θ): merging by
-        # name+params would be wrong, so derived names are excluded —
-        # the inverse pair still cancels through the matrix-product rule.
-        from repro.gates.standard import rz_gate
+    def test_a_daggered_rotation_cancels_its_original(self):
+        circuit = QuantumCircuit(1)
+        circuit.append(rz_gate(0.3).dagger(), [0])
+        circuit.rz(0.3, 0)
+        assert kept(circuit) == []
 
+    def test_two_daggered_rotations_are_kept(self):
+        # rz_dg keeps params=(θ,) but its matrix is rz(-θ): the pair is
+        # rz(-0.6), not the identity
         circuit = QuantumCircuit(1)
         circuit.append(rz_gate(0.3).dagger(), [0])
         circuit.append(rz_gate(0.3).dagger(), [0])
-        merged = cancel_adjacent_gates(circuit)
-        assert len(merged) == 2  # left untouched, not fused to rz(0.6)
-        assert np.allclose(merged.to_matrix(), circuit.to_matrix())
+        assert kept(circuit) == ["rz_dg", "rz_dg"]
+        assert np.isclose(shrunk_trace(circuit), np.trace(circuit.to_matrix()))
 
-    def test_impostor_rotation_names_are_never_rewritten(self):
-        # A custom Gate may *call* itself "rz" with any matrix and any
-        # params; merging must trust the matrices, not the label.
-        from repro.gates import Gate
-
-        impostor = Gate("rz", np.diag([1.0, 1.0j]), (0.3,))  # really S
-        circuit = QuantumCircuit(1)
-        circuit.append(impostor, [0])
-        circuit.append(impostor, [0])
-        merged = cancel_adjacent_gates(circuit)
-        assert np.allclose(merged.to_matrix(), circuit.to_matrix())
-        assert len(merged) == 2  # not fused to rz(0.6)
-
-    def test_functionality_preserved_on_mixed_circuit(self):
+    def test_trace_kept_on_a_mixed_circuit(self):
         circuit = (
             QuantumCircuit(2)
             .rz(0.2, 0).rz(0.3, 0)
@@ -158,51 +173,5 @@ class TestRotationMerging:
             .rx(1.0, 1).rx(-1.0, 1)
             .ry(0.5, 0).ry(0.6, 0)
         )
-        merged = cancel_adjacent_gates(circuit)
-        assert np.allclose(merged.to_matrix(), circuit.to_matrix())
-        assert len(merged) == 3  # rz(0.5), cx, ry(1.1)
-
-
-class TestEliminateFinalSwaps:
-    def test_single_trailing_swap(self):
-        circuit = QuantumCircuit(2).h(0).swap(0, 1)
-        stripped, perm = eliminate_final_swaps(circuit)
-        assert len(stripped) == 1
-        assert perm == [1, 0]
-
-    def test_swap_chain(self):
-        circuit = QuantumCircuit(3).swap(0, 1).swap(1, 2)
-        stripped, perm = eliminate_final_swaps(circuit)
-        assert len(stripped) == 0
-        # wire0 -> 1 by first swap; then wire1(now carrying q0) -> 2.
-        mat = permutation_matrix(perm)
-        assert np.allclose(mat, circuit.to_matrix())
-
-    def test_non_trailing_swap_kept(self):
-        circuit = QuantumCircuit(2).swap(0, 1).h(0)
-        stripped, perm = eliminate_final_swaps(circuit)
-        assert len(stripped) == 2
-        assert perm == [0, 1]
-
-    def test_reconstruction_identity(self):
-        # P @ stripped == original for a QFT-style ending.
-        circuit = QuantumCircuit(3).h(0).cp(0.7, 1, 0).h(1).swap(0, 2)
-        stripped, perm = eliminate_final_swaps(circuit)
-        recon = permutation_matrix(perm) @ stripped.to_matrix()
-        assert np.allclose(recon, circuit.to_matrix())
-
-
-class TestPermutationMatrix:
-    def test_identity(self):
-        assert np.allclose(permutation_matrix([0, 1]), np.eye(4))
-
-    def test_swap(self):
-        swap = QuantumCircuit(2).swap(0, 1).to_matrix()
-        assert np.allclose(permutation_matrix([1, 0]), swap)
-
-    def test_three_cycle(self):
-        perm = [1, 2, 0]
-        mat = permutation_matrix(perm)
-        assert np.allclose(mat @ mat.conj().T, np.eye(8))
-        cubed = np.linalg.matrix_power(mat, 3)
-        assert np.allclose(cubed, np.eye(8))
+        assert kept(circuit) == ["rz", "rz", "cx", "ry", "ry"]
+        assert np.isclose(shrunk_trace(circuit), np.trace(circuit.to_matrix()))

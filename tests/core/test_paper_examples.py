@@ -20,9 +20,8 @@ from repro.core import (
     alg2_trace_network,
     fidelity_collective,
     fidelity_individual,
-    lower_kraus_selection,
-    alg1_trace_network,
 )
+from oracles import term_network
 from tests.conftest import make_noisy_qft2
 
 
@@ -32,8 +31,7 @@ class TestExample3:
         p = 0.9
         traces = []
         for selection in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            lowered = lower_kraus_selection(qft2_noisy, selection)
-            net = alg1_trace_network(lowered, qft2_ideal)
+            net = term_network(qft2_noisy, qft2_ideal, selection)
             traces.append(TddBackend().contract_scalar(net))
         assert np.isclose(traces[0], 4 * p)
         for t in traces[1:]:

@@ -14,17 +14,7 @@ from repro.core import (
 from repro.library import qft
 from repro.noise import bit_flip, depolarizing, insert_random_noise
 from repro.backends import get_backend
-
-
-def _term_network(template, positions):
-    """The closed network of one term: each Kraus axis fixed by index."""
-    from repro.tensornet import Tensor, TensorNetwork
-
-    tensors = list(template.network.tensors)
-    for slot, j in zip(template.site_slots, positions):
-        stacked = tensors[slot]
-        tensors[slot] = Tensor(stacked.data[j], stacked.indices[1:])
-    return TensorNetwork(tensors)
+from oracles import term_network
 
 
 class TestTemplateConstruction:
@@ -43,11 +33,7 @@ class TestTemplateConstruction:
 
     def test_every_slice_is_one_trace_term(self):
         """Fixing the Kraus labels gives the freshly built term network."""
-        from repro.core import (
-            alg1_trace_network,
-            enumerate_selections,
-            lower_kraus_selection,
-        )
+        from repro.core import enumerate_selections
 
         ideal = qft(2)
         noisy = insert_random_noise(
@@ -64,11 +50,9 @@ class TestTemplateConstruction:
                 *(range(4) for _ in template.site_slots)
             )
             for selection, position in zip(selections, positions):
-                fresh = alg1_trace_network(
-                    lower_kraus_selection(noisy, selection), ideal
-                )
+                fresh = term_network(noisy, ideal, selection)
                 assert np.isclose(
-                    _term_network(template, position).contract().scalar(),
+                    template.term(position).contract().scalar(),
                     fresh.contract().scalar(),
                     atol=1e-12,
                 )

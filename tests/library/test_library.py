@@ -57,7 +57,7 @@ class TestQft:
         n = 3
         full = qft(n).to_matrix()
         noswap = qft(n, with_swaps=False).to_matrix()
-        from repro.circuits import permutation_matrix
+        from oracles import permutation_matrix
 
         reversal = permutation_matrix(list(reversed(range(n))))
         assert np.allclose(reversal @ noswap, full)

@@ -15,12 +15,11 @@ from repro.library import (
     quantum_volume,
 )
 from repro.noise import insert_random_noise
+from oracles import trace_network
 from repro.tensornet import (
     ContractionStats,
     Tensor,
     TensorNetwork,
-    circuit_to_network,
-    close_trace,
     identity_tensor,
     interaction_graph,
     min_fill_order,
@@ -29,7 +28,7 @@ from repro.tensornet import (
 
 def sample_network():
     circuit = QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2).t(2)
-    return close_trace(circuit_to_network(circuit))
+    return trace_network(circuit)
 
 
 def disconnected_network():
@@ -53,7 +52,7 @@ class TestOrders:
 
     def test_order_gives_the_trace(self):
         circuit = qft(3)
-        net = close_trace(circuit_to_network(circuit))
+        net = trace_network(circuit)
         order = min_fill_order(net)
         value = net.contract(order=order).scalar()
         assert np.isclose(value, np.trace(circuit.to_matrix()))
@@ -100,7 +99,7 @@ class TestMinFillQuality:
         than first-occurrence order by more than the intermediate-size
         metric."""
         circuit = qft(4)
-        net = close_trace(circuit_to_network(circuit))
+        net = trace_network(circuit)
         seq_stats, fill_stats = ContractionStats(), ContractionStats()
         net.copy().contract(
             order=net.all_indices(), stats=seq_stats
@@ -199,7 +198,7 @@ class TestMinFill:
     ])
     def test_incremental_byte_identical_to_reference(self, circuit_factory):
         """The incremental fill bookkeeping must not change the output."""
-        net = close_trace(circuit_to_network(circuit_factory()))
+        net = trace_network(circuit_factory())
         assert min_fill_order(net) == _min_fill_order_reference(net)
 
     def test_incremental_byte_identical_on_noisy_doubled_networks(self):

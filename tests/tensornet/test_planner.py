@@ -13,13 +13,12 @@ from repro.library import (
     quantum_volume,
 )
 from repro.noise import insert_random_noise
+from oracles import trace_network
 from repro.tensornet import (
     ContractionStats,
     Tensor,
     TensorNetwork,
     build_plan,
-    circuit_to_network,
-    close_trace,
     plan_from_order,
     slice_plan,
 )
@@ -32,7 +31,7 @@ from repro.tensornet.planner import (
 
 
 def qft_network(n=3):
-    return close_trace(circuit_to_network(qft(n)))
+    return trace_network(qft(n))
 
 
 class TestPlanConstruction:
@@ -230,7 +229,7 @@ class TestSlicing:
             slice_plan(plan_from_order(qft_network()), 0)
 
     def test_extreme_bound_warns_about_slice_blowup(self):
-        net = close_trace(circuit_to_network(qft(5)))
+        net = trace_network(qft(5))
         with pytest.warns(RuntimeWarning, match="subplan executions"):
             sliced = slice_plan(plan_from_order(net), 1)
         assert sliced.peak_size() == 1
@@ -402,7 +401,7 @@ class TestSliceHardCap:
             assert label in message
 
     def test_warning_names_the_sliced_indices(self):
-        net = close_trace(circuit_to_network(qft(5)))
+        net = trace_network(qft(5))
         with pytest.warns(RuntimeWarning) as caught:
             sliced = slice_plan(plan_from_order(net), 1)
         [warning] = caught.list
@@ -498,10 +497,13 @@ class TestSliceDeterminism:
         from pathlib import Path
 
         code = (
+            "from repro.circuits import QuantumCircuit\n"
+            "from repro.core.miter import alg1_template\n"
             "from repro.library import qft\n"
-            "from repro.tensornet import (circuit_to_network, close_trace,"
-            " build_plan, plan_from_order, slice_plan)\n"
-            "net = close_trace(circuit_to_network(qft(4)))\n"
+            "from repro.tensornet import build_plan, plan_from_order,"
+            " slice_plan\n"
+            "net = alg1_template(qft(4), QuantumCircuit(4),"
+            " use_local_optimisations=False).network\n"
             "for plan in (plan_from_order(net),"
             " build_plan(net, 'anneal', plan_trials=8)):\n"
             "    print(slice_plan(plan, 4).digest())\n"
