@@ -7,7 +7,9 @@ with it to a ``cancels`` rule; when the rule says the pair is the
 identity both go.  Popping exposes the operation below, so nested pairs
 (``a b b† a†``) vanish in the same pass.  The miter shrink
 (:func:`repro.core.miter.shrink_miter`) runs it with an inverse-pair
-rule on the undoubled miter; every check contracts what it keeps.
+rule on the undoubled miter.  A second walk over what it keeps,
+:func:`repro.core.miter.fuse_gates`, folds each one-qubit gate into a
+neighbouring gate; every check contracts the result.
 """
 
 from __future__ import annotations

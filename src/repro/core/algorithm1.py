@@ -107,7 +107,8 @@ def fidelity_individual(
         any, spreads each memory-sliced term over its workers.
     use_local_optimisations:
         Shrink the channel-bearing miter once for all terms
-        (:func:`~repro.core.miter.shrink_miter`).  The paper's table
+        (:func:`~repro.core.miter.shrink_miter`, then
+        :func:`~repro.core.miter.fuse_gates`).  The paper's table
         scripts turn it off, so they contract the paper's networks.
     dominant_first:
         Enumerate Kraus selections largest-norm-first.

@@ -19,10 +19,12 @@ Both networks are lowered straight from the miter's operation list
 ``use_local_optimisations`` (the default) that list is first *shrunk*
 in one O(gates) pass: it is rotated to start at the first noise site
 (the trace is cyclic), and every gate of ``E`` that meets its own
-inverse in ``U†`` cancels with it (:func:`shrink_miter`).  Noise
-channels are barriers and are never removed, so every site survives in
-circuit order.  Shrinking the undoubled miter shrinks both copies of
-the doubled one.
+inverse in ``U†`` cancels with it (:func:`shrink_miter`).  A second
+O(gates) walk then folds every one-qubit gate into a neighbouring gate
+on its wire (:func:`fuse_gates`), so few rank-2 tensors are left.  Noise
+channels are barriers to both steps and are never removed, so every site
+survives in circuit order.  Shrinking the undoubled miter shrinks both
+copies of the doubled one.
 
 Both networks are :class:`MiterNetwork` objects that record where their
 noise tensors sit.  :func:`memoised_miter` keeps one per structure in
@@ -38,6 +40,7 @@ from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Dict,
     List,
     NamedTuple,
     Optional,
@@ -150,7 +153,8 @@ def miter_ops(
 
     ``noisy``'s instructions in order, then ``ideal``'s reversed and
     daggered.  With ``use_local_optimisations`` the list is shrunk
-    (:func:`shrink_miter`).
+    (:func:`shrink_miter`) and its one-qubit gates are fused into their
+    neighbours (:func:`fuse_gates`).
     """
     if ideal.num_qubits != noisy.num_qubits:
         raise ValueError("ideal and noisy circuits must have the same width")
@@ -161,7 +165,7 @@ def miter_ops(
         MiterOp(inst.operation, inst.qubits, True)
         for inst in reversed(ideal.instructions)
     )
-    return shrink_miter(ops) if use_local_optimisations else ops
+    return fuse_gates(shrink_miter(ops)) if use_local_optimisations else ops
 
 
 def shrink_miter(ops: Sequence[MiterOp]) -> List[MiterOp]:
@@ -180,6 +184,140 @@ def shrink_miter(ops: Sequence[MiterOp]) -> List[MiterOp]:
     return cancel_on_wire_stacks(
         list(ops[first:]) + list(ops[:first]), _inverse_pair
     )
+
+
+class FusedGate(NamedTuple):
+    """The product of neighbouring gates of the miter, as it acts there.
+
+    ``name`` joins the fused gates' names with ``+`` in the order they
+    act; ``matrix`` is their product, unvalidated.
+    """
+
+    name: str
+    matrix: np.ndarray
+
+
+class _Kept:
+    """A gate of the :func:`fuse_gates` walk and what has been fused into it.
+
+    ``matrix`` and ``names`` stay ``None`` until the first fold, so a gate
+    nothing folds into leaves the walk as the op it came in as.
+    """
+
+    __slots__ = ("op", "matrix", "names")
+
+    def __init__(self, op: MiterOp):
+        self.op = op
+        self.matrix: Optional[np.ndarray] = None
+        self.names: Optional[Tuple[str, ...]] = None
+
+    def value(self) -> Tuple[np.ndarray, Tuple[str, ...]]:
+        if self.matrix is None:
+            return self.op.matrix(), (self.op.operation.name,)
+        return self.matrix, self.names
+
+    def fold(self, factor: "_Kept", after: bool) -> None:
+        """Fuse the one-qubit ``factor`` in on its wire, acting ``after``
+        this gate or before it.
+
+        The ``2 x 2`` factor multiplies the matching bit of the output
+        (row) or input (column) index: one broadcast ``matmul`` over the
+        matrix reshaped to expose that bit, with no Kronecker embedding.
+        """
+        matrix, names = self.value()
+        one, more = factor.value()
+        qubits = self.op.qubits
+        j = qubits.index(factor.op.qubits[0])
+        if after:
+            fused = one @ matrix.reshape(1 << j, 2, -1)
+            self.names = names + more
+        else:
+            low = 1 << (len(qubits) - 1 - j)
+            fused = one.T @ matrix.reshape(-1, 2, low)
+            self.names = more + names
+        self.matrix = fused.reshape(matrix.shape)
+
+    def result(self) -> MiterOp:
+        if self.matrix is None:
+            return self.op
+        return MiterOp(
+            FusedGate("+".join(self.names), self.matrix), self.op.qubits
+        )
+
+
+def fuse_gates(ops: Sequence[MiterOp]) -> List[MiterOp]:
+    """The miter's operations with every one-qubit gate fused into a neighbour.
+
+    One walk with the last kept operation per wire.  A one-qubit gate
+    folds into the gate last kept on its wire, acting after it.  If that
+    wire's last kept operation is a channel, or there is none yet, the
+    gate is held, and the held gates fold into the next multi-qubit gate
+    on the wire, acting before it.  Channels are barriers: gates held
+    when one arrives become one operation in front of it.  The trace is
+    cyclic, so at the end the gates held on a wire fold into the wire's
+    first kept gate, and the gates held in front of a wire's first
+    channel into its last kept gate; where the wire's other end is a
+    channel too, both become one operation at its start.  Channels keep
+    their order and a gate never moves across one, so the value, the
+    noise sites and the plan structure of every refill are kept.
+    """
+    kept: List[object] = []  # channels as MiterOps, gates as _Kept
+    first: Dict[int, int] = {}  # wire -> index in ``kept`` of its first op
+    last: Dict[int, int] = {}  # wire -> index in ``kept`` of its last op
+    held: Dict[int, _Kept] = {}  # wire -> one-qubit gates not yet placed
+    heads: Dict[int, int] = {}  # wire -> index of those its first channel met
+
+    def place(entry, qubits) -> None:
+        for q in qubits:
+            first.setdefault(q, len(kept))
+            last[q] = len(kept)
+        kept.append(entry)
+
+    for op in ops:
+        qubits = op.qubits
+        if is_channel(op.operation):
+            for q in qubits:
+                gates = held.pop(q, None)
+                if gates is not None:
+                    if q not in first:
+                        heads[q] = len(kept)
+                    kept.append(gates)
+            place(op, qubits)
+            continue
+        gate = _Kept(op)
+        if len(qubits) == 1:
+            (q,) = qubits
+            below = kept[last[q]] if q in last else None
+            if isinstance(below, _Kept):
+                below.fold(gate, after=True)
+            elif q in held:
+                held[q].fold(gate, after=True)
+            else:
+                held[q] = gate
+            continue
+        for q in qubits:
+            if q in held:
+                gate.fold(held.pop(q), after=False)
+        place(gate, qubits)
+
+    for q in sorted(set(held) | set(heads)):
+        gates = held.pop(q, None)
+        if q in heads:
+            head = kept[heads[q]]
+            if gates is not None:
+                head.fold(gates, after=False)
+            elif isinstance(kept[last[q]], _Kept):
+                kept[last[q]].fold(head, after=True)
+                kept[heads[q]] = None
+        elif q in first and isinstance(kept[first[q]], _Kept):
+            kept[first[q]].fold(gates, after=False)
+        else:
+            kept.append(gates)
+    return [
+        entry.result() if isinstance(entry, _Kept) else entry
+        for entry in kept
+        if entry is not None
+    ]
 
 
 def _miter_network(
@@ -364,8 +502,8 @@ def alg1_template(
     """Build Algorithm I's Kraus-stacked miter network.
 
     With ``use_local_optimisations`` the channel-bearing miter is shrunk
-    once (:func:`shrink_miter`; noise channels are barriers), so every
-    term shares the smaller network.  Noise site ``s``'s tensor is its
+    and fused once (:func:`miter_ops`; noise channels are barriers), so
+    every term shares the smaller network.  Noise site ``s``'s tensor is its
     :func:`kraus_stack` with a leading ``kraus{s}`` axis.  Stacking
     happens before the trace closure, so a noise on an otherwise
     untouched wire self-traces to a vector over its Kraus axis like any
@@ -391,9 +529,9 @@ def alg2_trace_network(
     This is ``tr((U† (x) U^T) M_E)`` contracted as one network of width
     ``2n``.  Its :attr:`~MiterNetwork.noise_sites` locate the ``M_N``
     tensors, one per noise site of ``noisy``, in circuit order.  With
-    ``use_local_optimisations`` the undoubled miter is shrunk first
-    (:func:`shrink_miter`), which drops both copies of every cancelled
-    pair.
+    ``use_local_optimisations`` the undoubled miter is shrunk and fused
+    first (:func:`miter_ops`), which drops both copies of every
+    cancelled pair and of every fused gate.
     """
     return _miter_network(
         miter_ops(noisy, ideal, use_local_optimisations),

@@ -77,7 +77,8 @@ class CheckConfig:
     #: slice plans so no intermediate exceeds this many elements
     max_intermediate_size: Optional[int] = None
     #: shrink the miter before planning: rotate it to the first noise
-    #: site and cancel every inverse gate pair (repro.core.miter)
+    #: site, cancel every inverse gate pair and fuse one-qubit gates into
+    #: their neighbours (repro.core.miter)
     use_local_optimisations: bool = True
     #: noise-site count at or below which 'auto' picks Algorithm I
     alg1_max_noises: int = AUTO_ALG1_MAX_NOISES

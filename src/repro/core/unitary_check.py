@@ -51,9 +51,9 @@ def check_unitary_equivalence(
     closed trace network), contracts it on ``backend`` (a registered
     name or a ready :class:`~repro.backends.ContractionBackend`) and
     tests ``|tr| == d``.  With ``use_local_optimisations`` (the default)
-    the miter is shrunk first (:func:`~repro.core.miter.shrink_miter`):
-    for equal circuits every gate meets its inverse and nothing is left
-    to contract.
+    the miter is shrunk first (:func:`~repro.core.miter.shrink_miter`,
+    then :func:`~repro.core.miter.fuse_gates`): for equal circuits every
+    gate meets its inverse and nothing is left to contract.
     """
     if circuit_a.num_qubits != circuit_b.num_qubits:
         raise ValueError("circuits must have the same number of qubits")

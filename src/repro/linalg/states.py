@@ -10,7 +10,6 @@ and for a pure state ``psi``: ``F(psi, sigma) = <psi| sigma |psi>``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .matrices import COMPLEX, dagger, projector
 
@@ -63,9 +62,9 @@ def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     if _is_pure(sigma):
         vec = _principal_vector(sigma)
         return float(np.real(np.conjugate(vec) @ rho @ vec))
-    sqrt_rho = sqrtm(rho)
-    inner = sqrtm(sqrt_rho @ sigma @ sqrt_rho)
-    val = np.real(np.trace(inner)) ** 2
+    sqrt_rho = _psd_sqrt(rho)
+    inner = np.linalg.eigvalsh(_hermitian(sqrt_rho @ sigma @ sqrt_rho))
+    val = np.sum(np.sqrt(np.clip(inner, 0.0, None))) ** 2
     return float(min(max(val, 0.0), 1.0 + 1e-9))
 
 
@@ -86,7 +85,21 @@ def _is_pure(rho: np.ndarray) -> bool:
     return abs(np.real(np.trace(rho @ rho)) - 1.0) < 1e-9
 
 
+def _hermitian(matrix: np.ndarray) -> np.ndarray:
+    return (matrix + dagger(matrix)) / 2
+
+
 def _principal_vector(rho: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the dominant eigenvalue (the pure state)."""
-    _, eigvecs = np.linalg.eigh((rho + dagger(rho)) / 2)
+    _, eigvecs = np.linalg.eigh(_hermitian(rho))
     return eigvecs[:, -1]
+
+
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
+    """The positive semidefinite square root of a density matrix.
+
+    Eigenvalues that rounding pushed below zero count as zero.
+    """
+    values, vectors = np.linalg.eigh(_hermitian(rho))
+    roots = np.sqrt(np.clip(values, 0.0, None))
+    return (vectors * roots) @ dagger(vectors)

@@ -14,7 +14,7 @@ from .planner import (
     slice_plan,
 )
 from .ordering import interaction_graph, min_fill_order
-from .tensor import Tensor, gate_tensor, identity_tensor, scalar_tensor
+from .tensor import Tensor
 
 __all__ = [
     "DEFAULT_ORDER_METHOD",
@@ -30,9 +30,6 @@ __all__ = [
     "iter_slice_assignments",
     "plan_from_order",
     "slice_plan",
-    "gate_tensor",
-    "identity_tensor",
     "interaction_graph",
     "min_fill_order",
-    "scalar_tensor",
 ]

@@ -112,32 +112,3 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Tensor(indices={self.indices}, shape={self.data.shape})"
 
-
-def gate_tensor(matrix: np.ndarray, out_indices: Sequence[str],
-                in_indices: Sequence[str]) -> Tensor:
-    """Reshape a ``2^k x 2^k`` gate matrix into a rank-2k tensor.
-
-    Axis order is ``(*out_indices, *in_indices)`` with qubit significance
-    matching the matrix's big-endian convention: ``matrix[row, col]`` with
-    row bits = out indices, col bits = in indices.
-    """
-    k = len(out_indices)
-    if len(in_indices) != k:
-        raise ValueError("gate tensors need matching in/out index counts")
-    matrix = np.asarray(matrix, dtype=COMPLEX)
-    if matrix.shape != (2**k, 2**k):
-        raise ValueError(
-            f"matrix shape {matrix.shape} incompatible with {k} qubit labels"
-        )
-    data = matrix.reshape([2] * (2 * k))
-    return Tensor(data, list(out_indices) + list(in_indices))
-
-
-def identity_tensor(out_index: str, in_index: str) -> Tensor:
-    """Rank-2 identity wire tensor."""
-    return Tensor(np.eye(2, dtype=COMPLEX), [out_index, in_index])
-
-
-def scalar_tensor(value: complex) -> Tensor:
-    """Rank-0 tensor holding a scalar factor."""
-    return Tensor(np.asarray(value, dtype=COMPLEX), [])

@@ -15,6 +15,8 @@ import numpy as np
 from repro.circuits import QuantumCircuit
 from repro.core.miter import MiterNetwork, alg1_template
 from repro.gates import Gate
+from repro.linalg import COMPLEX
+from repro.tensornet import Tensor
 
 
 def trace_network(circuit: QuantumCircuit) -> MiterNetwork:
@@ -125,3 +127,33 @@ def permutation_matrix(perm: List[int]) -> np.ndarray:
             dst = (dst << 1) | bit
         mat[dst, src] = 1.0
     return mat
+
+
+def gate_tensor(matrix: np.ndarray, out_indices: Sequence[str],
+                in_indices: Sequence[str]) -> Tensor:
+    """Reshape a ``2^k x 2^k`` gate matrix into a rank-2k tensor.
+
+    Axis order is ``(*out_indices, *in_indices)`` with qubit significance
+    matching the matrix's big-endian convention: ``matrix[row, col]`` with
+    row bits = out indices, col bits = in indices.
+    """
+    k = len(out_indices)
+    if len(in_indices) != k:
+        raise ValueError("gate tensors need matching in/out index counts")
+    matrix = np.asarray(matrix, dtype=COMPLEX)
+    if matrix.shape != (2**k, 2**k):
+        raise ValueError(
+            f"matrix shape {matrix.shape} incompatible with {k} qubit labels"
+        )
+    data = matrix.reshape([2] * (2 * k))
+    return Tensor(data, list(out_indices) + list(in_indices))
+
+
+def identity_tensor(out_index: str, in_index: str) -> Tensor:
+    """Rank-2 identity wire tensor."""
+    return Tensor(np.eye(2, dtype=COMPLEX), [out_index, in_index])
+
+
+def scalar_tensor(value: complex) -> Tensor:
+    """Rank-0 tensor holding a scalar factor."""
+    return Tensor(np.asarray(value, dtype=COMPLEX), [])

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import identity_tensor, scalar_tensor
 from repro.tensornet import (
     ContractionStats,
     Tensor,
     TensorNetwork,
-    identity_tensor,
     interaction_graph,
-    scalar_tensor,
 )
 
 

@@ -15,12 +15,11 @@ from repro.library import (
     quantum_volume,
 )
 from repro.noise import insert_random_noise
-from oracles import trace_network
+from oracles import identity_tensor, trace_network
 from repro.tensornet import (
     ContractionStats,
     Tensor,
     TensorNetwork,
-    identity_tensor,
     interaction_graph,
     min_fill_order,
 )

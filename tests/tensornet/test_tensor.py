@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tensornet import Tensor, gate_tensor, identity_tensor, scalar_tensor
+from oracles import gate_tensor, identity_tensor, scalar_tensor
+from repro.tensornet import Tensor
 
 
 class TestConstruction:
